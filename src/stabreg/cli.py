@@ -41,6 +41,10 @@ DIRICHLET_HEADER = "column,label,norm"
 TRAJECTORY_HEADER = "t,norm_y,norm_yt"
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _get(cfgp, section, key, default=None, cast=str):
     if not cfgp.has_option(section, key):
         if default is None:
@@ -49,7 +53,9 @@ def _get(cfgp, section, key, default=None, cast=str):
     raw = cfgp.get(section, key).strip()
     try:
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in _BOOLS:
+                raise ValueError(f"expected one of {', '.join(_BOOLS)}")
+            return _BOOLS[raw.lower()]
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
@@ -179,14 +185,14 @@ def build_closed_loop(cfgp, bundle, seed=None):
     return cl, "abstract", {}
 
 
-def _manifest(out_dir, args, cfgp, seed):
+def _manifest(out_dir, args, cfgp):
     lines = [
         f"command: {args.command}",
         f"stabreg: {__version__}",
         f"numpy: {np.__version__}",
         f"scipy: {scipy.__version__}",
         f"kernel_backend: {_kernels.BACKEND}",
-        f"seed: {seed}",
+        f"seed: {_scan_seed(cfgp, args.seed)}",
         "config:",
     ]
     for section in cfgp.sections():
@@ -196,20 +202,25 @@ def _manifest(out_dir, args, cfgp, seed):
     matio.write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
+def _scan_seed(cfgp, seed_override):
+    """Seed of the regularity scans: --seed, else [maxreg] seed, else 0."""
+    if seed_override is not None:
+        return seed_override
+    return _get(cfgp, "maxreg", "seed", 0, int) if cfgp.has_section("maxreg") else 0
+
+
 def _maxreg_params(cfgp, seed_override):
     sec = "maxreg"
     p_grid = _get_floats(cfgp, sec, "p_grid", (1.5, 2.0, 4.0)) if cfgp.has_section(sec) else [1.5, 2.0, 4.0]
     t_grid = _get_floats(cfgp, sec, "t_grid", (10.0, 20.0, 40.0)) if cfgp.has_section(sec) else [10.0, 20.0, 40.0]
     n_random = _get(cfgp, sec, "forcing_count", 32, int) if cfgp.has_section(sec) else 32
     n_cells = _get(cfgp, sec, "n_cells", 2000, int) if cfgp.has_section(sec) else 2000
-    seed = _get(cfgp, sec, "seed", 0, int) if cfgp.has_section(sec) else 0
-    if seed_override is not None:
-        seed = seed_override
-    return p_grid, t_grid, n_random, n_cells, seed
+    return p_grid, t_grid, n_random, n_cells, _scan_seed(cfgp, seed_override)
 
 
-def cmd_spectrum(args, cfgp, out_dir, seed):
-    bundle = build_model(cfgp)
+def cmd_spectrum(args, cfgp, out_dir, seed, bundle=None):
+    if bundle is None:
+        bundle = build_model(cfgp)
     sp = spectrum(bundle.operator)
     rows = [(k + 1, lam.real, lam.imag, k < sp.unstable_count)
             for k, lam in enumerate(sp.eigenvalues)]
@@ -217,8 +228,9 @@ def cmd_spectrum(args, cfgp, out_dir, seed):
     return 0
 
 
-def cmd_dirichlet_map(args, cfgp, out_dir, seed):
-    bundle = build_model(cfgp)
+def cmd_dirichlet_map(args, cfgp, out_dir, seed, bundle=None):
+    if bundle is None:
+        bundle = build_model(cfgp)
     if bundle.green is None:
         raise ConfigError("model provides no boundary lifting map")
     matio.write_matrix(os.path.join(out_dir, "dirichlet_map.txt"), bundle.green.entries)
@@ -229,9 +241,12 @@ def cmd_dirichlet_map(args, cfgp, out_dir, seed):
     return 0
 
 
-def cmd_synthesize(args, cfgp, out_dir, seed):
-    bundle = build_model(cfgp)
-    loop, mode, info = build_closed_loop(cfgp, bundle, seed)
+def cmd_synthesize(args, cfgp, out_dir, seed, bundle=None, built=None):
+    if bundle is None:
+        bundle = build_model(cfgp)
+    if built is None:
+        built = build_closed_loop(cfgp, bundle, seed)
+    loop, mode, info = built
     if bundle.kind == "coupled":
         fmat = loop.f_law.as_matrix
         matio.write_matrix(os.path.join(out_dir, "interior_matrix.txt"), loop.j_law.as_matrix)
@@ -324,42 +339,41 @@ def _identity_rows(cl, seed, n_lambda=20):
     return rows
 
 
-def cmd_verify(args, cfgp, out_dir, seed):
-    bundle = build_model(cfgp)
-    loop, mode, info = build_closed_loop(cfgp, bundle, seed)
+def cmd_verify(args, cfgp, out_dir, seed, bundle=None, built=None):
+    if bundle is None:
+        bundle = build_model(cfgp)
+    if built is None:
+        built = build_closed_loop(cfgp, bundle, seed)
+    loop, mode, _ = built
     p_grid, t_grid, n_random, n_cells, mseed = _maxreg_params(cfgp, seed)
-    rows = []
+    scan = dict(p_grid=p_grid, t_horizons=t_grid, n_random=n_random,
+                seed=mseed, n_cells=n_cells, workers=args.parallel)
+    rows = _identity_rows(loop.loop if bundle.kind == "coupled" else loop, mseed)
     if bundle.kind == "coupled":
-        rows.extend(_identity_rows(loop.loop, mseed))
-        report = coupled.verify_coupled_stabilization(
-            loop, p_grid=p_grid, t_horizons=t_grid,
-            n_random=n_random, seed=mseed, n_cells=n_cells)
-        rows.extend(report.summary_rows())
-        composed = loop.composed
+        report = coupled.verify_coupled_stabilization(loop, **scan)
     elif bundle.kind == "heat":
-        rows.extend(_identity_rows(loop, mseed))
-        report = heat.verify_stabilization(
-            loop, p_grid=p_grid, t_horizons=t_grid,
-            n_random=n_random, seed=mseed, n_cells=n_cells)
-        rows.extend(report.summary_rows())
-        composed = loop.composed
+        report = heat.verify_stabilization(loop, **scan)
     else:
-        rows.extend(_identity_rows(loop, mseed))
-        composed = loop.composed
+        report = None
+    if report is not None:
+        rows.extend(report.summary_rows())
     matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows)
-    reports = _plateau_reports(composed, p_grid, t_grid, n_random, n_cells,
-                               mseed, args.parallel)
+    reports = report.scans if report is not None else _plateau_reports(
+        loop.composed, p_grid, t_grid, n_random, n_cells, mseed, args.parallel)
     matio.write_csv(os.path.join(out_dir, "maxreg.csv"), maxreg.CSV_HEADER,
                     maxreg.report_rows(bundle.kind, mode, reports))
     return 0
 
 
 def cmd_report(args, cfgp, out_dir, seed):
-    cmd_spectrum(args, cfgp, out_dir, seed)
-    if build_model(cfgp).green is not None:
-        cmd_dirichlet_map(args, cfgp, out_dir, seed)
-    cmd_synthesize(args, cfgp, out_dir, seed)
-    cmd_verify(args, cfgp, out_dir, seed)
+    """Every artifact from one model bundle and one closed loop."""
+    bundle = build_model(cfgp)
+    cmd_spectrum(args, cfgp, out_dir, seed, bundle)
+    if bundle.green is not None:
+        cmd_dirichlet_map(args, cfgp, out_dir, seed, bundle)
+    built = build_closed_loop(cfgp, bundle, seed)
+    cmd_synthesize(args, cfgp, out_dir, seed, bundle, built)
+    cmd_verify(args, cfgp, out_dir, seed, bundle, built)
     summary = [("spectrum", "spectrum.csv"), ("poles", "achieved_poles.csv"),
                ("verify", "verify.csv"), ("maxreg", "maxreg.csv")]
     matio.write_csv(os.path.join(out_dir, "summary.csv"), "artifact,file",
@@ -397,7 +411,7 @@ def main(argv=None):
         out_dir = args.out or (_get(cfgp, "output", "dir", "out")
                                if cfgp.has_section("output") else "out")
         os.makedirs(out_dir, exist_ok=True)
-        _manifest(out_dir, args, cfgp, args.seed)
+        _manifest(out_dir, args, cfgp)
         return _COMMANDS[args.command](args, cfgp, out_dir, args.seed)
     except RankCheckFailure as exc:
         print(f"stabreg: rank check failed: {exc}", file=sys.stderr)

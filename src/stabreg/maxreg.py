@@ -347,6 +347,8 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, quad_nodes=2000,
     if len(forcing_sets) != len(t_grid):
         raise UsageError("one forcing set per horizon required")
     p_list = [float(p) for p in p_list]
+    if not p_list:
+        raise UsageError("exponent grid must be nonempty")
 
     def one(pair):
         t, fs = pair

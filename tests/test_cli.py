@@ -1,7 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
-from stabreg import cli, matio
+from stabreg import cli, matio, maxreg
 
 
 def run(args):
@@ -30,6 +32,31 @@ t_grid = 4 8 12
 forcing_count = 6
 n_cells = 400
 seed = 11
+
+[output]
+dir = {out}
+"""
+
+
+COUPLED_CFG = """
+[model]
+type = coupled
+n = 24
+c2_f = 16.0
+c2_h = 16.0
+gamma_buoy = 0.1
+theta_e = 0.5
+omega = 0.25 0.45
+
+[synthesis]
+targets = -2 -3
+
+[maxreg]
+p_grid = 2
+t_grid = 4 8 12
+forcing_count = 4
+n_cells = 300
+seed = 2
 
 [output]
 dir = {out}
@@ -176,29 +203,7 @@ dir = {tmp_path / 'out'}
 
 
 def test_coupled_verify_and_report(tmp_path):
-    text = f"""
-[model]
-type = coupled
-n = 24
-c2_f = 16.0
-c2_h = 16.0
-gamma_buoy = 0.1
-theta_e = 0.5
-omega = 0.25 0.45
-
-[synthesis]
-targets = -2 -3
-
-[maxreg]
-p_grid = 2
-t_grid = 4 8 12
-forcing_count = 4
-n_cells = 300
-seed = 2
-
-[output]
-dir = {tmp_path / 'out'}
-"""
+    text = COUPLED_CFG.format(out=tmp_path / "out")
     cfg = write_config(tmp_path / "c.ini", text)
     assert run(["report", "--config", cfg]) == 0
     out = tmp_path / "out"
@@ -214,3 +219,52 @@ def test_seed_flag_changes_manifest(tmp_path):
     cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
     assert run(["spectrum", "--config", cfg, "--seed", "99"]) == 0
     assert "seed: 99" in (tmp_path / "out" / "manifest.txt").read_text()
+
+
+def test_config_seed_in_manifest(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
+    assert run(["spectrum", "--config", cfg]) == 0
+    assert "seed: 11" in (tmp_path / "out" / "manifest.txt").read_text()
+
+
+def test_bad_bool_exit_2(tmp_path, capsys):
+    text = COUPLED_CFG.format(out=tmp_path / "out").replace(
+        "targets = -2 -3", "targets = -2 -3\nuse_interior = ture")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert run(["synthesize", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "use_interior" in err
+
+
+@pytest.mark.parametrize("template", [HEAT_CFG, COUPLED_CFG], ids=["heat", "coupled"])
+def test_verify_and_report_scan_once(tmp_path, monkeypatch, template):
+    cfg = write_config(tmp_path / "c.ini", template.format(out=tmp_path / "out"))
+    assert run(["maxreg", "--config", cfg, "--out", str(tmp_path / "standalone")]) == 0
+    standalone = (tmp_path / "standalone" / "maxreg.csv").read_bytes()
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(maxreg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(maxreg, name, wrapper)
+
+    counted("plateau_scan_multi")
+    counted("imaginary_axis_bound")
+    for command in ("verify", "report"):
+        calls.clear()
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        assert calls == {"plateau_scan_multi": 1, "imaginary_axis_bound": 1}
+        assert (out / "maxreg.csv").read_bytes() == standalone
+
+
+def test_verify_parallel_byte_identical(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "p1"))
+    assert run(["verify", "--config", cfg, "--parallel", "1"]) == 0
+    assert run(["verify", "--config", cfg, "--parallel", "2",
+                "--out", str(tmp_path / "p2")]) == 0
+    for name in ("verify.csv", "maxreg.csv"):
+        assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()

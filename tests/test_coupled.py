@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stabreg import coupled
+from stabreg import coupled, maxreg
 from stabreg import operators as ops
 from stabreg import synthesis as syn
 from stabreg.coupled import CoupledConfig
@@ -165,6 +167,20 @@ def test_verify_fail_no_interior_zero_margin():
     assert not rep.passed
     assert "hautus_margins" in rep.failing
     assert rep.checks["hautus_margins"][1] <= 1e-8
+
+
+def test_verify_scans_match_direct_scan():
+    cfg = CoupledConfig(n=12)
+    f_law, j_law, _ = coupled.synthesize_coupled_feedback(cfg, targets=[-2.0, -3.0])
+    cl = coupled.compose_coupled_loop(cfg, f_law, j_law)
+    p_grid, t_horizons = (1.5, 2.0), (2.0, 4.0, 8.0)
+    rep = coupled.verify_coupled_stabilization(
+        cl, p_grid=p_grid, t_horizons=t_horizons, n_random=3, seed=7, n_cells=200)
+    sets = maxreg.build_forcing_grid(cl.composed, t_horizons, n_random=3, seed=7,
+                                     n_cells_max=200)
+    direct = maxreg.plateau_scan_multi(cl.composed, p_grid, t_horizons, sets)
+    np.testing.assert_equal([dataclasses.asdict(r) for r in rep.scans],
+                            [dataclasses.asdict(r) for r in direct])
 
 
 def test_adjoint_bound_scan_grid_stable():

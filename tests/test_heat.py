@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stabreg import heat
+from stabreg import heat, maxreg
 from stabreg import operators as ops
 from stabreg.errors import ConfigError, ResonanceError
 from stabreg.heat import HeatConfig
@@ -178,6 +180,7 @@ def test_verify_open_loop_fails_with_growth():
     assert not rep.passed
     assert "spectral_abscissa" in rep.failing
     assert any(name.startswith("plateau") for name in rep.failing)
+    assert rep.checks["imag_axis_sup"] == (False, np.inf, np.inf)
 
 
 def test_verify_already_stable_with_zero_feedback():
@@ -188,6 +191,21 @@ def test_verify_already_stable_with_zero_feedback():
     rep = heat.verify_stabilization(cl, p_grid=(2.0,),
                                     t_horizons=(5.0, 10.0, 20.0), n_random=4)
     assert rep.passed
+
+
+def test_verify_scans_match_direct_scan():
+    cfg = HeatConfig(n=16, c2=16.0)
+    law, _ = heat.synthesize_heat_feedback(cfg, targets=[-2.0])
+    cl = heat.closed_loop_heat(cfg, law)
+    p_grid, t_horizons = (1.5, 2.0), (2.0, 4.0, 8.0)
+    rep = heat.verify_stabilization(cl, p_grid=p_grid, t_horizons=t_horizons,
+                                    n_random=3, seed=7, n_cells=200)
+    sets = maxreg.build_forcing_grid(cl, t_horizons, n_random=3, seed=7,
+                                     n_cells_max=200)
+    direct = maxreg.plateau_scan_multi(cl, p_grid, t_horizons, sets)
+    np.testing.assert_equal([dataclasses.asdict(r) for r in rep.scans],
+                            [dataclasses.asdict(r) for r in direct])
+    assert rep.checks["imag_axis_sup"][1] == direct[0].imag_axis_sup
 
 
 def test_map_norm_q_weighted():

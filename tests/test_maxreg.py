@@ -169,6 +169,10 @@ def test_plateau_scan_validates_grid():
         maxreg.plateau_scan(a, 2.0, [10.0, 5.0, 20.0], [[], [], []])
     with pytest.raises(UsageError):
         maxreg.plateau_scan(a, 2.0, [5.0, 10.0], [[], []])
+    t_grid = [5.0, 10.0, 20.0]
+    sets = maxreg.build_forcing_grid(a, t_grid, n_random=1, n_cells_max=10)
+    with pytest.raises(UsageError):
+        maxreg.plateau_scan_multi(a, [], t_grid, sets)
 
 
 def test_plateau_scan_workers_match_serial():
