@@ -62,11 +62,8 @@ from .maxreg import (
     ForcingSignal,
     MaxRegReport,
     build_forcing_grid,
-    build_forcing_set,
     duality_check,
     imaginary_axis_bound,
-    maxreg_constant,
-    plateau_scan,
     solution_map,
 )
 from .heat import (

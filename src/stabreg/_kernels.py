@@ -1,37 +1,25 @@
-"""Hot time-stepping kernels: numba-compiled with a pure-numpy fallback.
+"""Hot time-stepping kernels.
 
 The exponential integrator advances ``y_{k+1} = E y_k + P f(cell)`` where
 ``E = exp(A h)`` and ``P = int_0^h exp(A s) ds``; the per-cell forcing is
 constant, so the recurrence is exact at the nodes and the step loop is the
-only hot path in the maximal-regularity scans.
-
-Backend selection: numba when importable, unless the environment variable
-``STABREG_NO_NUMBA`` is set to a non-empty value other than ``0``; then the
-vectorized numpy path is used.  Both implementations are importable directly
-(``*_numpy`` / ``*_numba``) for the benchmark in ``benchmarks/``.
+only hot path in the maximal-regularity scans.  Operands are promoted to
+their common dtype, so a complex forcing or operator runs the whole loop in
+complex arithmetic.
 """
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "lti_propagate",
-    "lti_norm_scan",
-    "lti_propagate_numpy",
-    "lti_norm_scan_numpy",
-    "lti_propagate_numba",
-    "lti_norm_scan_numba",
-]
+__all__ = ["lti_propagate", "lti_norm_scan"]
 
 
-def lti_propagate_numpy(E, P, f_cells, refine):
+def lti_propagate(E, P, f_cells, refine):
     """Trajectory of one forcing: returns Y with shape (m*refine + 1, n)."""
+    dt = np.result_type(E, P, f_cells)
+    E, P, f_cells = (np.asarray(x, dtype=dt) for x in (E, P, f_cells))
     m, n = f_cells.shape
-    mm = m * refine
-    Y = np.zeros((mm + 1, n), dtype=E.dtype)
-    y = np.zeros(n, dtype=E.dtype)
+    Y = np.zeros((m * refine + 1, n), dtype=dt)
+    y = np.zeros(n, dtype=dt)
     k = 0
     for j in range(m):
         pf = P @ f_cells[j]
@@ -42,22 +30,23 @@ def lti_propagate_numpy(E, P, f_cells, refine):
     return Y
 
 
-def lti_norm_scan_numpy(A, E, P, f_cells, refine):
+def lti_norm_scan(A, E, P, f_cells, refine):
     """Nodal 2-norms of y, y_t = Ay + f, Ay and f for a batch of forcings.
 
     ``f_cells`` has shape (m, n, nb); the forcing value attached to node k > 0
     is the one of the cell ending at that node (left limit), node 0 uses the
     first cell.  Returns four float arrays of shape (m*refine + 1, nb).
     """
+    dt = np.result_type(A, E, P, f_cells)
+    A, E, P, f_cells = (np.asarray(x, dtype=dt) for x in (A, E, P, f_cells))
     m, n, nb = f_cells.shape
     mm = m * refine
     ny = np.zeros((mm + 1, nb))
     nyt = np.zeros((mm + 1, nb))
     nay = np.zeros((mm + 1, nb))
     nf = np.zeros((mm + 1, nb))
-    y = np.zeros((n, nb), dtype=E.dtype)
-    f0 = f_cells[0]
-    nyt[0] = np.linalg.norm(f0, axis=0)
+    y = np.zeros((n, nb), dtype=dt)
+    nyt[0] = np.linalg.norm(f_cells[0], axis=0)
     nf[0] = nyt[0]
     k = 0
     for j in range(m):
@@ -73,110 +62,3 @@ def lti_norm_scan_numpy(A, E, P, f_cells, refine):
             nyt[k] = np.linalg.norm(ay + fj, axis=0)
             nf[k] = nfj
     return ny, nyt, nay, nf
-
-
-_USE_NUMBA = os.environ.get("STABREG_NO_NUMBA", "0") in ("", "0")
-lti_propagate_numba = None
-lti_norm_scan_numba = None
-
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        _USE_NUMBA = False
-
-if _USE_NUMBA:
-
-    @njit(cache=True)
-    def _propagate_jit(E, P, f_cells, refine):
-        m, n = f_cells.shape
-        mm = m * refine
-        Y = np.zeros((mm + 1, n), dtype=E.dtype)
-        y = np.zeros(n, dtype=E.dtype)
-        k = 0
-        for j in range(m):
-            pf = P @ np.ascontiguousarray(f_cells[j])
-            for _ in range(refine):
-                y = E @ y + pf
-                k += 1
-                Y[k] = y
-        return Y
-
-    @njit(cache=True)
-    def _colnorms(X, out):
-        n, nb = X.shape
-        for b in range(nb):
-            s = 0.0
-            for i in range(n):
-                v = X[i, b]
-                s += v.real * v.real + v.imag * v.imag
-            out[b] = np.sqrt(s)
-
-    @njit(cache=True)
-    def _norm_scan_jit(A, E, P, f_cells, refine):
-        m, n, nb = f_cells.shape
-        mm = m * refine
-        ny = np.zeros((mm + 1, nb))
-        nyt = np.zeros((mm + 1, nb))
-        nay = np.zeros((mm + 1, nb))
-        nf = np.zeros((mm + 1, nb))
-        y = np.zeros((n, nb), dtype=E.dtype)
-        f0 = np.ascontiguousarray(f_cells[0])
-        _colnorms(f0, nyt[0])
-        nf[0] = nyt[0]
-        k = 0
-        for j in range(m):
-            fj = np.ascontiguousarray(f_cells[j])
-            pf = P @ fj
-            nfj = np.zeros(nb)
-            _colnorms(fj, nfj)
-            for _ in range(refine):
-                y = E @ y + pf
-                k += 1
-                ay = A @ y
-                _colnorms(y, ny[k])
-                _colnorms(ay, nay[k])
-                _colnorms(ay + fj, nyt[k])
-                nf[k] = nfj
-        return ny, nyt, nay, nf
-
-    def _scan_dtype(*arrays):
-        dt = np.result_type(*arrays)
-        return np.complex128 if np.issubdtype(dt, np.complexfloating) else np.float64
-
-    def lti_propagate_numba(E, P, f_cells, refine):
-        dt = _scan_dtype(E, P, f_cells)
-        return _propagate_jit(
-            np.ascontiguousarray(E, dtype=dt),
-            np.ascontiguousarray(P, dtype=dt),
-            np.ascontiguousarray(f_cells, dtype=dt),
-            refine,
-        )
-
-    def lti_norm_scan_numba(A, E, P, f_cells, refine):
-        dt = _scan_dtype(A, E, P, f_cells)
-        return _norm_scan_jit(
-            np.ascontiguousarray(A, dtype=dt),
-            np.ascontiguousarray(E, dtype=dt),
-            np.ascontiguousarray(P, dtype=dt),
-            np.ascontiguousarray(f_cells, dtype=dt),
-            refine,
-        )
-
-    BACKEND = "numba"
-    lti_propagate = lti_propagate_numba
-    lti_norm_scan = lti_norm_scan_numba
-else:
-    BACKEND = "numpy"
-
-    def lti_propagate(E, P, f_cells, refine):
-        dt = np.result_type(E, P, f_cells)
-        return lti_propagate_numpy(
-            np.asarray(E, dtype=dt), np.asarray(P, dtype=dt),
-            np.asarray(f_cells, dtype=dt), refine)
-
-    def lti_norm_scan(A, E, P, f_cells, refine):
-        dt = np.result_type(A, E, P, f_cells)
-        return lti_norm_scan_numpy(
-            np.asarray(A, dtype=dt), np.asarray(E, dtype=dt),
-            np.asarray(P, dtype=dt), np.asarray(f_cells, dtype=dt), refine)

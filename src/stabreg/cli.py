@@ -2,9 +2,9 @@
 
 Subcommands: spectrum | dirichlet-map | synthesize | simulate | maxreg |
 verify | report.  Configuration is flat key-value INI text with section
-headers ([model], [synthesis], [simulate], [maxreg], [output]).  Every run
-writes a manifest next to its outputs; CSVs are deterministic for a fixed
-config + seed.  Exit codes: 0 success, 2 configuration error, 3 numerical
+headers ([model], [synthesis], [simulate], [maxreg], [output]); an unknown
+section or key is a configuration error.  Every run writes a manifest next to
+its outputs; CSVs are deterministic for a fixed config + seed.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure, 4 rank-check failure.
 """
 
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__, _kernels, coupled, heat, matio, maxreg
+from . import __version__, coupled, heat, matio, maxreg
 from .errors import (
     ConfigError,
     NumericalError,
@@ -40,6 +40,21 @@ VERIFY_HEADER = "check,value,threshold,status"
 DIRICHLET_HEADER = "column,label,norm"
 TRAJECTORY_HEADER = "t,norm_y,norm_yt"
 
+
+# Accepted keys per section; [model] keys depend on the model type.  Keys are
+# matched after configparser lower-cases them ([simulate] T is "t").
+_MODEL_KEYS = {
+    "heat": {"n", "c2", "advection_b", "omega", "q", "epsilon"},
+    "coupled": {"n", "nu", "kappa", "gamma_buoy", "theta_e", "ye_advect",
+                "c2_f", "c2_h", "omega", "q", "epsilon"},
+    "abstract": {"operator_file", "green_file", "green_gamma", "feedback_file"},
+}
+_SECTION_KEYS = {
+    "synthesis": {"mode", "targets", "use_interior"},
+    "simulate": {"t", "n_cells", "forcing"},
+    "maxreg": {"p_grid", "t_grid", "forcing_count", "n_cells", "seed"},
+    "output": {"dir"},
+}
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
@@ -102,7 +117,24 @@ def load_config(path):
         raise ConfigError(f"malformed config: {exc}") from exc
     if not parser.has_section("model"):
         raise ConfigError("config needs a [model] section")
+    _check_keys(parser)
     return parser
+
+
+def _check_keys(parser):
+    """Reject unknown sections and keys, so a typo cannot be silently ignored."""
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
+    kind = parser.get("model", "type", fallback=None)
+    # a missing or unknown type is reported by build_model, so skip its keys
+    model_keys = _MODEL_KEYS.get(kind, set(parser.options("model")))
+    allowed = dict(_SECTION_KEYS, model=model_keys | {"type"})
+    for section in parser.sections():
+        if section not in allowed:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser.options(section)) - allowed[section])
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
 
 def build_model(cfgp):
@@ -161,7 +193,7 @@ def build_model(cfgp):
     raise ConfigError(f"unknown model type {kind!r} (expected heat | coupled | abstract)")
 
 
-def build_closed_loop(cfgp, bundle, seed=None):
+def build_closed_loop(cfgp, bundle):
     """Synthesize per [synthesis] and compose; returns (loop-like, mode, info).
 
     For heat: a ClosedLoop.  For coupled: a CoupledLoop.  For abstract: a
@@ -191,7 +223,6 @@ def _manifest(out_dir, args, cfgp):
         f"stabreg: {__version__}",
         f"numpy: {np.__version__}",
         f"scipy: {scipy.__version__}",
-        f"kernel_backend: {_kernels.BACKEND}",
         f"seed: {_scan_seed(cfgp, args.seed)}",
         "config:",
     ]
@@ -245,7 +276,7 @@ def cmd_synthesize(args, cfgp, out_dir, seed, bundle=None, built=None):
     if bundle is None:
         bundle = build_model(cfgp)
     if built is None:
-        built = build_closed_loop(cfgp, bundle, seed)
+        built = build_closed_loop(cfgp, bundle)
     loop, mode, info = built
     if bundle.kind == "coupled":
         fmat = loop.f_law.as_matrix
@@ -266,8 +297,8 @@ def cmd_synthesize(args, cfgp, out_dir, seed, bundle=None, built=None):
 
 def cmd_simulate(args, cfgp, out_dir, seed):
     bundle = build_model(cfgp)
-    loop, mode, _ = build_closed_loop(cfgp, bundle, seed)
-    composed = loop.composed if hasattr(loop, "composed") else loop
+    loop, mode, _ = build_closed_loop(cfgp, bundle)
+    composed = loop.composed
     a = maxreg.operator_matrix(composed)
     sec = "simulate"
     horizon = _get(cfgp, sec, "T", 10.0, float) if cfgp.has_section(sec) else 10.0
@@ -305,10 +336,9 @@ def _plateau_reports(composed, p_grid, t_grid, n_random, n_cells, seed, workers)
 
 def cmd_maxreg(args, cfgp, out_dir, seed):
     bundle = build_model(cfgp)
-    loop, mode, _ = build_closed_loop(cfgp, bundle, seed)
-    composed = loop.composed if hasattr(loop, "composed") else loop
+    loop, mode, _ = build_closed_loop(cfgp, bundle)
     p_grid, t_grid, n_random, n_cells, mseed = _maxreg_params(cfgp, seed)
-    reports = _plateau_reports(composed, p_grid, t_grid, n_random, n_cells,
+    reports = _plateau_reports(loop.composed, p_grid, t_grid, n_random, n_cells,
                                mseed, args.parallel)
     rows = maxreg.report_rows(bundle.kind, mode, reports)
     matio.write_csv(os.path.join(out_dir, "maxreg.csv"), maxreg.CSV_HEADER, rows)
@@ -343,7 +373,7 @@ def cmd_verify(args, cfgp, out_dir, seed, bundle=None, built=None):
     if bundle is None:
         bundle = build_model(cfgp)
     if built is None:
-        built = build_closed_loop(cfgp, bundle, seed)
+        built = build_closed_loop(cfgp, bundle)
     loop, mode, _ = built
     p_grid, t_grid, n_random, n_cells, mseed = _maxreg_params(cfgp, seed)
     scan = dict(p_grid=p_grid, t_horizons=t_grid, n_random=n_random,
@@ -371,7 +401,7 @@ def cmd_report(args, cfgp, out_dir, seed):
     cmd_spectrum(args, cfgp, out_dir, seed, bundle)
     if bundle.green is not None:
         cmd_dirichlet_map(args, cfgp, out_dir, seed, bundle)
-    built = build_closed_loop(cfgp, bundle, seed)
+    built = build_closed_loop(cfgp, bundle)
     cmd_synthesize(args, cfgp, out_dir, seed, bundle, built)
     cmd_verify(args, cfgp, out_dir, seed, bundle, built)
     summary = [("spectrum", "spectrum.csv"), ("poles", "achieved_poles.csv"),

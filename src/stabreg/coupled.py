@@ -17,7 +17,7 @@ import scipy.linalg as la
 
 from . import maxreg, synthesis
 from .errors import ConfigError, ResonanceError
-from .heat import VerificationReport, first_difference, laplacian
+from .heat import VerificationReport, dirichlet_lift, first_difference, laplacian
 from .operators import (
     GreenMap,
     Operator,
@@ -143,18 +143,11 @@ def build_thermal_dirichlet_map(cfg, residual_tol=1e-10):
     Columns solve (kappa Lap + c2_h) psi = 0 with unit value at one thermal
     boundary node; exponent gamma = 1/(2q) - eps.
     """
-    n, h = cfg.n, cfg.h
+    n = cfg.n
     elliptic = cfg.kappa * laplacian(n) + cfg.c2_h * np.eye(n)
-    rhs = np.zeros((n, 2))
-    rhs[0, 0] = -cfg.kappa / h**2
-    rhs[-1, 1] = -cfg.kappa / h**2
-    sv = la.svdvals(elliptic)
-    if sv[-1] <= 1e-9 * sv[0]:
-        raise ResonanceError(f"thermal elliptic operator singular (c2_h = {cfg.c2_h:g})")
-    cols = la.solve(elliptic, rhs)
-    resid = np.abs(elliptic @ cols - rhs).max() / np.abs(rhs).max()
-    if resid > residual_tol:
-        raise ResonanceError(f"thermal Dirichlet solve residual {resid:.3e}")
+    cols = dirichlet_lift(elliptic, -cfg.kappa / cfg.h**2,
+                          f"thermal elliptic operator (c2_h = {cfg.c2_h:g})",
+                          residual_tol)
     emb = np.vstack([np.zeros((n, 2)), cols])
     return GreenMap(emb, gamma=cfg.gamma, input_labels=("thermal x=0", "thermal x=1"))
 

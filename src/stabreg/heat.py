@@ -119,6 +119,28 @@ def fd_eigenvalues(cfg):
     return cfg.c2 - (4.0 / cfg.h**2) * np.sin(k * np.pi * cfg.h / 2.0) ** 2
 
 
+def dirichlet_lift(elliptic, edge, name, residual_tol=1e-10):
+    """Solve the interior problem ``elliptic @ cols = rhs`` of a boundary lifting.
+
+    Column 0 (1) of ``rhs`` carries the stencil weight ``edge`` of a unit
+    boundary value at x = 0 (x = 1) in the first (last) row.  A numerically
+    singular operator (resonant translation) or a solve residual above
+    ``residual_tol`` raises ResonanceError naming ``name``.
+    """
+    rhs = np.zeros((elliptic.shape[0], 2))
+    rhs[0, 0] = edge
+    rhs[-1, 1] = edge
+    sv = la.svdvals(elliptic)
+    if sv[-1] <= 1e-9 * sv[0]:
+        raise ResonanceError(f"{name} is numerically singular")
+    cols = la.solve(elliptic, rhs)
+    resid = np.abs(elliptic @ cols - rhs).max() / np.abs(rhs).max()
+    if resid > residual_tol:
+        raise ResonanceError(
+            f"{name}: lifting solve residual {resid:.3e} exceeds {residual_tol:g}")
+    return cols
+
+
 def build_dirichlet_map(cfg, residual_tol=1e-10):
     """Discrete lifting of boundary values through (Laplacian + c^2).
 
@@ -126,20 +148,10 @@ def build_dirichlet_map(cfg, residual_tol=1e-10):
     at one endpoint; the exponent gamma = 1/(2q) - eps rides along.  A
     resonant translation makes the interior solve (near-)singular and raises.
     """
-    n, h = cfg.n, cfg.h
-    elliptic = laplacian(n) + cfg.c2 * np.eye(n)
-    rhs = np.zeros((n, 2))
-    rhs[0, 0] = -1.0 / h**2
-    rhs[-1, 1] = -1.0 / h**2
-    sv = la.svdvals(elliptic)
-    if sv[-1] <= 1e-9 * sv[0]:
-        raise ResonanceError(
-            f"translated elliptic operator is numerically singular (c2 = {cfg.c2:g})")
-    cols = la.solve(elliptic, rhs)
-    resid = np.abs(elliptic @ cols - rhs).max() / np.abs(rhs).max()
-    if resid > residual_tol:
-        raise ResonanceError(
-            f"Dirichlet-map solve residual {resid:.3e} exceeds {residual_tol:g}")
+    elliptic = laplacian(cfg.n) + cfg.c2 * np.eye(cfg.n)
+    cols = dirichlet_lift(elliptic, -1.0 / cfg.h**2,
+                          f"translated elliptic operator (c2 = {cfg.c2:g})",
+                          residual_tol)
     return GreenMap(cols, gamma=cfg.gamma, input_labels=("x=0", "x=1"))
 
 

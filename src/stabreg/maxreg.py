@@ -96,21 +96,6 @@ def single_mode_forcings(op, horizon):
     return out
 
 
-def build_forcing_set(op, horizon, n_random=32, seed=0, n_cells=2000, include_modes=True):
-    """Default estimation family: seeded random piecewise forcings + all modes."""
-    m = operator_matrix(op)
-    dim = m.shape[0]
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((n_cells, dim, n_random))
-    step = horizon / n_cells
-    out = [ForcingSignal(base[:, :, j], step,
-                         kind=f"piecewise_constant_random(seed={seed},index={j})")
-           for j in range(n_random)]
-    if include_modes:
-        out.extend(single_mode_forcings(op, horizon))
-    return out
-
-
 def build_forcing_grid(op, t_grid, n_random=32, seed=0, n_cells_max=2000, include_modes=True):
     """Nested forcing sets over a horizon grid.
 
@@ -174,11 +159,7 @@ def solution_map(cl, forcing, refine=1, strict_step=False):
         _strict_step_guard(a, forcing.time_step)
     h = forcing.time_step / refine
     e, p = _propagator_pair(a, h)
-    vals = forcing.values
-    if np.iscomplexobj(vals) and not np.iscomplexobj(e):
-        e = e.astype(complex)
-        p = p.astype(complex)
-    y = _kernels.lti_propagate(e, p, vals, refine)
+    y = _kernels.lti_propagate(e, p, forcing.values, refine)
     t = np.arange(y.shape[0]) * h
     return t, y
 
@@ -213,13 +194,8 @@ def _group_scan(a, forcings, node_target):
         refine = max(1, int(math.ceil(node_target / n_cells)))
         h = step / refine
         batch = np.stack([forcings[i].values for i in idx], axis=2)
-        if np.iscomplexobj(batch):
-            batch = batch.astype(complex)
         e, p = _propagator_pair(a, h)
-        ab = a
-        if np.iscomplexobj(batch) and not np.iscomplexobj(e):
-            e, p, ab = e.astype(complex), p.astype(complex), a.astype(complex)
-        ny, nyt, nay, nf = _kernels.lti_norm_scan(ab, e, p, batch, refine)
+        ny, nyt, nay, nf = _kernels.lti_norm_scan(a, e, p, batch, refine)
         for col, i in enumerate(idx):
             results[i] = (h, ny[:, col], nyt[:, col], nay[:, col], nf[:, col])
     return results
@@ -266,13 +242,6 @@ def maxreg_constants_multi(cl, p_list, horizon, forcing_set, quad_nodes=2000,
         prev = best
         nodes *= 2
     return prev
-
-
-def maxreg_constant(cl, p, horizon, forcing_set, quad_nodes=2000,
-                    quad_rtol=0.005, max_doublings=2):
-    """Lower-bound estimate of the regularity constant C_{p,T} (single p)."""
-    return float(maxreg_constants_multi(cl, [p], horizon, forcing_set,
-                                        quad_nodes, quad_rtol, max_doublings)[0])
 
 
 @dataclass(frozen=True)
@@ -376,13 +345,6 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, quad_nodes=2000,
     ) for i, p in enumerate(p_list)]
 
 
-def plateau_scan(cl, p, t_grid, forcing_sets, quad_nodes=2000,
-                 quad_rtol=0.005, max_doublings=2):
-    """Horizon scan of C_{p,T} for one exponent; see plateau_scan_multi."""
-    return plateau_scan_multi(cl, [p], t_grid, forcing_sets,
-                              quad_nodes, quad_rtol, max_doublings)[0]
-
-
 def dual_exponent(p):
     if not (1.0 < p < np.inf):
         raise UsageError(f"exponent p must lie in (1, inf), got {p}")
@@ -402,12 +364,13 @@ def duality_check(cl, p, t_grid, forcing_sets, quad_nodes=2000,
     conjugate transpose at the dual exponent with conjugated forcings, demands
     matching verdicts and returns |log C - log C*| at the longest horizon.
     """
-    rep = plateau_scan(cl, p, t_grid, forcing_sets, quad_nodes, quad_rtol, max_doublings)
+    rep = plateau_scan_multi(cl, [p], t_grid, forcing_sets,
+                             quad_nodes, quad_rtol, max_doublings)[0]
     a = operator_matrix(cl)
     adj = Operator(a.conj().T, label="adjoint")
-    rep_adj = plateau_scan(adj, dual_exponent(p), t_grid,
-                           conjugated_forcings(forcing_sets),
-                           quad_nodes, quad_rtol, max_doublings)
+    rep_adj = plateau_scan_multi(adj, [dual_exponent(p)], t_grid,
+                                 conjugated_forcings(forcing_sets),
+                                 quad_nodes, quad_rtol, max_doublings)[0]
     if rep.verdict != rep_adj.verdict:
         raise IdentityViolationError(
             f"duality verdict mismatch: {rep.verdict} (p={p}) vs "

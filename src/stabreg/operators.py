@@ -172,34 +172,10 @@ def _as_entries(op):
     return op.entries if isinstance(op, Operator) else np.atleast_2d(np.asarray(op))
 
 
-def spectral_norm(m, tol=1e-10, max_iter=5000):
-    """Operator 2-norm by singular value (power) iteration.
-
-    Deterministic start vector; the iteration must hit relative tolerance
-    ``tol`` on two consecutive sweeps, otherwise a full SVD takes over.
-    """
+def spectral_norm(m):
+    """Operator 2-norm (largest singular value, by SVD); 0 for an empty matrix."""
     m = np.atleast_2d(np.asarray(m))
-    if m.size == 0:
-        return 0.0
-    v = np.ones(m.shape[1]) + 1e-3 * np.arange(m.shape[1])
-    v = (v / np.linalg.norm(v)).astype(np.result_type(m.dtype, float))
-    sigma = 0.0
-    hits = 0
-    for _ in range(max_iter):
-        w = m.conj().T @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        sigma_new = float(np.sqrt(nw))
-        v = w / nw
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            hits += 1
-            if hits >= 2:
-                return sigma_new
-        else:
-            hits = 0
-        sigma = sigma_new
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
 def spectral_abscissa(op):
@@ -365,14 +341,7 @@ def fractional_power(op, theta, spectral=None, verify_tol=1e-6):
         raise UsageError(f"fractional exponent must lie in (0,1), got {theta}")
     m = _as_entries(op)
     sp = spectral if spectral is not None else spectrum(op)
-    if np.min(sp.eigenvalues.real) <= 0.0:
-        raise TranslationRequiredError(
-            "spectrum touches the closed left half-plane "
-            f"(min Re = {np.min(sp.eigenvalues.real):.3e}); translate the operator first")
-    if sp.cond_estimate > _COND_FLAG:
-        raise IllConditionedBasisError(
-            f"eigenvector basis condition {sp.cond_estimate:.3e} > 1e8; refusing spectral calculus")
-    frac = _power_from_spectral(sp, theta)
+    frac = real_power(op, theta, spectral=sp).entries
     comp = _power_from_spectral(sp, 1.0 - theta)
     resid = spectral_norm(frac @ comp - m) / max(spectral_norm(m), 1e-300)
     if resid > verify_tol:
@@ -385,13 +354,19 @@ def fractional_power(op, theta, spectral=None, verify_tol=1e-6):
 
 
 def real_power(op, theta, spectral=None):
-    """Arbitrary real power by the same spectral calculus (no (0,1) restriction)."""
+    """Arbitrary real power by the same spectral calculus (no (0,1) restriction).
+
+    Raises TranslationRequiredError unless the spectrum lies in the open right
+    half-plane, and IllConditionedBasisError above eigenbasis condition 1e8.
+    """
     sp = spectral if spectral is not None else spectrum(op)
     if np.min(sp.eigenvalues.real) <= 0.0:
-        raise TranslationRequiredError("real_power needs right-half-plane spectrum")
+        raise TranslationRequiredError(
+            "spectrum touches the closed left half-plane "
+            f"(min Re = {np.min(sp.eigenvalues.real):.3e}); translate the operator first")
     if sp.cond_estimate > _COND_FLAG:
         raise IllConditionedBasisError(
-            f"eigenvector basis condition {sp.cond_estimate:.3e} > 1e8")
+            f"eigenvector basis condition {sp.cond_estimate:.3e} > 1e8; refusing spectral calculus")
     return Operator(_power_from_spectral(sp, theta), label=f"power({theta})")
 
 

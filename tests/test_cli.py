@@ -268,3 +268,15 @@ def test_verify_parallel_byte_identical(tmp_path):
                 "--out", str(tmp_path / "p2")]) == 0
     for name in ("verify.csv", "maxreg.csv"):
         assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
+
+
+def test_unknown_key_exit_2(tmp_path, capsys):
+    cases = [("t_grid = 4 8 12", "t_grid = 4 8 12\np_gird = 2", "p_gird"),
+             ("c2 = 16.0", "c2 = 16.0\nc2_f = 16.0", "c2_f"),     # coupled key on heat
+             ("[output]", "[outptu]", "[outptu]")]
+    for old, new, name in cases:
+        text = HEAT_CFG.format(out=tmp_path / "out").replace(old, new)
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert run(["spectrum", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and name in err

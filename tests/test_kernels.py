@@ -5,43 +5,64 @@ import scipy.linalg as la
 from stabreg import _kernels
 
 
-def _data(dtype, m=40, n=6, nb=5, seed=0):
+def _data(dtype, m=40, n=6, nb=5, h=0.05, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
-    h = 0.05
-    e = la.expm(a * h)
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = a * h
-    aug[:n, n:] = np.eye(n) * h
-    p = la.expm(aug)[:n, n:]
     f = rng.standard_normal((m, n, nb))
     if dtype == complex:
         a = a + 1j * 0.1 * rng.standard_normal((n, n))
-        e = la.expm(a * h)
         f = f + 1j * rng.standard_normal((m, n, nb))
-    return a, e, p, f
+    aug = np.zeros((2 * n, 2 * n), dtype=a.dtype)
+    aug[:n, :n] = a * h
+    aug[:n, n:] = np.eye(n) * h
+    ep = la.expm(aug)
+    return a, ep[:n, :n], ep[:n, n:], f
+
+
+def _oracle_states(a, f_cells, h, refine):
+    """Nodal states, one step at a time, with the forcing as an extra state.
+
+    On cell j the pair (y, 1) obeys d/dt (y, 1) = [[A, f_j], [0, 0]] (y, 1),
+    so one (n+1) x (n+1) exponential advances it exactly by h.
+    """
+    m, n, nb = f_cells.shape
+    ys = np.zeros((m * refine + 1, n, nb), dtype=complex)
+    for b in range(nb):
+        y = np.zeros(n, dtype=complex)
+        k = 0
+        for j in range(m):
+            aug = np.zeros((n + 1, n + 1), dtype=complex)
+            aug[:n, :n] = a * h
+            aug[:n, n] = f_cells[j, :, b] * h
+            step = la.expm(aug)
+            for _ in range(refine):
+                y = (step @ np.append(y, 1.0))[:n]
+                k += 1
+                ys[k, :, b] = y
+    return ys
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("refine", [1, 3])
-def test_backend_parity_norm_scan(dtype, refine):
+def test_norm_scan_matches_expm_oracle(dtype, refine):
     a, e, p, f = _data(dtype)
-    ref = _kernels.lti_norm_scan_numpy(a, e, p, f, refine)
-    if _kernels.lti_norm_scan_numba is None:
-        pytest.skip("numba backend disabled")
-    alt = _kernels.lti_norm_scan_numba(a, e, p, f, refine)
-    for x, y in zip(ref, alt):
+    ys = _oracle_states(a, f, 0.05, refine)
+    cell = np.maximum(np.arange(ys.shape[0]) - 1, 0) // refine   # left limit
+    fn = f[cell]
+    ay = np.einsum("ij,kjb->kib", a, ys)
+    expected = [np.linalg.norm(x, axis=1) for x in (ys, ay + fn, ay, fn)]
+    got = _kernels.lti_norm_scan(a, e, p, f, refine)
+    for x, y in zip(got, expected):
         assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_backend_parity_propagate(dtype):
+def test_propagate_matches_expm_oracle(dtype):
     a, e, p, f = _data(dtype)
-    ref = _kernels.lti_propagate_numpy(e, p, f[:, :, 0], 2)
-    if _kernels.lti_propagate_numba is None:
-        pytest.skip("numba backend disabled")
-    alt = _kernels.lti_propagate_numba(e, p, f[:, :, 0], 2)
-    assert np.allclose(ref, alt, rtol=1e-12, atol=1e-12)
+    y = _kernels.lti_propagate(e, p, f[:, :, 0], 2)
+    assert y.dtype == np.result_type(e, p, f)
+    assert np.allclose(y, _oracle_states(a, f[:, :, :1], 0.05, 2)[:, :, 0],
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_propagate_matches_expm_reference():
@@ -66,9 +87,3 @@ def test_norm_scan_left_limit_convention():
     ny, nyt, nay, nf = _kernels.lti_norm_scan(a, e, p, f, 1)
     assert nf[0] == 1.0 and nf[1] == 1.0 and nf[2] == 3.0
     assert nyt[1] == 1.0 and nyt[2] == 3.0   # A = 0 so y_t = f
-
-
-def test_backend_flag_consistency():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    if _kernels.BACKEND == "numba":
-        assert _kernels.lti_norm_scan is _kernels.lti_norm_scan_numba

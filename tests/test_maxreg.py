@@ -107,27 +107,27 @@ def scalar_oracle_constant():
 def test_maxreg_constant_scalar_oracle():
     a = np.array([[-1.0]])
     fs = [maxreg.constant_forcing(np.ones(1), 1.0)]
-    c = maxreg.maxreg_constant(a, 2.0, 1.0, fs)
+    c = maxreg.maxreg_constants_multi(a, [2.0], 1.0, fs)[0]
     assert c == pytest.approx(scalar_oracle_constant(), abs=1e-6)
 
 
 def test_maxreg_constant_unstable_growth_ratio():
     a = np.array([[1.0]])
-    c5 = maxreg.maxreg_constant(a, 2.0, 5.0, [maxreg.constant_forcing(np.ones(1), 5.0)])
-    c10 = maxreg.maxreg_constant(a, 2.0, 10.0, [maxreg.constant_forcing(np.ones(1), 10.0)])
+    c5, c10 = (maxreg.maxreg_constants_multi(a, [2.0], t, [maxreg.constant_forcing(np.ones(1), t)])[0]
+               for t in (5.0, 10.0))
     assert c10 / c5 >= np.exp(5.0) / 2.0
 
 
 def test_maxreg_constant_rejects_zero_forcing():
     a = np.array([[-1.0]])
     with pytest.raises(UsageError):
-        maxreg.maxreg_constant(a, 2.0, 1.0, [maxreg.constant_forcing(np.zeros(1), 1.0)])
+        maxreg.maxreg_constants_multi(a, [2.0], 1.0, [maxreg.constant_forcing(np.zeros(1), 1.0)])
 
 
 def test_maxreg_constant_horizon_mismatch():
     a = np.array([[-1.0]])
     with pytest.raises(UsageError):
-        maxreg.maxreg_constant(a, 2.0, 2.0, [maxreg.constant_forcing(np.ones(1), 1.0)])
+        maxreg.maxreg_constants_multi(a, [2.0], 2.0, [maxreg.constant_forcing(np.ones(1), 1.0)])
 
 
 def test_maxreg_monotone_in_horizon_extension_by_zero():
@@ -136,8 +136,8 @@ def test_maxreg_monotone_in_horizon_extension_by_zero():
     vals = rng.standard_normal((50, 1))
     f_short = ForcingSignal(vals, 0.1)                     # T = 5
     f_long = ForcingSignal(np.vstack([vals, np.zeros((50, 1))]), 0.1)   # T = 10
-    c_short = maxreg.maxreg_constant(a, 2.0, 5.0, [f_short])
-    c_long = maxreg.maxreg_constant(a, 2.0, 10.0, [f_long])
+    c_short = maxreg.maxreg_constants_multi(a, [2.0], 5.0, [f_short])[0]
+    c_long = maxreg.maxreg_constants_multi(a, [2.0], 10.0, [f_long])[0]
     assert c_long >= c_short * (1 - 1e-9)
 
 
@@ -148,7 +148,7 @@ def test_plateau_stable_scalar(p):
     a = np.array([[-1.0]])
     t_grid = [10.0, 20.0, 40.0]
     sets = maxreg.build_forcing_grid(a, t_grid, n_random=4, seed=1, n_cells_max=500)
-    rep = maxreg.plateau_scan(a, p, t_grid, sets)
+    rep = maxreg.plateau_scan_multi(a, [p], t_grid, sets)[0]
     assert rep.verdict == "plateau"
     assert np.isfinite(rep.imag_axis_sup)
 
@@ -158,7 +158,7 @@ def test_growth_unstable_scalar(p):
     a = np.array([[0.5]])
     t_grid = [10.0, 20.0, 40.0]
     sets = maxreg.build_forcing_grid(a, t_grid, n_random=4, seed=1, n_cells_max=500)
-    rep = maxreg.plateau_scan(a, p, t_grid, sets)
+    rep = maxreg.plateau_scan_multi(a, [p], t_grid, sets)[0]
     assert rep.verdict == "growth"
     assert np.isinf(rep.imag_axis_sup)
 
@@ -166,9 +166,9 @@ def test_growth_unstable_scalar(p):
 def test_plateau_scan_validates_grid():
     a = np.array([[-1.0]])
     with pytest.raises(UsageError):
-        maxreg.plateau_scan(a, 2.0, [10.0, 5.0, 20.0], [[], [], []])
+        maxreg.plateau_scan_multi(a, [2.0], [10.0, 5.0, 20.0], [[], [], []])
     with pytest.raises(UsageError):
-        maxreg.plateau_scan(a, 2.0, [5.0, 10.0], [[], []])
+        maxreg.plateau_scan_multi(a, [2.0], [5.0, 10.0], [[], []])
     t_grid = [5.0, 10.0, 20.0]
     sets = maxreg.build_forcing_grid(a, t_grid, n_random=1, n_cells_max=10)
     with pytest.raises(UsageError):

@@ -372,6 +372,9 @@ def test_spectral_norm_matches_svd():
     for n in (3, 8, 20):
         m = rng.standard_normal((n, n))
         assert abs(ops.spectral_norm(m) - np.linalg.norm(m, 2)) <= 1e-8 * np.linalg.norm(m, 2)
+    # two nearly equal singular values: a power iteration stalls short of 1
+    assert ops.spectral_norm(np.diag([1.0, 1.0 - 1e-3])) == pytest.approx(1.0, rel=1e-12)
+    assert ops.spectral_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_spectral_norm_diagonal_exact():
