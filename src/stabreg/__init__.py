@@ -79,7 +79,6 @@ from .heat import (
 )
 from .coupled import (
     CoupledConfig,
-    CoupledLoop,
     build_block_operator,
     build_thermal_dirichlet_map,
     compose_coupled_loop,

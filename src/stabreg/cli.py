@@ -9,7 +9,10 @@ failure, 4 rank-check failure.
 """
 
 import argparse
+import collections
 import configparser
+import dataclasses
+import inspect
 import os
 import sys
 
@@ -24,6 +27,7 @@ from .errors import (
     StabregError,
 )
 from .operators import (
+    GreenMap,
     Operator,
     adjoint_decomposition_residual,
     compose_closed_loop,
@@ -41,16 +45,11 @@ DIRICHLET_HEADER = "column,label,norm"
 TRAJECTORY_HEADER = "t,norm_y,norm_yt"
 
 
-# Accepted keys per section; [model] keys depend on the model type.  Keys are
-# matched after configparser lower-cases them ([simulate] T is "t").
-_MODEL_KEYS = {
-    "heat": {"n", "c2", "advection_b", "omega", "q", "epsilon"},
-    "coupled": {"n", "nu", "kappa", "gamma_buoy", "theta_e", "ye_advect",
-                "c2_f", "c2_h", "omega", "q", "epsilon"},
-    "abstract": {"operator_file", "green_file", "green_gamma", "feedback_file"},
-}
+# Accepted keys of the sections whose keys do not depend on the model type;
+# [model] and [synthesis] keys come from the model class (see _model_keys and
+# _synthesis_keys).  Keys are matched after configparser lower-cases them
+# ([simulate] T is "t").
 _SECTION_KEYS = {
-    "synthesis": {"mode", "targets", "use_interior"},
     "simulate": {"t", "n_cells", "forcing"},
     "maxreg": {"p_grid", "t_grid", "forcing_count", "n_cells", "seed"},
     "output": {"dir"},
@@ -88,22 +87,80 @@ def _get_floats(cfgp, section, key, default=None):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-def _get_complex_list(cfgp, section, key):
-    if not cfgp.has_option(section, key):
-        return None
-    raw = cfgp.get(section, key).split()
-    return [matio.parse_complex(t) for t in raw] if raw else None
+def _complex_list(raw):
+    """Whitespace-separated ``a+bi`` tokens; an empty value means None."""
+    return [matio.parse_complex(t) for t in raw.split()] or None
 
 
-class ModelBundle:
-    """Everything a subcommand needs, built once from the parsed config."""
+def _read_matrix_file(path, what):
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} file not found: {path}")
+    return matio.read_matrix(path)
 
-    def __init__(self, kind, operator, green, model_cfg, extra=None):
-        self.kind = kind
-        self.operator = operator
-        self.green = green
-        self.model_cfg = model_cfg
-        self.extra = extra or {}
+
+def _real_if_real(m):
+    return m.real if np.abs(m.imag).max(initial=0.0) == 0.0 else m
+
+
+@dataclasses.dataclass(frozen=True)
+class AbstractModel:
+    """``type = abstract``: operator, lifting and feedback read from matrix files.
+
+    Follows the model protocol of ``heat.HeatConfig``.  It reads no
+    ``[synthesis]`` key, and its grid step is 1.0.
+    """
+
+    operator_file: str
+    green_file: str = None
+    green_gamma: float = 0.25
+    feedback_file: str = None
+    h = 1.0
+
+    def operator(self):
+        return Operator(_real_if_real(_read_matrix_file(self.operator_file, "operator")),
+                        label="abstract operator")
+
+    def lifting(self):
+        if self.green_file is None:
+            return None
+        return GreenMap(_real_if_real(_read_matrix_file(self.green_file, "green-map")),
+                        gamma=self.green_gamma)
+
+    def synthesize(self):
+        """Compose with the feedback file (zero without one); nothing is synthesized."""
+        operator, green = self.operator(), self.lifting()
+        if green is None:
+            raise ConfigError("abstract model needs green_file to compose a closed loop")
+        feedback = (None if self.feedback_file is None
+                    else _read_matrix_file(self.feedback_file, "feedback"))
+        loop = compose_closed_loop(operator, green, feedback)
+        return loop, {"feedback_matrix": loop.feedback_matrix()}, "abstract", {}
+
+    def verify(self, loop, p_grid, t_horizons, n_random, seed, n_cells, workers):
+        """No rows past the identity rows; the regularity scans."""
+        return [], _plateau_reports(loop.composed, p_grid, t_horizons, n_random,
+                                    n_cells, seed, workers)
+
+
+_MODELS = {"heat": heat.HeatConfig, "coupled": coupled.CoupledConfig,
+           "abstract": AbstractModel}
+_FIELD_KEYS = {"theta_e_profile": "theta_e"}      # dataclass field -> [model] key
+_CASTS = {int: int, float: float, str: str, object: float}   # object: theta_e, a scalar
+_SYNTHESIS_CASTS = {"mode": str, "targets": _complex_list, "use_interior": bool}
+
+
+def _model_keys(model):
+    """[model] key -> dataclass field of a model class."""
+    return {_FIELD_KEYS.get(f.name, f.name): f for f in dataclasses.fields(model)}
+
+
+def _synthesis_keys(model):
+    """The [synthesis] keys a model reads: the keyword arguments of its synthesize."""
+    return set(inspect.signature(model.synthesize).parameters) - {"self"}
+
+
+# Everything a subcommand needs, built once from the parsed config.
+ModelBundle = collections.namedtuple("ModelBundle", "kind model operator green")
 
 
 def load_config(path):
@@ -125,10 +182,12 @@ def _check_keys(parser):
     """Reject unknown sections and keys, so a typo cannot be silently ignored."""
     if parser.defaults():
         raise ConfigError("unknown section [DEFAULT]")
-    kind = parser.get("model", "type", fallback=None)
-    # a missing or unknown type is reported by build_model, so skip its keys
-    model_keys = _MODEL_KEYS.get(kind, set(parser.options("model")))
-    allowed = dict(_SECTION_KEYS, model=model_keys | {"type"})
+    model = _MODELS.get(parser.get("model", "type", fallback=None))
+    if model is None:       # a missing or unknown type is reported by build_model
+        model_keys, synthesis_keys = set(parser.options("model")), set(_SYNTHESIS_CASTS)
+    else:
+        model_keys, synthesis_keys = set(_model_keys(model)), _synthesis_keys(model)
+    allowed = dict(_SECTION_KEYS, model=model_keys | {"type"}, synthesis=synthesis_keys)
     for section in parser.sections():
         if section not in allowed:
             raise ConfigError(f"unknown section [{section}]")
@@ -139,82 +198,28 @@ def _check_keys(parser):
 
 def build_model(cfgp):
     kind = _get(cfgp, "model", "type")
-    if kind == "heat":
-        omega = _get_floats(cfgp, "model", "omega", (0.2, 0.4))
-        mc = heat.HeatConfig(
-            n=_get(cfgp, "model", "n", 64, int),
-            c2=_get(cfgp, "model", "c2", 16.0, float),
-            advection_b=_get(cfgp, "model", "advection_b", 0.0, float),
-            omega=tuple(omega),
-            q=_get(cfgp, "model", "q", 2.0, float),
-            epsilon=_get(cfgp, "model", "epsilon", 0.01, float),
-        )
-        return ModelBundle(kind, heat.build_heat_operator(mc),
-                           heat.build_dirichlet_map(mc), mc)
-    if kind == "coupled":
-        omega = _get_floats(cfgp, "model", "omega", (0.25, 0.45))
-        mc = coupled.CoupledConfig(
-            n=_get(cfgp, "model", "n", 48, int),
-            nu=_get(cfgp, "model", "nu", 1.0, float),
-            kappa=_get(cfgp, "model", "kappa", 1.0, float),
-            gamma_buoy=_get(cfgp, "model", "gamma_buoy", 0.1, float),
-            theta_e_profile=_get(cfgp, "model", "theta_e", 0.5, float),
-            ye_advect=_get(cfgp, "model", "ye_advect", 0.0, float),
-            c2_f=_get(cfgp, "model", "c2_f", 16.0, float),
-            c2_h=_get(cfgp, "model", "c2_h", 16.0, float),
-            omega=tuple(omega),
-            q=_get(cfgp, "model", "q", 2.0, float),
-            epsilon=_get(cfgp, "model", "epsilon", 0.01, float),
-        )
-        return ModelBundle(kind, coupled.build_block_operator(mc),
-                           coupled.build_thermal_dirichlet_map(mc), mc)
-    if kind == "abstract":
-        op_path = _get(cfgp, "model", "operator_file")
-        if not os.path.exists(op_path):
-            raise ConfigError(f"operator file not found: {op_path}")
-        entries = matio.read_matrix(op_path)
-        if np.abs(entries.imag).max(initial=0.0) == 0.0:
-            entries = entries.real
-        op = Operator(entries, label="abstract operator")
-        green = None
-        if cfgp.has_option("model", "green_file"):
-            g_path = cfgp.get("model", "green_file")
-            if not os.path.exists(g_path):
-                raise ConfigError(f"green-map file not found: {g_path}")
-            gm = matio.read_matrix(g_path)
-            if np.abs(gm.imag).max(initial=0.0) == 0.0:
-                gm = gm.real
-            from .operators import GreenMap
-            green = GreenMap(gm, gamma=_get(cfgp, "model", "green_gamma", 0.25, float))
-        extra = {}
-        if cfgp.has_option("model", "feedback_file"):
-            extra["feedback"] = matio.read_matrix(cfgp.get("model", "feedback_file"))
-        return ModelBundle(kind, op, green, None, extra)
-    raise ConfigError(f"unknown model type {kind!r} (expected heat | coupled | abstract)")
+    if kind not in _MODELS:
+        raise ConfigError(f"unknown model type {kind!r} (expected heat | coupled | abstract)")
+    values = {}
+    for key, f in _model_keys(_MODELS[kind]).items():
+        if not cfgp.has_option("model", key) and f.default is not dataclasses.MISSING:
+            continue        # keeps the dataclass default
+        values[f.name] = (tuple(_get_floats(cfgp, "model", key)) if f.type is tuple
+                          else _get(cfgp, "model", key, cast=_CASTS[f.type]))
+    model = _MODELS[kind](**values)
+    return ModelBundle(kind, model, model.operator(), model.lifting())
 
 
 def build_closed_loop(cfgp, bundle):
-    """Synthesize per [synthesis] and compose; returns (loop-like, mode, info).
+    """Synthesize per the [synthesis] keys the model reads and compose.
 
-    For heat: a ClosedLoop.  For coupled: a CoupledLoop.  For abstract: a
-    ClosedLoop with the feedback file (or zero feedback).
+    Returns (loop, matrices, mode, info): the ClosedLoop, the matrices
+    ``synthesize`` writes (by file stem), the synthesis mode and its info.
     """
-    mode = _get(cfgp, "synthesis", "mode", "spectral") if cfgp.has_section("synthesis") else "spectral"
-    targets = _get_complex_list(cfgp, "synthesis", "targets") if cfgp.has_section("synthesis") else None
-    if bundle.kind == "heat":
-        law, info = heat.synthesize_heat_feedback(bundle.model_cfg, mode=mode, targets=targets)
-        return heat.closed_loop_heat(bundle.model_cfg, law), mode, info
-    if bundle.kind == "coupled":
-        use_interior = (_get(cfgp, "synthesis", "use_interior", True, bool)
-                        if cfgp.has_section("synthesis") else True)
-        f_law, j_law, info = coupled.synthesize_coupled_feedback(
-            bundle.model_cfg, targets=targets, use_interior=use_interior)
-        return coupled.compose_coupled_loop(bundle.model_cfg, f_law, j_law), mode, info
-    if bundle.green is None:
-        raise ConfigError("abstract model needs green_file to compose a closed loop")
-    fb = bundle.extra.get("feedback")
-    cl = compose_closed_loop(bundle.operator, bundle.green, fb)
-    return cl, "abstract", {}
+    values = {key: _get(cfgp, "synthesis", key, cast=_SYNTHESIS_CASTS[key])
+              for key in _synthesis_keys(bundle.model)
+              if cfgp.has_option("synthesis", key)}
+    return bundle.model.synthesize(**values)
 
 
 def _manifest(out_dir, args, cfgp):
@@ -234,18 +239,18 @@ def _manifest(out_dir, args, cfgp):
 
 
 def _scan_seed(cfgp, seed_override):
-    """Seed of the regularity scans: --seed, else [maxreg] seed, else 0."""
+    """Seed of the regularity scans and random forcings: --seed, else [maxreg] seed, else 0."""
     if seed_override is not None:
         return seed_override
-    return _get(cfgp, "maxreg", "seed", 0, int) if cfgp.has_section("maxreg") else 0
+    return _get(cfgp, "maxreg", "seed", 0, int)
 
 
 def _maxreg_params(cfgp, seed_override):
     sec = "maxreg"
-    p_grid = _get_floats(cfgp, sec, "p_grid", (1.5, 2.0, 4.0)) if cfgp.has_section(sec) else [1.5, 2.0, 4.0]
-    t_grid = _get_floats(cfgp, sec, "t_grid", (10.0, 20.0, 40.0)) if cfgp.has_section(sec) else [10.0, 20.0, 40.0]
-    n_random = _get(cfgp, sec, "forcing_count", 32, int) if cfgp.has_section(sec) else 32
-    n_cells = _get(cfgp, sec, "n_cells", 2000, int) if cfgp.has_section(sec) else 2000
+    p_grid = _get_floats(cfgp, sec, "p_grid", (1.5, 2.0, 4.0))
+    t_grid = _get_floats(cfgp, sec, "t_grid", (10.0, 20.0, 40.0))
+    n_random = _get(cfgp, sec, "forcing_count", 32, int)
+    n_cells = _get(cfgp, sec, "n_cells", 2000, int)
     return p_grid, t_grid, n_random, n_cells, _scan_seed(cfgp, seed_override)
 
 
@@ -265,8 +270,7 @@ def cmd_dirichlet_map(args, cfgp, out_dir, seed, bundle=None):
     if bundle.green is None:
         raise ConfigError("model provides no boundary lifting map")
     matio.write_matrix(os.path.join(out_dir, "dirichlet_map.txt"), bundle.green.entries)
-    h = bundle.model_cfg.h if bundle.model_cfg is not None else 1.0
-    rows = [(j + 1, label, heat.state_norm_q(bundle.green.entries[:, j], h, 2.0))
+    rows = [(j + 1, label, heat.state_norm_q(bundle.green.entries[:, j], bundle.model.h, 2.0))
             for j, label in enumerate(bundle.green.input_labels)]
     matio.write_csv(os.path.join(out_dir, "dirichlet_map.csv"), DIRICHLET_HEADER, rows)
     return 0
@@ -277,37 +281,31 @@ def cmd_synthesize(args, cfgp, out_dir, seed, bundle=None, built=None):
         bundle = build_model(cfgp)
     if built is None:
         built = build_closed_loop(cfgp, bundle)
-    loop, mode, info = built
-    if bundle.kind == "coupled":
-        fmat = loop.f_law.as_matrix
-        matio.write_matrix(os.path.join(out_dir, "interior_matrix.txt"), loop.j_law.as_matrix)
-    else:
-        fmat = loop.feedback_matrix()
-    matio.write_matrix(os.path.join(out_dir, "feedback_matrix.txt"), fmat)
+    _, matrices, mode, info = built
+    for stem, matrix in matrices.items():
+        matio.write_matrix(os.path.join(out_dir, f"{stem}.txt"), matrix)
     targets = info.get("targets", np.array([]))
     achieved = info.get("achieved", np.array([]))
-    rows = []
     tsort = sorted(np.asarray(targets, dtype=complex), key=lambda z: (-z.real, -z.imag))
     asort = sorted(np.asarray(achieved, dtype=complex), key=lambda z: (-z.real, -z.imag))
-    for k, (t, a) in enumerate(zip(tsort, asort)):
-        rows.append((k + 1, mode, t, a))
+    rows = [(k + 1, mode, t, a) for k, (t, a) in enumerate(zip(tsort, asort))]
     matio.write_csv(os.path.join(out_dir, "achieved_poles.csv"), POLES_HEADER, rows)
     return 0
 
 
 def cmd_simulate(args, cfgp, out_dir, seed):
     bundle = build_model(cfgp)
-    loop, mode, _ = build_closed_loop(cfgp, bundle)
-    composed = loop.composed
+    composed = build_closed_loop(cfgp, bundle)[0].composed
     a = maxreg.operator_matrix(composed)
     sec = "simulate"
-    horizon = _get(cfgp, sec, "T", 10.0, float) if cfgp.has_section(sec) else 10.0
-    n_cells = _get(cfgp, sec, "n_cells", 2000, int) if cfgp.has_section(sec) else 2000
-    spec_f = (_get(cfgp, sec, "forcing", "constant") if cfgp.has_section(sec) else "constant").split()
+    horizon = _get(cfgp, sec, "T", 10.0, float)
+    n_cells = _get(cfgp, sec, "n_cells", 2000, int)
+    spec_f = _get(cfgp, sec, "forcing", "constant").split()
     if spec_f[0] == "constant":
         f = maxreg.constant_forcing(np.ones(a.shape[0]), horizon)
     elif spec_f[0] == "random":
-        f = maxreg.piecewise_random_forcing(a.shape[0], horizon, n_cells, seed=seed or 0)
+        f = maxreg.piecewise_random_forcing(a.shape[0], horizon, n_cells,
+                                            seed=_scan_seed(cfgp, seed))
     elif spec_f[0] == "single_mode":
         index = int(spec_f[1]) if len(spec_f) > 1 else 0
         modes = maxreg.single_mode_forcings(a, horizon)
@@ -336,7 +334,7 @@ def _plateau_reports(composed, p_grid, t_grid, n_random, n_cells, seed, workers)
 
 def cmd_maxreg(args, cfgp, out_dir, seed):
     bundle = build_model(cfgp)
-    loop, mode, _ = build_closed_loop(cfgp, bundle)
+    loop, _, mode, _ = build_closed_loop(cfgp, bundle)
     p_grid, t_grid, n_random, n_cells, mseed = _maxreg_params(cfgp, seed)
     reports = _plateau_reports(loop.composed, p_grid, t_grid, n_random, n_cells,
                                mseed, args.parallel)
@@ -374,24 +372,15 @@ def cmd_verify(args, cfgp, out_dir, seed, bundle=None, built=None):
         bundle = build_model(cfgp)
     if built is None:
         built = build_closed_loop(cfgp, bundle)
-    loop, mode, _ = built
+    loop, _, mode, _ = built
     p_grid, t_grid, n_random, n_cells, mseed = _maxreg_params(cfgp, seed)
-    scan = dict(p_grid=p_grid, t_horizons=t_grid, n_random=n_random,
-                seed=mseed, n_cells=n_cells, workers=args.parallel)
-    rows = _identity_rows(loop.loop if bundle.kind == "coupled" else loop, mseed)
-    if bundle.kind == "coupled":
-        report = coupled.verify_coupled_stabilization(loop, **scan)
-    elif bundle.kind == "heat":
-        report = heat.verify_stabilization(loop, **scan)
-    else:
-        report = None
-    if report is not None:
-        rows.extend(report.summary_rows())
-    matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows)
-    reports = report.scans if report is not None else _plateau_reports(
-        loop.composed, p_grid, t_grid, n_random, n_cells, mseed, args.parallel)
+    rows = _identity_rows(loop, mseed)
+    model_rows, scans = bundle.model.verify(
+        loop, p_grid=p_grid, t_horizons=t_grid, n_random=n_random, seed=mseed,
+        n_cells=n_cells, workers=args.parallel)
+    matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows + model_rows)
     matio.write_csv(os.path.join(out_dir, "maxreg.csv"), maxreg.CSV_HEADER,
-                    maxreg.report_rows(bundle.kind, mode, reports))
+                    maxreg.report_rows(bundle.kind, mode, scans))
     return 0
 
 
@@ -438,8 +427,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfgp = load_config(args.config)
-        out_dir = args.out or (_get(cfgp, "output", "dir", "out")
-                               if cfgp.has_section("output") else "out")
+        out_dir = args.out or _get(cfgp, "output", "dir", "out")
         os.makedirs(out_dir, exist_ok=True)
         _manifest(out_dir, args, cfgp)
         return _COMMANDS[args.command](args, cfgp, out_dir, args.seed)

@@ -5,9 +5,9 @@ equations on (0,1), the fluid component driven by an interior control
 supported on a window, the thermal component by Dirichlet boundary control.
 The 2n x 2n block operator couples them through a scalar buoyancy injection
 (+gamma I into the fluid row) and an equilibrium-gradient multiplication
-(into the thermal row).  The closed loop splits into a diffusion part acting
-through (I - D F) and a bounded collection (advections, couplings, interior
-feedback); the split is retained for reassembly checks.
+(into the thermal row).  The closed loop is a ``ClosedLoop``: a diffusion
+part acting through (I - D F) plus a bounded collection (advections,
+couplings, interior feedback), both retained for reassembly checks.
 """
 
 from dataclasses import dataclass
@@ -36,7 +36,8 @@ class CoupledConfig:
 
     ``theta_e_profile`` is the nodal equilibrium-gradient surrogate (a scalar
     broadcasts to a constant profile); ``ye_advect`` multiplies the centered
-    first difference in both components.
+    first difference in both components.  The methods are the model protocol
+    of ``heat.HeatConfig``.
     """
 
     n: int = 48
@@ -90,6 +91,27 @@ class CoupledConfig:
     def theta_vector(self):
         prof = np.asarray(self.theta_e_profile, dtype=float)
         return np.full(self.n, float(prof)) if prof.ndim == 0 else prof.copy()
+
+    def operator(self):
+        return build_block_operator(self)
+
+    def lifting(self):
+        return build_thermal_dirichlet_map(self)
+
+    def synthesize(self, mode="spectral", targets=None, use_interior=True):
+        """Synthesize and compose: (loop, matrices to write, mode, info)."""
+        if mode != "spectral":
+            raise ConfigError(f"[synthesis] mode = {mode!r}: the coupled law is always spectral")
+        f_law, j_law, info = synthesize_coupled_feedback(self, targets=targets,
+                                                         use_interior=use_interior)
+        loop = compose_coupled_loop(self, f_law, j_law)
+        return (loop, {"feedback_matrix": loop.feedback_matrix(),
+                       "interior_matrix": j_law.as_matrix}, mode, info)
+
+    def verify(self, loop, **scan):
+        """Verification rows past the identity rows, and the regularity scans."""
+        report = verify_coupled_stabilization(loop, self, **scan)
+        return report.summary_rows(), report.scans
 
 
 def _block_meta(cfg):
@@ -176,40 +198,13 @@ def interior_control_profiles(cfg, k):
     return cols
 
 
-@dataclass(frozen=True)
-class CoupledLoop:
-    """Closed coupled loop with its structural split retained.
-
-    ``loop.composed`` = ahat_f + pi where ahat_f = diffusion (I - D F) and pi
-    collects advections, couplings and the interior feedback.
-    """
-
-    loop: object
-    cfg: CoupledConfig
-    open_block: Operator
-    ahat: Operator
-    ahat_f: Operator
-    pi: Operator
-    j_op: Operator
-    f_law: object
-    j_law: object
-
-    @property
-    def composed(self):
-        return self.loop.composed
-
-    def reassembly_residual(self):
-        scale = max(np.abs(self.composed.entries).max(), 1.0)
-        return float(np.abs(self.ahat_f.entries + self.pi.entries
-                            - self.composed.entries).max() / scale)
-
-
 def compose_coupled_loop(cfg, f_law, j_law=None):
-    """Assemble the coupled closed loop and its diffusion/bounded split.
+    """Assemble the coupled closed loop ``diffusion (I - D F) + B``.
 
     The boundary law acts through the thermal row of the diffusion blocks
-    (diffusion (I - D F)); the interior law is a bounded block perturbation
-    entering additively and must be supported on the fluid window.
+    (``drift_A``); the interior law is a bounded block perturbation entering
+    additively through ``interior_B`` (couplings, advections and interior
+    feedback) and must be supported on the fluid window.
     """
     n2 = 2 * cfg.n
     ahat, pi0, gen, trans = coupled_split(cfg)
@@ -223,20 +218,10 @@ def compose_coupled_loop(cfg, f_law, j_law=None):
     support = np.abs(j_law.boundary_profiles).sum(axis=1) if j_mat.any() else np.zeros(n2)
     if np.any(support[~mask] != 0):
         raise ConfigError("interior control vectors must vanish outside the fluid window")
-    j_op = Operator(j_mat, label="interior feedback")
     pi = Operator(pi0.entries + j_mat, label="bounded part + interior feedback")
-    loop = compose_closed_loop(ahat, dmap, f_law, interior_B=pi,
+    return compose_closed_loop(ahat, dmap, f_law, interior_B=pi,
                                generator_A=gen, perturbation_Ao=trans,
                                ao_epsilon=0.5)
-    fmat = loop.feedback_matrix()
-    ahat_f = Operator(ahat.entries @ (np.eye(n2) - dmap.entries @ fmat),
-                      label="diffusion closed part")
-    return CoupledLoop(
-        loop=loop, cfg=cfg,
-        open_block=Operator(ahat.entries + pi0.entries, label="coupled block operator",
-                            grid_meta=_block_meta(cfg)),
-        ahat=ahat, ahat_f=ahat_f, pi=pi, j_op=j_op,
-        f_law=f_law, j_law=j_law)
 
 
 def default_coupled_targets(spectral):
@@ -315,41 +300,45 @@ def adjoint_bound_scan(grids, cfg, targets=None):
                             omega=cfg.omega, q=cfg.q, epsilon=cfg.epsilon)
         f_law, j_law, _ = synthesize_coupled_feedback(sub, targets=targets)
         cl = compose_coupled_loop(sub, f_law, j_law)
-        a_pos = Operator(-cl.loop.generator_A.entries)
+        a_pos = Operator(-cl.generator_A.entries)
         power = real_power(a_pos, -(1.0 - sub.gamma)).entries
-        term = cl.ahat.entries @ cl.loop.green.entries @ cl.loop.feedback_matrix()
+        term = cl.drift_A.entries @ cl.green.entries @ cl.feedback_matrix()
         rows.append((int(n), spectral_norm(power @ term)))
     return rows
 
 
-def verify_coupled_stabilization(cl, p_grid=(2.0,), t_horizons=(10.0, 20.0, 40.0),
+def verify_coupled_stabilization(cl, cfg, p_grid=(2.0,), t_horizons=(10.0, 20.0, 40.0),
                                  t_grid=None, n_random=16, seed=0, n_cells=2000,
                                  rank_tol=1e-8, workers=1):
-    """PASS/FAIL bundle for a coupled loop.
+    """PASS/FAIL bundle for the coupled loop ``cl`` composed on ``cfg``.
 
-    Checks: split reassembly (<= 1e-12), boundary-route Hautus margins (zero
-    margin with no interior control is the designed failure), closed-loop
-    abscissa strictly between the first untouched open-loop mode and zero,
-    decay-fit rate in the same window, and regularity plateaus over the
-    exponent grid.  The regularity scan runs once (``workers`` threads over
-    the horizons) and is returned as ``scans``.
+    Checks: split reassembly |feedback_part() + interior_B - composed|
+    (<= 1e-12), boundary-route Hautus margins (zero margin with no interior
+    feedback is the designed failure), closed-loop abscissa strictly between
+    the first untouched open-loop mode and zero, decay-fit rate in the same
+    window, and regularity plateaus over the exponent grid.  The regularity
+    scan runs once (``workers`` threads over the horizons) and is returned as
+    ``scans``.
     """
     checks = {}
-    checks["reassembly"] = (cl.reassembly_residual() <= 1e-12,
-                            cl.reassembly_residual(), 1e-12)
-    sp_open = spectrum(cl.open_block)
+    scale = max(np.abs(cl.composed.entries).max(), 1.0)
+    resid = float(np.abs(cl.feedback_part() + cl.interior_B.entries
+                         - cl.composed.entries).max() / scale)
+    checks["reassembly"] = (resid <= 1e-12, resid, 1e-12)
+    sp_open = spectrum(build_block_operator(cfg))
     nu = sp_open.unstable_count
-    has_interior = bool(np.any(cl.j_op.entries))
+    # interior_B is the bounded part plus the interior feedback, if any
+    has_interior = bool(np.any(cl.interior_B.entries != coupled_split(cfg)[1].entries))
     margin_floor = np.inf
     if nu > 0:
-        rp = synthesis.reduce(sp_open, cl.ahat, cl.loop.green)
+        rp = synthesis.reduce(sp_open, cl.drift_A, cl.green)
         margin_floor = float(np.min(rp.hautus_margins))
         if not has_interior:
             checks["hautus_margins"] = (margin_floor > rank_tol, margin_floor, rank_tol)
         else:
             checks["hautus_margins"] = (True, margin_floor, 0.0)
     alpha = spectral_abscissa(cl.composed)
-    if nu > 0 and nu < 2 * cl.cfg.n:
+    if nu > 0 and nu < 2 * cfg.n:
         lam_next = float(sp_open.eigenvalues[nu].real)
         checks["abscissa_window"] = (lam_next < alpha < 0.0, alpha, lam_next)
     else:

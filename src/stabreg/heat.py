@@ -38,7 +38,11 @@ from .operators import (
 
 @dataclass(frozen=True)
 class HeatConfig:
-    """Discretization and model parameters for the heat example."""
+    """Discretization and model parameters for the heat example.
+
+    The methods are the CLI's model protocol; the keyword arguments of
+    ``synthesize`` are the ``[synthesis]`` keys the model reads.
+    """
 
     n: int = 64
     c2: float = 16.0
@@ -75,6 +79,25 @@ class HeatConfig:
 
     def nodes(self):
         return np.linspace(self.h, 1.0 - self.h, self.n)
+
+    def operator(self):
+        return build_heat_operator(self)
+
+    def lifting(self):
+        return build_dirichlet_map(self)
+
+    def synthesize(self, mode="spectral", targets=None):
+        """Synthesize and compose: (loop, matrices to write, mode, info)."""
+        if mode not in ("spectral", "localized"):
+            raise ConfigError(f"[synthesis] mode = {mode!r}: expected spectral | localized")
+        law, info = synthesize_heat_feedback(self, mode=mode, targets=targets)
+        loop = closed_loop_heat(self, law)
+        return loop, {"feedback_matrix": loop.feedback_matrix()}, mode, info
+
+    def verify(self, loop, **scan):
+        """Verification rows past the identity rows, and the regularity scans."""
+        report = verify_stabilization(loop, **scan)
+        return report.summary_rows(), report.scans
 
 
 def laplacian(n):

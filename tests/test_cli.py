@@ -63,6 +63,33 @@ dir = {out}
 """
 
 
+ABSTRACT_CFG = """
+[model]
+type = abstract
+operator_file = {dir}/op.txt
+green_file = {dir}/g.txt
+green_gamma = 0.3
+feedback_file = {dir}/f.txt
+
+[maxreg]
+p_grid = 2
+t_grid = 4 8 12
+forcing_count = 4
+n_cells = 200
+seed = 5
+
+[output]
+dir = {out}
+"""
+
+
+def write_abstract_files(directory):
+    """Operator, green-map and feedback files that ABSTRACT_CFG reads."""
+    matio.write_matrix(directory / "op.txt", np.array([[-1.0, 0.3], [0.0, -2.0]]))
+    matio.write_matrix(directory / "g.txt", np.array([[1.0], [0.5]]))
+    matio.write_matrix(directory / "f.txt", np.array([[0.2, -0.1]]))
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -170,30 +197,8 @@ def test_verify_identity_rows_pass(tmp_path):
 
 
 def test_abstract_model_identity_rows(tmp_path):
-    op = np.array([[-1.0, 0.3], [0.0, -2.0]])
-    green = np.array([[1.0], [0.5]])
-    fb = np.array([[0.2, -0.1]])
-    matio.write_matrix(tmp_path / "op.txt", op)
-    matio.write_matrix(tmp_path / "g.txt", green)
-    matio.write_matrix(tmp_path / "f.txt", fb)
-    text = f"""
-[model]
-type = abstract
-operator_file = {tmp_path / 'op.txt'}
-green_file = {tmp_path / 'g.txt'}
-green_gamma = 0.3
-feedback_file = {tmp_path / 'f.txt'}
-
-[maxreg]
-p_grid = 2
-t_grid = 4 8 12
-forcing_count = 4
-n_cells = 200
-seed = 5
-
-[output]
-dir = {tmp_path / 'out'}
-"""
+    write_abstract_files(tmp_path)
+    text = ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out")
     cfg = write_config(tmp_path / "c.ini", text)
     assert run(["verify", "--config", cfg]) == 0
     _, rows = read_csv(tmp_path / "out" / "verify.csv")
@@ -203,13 +208,16 @@ dir = {tmp_path / 'out'}
 
 
 def test_coupled_verify_and_report(tmp_path):
-    text = COUPLED_CFG.format(out=tmp_path / "out")
+    text = COUPLED_CFG.format(out=tmp_path / "out").replace(
+        "targets = -2 -3", "mode = spectral\ntargets = -2 -3")    # the one coupled mode
     cfg = write_config(tmp_path / "c.ini", text)
     assert run(["report", "--config", cfg]) == 0
     out = tmp_path / "out"
     for name in ("spectrum.csv", "achieved_poles.csv", "verify.csv",
                  "maxreg.csv", "summary.csv", "interior_matrix.txt"):
         assert (out / name).exists()
+    _, rows = read_csv(out / "achieved_poles.csv")
+    assert {r[1] for r in rows} == {"spectral"}
     _, rows = read_csv(out / "verify.csv")
     by_name = {r[0]: r for r in rows}
     assert by_name["overall"][3] == "PASS"
@@ -236,9 +244,12 @@ def test_bad_bool_exit_2(tmp_path, capsys):
     assert "configuration error" in err and "use_interior" in err
 
 
-@pytest.mark.parametrize("template", [HEAT_CFG, COUPLED_CFG], ids=["heat", "coupled"])
+@pytest.mark.parametrize("template", [HEAT_CFG, COUPLED_CFG, ABSTRACT_CFG],
+                         ids=["heat", "coupled", "abstract"])
 def test_verify_and_report_scan_once(tmp_path, monkeypatch, template):
-    cfg = write_config(tmp_path / "c.ini", template.format(out=tmp_path / "out"))
+    write_abstract_files(tmp_path)
+    cfg = write_config(tmp_path / "c.ini",
+                       template.format(dir=tmp_path, out=tmp_path / "out"))
     assert run(["maxreg", "--config", cfg, "--out", str(tmp_path / "standalone")]) == 0
     standalone = (tmp_path / "standalone" / "maxreg.csv").read_bytes()
     calls = collections.Counter()
@@ -271,12 +282,38 @@ def test_verify_parallel_byte_identical(tmp_path):
 
 
 def test_unknown_key_exit_2(tmp_path, capsys):
+    write_abstract_files(tmp_path)
     cases = [("t_grid = 4 8 12", "t_grid = 4 8 12\np_gird = 2", "p_gird"),
              ("c2 = 16.0", "c2 = 16.0\nc2_f = 16.0", "c2_f"),     # coupled key on heat
-             ("[output]", "[outptu]", "[outptu]")]
-    for old, new, name in cases:
-        text = HEAT_CFG.format(out=tmp_path / "out").replace(old, new)
+             ("[output]", "[outptu]", "[outptu]"),
+             # each model reads only its own [synthesis] keys
+             ("targets = -2", "targets = -2\nuse_interior = true", "use_interior")]
+    cases = [(HEAT_CFG, "spectrum") + case for case in cases] + [
+        (ABSTRACT_CFG, "spectrum", "[maxreg]", "[synthesis]\ntargets = -2\n\n[maxreg]",
+         "targets"),
+        (COUPLED_CFG, "synthesize", "targets = -2 -3", "targets = -2 -3\nmode = localized",
+         "mode"),
+        # a stable heat model (c2 = 4) skips synthesis but still reads the mode
+        (HEAT_CFG.replace("c2 = 16.0", "c2 = 4.0"), "maxreg", "mode = spectral",
+         "mode = bogus", "mode")]
+    for template, command, old, new, name in cases:
+        text = template.format(dir=tmp_path, out=tmp_path / "out").replace(old, new)
+        assert new in text
         cfg = write_config(tmp_path / "c.ini", text)
-        assert run(["spectrum", "--config", cfg]) == 2
+        assert run([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and name in err
+
+
+def test_simulate_random_seed_matches_manifest(tmp_path):
+    text = HEAT_CFG.format(out=tmp_path / "config") + (
+        "\n[simulate]\nforcing = random\nT = 5\nn_cells = 200\n")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert run(["simulate", "--config", cfg]) == 0          # [maxreg] seed = 11
+    assert "seed: 11" in (tmp_path / "config" / "manifest.txt").read_text()
+    for seed in ("11", "0"):
+        assert run(["simulate", "--config", cfg, "--seed", seed,
+                    "--out", str(tmp_path / seed)]) == 0
+    trajectory = (tmp_path / "config" / "trajectory.csv").read_bytes()
+    assert trajectory == (tmp_path / "11" / "trajectory.csv").read_bytes()
+    assert trajectory != (tmp_path / "0" / "trajectory.csv").read_bytes()

@@ -83,19 +83,27 @@ def test_thermal_map_trig_profile():
 
 # ---------------------------------------------------------------- composition
 
+def reassembly(cl):
+    """Scaled max |feedback_part() + interior_B - composed| of a coupled loop."""
+    scale = max(np.abs(cl.composed.entries).max(), 1.0)
+    return np.abs(cl.feedback_part() + cl.interior_B.entries
+                  - cl.composed.entries).max() / scale
+
+
 def test_compose_zero_laws_is_open_block():
     cfg = CoupledConfig(n=24)
     cl = coupled.compose_coupled_loop(cfg, None)
-    assert np.abs(cl.composed.entries - cl.open_block.entries).max() <= 1e-14
-    assert cl.reassembly_residual() <= 1e-12
+    open_block = coupled.build_block_operator(cfg)
+    assert np.abs(cl.composed.entries - open_block.entries).max() <= 1e-14
+    assert reassembly(cl) <= 1e-12
 
 
 def test_compose_split_reassembly():
     cfg = CoupledConfig(n=32)
     f_law, j_law, _ = coupled.synthesize_coupled_feedback(cfg, targets=[-2.0, -3.0])
     cl = coupled.compose_coupled_loop(cfg, f_law, j_law)
-    assert cl.reassembly_residual() <= 1e-12
-    manual = cl.ahat_f.entries + cl.pi.entries
+    assert reassembly(cl) <= 1e-12
+    manual = cl.feedback_part() + cl.interior_B.entries
     assert np.array_equal(manual, cl.composed.entries)
 
 
@@ -155,7 +163,7 @@ def test_verify_pass_with_pair():
     f_law, j_law, _ = coupled.synthesize_coupled_feedback(cfg, targets=[-2.0, -3.0])
     cl = coupled.compose_coupled_loop(cfg, f_law, j_law)
     rep = coupled.verify_coupled_stabilization(
-        cl, p_grid=(2.0,), t_horizons=(5.0, 10.0, 20.0), n_random=6)
+        cl, cfg, p_grid=(2.0,), t_horizons=(5.0, 10.0, 20.0), n_random=6)
     assert rep.passed, rep.failing
 
 
@@ -163,7 +171,7 @@ def test_verify_fail_no_interior_zero_margin():
     cfg = CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)
     cl = coupled.compose_coupled_loop(cfg, None)
     rep = coupled.verify_coupled_stabilization(
-        cl, p_grid=(2.0,), t_horizons=(5.0, 10.0, 20.0), n_random=4)
+        cl, cfg, p_grid=(2.0,), t_horizons=(5.0, 10.0, 20.0), n_random=4)
     assert not rep.passed
     assert "hautus_margins" in rep.failing
     assert rep.checks["hautus_margins"][1] <= 1e-8
@@ -175,7 +183,7 @@ def test_verify_scans_match_direct_scan():
     cl = coupled.compose_coupled_loop(cfg, f_law, j_law)
     p_grid, t_horizons = (1.5, 2.0), (2.0, 4.0, 8.0)
     rep = coupled.verify_coupled_stabilization(
-        cl, p_grid=p_grid, t_horizons=t_horizons, n_random=3, seed=7, n_cells=200)
+        cl, cfg, p_grid=p_grid, t_horizons=t_horizons, n_random=3, seed=7, n_cells=200)
     sets = maxreg.build_forcing_grid(cl.composed, t_horizons, n_random=3, seed=7,
                                      n_cells_max=200)
     direct = maxreg.plateau_scan_multi(cl.composed, p_grid, t_horizons, sets)
