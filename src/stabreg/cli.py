@@ -31,6 +31,7 @@ from .operators import (
     Operator,
     adjoint_decomposition_residual,
     compose_closed_loop,
+    pair_spectra,
     resolvent_perturbation_residual,
     spectral_abscissa,
     spectral_norm,
@@ -287,8 +288,8 @@ def cmd_synthesize(args, cfgp, out_dir, seed, bundle=None, built=None):
     targets = info.get("targets", np.array([]))
     achieved = info.get("achieved", np.array([]))
     tsort = sorted(np.asarray(targets, dtype=complex), key=lambda z: (-z.real, -z.imag))
-    asort = sorted(np.asarray(achieved, dtype=complex), key=lambda z: (-z.real, -z.imag))
-    rows = [(k + 1, mode, t, a) for k, (t, a) in enumerate(zip(tsort, asort))]
+    paired = pair_spectra(tsort, achieved)
+    rows = [(k + 1, mode, t, a) for k, (t, a) in enumerate(zip(tsort, paired))]
     matio.write_csv(os.path.join(out_dir, "achieved_poles.csv"), POLES_HEADER, rows)
     return 0
 

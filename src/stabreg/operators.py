@@ -59,9 +59,6 @@ class Operator:
     def dim(self):
         return self.entries.shape[0]
 
-    def is_real(self, tol=0.0):
-        return np.abs(self.entries.imag).max(initial=0.0) <= tol if np.iscomplexobj(self.entries) else True
-
 
 @dataclass(frozen=True)
 class GreenMap:
@@ -115,9 +112,6 @@ class SpectralData:
     @property
     def dim(self):
         return self.eigenvalues.shape[0]
-
-    def unstable(self):
-        return self.eigenvalues[: self.unstable_count]
 
 
 @dataclass(frozen=True)
@@ -183,6 +177,16 @@ def spectral_abscissa(op):
     return float(np.max(la.eigvals(_as_entries(op)).real))
 
 
+def pair_spectra(a, b):
+    """``b`` reordered so that ``b[k]`` is optimally assigned to ``a[k]``."""
+    a = np.asarray(a, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex).ravel()
+    if a.shape != b.shape:
+        raise UsageError(f"spectra size mismatch: {a.shape} vs {b.shape}")
+    _, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return b[cols]
+
+
 def match_spectra(a, b):
     """Greatest matched distance between two equal-length eigenvalue sets.
 
@@ -190,12 +194,7 @@ def match_spectra(a, b):
     union untouched modes" claims.
     """
     a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise UsageError(f"spectra size mismatch: {a.shape} vs {b.shape}")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max()) if a.size else 0.0
+    return float(np.abs(a - pair_spectra(a, b)).max(initial=0.0))
 
 
 def spectrum(op, tol_unstable=1e-9):

@@ -24,7 +24,6 @@ from .operators import (
     GreenMap,
     Operator,
     match_spectra,
-    spectrum,
 )
 
 _CLUSTER_TOL = 1e-8
@@ -72,18 +71,6 @@ class FeedbackLaw:
             w = np.atleast_2d(np.asarray(self.observation_vectors))
             if np.any(w[:, outside] != 0):
                 raise SynthesisError("localized observation vectors must vanish outside the window")
-
-    @property
-    def n_channels(self):
-        return self.boundary_profiles.shape[1]
-
-    @property
-    def state_dim(self):
-        return self.as_matrix.shape[1]
-
-    @property
-    def input_dim(self):
-        return self.as_matrix.shape[0]
 
     @staticmethod
     def zero(input_dim, state_dim):
@@ -155,6 +142,18 @@ def _clusters(eigenvalues, tol=_CLUSTER_TOL):
     return tuple(groups)
 
 
+def _hautus_margins(lam, b, clusters):
+    """Smallest singular value of [lam_i I - Lambda | B] on eigenvalue i's cluster."""
+    margins = np.empty(lam.shape[0])
+    for group in clusters:
+        idx = np.array(group)
+        lam_block = np.diag(lam[idx])
+        for i in idx:
+            block = np.hstack([lam[i] * np.eye(len(idx)) - lam_block, b[idx]])
+            margins[i] = la.svdvals(block)[-1]
+    return margins
+
+
 def unstable_projection(spectral):
     """Rank-N spectral projection P_N onto the unstable eigenspace.
 
@@ -188,14 +187,7 @@ def reduce(spectral, drift, green, omega_weights=None):
     wl = spectral.left_vectors[:, :nu]
     b = wl.conj().T @ (drift_m @ g)
     clusters = _clusters(lam)
-    lam_mat = np.diag(lam)
-    margins = np.empty(nu)
-    for group in clusters:
-        idx = np.array(group)
-        for i in idx:
-            block = np.hstack([lam[i] * np.eye(len(idx)) - lam_mat[np.ix_(idx, idx)],
-                               b[idx]])
-            margins[i] = la.svdvals(block)[-1]
+    margins = _hautus_margins(lam, b, clusters)
     obs_margins = None
     if omega_weights is not None:
         w = np.asarray(omega_weights, dtype=float)
@@ -248,60 +240,38 @@ def choose_K(spectral, tol=1e-8):
     return best
 
 
-def _conjugate_closed(values, tol=1e-6):
-    values = np.asarray(values, dtype=complex)
-    return match_spectra(values, np.conj(values)) <= tol
+def _real_form(values, tol=1e-8):
+    """T with T diag(values) T^-1 real.
 
-
-def _ackermann(lam_mat, b_col, targets):
-    n = lam_mat.shape[0]
-    ctrb = np.empty((n, n), dtype=complex)
-    col = b_col.astype(complex).ravel()
-    for j in range(n):
-        ctrb[:, j] = col
-        col = lam_mat @ col
-    sv = la.svdvals(ctrb)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise SynthesisError("single-input pair uncontrollable (controllability matrix singular)")
-    phi = np.eye(n, dtype=complex)
-    for t in targets:
-        phi = phi @ (lam_mat - t * np.eye(n))
-    k_row = la.solve(ctrb.T, np.eye(n)[:, -1]).T @ phi
-    return k_row.reshape(1, n)
-
-
-def _dyadic_placement(lam_mat, b, targets):
-    """Move eigenvalues one at a time by rank-one gain updates.
-
-    Each step uses a left eigenvector u of the current closed loop: the
-    update alpha f u^H shifts only u's eigenvalue (the remaining spectrum has
-    right eigenvectors annihilated by u^H), by alpha u^H B f.
+    Each conjugate pair becomes its (Re, Im) rows; a real value keeps its
+    row.  A value without a conjugate partner is paired with its nearest
+    one, so the caller's imaginary-residue check rejects such a set.
     """
-    n = lam_mat.shape[0]
-    gain = np.zeros((b.shape[1], n), dtype=complex)
-    placed = []
-    for t in targets:
-        current = lam_mat - b @ gain
-        sp = spectrum(Operator(current))
-        w = sp.eigenvalues
-        remaining = list(range(n))
-        for pt in placed:
-            j = int(np.argmin(np.abs(w[remaining] - pt)))
-            remaining.pop(j)
-        if not remaining:
-            raise SynthesisError("dyadic placement bookkeeping exhausted the spectrum")
-        i = remaining[int(np.argmax(w[remaining].real))]
-        u = sp.left_vectors[:, i]
-        ub = u.conj() @ b
-        nub = np.linalg.norm(ub)
-        if nub <= 1e-12:
-            raise SynthesisError(
-                f"eigenvalue {w[i]} uncontrollable through the supplied channels")
-        f = ub.conj() / nub
-        alpha = (w[i] - t) / (ub @ f)
-        gain = gain + alpha * np.outer(f, u.conj())
-        placed.append(t)
-    return gain
+    values = np.asarray(values, dtype=complex).ravel()
+    n = values.size
+    scale = max(np.abs(values).max(initial=0.0), 1.0)
+    t = np.zeros((n, n), dtype=complex)
+    free = list(range(n))
+    row = 0
+    while free:
+        i = free.pop(0)
+        if abs(values[i].imag) <= tol * scale or not free:
+            t[row, i] = 1.0
+            row += 1
+            continue
+        j = free.pop(int(np.argmin(np.abs(values[free] - np.conj(values[i])))))
+        t[row, [i, j]] = 0.5
+        t[row + 1, [i, j]] = -0.5j, 0.5j
+        row += 2
+    return t
+
+
+def _real_part(m, what, tol=1e-8):
+    """Real part of ``m``, or UsageError if its imaginary residue exceeds tol * scale."""
+    scale = max(np.abs(m).max(initial=0.0), 1.0)
+    if np.abs(m.imag).max(initial=0.0) > tol * scale:
+        raise UsageError(f"{what} is not conjugate-closed (real model required)")
+    return m.real
 
 
 def place_poles(rp, targets, input_matrix=None, tol=1e-6):
@@ -309,37 +279,52 @@ def place_poles(rp, targets, input_matrix=None, tol=1e-6):
 
     ``input_matrix`` restricts/combines the boundary influence columns (for
     profile channels); by default the full reduced influence matrix is used.
-    Single-input pairs go through Ackermann's formula, multi-input pairs
-    through successive rank-one eigenvalue assignment.  Targets must be
-    strictly stable, one per unstable eigenvalue, and closed under conjugation
-    whenever the reduced spectrum is.
+    The pair is realified, Lambda_r = T Lambda T^-1 and B_r = T B, with T
+    mapping each conjugate pair to its (Re, Im) coordinates, and the gain
+    comes from one Sylvester equation (Bhattacharyya & de Souza 1982):
+    Lambda_r X - X F = B_r G, K_r = G X^-1, returned as K = K_r T, so that
+    Lambda_N - B K is similar to F.  F is the real form of diag(targets),
+    with a 1 on the superdiagonal between equal real targets; G is the fixed
+    pattern G[k, j] = (j % m == k).  A double real target therefore places
+    with one input or several (on the two-mode heat and coupled pairs; a
+    double root moves by about sqrt(eps) under rounding, so on wider spectra
+    it can miss ``tol``); a triple one misses the ``tol`` check.
+    Targets must be strictly stable, one per unstable eigenvalue, and closed
+    under conjugation, as must the reduced spectrum and influence rows.
     """
     targets = np.asarray(targets, dtype=complex).ravel()
+    targets = targets[np.lexsort((targets.imag, np.abs(targets.imag), targets.real))]
     n = rp.n_unstable
     if targets.size != n:
         raise UsageError(f"need exactly {n} targets, got {targets.size}")
     if np.any(targets.real >= 0):
         bad = targets[targets.real >= 0][0]
         raise UsageError(f"target {bad} is not strictly stable")
-    if _conjugate_closed(rp.lam) and not _conjugate_closed(targets):
-        raise UsageError(
-            "reduced spectrum is conjugate-closed; targets must be too (real model)")
     b = rp.b_matrix if input_matrix is None else np.atleast_2d(np.asarray(input_matrix))
     if b.shape[0] != n:
         raise DimensionError(f"influence matrix must have {n} rows, got {b.shape}")
+    margins = _hautus_margins(rp.lam, b, _clusters(rp.lam))
+    if np.any(margins <= 1e-12):
+        i = int(np.argmax(margins <= 1e-12))
+        raise SynthesisError(
+            f"eigenvalue {rp.lam[i]} uncontrollable through the supplied channels")
     lam_mat = rp.lambda_matrix
-    for i in range(n):
-        row_gap = np.abs(rp.lam[i] - rp.lam) > _CLUSTER_TOL
-        block_idx = np.where(~row_gap)[0]
-        sub = np.hstack([rp.lam[i] * np.eye(len(block_idx)) - lam_mat[np.ix_(block_idx, block_idx)],
-                         b[block_idx]])
-        if la.svdvals(sub)[-1] <= 1e-12:
-            raise SynthesisError(
-                f"eigenvalue {rp.lam[i]} uncontrollable through the supplied channels")
-    if b.shape[1] == 1:
-        gain = _ackermann(lam_mat, b[:, 0], targets)
-    else:
-        gain = _dyadic_placement(lam_mat, b, targets)
+    t = _real_form(rp.lam)
+    lam_r = _real_part(t @ lam_mat @ la.inv(t), "reduced spectrum")
+    b_r = _real_part(t @ b, "reduced influence")
+    t_f = _real_form(targets)
+    f_r = _real_part(t_f @ np.diag(targets) @ la.inv(t_f), "target set")
+    real_row = np.count_nonzero(t_f, axis=1) == 1
+    for j in range(n - 1):
+        if real_row[j] and real_row[j + 1] and f_r[j, j] == f_r[j + 1, j + 1]:
+            f_r[j, j + 1] = 1.0
+    m = b.shape[1]
+    g = (np.arange(n)[None, :] % m == np.arange(m)[:, None]).astype(float)
+    x = la.solve_sylvester(lam_r, -f_r, b_r @ g)
+    cond = np.linalg.cond(x)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SynthesisError(f"Sylvester solution condition {cond:.3e} exceeds 1e12")
+    gain = la.solve(x.T, g.T).T @ t
     achieved = la.eigvals(lam_mat - b @ gain)
     err = match_spectra(achieved, targets)
     if err > tol:

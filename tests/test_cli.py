@@ -1,8 +1,12 @@
 import collections
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stabreg
 from stabreg import cli, matio, maxreg
 
 
@@ -134,6 +138,17 @@ def test_synthesize_achieved_pole(tmp_path):
     assert achieved.real == pytest.approx(-2.0, abs=1e-6)
     fmat = matio.read_matrix(tmp_path / "out" / "feedback_matrix.txt")
     assert fmat.shape == (2, 32)
+
+
+def test_synthesize_pairs_each_target_with_its_pole(tmp_path):
+    text = HEAT_CFG.format(out=tmp_path / "out").replace(
+        "c2 = 16.0", "c2 = 49.0").replace("targets = -2", "targets = -3+2i -3-2i")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert run(["synthesize", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "achieved_poles.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert abs(matio.parse_complex(row[3]) - matio.parse_complex(row[2])) <= 1e-6
 
 
 def test_synthesize_empty_window_exit_4(tmp_path, capsys):
@@ -317,3 +332,13 @@ def test_simulate_random_seed_matches_manifest(tmp_path):
     trajectory = (tmp_path / "config" / "trajectory.csv").read_bytes()
     assert trajectory == (tmp_path / "11" / "trajectory.csv").read_bytes()
     assert trajectory != (tmp_path / "0" / "trajectory.csv").read_bytes()
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal costs about 0.5 s and 27 MB at import; no command needs it
+    src = os.path.dirname(os.path.dirname(stabreg.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import stabreg, stabreg.cli; " \
+        "print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -142,6 +142,16 @@ def test_spectral_separation_coupled():
     assert ops.match_spectra(la.eigvals(cl.composed.entries), expected) <= 1e-6
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"targets": [-2.0, -3.0]}, {"use_interior": False}])
+def test_real_model_gets_real_laws(kwargs):
+    cfg = CoupledConfig(n=12)
+    f_law, j_law, info = coupled.synthesize_coupled_feedback(cfg, **kwargs)
+    assert ops.match_spectra(info["achieved"], info["targets"]) <= 1e-6
+    cl = coupled.compose_coupled_loop(cfg, f_law, j_law)
+    for m in (f_law.as_matrix, j_law.as_matrix, cl.composed.entries):
+        assert m.dtype == np.float64
+
+
 def test_synthesize_nothing_to_do():
     cfg = CoupledConfig(n=24, c2_f=2.0, c2_h=2.0)
     f_law, j_law, info = coupled.synthesize_coupled_feedback(cfg)

@@ -222,6 +222,28 @@ def test_place_poles_complex_pair_from_real_matrix():
     assert ops.match_spectra(np.linalg.eigvals(closed), [-2 + 1j, -2 - 1j, -4.0]) <= 1e-6
 
 
+@pytest.mark.parametrize("targets", [[-1.0, -2.0], [-2.0, -2.0], [-2 + 1j, -2 - 1j]])
+def test_place_poles_single_input_closed_form(targets):
+    # diagonal Lambda, one input: k_i = prod_j (l_i - t_j) / (b_i prod_{j != i} (l_i - l_j))
+    _, op, d, sp = heat_setup(c2=49.0)
+    rp = syn.reduce(sp, op, d)
+    b = rp.b_matrix[:, :1]
+    gain = syn.place_poles(rp, targets, input_matrix=b)
+    lam, t = rp.lam, np.asarray(targets)
+    exact = np.array([np.prod(lam[i] - t) / (b[i, 0] * np.prod(np.delete(lam[i] - lam, i)))
+                      for i in range(2)])
+    assert np.abs(gain[0] - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+def test_place_poles_rejects_complex_reduced_pair():
+    for lam in ([1.0 + 2.0j], [1.0 + 2.0j, 3.0 + 0j]):
+        n = len(lam)
+        rp = syn.ReducedPair(lam=np.array(lam), b_matrix=np.ones((n, 1)),
+                             hautus_margins=np.ones(n), clusters=tuple((i,) for i in range(n)))
+        with pytest.raises(UsageError):
+            syn.place_poles(rp, [-1.0 - 0.5 * i for i in range(n)])
+
+
 # ---------------------------------------------------------------- build_feedback
 
 def test_build_feedback_spectral_exact_abscissa():
