@@ -21,7 +21,6 @@ from .errors import (
     SaturationError,
     SingularityError,
     StabregError,
-    StepResolutionError,
     SynthesisError,
     TranslationRequiredError,
     UsageError,
@@ -31,7 +30,6 @@ from .operators import (
     GreenMap,
     Operator,
     SpectralData,
-    adjoint_closed_loop,
     adjoint_decomposition_residual,
     compose_closed_loop,
     decay_estimate,

@@ -31,17 +31,17 @@ def lti_propagate(E, P, f_cells, refine):
 
 
 def lti_norm_scan(A, E, P, f_cells, refine):
-    """Nodal 2-norms of y, y_t = Ay + f, Ay and f for a batch of forcings.
+    """Nodal 2-norms of y_t = Ay + f, Ay and f for a batch of forcings.
 
     ``f_cells`` has shape (m, n, nb); the forcing value attached to node k > 0
     is the one of the cell ending at that node (left limit), node 0 uses the
-    first cell.  Returns four float arrays of shape (m*refine + 1, nb).
+    first cell.  Returns three float arrays (nyt, nay, nf) of shape
+    (m*refine + 1, nb).
     """
     dt = np.result_type(A, E, P, f_cells)
     A, E, P, f_cells = (np.asarray(x, dtype=dt) for x in (A, E, P, f_cells))
     m, n, nb = f_cells.shape
     mm = m * refine
-    ny = np.zeros((mm + 1, nb))
     nyt = np.zeros((mm + 1, nb))
     nay = np.zeros((mm + 1, nb))
     nf = np.zeros((mm + 1, nb))
@@ -57,8 +57,7 @@ def lti_norm_scan(A, E, P, f_cells, refine):
             y = E @ y + pf
             k += 1
             ay = A @ y
-            ny[k] = np.linalg.norm(y, axis=0)
             nay[k] = np.linalg.norm(ay, axis=0)
             nyt[k] = np.linalg.norm(ay + fj, axis=0)
             nf[k] = nfj
-    return ny, nyt, nay, nf
+    return nyt, nay, nf

@@ -76,6 +76,14 @@ def _get(cfgp, section, key, default=None, cast=str):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _get_int(cfgp, section, key, default, minimum):
+    """Integer value of ``[section] key`` that must be at least ``minimum``."""
+    value = _get(cfgp, section, key, default, int)
+    if value < minimum:
+        raise ConfigError(f"[{section}] {key} = {value}: must be >= {minimum}")
+    return value
+
+
 def _get_floats(cfgp, section, key, default=None):
     if not cfgp.has_option(section, key):
         if default is None:
@@ -241,17 +249,19 @@ def _manifest(out_dir, args, cfgp):
 
 def _scan_seed(cfgp, seed_override):
     """Seed of the regularity scans and random forcings: --seed, else [maxreg] seed, else 0."""
-    if seed_override is not None:
-        return seed_override
-    return _get(cfgp, "maxreg", "seed", 0, int)
+    if seed_override is None:
+        return _get_int(cfgp, "maxreg", "seed", 0, 0)
+    if seed_override < 0:
+        raise ConfigError(f"--seed = {seed_override}: must be >= 0")
+    return seed_override
 
 
 def _maxreg_params(cfgp, seed_override):
     sec = "maxreg"
     p_grid = _get_floats(cfgp, sec, "p_grid", (1.5, 2.0, 4.0))
     t_grid = _get_floats(cfgp, sec, "t_grid", (10.0, 20.0, 40.0))
-    n_random = _get(cfgp, sec, "forcing_count", 32, int)
-    n_cells = _get(cfgp, sec, "n_cells", 2000, int)
+    n_random = _get_int(cfgp, sec, "forcing_count", 32, 0)
+    n_cells = _get_int(cfgp, sec, "n_cells", 2000, 1)
     return p_grid, t_grid, n_random, n_cells, _scan_seed(cfgp, seed_override)
 
 
@@ -294,27 +304,42 @@ def cmd_synthesize(args, cfgp, out_dir, seed, bundle=None, built=None):
     return 0
 
 
+def _forcing_spec(raw, dim):
+    """(kind, mode index) of ``[simulate] forcing``: constant | random | single_mode [K].
+
+    K defaults to 0 and must satisfy 0 <= K < dim; anything else, including
+    an extra token, is a configuration error.
+    """
+    tokens = raw.split()
+    kind = tokens[0] if tokens else ""
+    arity = 2 if kind == "single_mode" else 1
+    if kind not in ("constant", "random", "single_mode") or len(tokens) > arity:
+        raise ConfigError(f"[simulate] forcing = {raw!r}: expected constant, random "
+                          "or single_mode K")
+    if kind != "single_mode":
+        return kind, None
+    index = tokens[1] if len(tokens) > 1 else "0"
+    if not (index.isdigit() and int(index) < dim):
+        raise ConfigError(f"[simulate] forcing = {raw!r}: mode index K must be an "
+                          f"integer with 0 <= K < {dim} (the state dimension)")
+    return kind, int(index)
+
+
 def cmd_simulate(args, cfgp, out_dir, seed):
     bundle = build_model(cfgp)
     composed = build_closed_loop(cfgp, bundle)[0].composed
     a = maxreg.operator_matrix(composed)
     sec = "simulate"
     horizon = _get(cfgp, sec, "T", 10.0, float)
-    n_cells = _get(cfgp, sec, "n_cells", 2000, int)
-    spec_f = _get(cfgp, sec, "forcing", "constant").split()
-    if spec_f[0] == "constant":
+    n_cells = _get_int(cfgp, sec, "n_cells", 2000, 1)
+    kind, index = _forcing_spec(_get(cfgp, sec, "forcing", "constant"), a.shape[0])
+    if kind == "constant":
         f = maxreg.constant_forcing(np.ones(a.shape[0]), horizon)
-    elif spec_f[0] == "random":
+    elif kind == "random":
         f = maxreg.piecewise_random_forcing(a.shape[0], horizon, n_cells,
                                             seed=_scan_seed(cfgp, seed))
-    elif spec_f[0] == "single_mode":
-        index = int(spec_f[1]) if len(spec_f) > 1 else 0
-        modes = maxreg.single_mode_forcings(a, horizon)
-        if index >= len(modes):
-            raise ConfigError(f"mode index {index} out of range (n = {len(modes)})")
-        f = modes[index]
     else:
-        raise ConfigError(f"unknown forcing kind {spec_f[0]!r}")
+        f = maxreg.single_mode_forcings(a, horizon)[index]
     refine = max(1, int(np.ceil(n_cells / f.n_cells)))
     t, y = maxreg.solution_map(composed, f, refine=refine)
     cell = np.minimum((np.arange(len(t)) - 1) // refine, f.n_cells - 1).clip(0)
@@ -329,8 +354,7 @@ def cmd_simulate(args, cfgp, out_dir, seed):
 def _plateau_reports(composed, p_grid, t_grid, n_random, n_cells, seed, workers):
     sets = maxreg.build_forcing_grid(composed, t_grid, n_random=n_random,
                                      seed=seed, n_cells_max=n_cells)
-    return maxreg.plateau_scan_multi(composed, p_grid, t_grid, sets,
-                                     workers=workers or 1)
+    return maxreg.plateau_scan_multi(composed, p_grid, t_grid, sets, workers=workers)
 
 
 def cmd_maxreg(args, cfgp, out_dir, seed):
@@ -344,15 +368,19 @@ def cmd_maxreg(args, cfgp, out_dir, seed):
     return 0
 
 
-def _identity_rows(cl, seed, n_lambda=20):
-    """Structural identity residuals for a composed ClosedLoop."""
+def _identity_rows(cl, seed):
+    """Structural identity residuals for a composed ClosedLoop.
+
+    The resolvent identity is checked at 20 seeded points right of both
+    spectra.
+    """
     rows = []
     rng = np.random.default_rng(seed)
     drift = cl.drift_A.entries
     a_f = cl.feedback_part()
     right = max(spectral_abscissa(cl.drift_A), float(np.max(np.linalg.eigvals(a_f).real)))
     worst = 0.0
-    for _ in range(n_lambda):
+    for _ in range(20):
         lam = complex(right + 1.0 + 49.0 * rng.random(), -50.0 + 100.0 * rng.random())
         worst = max(worst, resolvent_perturbation_residual(cl, lam))
     rows.append(("resolvent_identity_max", worst, 1e-8, "PASS" if worst <= 1e-8 else "FAIL"))
@@ -412,6 +440,14 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text):
+    """argparse type of ``--parallel``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="stabreg",
@@ -420,7 +456,8 @@ def make_parser():
     parser.add_argument("--config", required=True, help="INI config file path")
     parser.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
     parser.add_argument("--seed", type=int, default=None, help="override the scan seed")
-    parser.add_argument("--parallel", type=int, default=1, help="worker threads for scans")
+    parser.add_argument("--parallel", type=_positive_int, default=1,
+                        help="worker threads for scans (>= 1)")
     return parser
 
 

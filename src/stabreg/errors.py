@@ -49,14 +49,6 @@ class SaturationError(NumericalError):
     """Matrix exponential overflowed for a strongly unstable operator."""
 
 
-class StepResolutionError(NumericalError):
-    """Forcing time step too coarse for the requested strict accuracy mode."""
-
-    def __init__(self, message, required_step=None):
-        super().__init__(message)
-        self.required_step = required_step
-
-
 class ResonanceError(ConfigError):
     """Translation constant resonates with a Dirichlet-Laplacian eigenvalue."""
 

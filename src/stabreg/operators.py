@@ -33,19 +33,18 @@ from .errors import (
 _COND_FLAG = 1e8
 
 
-def _frozen_array(a, dtype=None):
-    out = np.array(a, dtype=dtype, copy=True)
+def _frozen_array(a):
+    out = np.array(a, copy=True)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense square operator with optional grid metadata."""
+    """Dense square operator with a descriptive label."""
 
     entries: np.ndarray
     label: str = ""
-    grid_meta: dict | None = None
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.entries))
@@ -98,7 +97,7 @@ class SpectralData:
 
     ``left_vectors`` is biorthogonally normalized against ``right_vectors``:
     left[:, i]^H @ right[:, j] = delta_ij.  ``unstable_count`` counts
-    eigenvalues with real part >= -tol_unstable.
+    eigenvalues with real part >= -1e-9.
     """
 
     eigenvalues: np.ndarray
@@ -197,13 +196,13 @@ def match_spectra(a, b):
     return float(np.abs(a - pair_spectra(a, b)).max(initial=0.0))
 
 
-def spectrum(op, tol_unstable=1e-9):
+def spectrum(op):
     """Full eigendecomposition with a biorthogonal left basis.
 
     Eigenvalues are sorted by decreasing real part (imaginary part descending
-    as tie-break).  Eigenvalues with ``Re >= -tol_unstable`` are counted
-    unstable.  A warning-carrying flag is raised when the right-eigenvector
-    basis conditioning exceeds 1e8; a defective (numerically non-diagonalizable)
+    as tie-break).  Eigenvalues with ``Re >= -1e-9`` are counted unstable.
+    A warning-carrying flag is raised when the right-eigenvector basis
+    conditioning exceeds 1e8; a defective (numerically non-diagonalizable)
     matrix is flagged and the left basis is least-squares biorthogonalized.
     """
     m = _as_entries(op)
@@ -265,7 +264,7 @@ def spectrum(op, tol_unstable=1e-9):
     if ill and not defective:
         warnings.warn(f"eigenvector basis condition {cond_estimate:.3e} > 1e8", stacklevel=2)
 
-    n_unstable = int(np.sum(w.real >= -tol_unstable))
+    n_unstable = int(np.sum(w.real >= -1e-9))
     return SpectralData(
         eigenvalues=_frozen_array(w),
         right_vectors=_frozen_array(vr),
@@ -277,16 +276,20 @@ def spectrum(op, tol_unstable=1e-9):
     )
 
 
-def resolvent(op, lam, eigenvalues=None, guard=1e-10, residual_tol=1e-8):
-    """(lam I - op)^{-1} with a spectral-distance guard and residual check."""
+def resolvent(op, lam, eigenvalues=None):
+    """(lam I - op)^{-1} with a spectral-distance guard and residual check.
+
+    ``lam`` within 1e-10 of an eigenvalue raises SingularityError; a solve
+    residual ||(lam I - op) R - I|| above 1e-8 raises NumericalError.
+    """
     m = _as_entries(op)
     lam = complex(lam)
     evs = la.eigvals(m) if eigenvalues is None else np.asarray(eigenvalues)
     gap = np.abs(evs - lam)
     i = int(np.argmin(gap))
-    if gap[i] <= guard:
+    if gap[i] <= 1e-10:
         raise SingularityError(
-            f"lambda = {lam} lies within {guard:g} of eigenvalue {evs[i]}")
+            f"lambda = {lam} lies within 1e-10 of eigenvalue {evs[i]}")
     n = m.shape[0]
     shifted = lam * np.eye(n) - m
     try:
@@ -294,9 +297,9 @@ def resolvent(op, lam, eigenvalues=None, guard=1e-10, residual_tol=1e-8):
     except la.LinAlgError as exc:
         raise SingularityError(f"resolvent solve singular at lambda = {lam}") from exc
     resid = spectral_norm(shifted @ r - np.eye(n))
-    if resid > residual_tol:
+    if resid > 1e-8:
         raise NumericalError(
-            f"resolvent residual {resid:.3e} exceeds {residual_tol:g} at lambda = {lam}")
+            f"resolvent residual {resid:.3e} exceeds 1e-8 at lambda = {lam}")
     return Operator(r, label=f"resolvent({lam})")
 
 
@@ -327,14 +330,13 @@ def _power_from_spectral(spectral, theta):
     return (v * powered) @ w
 
 
-def fractional_power(op, theta, spectral=None, verify_tol=1e-6):
+def fractional_power(op, theta, spectral=None):
     """Principal-branch fractional power of an operator with right-half-plane spectrum.
 
     Computed by eigendecomposition: V diag(lambda^theta) V^{-1}.  The spectrum
     must lie strictly in the open right half-plane (translate first otherwise)
     and the eigenbasis must be acceptably conditioned.  The semigroup law
-    ``A^theta A^{1-theta} = A`` is checked to relative tolerance
-    ``verify_tol``.
+    ``A^theta A^{1-theta} = A`` is checked to relative tolerance 1e-6.
     """
     if not (0.0 < theta < 1.0):
         raise UsageError(f"fractional exponent must lie in (0,1), got {theta}")
@@ -343,7 +345,7 @@ def fractional_power(op, theta, spectral=None, verify_tol=1e-6):
     frac = real_power(op, theta, spectral=sp).entries
     comp = _power_from_spectral(sp, 1.0 - theta)
     resid = spectral_norm(frac @ comp - m) / max(spectral_norm(m), 1e-300)
-    if resid > verify_tol:
+    if resid > 1e-6:
         raise NumericalError(
             f"fractional power verification failed: ||A^t A^(1-t) - A||/||A|| = {resid:.3e}")
     out = frac
@@ -369,14 +371,14 @@ def real_power(op, theta, spectral=None):
     return Operator(_power_from_spectral(sp, theta), label=f"power({theta})")
 
 
-def translate_to_positive(op, margin=1.0):
-    """Translation k I - op with k = max(0, spectral abscissa) + margin.
+def translate_to_positive(op):
+    """Translation k I - op with k = max(0, spectral abscissa) + 1.
 
     Returns (k, translated operator); the translated spectrum lies in the
-    right half-plane with at least ``margin`` to spare.
+    right half-plane with at least 1 to spare.
     """
     m = _as_entries(op)
-    k = max(0.0, spectral_abscissa(op)) + margin
+    k = max(0.0, spectral_abscissa(op)) + 1.0
     return k, Operator(k * np.eye(m.shape[0]) - m, label=f"translated(k={k:g})")
 
 
@@ -468,23 +470,11 @@ def adjoint_decomposition_residual(cl):
     return float(spectral_norm(three_term - bless_adj) / denom)
 
 
-def adjoint_closed_loop(cl, tol=1e-8):
-    """Conjugate transpose of the closed loop, verified against the three-term
-    adjoint decomposition; a residual above ``tol`` signals a wiring bug and
-    raises."""
-    resid = adjoint_decomposition_residual(cl)
-    if resid > tol:
-        raise IdentityViolationError(
-            f"adjoint three-term decomposition residual {resid:.3e} > {tol:g} "
-            "(closed-loop wiring bug)")
-    return Operator(cl.composed.entries.conj().T, label="adjoint closed loop")
-
-
-def resolvent_perturbation_residual(cl, lam, guard=1e-6):
+def resolvent_perturbation_residual(cl, lam):
     """Relative residual of R(lam, A_F) = [I + R(lam,M) M G F]^{-1} R(lam,M).
 
     A_F here is the B-less part drift (I - GF); lam must lie in the resolvent
-    set of both operators.
+    set of both operators, at least 1e-6 from either spectrum.
     """
     lam = complex(lam)
     n = cl.dim
@@ -494,9 +484,9 @@ def resolvent_perturbation_residual(cl, lam, guard=1e-6):
         evs = la.eigvals(mat)
         gap = np.abs(evs - lam)
         i = int(np.argmin(gap))
-        if gap[i] <= guard:
+        if gap[i] <= 1e-6:
             raise SingularityError(
-                f"lambda = {lam} within {guard:g} of {name} eigenvalue {evs[i]}")
+                f"lambda = {lam} within 1e-6 of {name} eigenvalue {evs[i]}")
     r_drift = resolvent(Operator(drift), lam).entries
     r_af = resolvent(Operator(a_f), lam).entries
     gf = cl.green.entries @ cl.feedback_matrix()

@@ -26,7 +26,8 @@ from .operators import (
     match_spectra,
 )
 
-_CLUSTER_TOL = 1e-8
+# Tolerance of the eigenvalue-cluster, rank, Hautus-margin and realness tests.
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class FeedbackLaw:
     """
 
     mode: str
-    gain: np.ndarray
     boundary_profiles: np.ndarray
     observation_rows: np.ndarray
     as_matrix: np.ndarray
@@ -76,7 +76,6 @@ class FeedbackLaw:
     def zero(input_dim, state_dim):
         return FeedbackLaw(
             mode="spectral",
-            gain=np.zeros((1, 1)),
             boundary_profiles=np.zeros((input_dim, 1)),
             observation_rows=np.zeros((1, state_dim)),
             as_matrix=np.zeros((input_dim, state_dim)),
@@ -116,7 +115,6 @@ class RankReport:
     failing: tuple
     eigenvalues: np.ndarray
     obs_margins: np.ndarray | None = None
-    tol: float = 1e-8
 
     def table(self):
         lines = ["eigenvalue, hautus_margin, obs_margin, status"]
@@ -127,15 +125,15 @@ class RankReport:
         return "\n".join(lines)
 
 
-def _clusters(eigenvalues, tol=_CLUSTER_TOL):
-    """Group indices of (sorted) eigenvalues lying within ``tol`` of each other."""
+def _clusters(eigenvalues):
+    """Group indices of (sorted) eigenvalues lying within RANK_TOL of each other."""
     groups = []
     used = np.zeros(len(eigenvalues), dtype=bool)
     for i in range(len(eigenvalues)):
         if used[i]:
             continue
         members = [j for j in range(len(eigenvalues))
-                   if not used[j] and abs(eigenvalues[j] - eigenvalues[i]) <= tol]
+                   if not used[j] and abs(eigenvalues[j] - eigenvalues[i]) <= RANK_TOL]
         for j in members:
             used[j] = True
         groups.append(tuple(members))
@@ -210,37 +208,36 @@ def reduce(spectral, drift, green, omega_weights=None):
     )
 
 
-def rank_check(rp, tol=1e-8):
-    """PASS iff every margin exceeds ``tol``; FAIL is a report, not an error."""
-    failing = [i for i, m in enumerate(rp.hautus_margins) if m <= tol]
+def rank_check(rp):
+    """PASS iff every margin exceeds RANK_TOL; FAIL is a report, not an error."""
+    failing = [i for i, m in enumerate(rp.hautus_margins) if m <= RANK_TOL]
     if rp.obs_margins is not None:
         failing += [i for i, m in enumerate(rp.obs_margins)
-                    if m <= tol and i not in failing]
+                    if m <= RANK_TOL and i not in failing]
     return RankReport(
         passed=not failing,
         margins=np.asarray(rp.hautus_margins, dtype=float),
         failing=tuple(sorted(failing)),
         eigenvalues=rp.lam.copy(),
         obs_margins=None if rp.obs_margins is None else np.asarray(rp.obs_margins, dtype=float),
-        tol=tol,
     )
 
 
-def choose_K(spectral, tol=1e-8):
+def choose_K(spectral):
     """Largest geometric multiplicity over the unstable eigenvalue clusters."""
     if spectral.unstable_count < 1:
         return 0
     lam = spectral.eigenvalues[: spectral.unstable_count]
     best = 1
-    for group in _clusters(lam, tol):
+    for group in _clusters(lam):
         vecs = spectral.right_vectors[:, list(group)]
         sv = la.svdvals(vecs)
-        rank = int(np.sum(sv > tol * sv[0])) if sv.size and sv[0] > 0 else 0
+        rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
         best = max(best, rank)
     return best
 
 
-def _real_form(values, tol=1e-8):
+def _real_form(values):
     """T with T diag(values) T^-1 real.
 
     Each conjugate pair becomes its (Re, Im) rows; a real value keeps its
@@ -255,7 +252,7 @@ def _real_form(values, tol=1e-8):
     row = 0
     while free:
         i = free.pop(0)
-        if abs(values[i].imag) <= tol * scale or not free:
+        if abs(values[i].imag) <= RANK_TOL * scale or not free:
             t[row, i] = 1.0
             row += 1
             continue
@@ -266,16 +263,16 @@ def _real_form(values, tol=1e-8):
     return t
 
 
-def _real_part(m, what, tol=1e-8):
-    """Real part of ``m``, or UsageError if its imaginary residue exceeds tol * scale."""
+def _real_part(m, what):
+    """Real part of ``m``, or UsageError if its imaginary residue exceeds RANK_TOL * scale."""
     scale = max(np.abs(m).max(initial=0.0), 1.0)
-    if np.abs(m.imag).max(initial=0.0) > tol * scale:
+    if np.abs(m.imag).max(initial=0.0) > RANK_TOL * scale:
         raise UsageError(f"{what} is not conjugate-closed (real model required)")
     return m.real
 
 
-def place_poles(rp, targets, input_matrix=None, tol=1e-6):
-    """Gain K with spec(Lambda_N - B K) = targets (within ``tol``).
+def place_poles(rp, targets, input_matrix=None):
+    """Gain K with spec(Lambda_N - B K) = targets (within 1e-6).
 
     ``input_matrix`` restricts/combines the boundary influence columns (for
     profile channels); by default the full reduced influence matrix is used.
@@ -288,7 +285,7 @@ def place_poles(rp, targets, input_matrix=None, tol=1e-6):
     pattern G[k, j] = (j % m == k).  A double real target therefore places
     with one input or several (on the two-mode heat and coupled pairs; a
     double root moves by about sqrt(eps) under rounding, so on wider spectra
-    it can miss ``tol``); a triple one misses the ``tol`` check.
+    it can miss 1e-6); a triple one misses the 1e-6 check.
     Targets must be strictly stable, one per unstable eigenvalue, and closed
     under conjugation, as must the reduced spectrum and influence rows.
     """
@@ -327,22 +324,22 @@ def place_poles(rp, targets, input_matrix=None, tol=1e-6):
     gain = la.solve(x.T, g.T).T @ t
     achieved = la.eigvals(lam_mat - b @ gain)
     err = match_spectra(achieved, targets)
-    if err > tol:
-        raise SynthesisError(f"pole placement missed targets by {err:.3e} (> {tol:g})")
+    if err > 1e-6:
+        raise SynthesisError(f"pole placement missed targets by {err:.3e} (> 1e-6)")
     return gain
 
 
 def build_feedback(rp, gain, mode, spectral, omega_mask=None,
-                   boundary_profiles=None, omega_weights=None,
-                   gramian_cond_limit=1e8):
+                   boundary_profiles=None, omega_weights=None):
     """Assemble a FeedbackLaw from a placed gain.
 
     Spectral mode: observation functional k is (gain row k) in unstable
     left-eigenvector coordinates, so the law factors exactly through the
     unstable projection.  Localized mode: observation vectors are window-
     masked combinations of adjoint eigenvectors, re-solved against the masked
-    Gramian so that unstable coordinates are still read exactly; spill onto
-    stable modes is accepted and checked downstream by direct eigensolve.
+    Gramian (condition at most 1e8) so that unstable coordinates are still
+    read exactly; spill onto stable modes is accepted and checked downstream
+    by direct eigensolve.
     Boundary profiles default to the first K canonical input directions.
     """
     gain = np.atleast_2d(np.asarray(gain, dtype=complex))
@@ -379,10 +376,10 @@ def build_feedback(rp, gain, mode, spectral, omega_mask=None,
         raw = wl.conj().T * weff[None, :]            # raw windowed functionals
         gram = raw @ spectral.right_vectors[:, :nu]  # <phi_i, m phi*_j> pattern
         cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > gramian_cond_limit:
+        if not np.isfinite(cond) or cond > 1e8:
             raise SynthesisError(
                 f"masked observation Gramian condition {cond:.3e} exceeds "
-                f"{gramian_cond_limit:g} (window too small or misplaced)")
+                "1e8 (window too small or misplaced)")
         corrected = la.solve(gram, raw)
         rows = gain @ corrected
         wvec = np.zeros_like(rows)
@@ -409,7 +406,6 @@ def build_feedback(rp, gain, mode, spectral, omega_mask=None,
                         law_kwargs[key] = v.real
     return FeedbackLaw(
         mode=mode,
-        gain=gain,
         boundary_profiles=profiles,
         observation_rows=rows,
         as_matrix=as_matrix,
@@ -417,9 +413,9 @@ def build_feedback(rp, gain, mode, spectral, omega_mask=None,
     )
 
 
-def require_rank(rp, tol=1e-8):
+def require_rank(rp):
     """Raise RankCheckFailure (with the margin table) unless rank_check passes."""
-    report = rank_check(rp, tol)
+    report = rank_check(rp)
     if not report.passed:
         raise RankCheckFailure(
             "controllability rank check failed for eigenvalue indices "

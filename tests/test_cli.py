@@ -320,6 +320,41 @@ def test_unknown_key_exit_2(tmp_path, capsys):
         assert "configuration error" in err and name in err
 
 
+def _simulate(lines):
+    return ("[output]", "[simulate]\n" + lines + "\n\n[output]")
+
+
+@pytest.mark.parametrize("command, edit, flags, name", [
+    ("simulate", _simulate("forcing ="), [], "[simulate] forcing"),
+    ("simulate", _simulate("forcing = single_mode x"), [], "[simulate] forcing"),
+    ("simulate", _simulate("forcing = single_mode -1"), [], "[simulate] forcing"),
+    ("simulate", _simulate("forcing = single_mode 32"), [], "[simulate] forcing"),
+    ("simulate", _simulate("forcing = constant 7"), [], "[simulate] forcing"),
+    ("simulate", _simulate("forcing = random\nn_cells = 0"), [], "[simulate] n_cells"),
+    ("simulate", _simulate("forcing = random\nn_cells = -3"), [], "[simulate] n_cells"),
+    ("maxreg", ("n_cells = 400", "n_cells = -5"), [], "[maxreg] n_cells"),
+    ("maxreg", ("n_cells = 400", "n_cells = 0"), [], "[maxreg] n_cells"),
+    ("maxreg", ("forcing_count = 6", "forcing_count = -1"), [], "[maxreg] forcing_count"),
+    ("spectrum", ("seed = 11", "seed = -4"), [], "[maxreg] seed"),
+    ("spectrum", ("", ""), ["--seed", "-1"], "--seed"),
+    ("spectrum", ("", ""), ["--parallel", "0"], "--parallel"),
+], ids=["forcing-empty", "mode-not-int", "mode-negative", "mode-too-large",
+        "constant-extra-token", "simulate-cells-0", "simulate-cells-negative",
+        "maxreg-cells-negative", "maxreg-cells-0", "forcing-count-negative",
+        "config-seed-negative", "flag-seed-negative", "parallel-0"])
+def test_bad_input_exit_2(tmp_path, capsys, command, edit, flags, name):
+    old, new = edit
+    text = HEAT_CFG.format(out=tmp_path / "out").replace(old, new)
+    assert new in text
+    cfg = write_config(tmp_path / "c.ini", text)
+    try:
+        code = run([command, "--config", cfg, *flags])
+    except SystemExit as exc:       # argparse rejects a bad flag value
+        code = exc.code
+    assert code == 2
+    assert name in capsys.readouterr().err
+
+
 def test_simulate_random_seed_matches_manifest(tmp_path):
     text = HEAT_CFG.format(out=tmp_path / "config") + (
         "\n[simulate]\nforcing = random\nT = 5\nn_cells = 200\n")

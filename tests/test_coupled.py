@@ -49,14 +49,6 @@ def test_two_unstable_modes():
     assert sp.unstable_count == 2
 
 
-def test_coupling_norms_exact():
-    cfg = CoupledConfig(n=24, gamma_buoy=0.3,
-                        theta_e_profile=np.linspace(-0.7, 0.4, 24))
-    ng, nt = coupled.coupling_norms(cfg)
-    assert ng == pytest.approx(0.3, abs=1e-8)
-    assert nt == pytest.approx(0.7, abs=1e-8)
-
-
 # ---------------------------------------------------------------- thermal map
 
 def test_thermal_map_fluid_rows_zero():
@@ -111,8 +103,7 @@ def test_interior_support_violation_rejected():
     cfg = CoupledConfig(n=24)
     bad_profiles = np.zeros((48, 1))
     bad_profiles[0] = 1.0    # fluid node outside the window
-    law = syn.FeedbackLaw(mode="spectral", gain=np.ones((1, 1)),
-                          boundary_profiles=bad_profiles,
+    law = syn.FeedbackLaw(mode="spectral", boundary_profiles=bad_profiles,
                           observation_rows=np.ones((1, 48)),
                           as_matrix=bad_profiles @ np.ones((1, 48)))
     with pytest.raises(ConfigError):
