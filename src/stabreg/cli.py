@@ -116,7 +116,7 @@ class AbstractModel:
     """``type = abstract``: operator, lifting and feedback read from matrix files.
 
     Follows the model protocol of ``heat.HeatConfig``.  It reads no
-    ``[synthesis]`` key, and its grid step is 1.0.
+    ``[synthesis]`` key, adds no verification rows, and its grid step is 1.0.
     """
 
     operator_file: str
@@ -145,10 +145,9 @@ class AbstractModel:
         loop = compose_closed_loop(operator, green, feedback)
         return loop, {"feedback_matrix": loop.feedback_matrix()}, "abstract", {}
 
-    def verify(self, loop, p_grid, t_horizons, n_random, seed, n_cells, workers):
-        """No rows past the identity rows; the regularity scans."""
-        return [], _plateau_reports(loop.composed, p_grid, t_horizons, n_random,
-                                    n_cells, seed, workers)
+    def verify(self, loop, scans):
+        """No rows past the identity rows."""
+        return []
 
 
 _MODELS = {"heat": heat.HeatConfig, "coupled": coupled.CoupledConfig,
@@ -257,17 +256,35 @@ def _scan_seed(cfgp, seed_override):
 
 
 def _maxreg_params(cfgp, seed_override):
+    """The [maxreg] settings of the regularity scan, with their defaults."""
     sec = "maxreg"
     p_grid = _get_floats(cfgp, sec, "p_grid", (1.5, 2.0, 4.0))
+    if not (p_grid and all(1.0 < p < np.inf for p in p_grid)):
+        raise ConfigError(f"[maxreg] p_grid = {cfgp.get(sec, 'p_grid')!r}: need one "
+                          "or more exponents, each in (1, inf)")
     t_grid = _get_floats(cfgp, sec, "t_grid", (10.0, 20.0, 40.0))
+    if not (len(t_grid) >= 3 and 0.0 < t_grid[0] and t_grid[-1] < np.inf
+            and all(a < b for a, b in zip(t_grid, t_grid[1:]))):
+        raise ConfigError(f"[maxreg] t_grid = {cfgp.get(sec, 't_grid')!r}: need 3 "
+                          "or more increasing horizons, each positive and finite")
     n_random = _get_int(cfgp, sec, "forcing_count", 32, 0)
     n_cells = _get_int(cfgp, sec, "n_cells", 2000, 1)
     return p_grid, t_grid, n_random, n_cells, _scan_seed(cfgp, seed_override)
 
 
-def cmd_spectrum(args, cfgp, out_dir, seed, bundle=None):
-    if bundle is None:
-        bundle = build_model(cfgp)
+def _plateau_reports(cfgp, args, composed):
+    """The regularity scan of ``composed`` that the [maxreg] settings ask for.
+
+    Builds the forcing family and runs the scan (``--parallel`` threads over
+    the horizons); returns one MaxRegReport per exponent.
+    """
+    p_grid, t_grid, n_random, n_cells, seed = _maxreg_params(cfgp, args.seed)
+    sets = maxreg.build_forcing_grid(composed, t_grid, n_random, seed, n_cells)
+    return maxreg.plateau_scan_multi(composed, p_grid, t_grid, sets,
+                                     workers=args.parallel)
+
+
+def cmd_spectrum(args, cfgp, out_dir, bundle):
     sp = spectrum(bundle.operator)
     rows = [(k + 1, lam.real, lam.imag, k < sp.unstable_count)
             for k, lam in enumerate(sp.eigenvalues)]
@@ -275,9 +292,7 @@ def cmd_spectrum(args, cfgp, out_dir, seed, bundle=None):
     return 0
 
 
-def cmd_dirichlet_map(args, cfgp, out_dir, seed, bundle=None):
-    if bundle is None:
-        bundle = build_model(cfgp)
+def cmd_dirichlet_map(args, cfgp, out_dir, bundle):
     if bundle.green is None:
         raise ConfigError("model provides no boundary lifting map")
     matio.write_matrix(os.path.join(out_dir, "dirichlet_map.txt"), bundle.green.entries)
@@ -287,9 +302,7 @@ def cmd_dirichlet_map(args, cfgp, out_dir, seed, bundle=None):
     return 0
 
 
-def cmd_synthesize(args, cfgp, out_dir, seed, bundle=None, built=None):
-    if bundle is None:
-        bundle = build_model(cfgp)
+def cmd_synthesize(args, cfgp, out_dir, bundle, built=None):
     if built is None:
         built = build_closed_loop(cfgp, bundle)
     _, matrices, mode, info = built
@@ -325,19 +338,20 @@ def _forcing_spec(raw, dim):
     return kind, int(index)
 
 
-def cmd_simulate(args, cfgp, out_dir, seed):
-    bundle = build_model(cfgp)
+def cmd_simulate(args, cfgp, out_dir, bundle):
     composed = build_closed_loop(cfgp, bundle)[0].composed
     a = maxreg.operator_matrix(composed)
     sec = "simulate"
     horizon = _get(cfgp, sec, "T", 10.0, float)
+    if not 0.0 < horizon < np.inf:
+        raise ConfigError(f"[simulate] T = {horizon:g}: must be positive and finite")
     n_cells = _get_int(cfgp, sec, "n_cells", 2000, 1)
     kind, index = _forcing_spec(_get(cfgp, sec, "forcing", "constant"), a.shape[0])
     if kind == "constant":
         f = maxreg.constant_forcing(np.ones(a.shape[0]), horizon)
     elif kind == "random":
         f = maxreg.piecewise_random_forcing(a.shape[0], horizon, n_cells,
-                                            seed=_scan_seed(cfgp, seed))
+                                            seed=_scan_seed(cfgp, args.seed))
     else:
         f = maxreg.single_mode_forcings(a, horizon)[index]
     refine = max(1, int(np.ceil(n_cells / f.n_cells)))
@@ -351,18 +365,9 @@ def cmd_simulate(args, cfgp, out_dir, seed):
     return 0
 
 
-def _plateau_reports(composed, p_grid, t_grid, n_random, n_cells, seed, workers):
-    sets = maxreg.build_forcing_grid(composed, t_grid, n_random=n_random,
-                                     seed=seed, n_cells_max=n_cells)
-    return maxreg.plateau_scan_multi(composed, p_grid, t_grid, sets, workers=workers)
-
-
-def cmd_maxreg(args, cfgp, out_dir, seed):
-    bundle = build_model(cfgp)
+def cmd_maxreg(args, cfgp, out_dir, bundle):
     loop, _, mode, _ = build_closed_loop(cfgp, bundle)
-    p_grid, t_grid, n_random, n_cells, mseed = _maxreg_params(cfgp, seed)
-    reports = _plateau_reports(loop.composed, p_grid, t_grid, n_random, n_cells,
-                               mseed, args.parallel)
+    reports = _plateau_reports(cfgp, args, loop.composed)
     rows = maxreg.report_rows(bundle.kind, mode, reports)
     matio.write_csv(os.path.join(out_dir, "maxreg.csv"), maxreg.CSV_HEADER, rows)
     return 0
@@ -396,32 +401,27 @@ def _identity_rows(cl, seed):
     return rows
 
 
-def cmd_verify(args, cfgp, out_dir, seed, bundle=None, built=None):
-    if bundle is None:
-        bundle = build_model(cfgp)
+def cmd_verify(args, cfgp, out_dir, bundle, built=None):
     if built is None:
         built = build_closed_loop(cfgp, bundle)
     loop, _, mode, _ = built
-    p_grid, t_grid, n_random, n_cells, mseed = _maxreg_params(cfgp, seed)
-    rows = _identity_rows(loop, mseed)
-    model_rows, scans = bundle.model.verify(
-        loop, p_grid=p_grid, t_horizons=t_grid, n_random=n_random, seed=mseed,
-        n_cells=n_cells, workers=args.parallel)
-    matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows + model_rows)
+    rows = _identity_rows(loop, _scan_seed(cfgp, args.seed))
+    scans = _plateau_reports(cfgp, args, loop.composed)
+    matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER,
+                    rows + bundle.model.verify(loop, scans))
     matio.write_csv(os.path.join(out_dir, "maxreg.csv"), maxreg.CSV_HEADER,
                     maxreg.report_rows(bundle.kind, mode, scans))
     return 0
 
 
-def cmd_report(args, cfgp, out_dir, seed):
+def cmd_report(args, cfgp, out_dir, bundle):
     """Every artifact from one model bundle and one closed loop."""
-    bundle = build_model(cfgp)
-    cmd_spectrum(args, cfgp, out_dir, seed, bundle)
+    cmd_spectrum(args, cfgp, out_dir, bundle)
     if bundle.green is not None:
-        cmd_dirichlet_map(args, cfgp, out_dir, seed, bundle)
+        cmd_dirichlet_map(args, cfgp, out_dir, bundle)
     built = build_closed_loop(cfgp, bundle)
-    cmd_synthesize(args, cfgp, out_dir, seed, bundle, built)
-    cmd_verify(args, cfgp, out_dir, seed, bundle, built)
+    cmd_synthesize(args, cfgp, out_dir, bundle, built)
+    cmd_verify(args, cfgp, out_dir, bundle, built)
     summary = [("spectrum", "spectrum.csv"), ("poles", "achieved_poles.csv"),
                ("verify", "verify.csv"), ("maxreg", "maxreg.csv")]
     matio.write_csv(os.path.join(out_dir, "summary.csv"), "artifact,file",
@@ -468,7 +468,7 @@ def main(argv=None):
         out_dir = args.out or _get(cfgp, "output", "dir", "out")
         os.makedirs(out_dir, exist_ok=True)
         _manifest(out_dir, args, cfgp)
-        return _COMMANDS[args.command](args, cfgp, out_dir, args.seed)
+        return _COMMANDS[args.command](args, cfgp, out_dir, build_model(cfgp))
     except RankCheckFailure as exc:
         print(f"stabreg: rank check failed: {exc}", file=sys.stderr)
         if exc.report is not None:

@@ -10,14 +10,14 @@ part acting through (I - D F) plus a bounded collection (advections,
 couplings, interior feedback), both retained for reassembly checks.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
 
-from . import maxreg, synthesis
+from . import synthesis
 from .errors import ConfigError, ResonanceError
-from .heat import VerificationReport, dirichlet_lift, first_difference, laplacian
+from .heat import dirichlet_lift, first_difference, laplacian, verification_report
 from .operators import (
     GreenMap,
     Operator,
@@ -108,10 +108,9 @@ class CoupledConfig:
         return (loop, {"feedback_matrix": loop.feedback_matrix(),
                        "interior_matrix": j_law.as_matrix}, mode, info)
 
-    def verify(self, loop, **scan):
-        """Verification rows past the identity rows, and the regularity scans."""
-        report = verify_coupled_stabilization(loop, self, **scan)
-        return report.summary_rows(), report.scans
+    def verify(self, loop, scans):
+        """Verification rows past the identity rows, read partly from ``scans``."""
+        return verify_coupled_stabilization(loop, self, scans).summary_rows()
 
 
 def coupled_split(cfg):
@@ -206,8 +205,7 @@ def compose_coupled_loop(cfg, f_law, j_law=None):
         raise ConfigError("interior control vectors must vanish outside the fluid window")
     pi = Operator(pi0.entries + j_mat, label="bounded part + interior feedback")
     return compose_closed_loop(ahat, dmap, f_law, interior_B=pi,
-                               generator_A=gen, perturbation_Ao=trans,
-                               ao_epsilon=0.5)
+                               generator_A=gen, perturbation_Ao=trans)
 
 
 def default_coupled_targets(spectral):
@@ -277,13 +275,10 @@ def adjoint_bound_scan(grids, cfg, targets=None):
     """
     rows = []
     for n in grids:
-        sub = CoupledConfig(n=int(n), nu=cfg.nu, kappa=cfg.kappa,
-                            gamma_buoy=cfg.gamma_buoy,
-                            theta_e_profile=(cfg.theta_e_profile
-                                             if np.asarray(cfg.theta_e_profile).ndim == 0
-                                             else float(np.mean(cfg.theta_vector()))),
-                            ye_advect=cfg.ye_advect, c2_f=cfg.c2_f, c2_h=cfg.c2_h,
-                            omega=cfg.omega, q=cfg.q, epsilon=cfg.epsilon)
+        sub = replace(cfg, n=int(n),
+                      theta_e_profile=(cfg.theta_e_profile
+                                       if np.asarray(cfg.theta_e_profile).ndim == 0
+                                       else float(np.mean(cfg.theta_vector()))))
         f_law, j_law, _ = synthesize_coupled_feedback(sub, targets=targets)
         cl = compose_coupled_loop(sub, f_law, j_law)
         a_pos = Operator(-cl.generator_A.entries)
@@ -293,17 +288,16 @@ def adjoint_bound_scan(grids, cfg, targets=None):
     return rows
 
 
-def verify_coupled_stabilization(cl, cfg, p_grid=(2.0,), t_horizons=(10.0, 20.0, 40.0),
-                                 n_random=16, seed=0, n_cells=2000, workers=1):
+def verify_coupled_stabilization(cl, cfg, scans):
     """PASS/FAIL bundle for the coupled loop ``cl`` composed on ``cfg``.
 
     Checks: split reassembly |feedback_part() + interior_B - composed|
     (<= 1e-12), boundary-route Hautus margins (zero margin with no interior
     feedback is the designed failure), closed-loop abscissa strictly between
     the first untouched open-loop mode and zero, decay-fit rate (on
-    t = 0.5, 1, ..., 6) in the same window, and regularity plateaus over the
-    exponent grid.  The regularity scan runs once (``workers`` threads over
-    the horizons) and is returned as ``scans``.
+    t = 0.5, 1, ..., 6) in the same window, and one regularity plateau per
+    exponent of ``scans``, the regularity scan of ``cl.composed`` (one
+    MaxRegReport per exponent).
     """
     checks = {}
     scale = max(np.abs(cl.composed.entries).max(), 1.0)
@@ -338,13 +332,4 @@ def verify_coupled_stabilization(cl, cfg, p_grid=(2.0,), t_horizons=(10.0, 20.0,
             checks["decay_rate"] = (delta > 0.0, delta, 0.0)
     else:
         checks["decay_rate"] = (False, np.nan, np.nan)
-    sets = maxreg.build_forcing_grid(cl.composed, t_horizons, n_random=n_random,
-                                     seed=seed, n_cells_max=n_cells)
-    scans = tuple(maxreg.plateau_scan_multi(cl.composed, p_grid, t_horizons, sets,
-                                            workers=workers))
-    for rep in scans:
-        checks[f"plateau_p={rep.p:g}"] = (rep.verdict == "plateau",
-                                          rep.c_estimates[-1], 0.05)
-    failing = tuple(name for name, (ok, _, _) in checks.items() if not ok)
-    return VerificationReport(passed=not failing, checks=checks, failing=failing,
-                              scans=scans)
+    return verification_report(checks, scans)

@@ -10,12 +10,12 @@ boundedness of the advection; the closed loop is assembled exactly as
 (diffusion + translation + advection) (I - D F).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
 
-from . import maxreg, synthesis
+from . import synthesis
 from .errors import (
     ConfigError,
     RankCheckFailure,
@@ -41,7 +41,8 @@ class HeatConfig:
     """Discretization and model parameters for the heat example.
 
     The methods are the CLI's model protocol; the keyword arguments of
-    ``synthesize`` are the ``[synthesis]`` keys the model reads.
+    ``synthesize`` are the ``[synthesis]`` keys the model reads, and ``verify``
+    reads the regularity scan the CLI ran on the loop.
     """
 
     n: int = 64
@@ -94,10 +95,9 @@ class HeatConfig:
         loop = closed_loop_heat(self, law)
         return loop, {"feedback_matrix": loop.feedback_matrix()}, mode, info
 
-    def verify(self, loop, **scan):
-        """Verification rows past the identity rows, and the regularity scans."""
-        report = verify_stabilization(loop, **scan)
-        return report.summary_rows(), report.scans
+    def verify(self, loop, scans):
+        """Verification rows past the identity rows, read partly from ``scans``."""
+        return verify_stabilization(loop, scans).summary_rows()
 
 
 def laplacian(n):
@@ -226,8 +226,7 @@ def gamma_bound_scan(grids, gamma_list, cfg):
     """
     rows = []
     for n in grids:
-        sub = HeatConfig(n=int(n), c2=cfg.c2, advection_b=cfg.advection_b,
-                         omega=cfg.omega, q=cfg.q, epsilon=cfg.epsilon)
+        sub = replace(cfg, n=int(n))
         op = build_heat_operator(sub)
         d = build_dirichlet_map(sub)
         _, hat = translate_to_positive(op)
@@ -265,8 +264,7 @@ def closed_loop_heat(cfg, feedback):
     op = Operator(gen.entries + pert.entries, label="heat operator")
     d = build_dirichlet_map(cfg)
     return compose_closed_loop(op, d, feedback, interior_B=None,
-                               generator_A=gen, perturbation_Ao=pert,
-                               ao_epsilon=0.5)
+                               generator_A=gen, perturbation_Ao=pert)
 
 
 def default_targets(spectral):
@@ -346,17 +344,11 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """PASS/FAIL bundle over named sub-checks: {name: (ok, value, threshold)}.
-
-    ``scans`` holds the regularity scan behind the plateau checks, one
-    MaxRegReport per exponent, so callers can reuse it instead of scanning
-    again.
-    """
+    """PASS/FAIL bundle over named sub-checks: {name: (ok, value, threshold)}."""
 
     passed: bool
     checks: dict
-    failing: tuple = field(default_factory=tuple)
-    scans: tuple = field(default_factory=tuple)
+    failing: tuple
 
     def summary_rows(self):
         rows = []
@@ -366,17 +358,24 @@ class VerificationReport:
         return rows
 
 
-def verify_stabilization(cl, p_grid=(1.5, 2.0, 4.0),
-                         t_horizons=(10.0, 20.0, 40.0), decay_margin=None,
-                         n_random=32, seed=0, n_cells=2000, workers=1):
+def verification_report(checks, scans):
+    """Bundle ``checks`` and one plateau check per MaxRegReport in ``scans``."""
+    for rep in scans:
+        checks[f"plateau_p={rep.p:g}"] = (rep.verdict == "plateau",
+                                          rep.c_estimates[-1], 0.05)
+    failing = tuple(name for name, (ok, _, _) in checks.items() if not ok)
+    return VerificationReport(passed=not failing, checks=checks, failing=failing)
+
+
+def verify_stabilization(cl, scans, decay_margin=None):
     """Bundle decay fit, regularity plateau and imaginary-axis boundedness.
 
     PASS requires a negative spectral abscissa, a decay rate fitted on
     t = 1, 1.5, ..., 10 of at least 0.9 x ``decay_margin`` (when given),
-    plateau verdicts for every exponent in ``p_grid`` and a finite
-    imaginary-axis supremum.  One
-    regularity scan (``workers`` threads over the horizons) supplies both the
-    plateau verdicts and the imaginary-axis supremum.
+    plateau verdicts for every exponent and a finite imaginary-axis supremum.
+    ``scans`` is the regularity scan of ``cl.composed``, one MaxRegReport per
+    exponent; it supplies both the plateau verdicts and the imaginary-axis
+    supremum.
     """
     checks = {}
     alpha = spectral_abscissa(cl.composed)
@@ -387,15 +386,6 @@ def verify_stabilization(cl, p_grid=(1.5, 2.0, 4.0),
         checks["decay_rate"] = (delta >= need and delta > 0.0, delta, need)
     else:
         checks["decay_rate"] = (False, np.nan, np.nan)
-    sets = maxreg.build_forcing_grid(cl, t_horizons, n_random=n_random,
-                                     seed=seed, n_cells_max=n_cells)
-    scans = tuple(maxreg.plateau_scan_multi(cl, p_grid, t_horizons, sets,
-                                            workers=workers))
     sup = scans[0].imag_axis_sup     # inf unless the loop is stable
     checks["imag_axis_sup"] = (np.isfinite(sup), sup, np.inf)
-    for rep in scans:
-        checks[f"plateau_p={rep.p:g}"] = (rep.verdict == "plateau",
-                                          rep.c_estimates[-1], 0.05)
-    failing = tuple(name for name, (ok, _, _) in checks.items() if not ok)
-    return VerificationReport(passed=not failing, checks=checks, failing=failing,
-                              scans=scans)
+    return verification_report(checks, scans)

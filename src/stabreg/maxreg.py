@@ -100,7 +100,7 @@ def single_mode_forcings(op, horizon):
     return out
 
 
-def build_forcing_grid(op, t_grid, n_random=32, seed=0, n_cells_max=2000):
+def build_forcing_grid(op, t_grid, n_random, seed, n_cells_max):
     """Nested forcing sets over a horizon grid: the random forcings, then one
     constant forcing per eigenmode.
 

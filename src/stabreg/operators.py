@@ -121,9 +121,7 @@ class ClosedLoop:
     realized feedback matrix.  ``generator_A`` holds the semigroup generator
     of the unperturbed part (the "-A" whose sign-flip has right-half-plane
     spectrum), ``perturbation_Ao`` the lower-order perturbation, so that
-    ``drift_A = generator_A + perturbation_Ao``.  ``ao_epsilon`` is the
-    exponent for which the perturbation is relatively bounded (first-order
-    terms: 1/2).
+    ``drift_A = generator_A + perturbation_Ao``.
     """
 
     generator_A: Operator
@@ -133,7 +131,6 @@ class ClosedLoop:
     feedback: object | None
     interior_B: Operator | None
     composed: Operator
-    ao_epsilon: float = 0.5
 
     @property
     def dim(self):
@@ -383,7 +380,7 @@ def translate_to_positive(op):
 
 
 def compose_closed_loop(drift, green, feedback, interior_B=None, *,
-                        generator_A=None, perturbation_Ao=None, ao_epsilon=0.5):
+                        generator_A=None, perturbation_Ao=None):
     """Assemble the closed loop  drift (I - G F) + B  keeping all factors.
 
     ``generator_A``/``perturbation_Ao`` optionally record the split
@@ -429,7 +426,6 @@ def compose_closed_loop(drift, green, feedback, interior_B=None, *,
         feedback=feedback,
         interior_B=interior_B,
         composed=Operator(composed, label="closed loop"),
-        ao_epsilon=ao_epsilon,
     )
 
 
@@ -449,7 +445,7 @@ def adjoint_decomposition_residual(cl):
             "adjoint decomposition needs the generator split's positive part to "
             "have right-half-plane spectrum")
     gamma = cl.green.gamma
-    eps = cl.ao_epsilon
+    eps = 0.5   # a first-order perturbation is relatively bounded w.r.t. A^(1/2)
     a_g = _power_from_spectral(sp, gamma)
     a_1mg = _power_from_spectral(sp, 1.0 - gamma)
     a_1me = _power_from_spectral(sp, 1.0 - eps)

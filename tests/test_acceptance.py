@@ -62,13 +62,14 @@ def test_03_maxreg_plateau_and_growth(heat_closed):
     t0 = time.perf_counter()
     t_grid = [10.0, 20.0, 40.0]
     p_grid = [1.5, 2.0, 4.0]
-    sets = maxreg.build_forcing_grid(cl, t_grid, n_random=32, seed=101)
+    sets = maxreg.build_forcing_grid(cl, t_grid, n_random=32, seed=101, n_cells_max=2000)
     for rep in maxreg.plateau_scan_multi(cl, p_grid, t_grid, sets):
         c20, c40 = rep.c_estimates[1], rep.c_estimates[2]
         assert abs(c40 - c20) / c20 < 0.05, f"p={rep.p}: drift {abs(c40-c20)/c20:.3f}"
         assert rep.verdict == "plateau"
     open_op = heat.build_heat_operator(cfg)
-    sets_o = maxreg.build_forcing_grid(open_op, t_grid, n_random=32, seed=101)
+    sets_o = maxreg.build_forcing_grid(open_op, t_grid, n_random=32, seed=101,
+                                       n_cells_max=2000)
     for rep in maxreg.plateau_scan_multi(open_op, p_grid, t_grid, sets_o):
         logs = np.diff(np.log(rep.c_estimates))
         assert np.all(logs > 3.0)
@@ -145,8 +146,11 @@ def test_09_coupled_stabilization_and_reachability(coupled_closed):
     # interior control withheld and fluid block unreachable from the boundary
     cfg0 = coupled.CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)
     cl0 = coupled.compose_coupled_loop(cfg0, None)
-    rep = coupled.verify_coupled_stabilization(
-        cl0, cfg0, p_grid=(2.0,), t_horizons=(5.0, 10.0, 20.0), n_random=4)
+    t_grid = (5.0, 10.0, 20.0)
+    sets = maxreg.build_forcing_grid(cl0.composed, t_grid, n_random=4, seed=0,
+                                     n_cells_max=2000)
+    scans = maxreg.plateau_scan_multi(cl0.composed, (2.0,), t_grid, sets)
+    rep = coupled.verify_coupled_stabilization(cl0, cfg0, scans)
     assert not rep.passed
     assert "hautus_margins" in rep.failing
     assert rep.checks["hautus_margins"][1] <= 1e-8

@@ -338,10 +338,25 @@ def _simulate(lines):
     ("spectrum", ("seed = 11", "seed = -4"), [], "[maxreg] seed"),
     ("spectrum", ("", ""), ["--seed", "-1"], "--seed"),
     ("spectrum", ("", ""), ["--parallel", "0"], "--parallel"),
+    ("maxreg", ("t_grid = 4 8 12", "t_grid = 4 8 nan"), [], "[maxreg] t_grid"),
+    ("maxreg", ("t_grid = 4 8 12", "t_grid = 4 8 inf"), [], "[maxreg] t_grid"),
+    ("maxreg", ("t_grid = 4 8 12", "t_grid = 0 8 12"), [], "[maxreg] t_grid"),
+    ("maxreg", ("t_grid = 4 8 12", "t_grid = 4 8"), [], "[maxreg] t_grid"),
+    ("maxreg", ("t_grid = 4 8 12", "t_grid = 8 4 12"), [], "[maxreg] t_grid"),
+    ("verify", ("p_grid = 2", "p_grid = 1"), [], "[maxreg] p_grid"),
+    ("verify", ("p_grid = 2", "p_grid = nan"), [], "[maxreg] p_grid"),
+    ("verify", ("p_grid = 2", "p_grid ="), [], "[maxreg] p_grid"),
+    ("simulate", _simulate("T = 0"), [], "[simulate] T"),
+    ("simulate", _simulate("T = -1"), [], "[simulate] T"),
+    ("simulate", _simulate("T = nan"), [], "[simulate] T"),
+    ("simulate", _simulate("T = inf"), [], "[simulate] T"),
 ], ids=["forcing-empty", "mode-not-int", "mode-negative", "mode-too-large",
         "constant-extra-token", "simulate-cells-0", "simulate-cells-negative",
         "maxreg-cells-negative", "maxreg-cells-0", "forcing-count-negative",
-        "config-seed-negative", "flag-seed-negative", "parallel-0"])
+        "config-seed-negative", "flag-seed-negative", "parallel-0",
+        "t-grid-nan", "t-grid-inf", "t-grid-zero", "t-grid-two-horizons",
+        "t-grid-decreasing", "p-grid-1", "p-grid-nan", "p-grid-empty",
+        "simulate-T-0", "simulate-T-negative", "simulate-T-nan", "simulate-T-inf"])
 def test_bad_input_exit_2(tmp_path, capsys, command, edit, flags, name):
     old, new = edit
     text = HEAT_CFG.format(out=tmp_path / "out").replace(old, new)

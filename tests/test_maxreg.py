@@ -159,7 +159,7 @@ def test_plateau_scan_validates_grid():
     with pytest.raises(UsageError):
         maxreg.plateau_scan_multi(a, [2.0], [5.0, 10.0], [[], []])
     t_grid = [5.0, 10.0, 20.0]
-    sets = maxreg.build_forcing_grid(a, t_grid, n_random=1, n_cells_max=10)
+    sets = maxreg.build_forcing_grid(a, t_grid, n_random=1, seed=0, n_cells_max=10)
     with pytest.raises(UsageError):
         maxreg.plateau_scan_multi(a, [], t_grid, sets)
 
