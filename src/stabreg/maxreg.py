@@ -28,9 +28,10 @@ from .operators import ClosedLoop, Operator, resolvent, spectral_norm
 
 CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict"
 
-# Quadrature policy of the regularity estimates: start from QUAD_NODES nodes
-# per forcing and double until every estimate moves by less than QUAD_RTOL
-# (relative), at most QUAD_MAX_DOUBLINGS times.
+# Quadrature policy of the regularity estimates: level L takes
+# ceil(QUAD_NODES / n_cells) * 2**L substeps per forcing cell; the first level
+# whose estimates all move by less than QUAD_RTOL (relative) from the level
+# before is reported, and level QUAD_MAX_DOUBLINGS is the cap.
 QUAD_NODES = 2000
 QUAD_RTOL = 0.005
 QUAD_MAX_DOUBLINGS = 2
@@ -170,26 +171,23 @@ def lp_time_norm(node_values, dt, p):
     return out if np.asarray(node_values).ndim > 1 else float(out[0])
 
 
-def _group_scan(a, forcings, node_target):
-    """Nodal norm scan for a forcing family, batched by cell structure.
+def _finest_sweeps(a, forcings):
+    """Nodal norm sweeps at the finest quadrature level, one per cell structure.
 
-    Returns one (dt, nyt, nay, nf) per forcing, in order, with at least
-    ``node_target`` integration nodes per forcing.
+    Forcings sharing (n_cells, time_step) form one batch and one kernel call
+    with ``ceil(QUAD_NODES / n_cells) * 2**QUAD_MAX_DOUBLINGS`` substeps per
+    cell.  Yields one (h, nyt, nay, nf) per batch, the norms of shape
+    (nodes, batch size), so one batch's sweep is held at a time.
     """
     groups = {}
-    for i, f in enumerate(forcings):
+    for f in forcings:
         key = (f.n_cells, round(f.time_step, 15))
-        groups.setdefault(key, []).append(i)
-    results = [None] * len(forcings)
-    for (n_cells, step), idx in groups.items():
-        refine = max(1, int(math.ceil(node_target / n_cells)))
+        groups.setdefault(key, []).append(f.values)
+    for (n_cells, step), values in groups.items():
+        refine = math.ceil(QUAD_NODES / n_cells) * 2 ** QUAD_MAX_DOUBLINGS
         h = step / refine
-        batch = np.stack([forcings[i].values for i in idx], axis=2)
         e, p = _propagator_pair(a, h)
-        nyt, nay, nf = _kernels.lti_norm_scan(a, e, p, batch, refine)
-        for col, i in enumerate(idx):
-            results[i] = (h, nyt[:, col], nay[:, col], nf[:, col])
-    return results
+        yield (h, *_kernels.lti_norm_scan(a, e, p, np.stack(values, axis=2), refine))
 
 
 def _validate_family(p_list, horizon, forcing_set):
@@ -207,32 +205,33 @@ def _validate_family(p_list, horizon, forcing_set):
 
 
 def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
-    """C_{p,T} estimates for several exponents from one trajectory sweep.
+    """C_{p,T} estimates for several exponents, one sweep per forcing group.
 
-    Largest (||y_t||_p + ||A y||_p)/||f||_p over the forcing family, with the
-    quadrature node count (QUAD_NODES at first) doubled until every estimate
-    moves less than QUAD_RTOL (relative) or QUAD_MAX_DOUBLINGS doublings are
-    spent.  Transient boundary layers converge slowly, so the cap bounds the
+    Largest (||y_t||_p + ||A y||_p)/||f||_p over the forcing family.  Each
+    cell-structure group is swept once, at the finest quadrature level D =
+    QUAD_MAX_DOUBLINGS: ``ceil(QUAD_NODES / n_cells) * 2**L`` substeps per cell
+    at level L, so every coarser level is a sub-grid of that sweep and level L
+    reads every ``2**(D - L)``-th node.  Levels are taken in turn from L = 0
+    until every estimate moves less than QUAD_RTOL (relative) from the level
+    before.  Transient boundary layers converge slowly, so the cap bounds the
     cost while the trend over horizons stays unaffected; when the cap is
     reached, the last estimate is returned without a flag.
     """
     p_list = [float(p) for p in p_list]
     _validate_family(p_list, horizon, forcing_set)
-    a = operator_matrix(cl)
-    prev = None
-    nodes = QUAD_NODES
-    for _ in range(QUAD_MAX_DOUBLINGS + 1):
-        best = np.zeros(len(p_list))
-        for h, nyt, nay, nf in _group_scan(a, forcing_set, nodes):
+    best = np.zeros((QUAD_MAX_DOUBLINGS + 1, len(p_list)))    # level x exponent
+    for h, nyt, nay, nf in _finest_sweeps(operator_matrix(cl), forcing_set):
+        for level in range(QUAD_MAX_DOUBLINGS + 1):
+            stride = 2 ** (QUAD_MAX_DOUBLINGS - level)
+            dx = h * stride
             for i, p in enumerate(p_list):
-                denom = lp_time_norm(nf, h, p)
-                quot = (lp_time_norm(nyt, h, p) + lp_time_norm(nay, h, p)) / denom
-                best[i] = max(best[i], float(quot))
-        if prev is not None and np.all(np.abs(best - prev) <= QUAD_RTOL * np.maximum(prev, 1e-300)):
-            return best
-        prev = best
-        nodes *= 2
-    return prev
+                quot = ((lp_time_norm(nyt[::stride], dx, p) + lp_time_norm(nay[::stride], dx, p))
+                        / lp_time_norm(nf[::stride], dx, p))
+                best[level, i] = max(best[level, i], float(quot.max()))
+    for prev, est in zip(best, best[1:]):
+        if np.all(np.abs(est - prev) <= QUAD_RTOL * np.maximum(prev, 1e-300)):
+            return est
+    return best[-1]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -42,10 +44,14 @@ def _oracle_states(a, f_cells, h, refine):
     return ys
 
 
+B = _kernels.BLOCK
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("refine", [1, 3])
-def test_norm_scan_matches_expm_oracle(dtype, refine):
-    a, e, p, f = _data(dtype)
+@pytest.mark.parametrize(("refine", "m"), [(1, 40), (3, 40), (2 * B + 11, 3), (4 * B + 3, 1)],
+                         ids=["1", "3", "refine-past-block", "one-cell-4-blocks"])
+def test_norm_scan_matches_expm_oracle(dtype, refine, m):
+    a, e, p, f = _data(dtype, m=m)
     ys = _oracle_states(a, f, 0.05, refine)
     cell = np.maximum(np.arange(ys.shape[0]) - 1, 0) // refine   # left limit
     fn = f[cell]
@@ -88,3 +94,18 @@ def test_norm_scan_left_limit_convention():
     nyt, nay, nf = _kernels.lti_norm_scan(a, e, p, f, 1)
     assert nf[0] == 1.0 and nf[1] == 1.0 and nf[2] == 3.0
     assert nyt[1] == 1.0 and nyt[2] == 3.0   # A = 0 so y_t = f
+
+
+def test_norm_scan_memory_is_its_outputs():
+    # the sweep holds block temporaries only, never a trajectory
+    m, n, nb, refine = 1, 32, 32, 8000
+    a, e, p, f = _data(float, m=m, n=n, nb=nb, h=1e-3)
+    tracemalloc.start()
+    try:
+        out = _kernels.lti_norm_scan(a, e, p, f, refine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(x.nbytes for x in out)
+    assert outputs == 3 * (m * refine + 1) * nb * 8
+    assert peak <= 1.5 * outputs

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from stabreg import heat, maxreg
+from stabreg import _kernels, heat, maxreg
 from stabreg import operators as ops
 from stabreg.errors import (
     SingularityError,
     UsageError,
 )
+from stabreg.coupled import CoupledConfig
 from stabreg.heat import HeatConfig
 from stabreg.maxreg import ForcingSignal
 
@@ -128,6 +131,93 @@ def test_maxreg_monotone_in_horizon_extension_by_zero():
     c_short = maxreg.maxreg_constants_multi(a, [2.0], 5.0, [f_short])[0]
     c_long = maxreg.maxreg_constants_multi(a, [2.0], 10.0, [f_long])[0]
     assert c_long >= c_short * (1 - 1e-9)
+
+
+# ---------------------------------------------------------------- quadrature levels
+
+def test_one_kernel_sweep_per_cell_structure(monkeypatch):
+    calls = []
+    sweep = _kernels.lti_norm_scan
+
+    def counting(A, E, P, f_cells, refine):
+        calls.append(refine)
+        return sweep(A, E, P, f_cells, refine)
+
+    monkeypatch.setattr(_kernels, "lti_norm_scan", counting)
+    a = maxreg.operator_matrix(stable_heat_loop(16).composed)
+    t_grid = [5.0, 10.0, 20.0]
+    sets = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=3, n_cells_max=200)
+    for t, fs in zip(t_grid, sets):
+        calls.clear()
+        maxreg.maxreg_constants_multi(a, [1.5, 2.0], t, fs)
+        # the random forcings share one cell structure, the eigenmodes another
+        groups = {(f.n_cells, f.time_step) for f in fs}
+        assert len(groups) == 2 and len(calls) == 2
+        top = 2 ** maxreg.QUAD_MAX_DOUBLINGS
+        assert sorted(calls) == sorted(math.ceil(maxreg.QUAD_NODES / c) * top
+                                       for c, _ in groups)
+
+
+def doubling_reference(a, p_list, forcings):
+    """Independent sweeps per forcing and level, QUAD_RTOL stopping rule.
+
+    Returns (estimates, level stopped at)."""
+    prev = None
+    for level in range(maxreg.QUAD_MAX_DOUBLINGS + 1):
+        best = np.zeros(len(p_list))
+        for f in forcings:
+            refine = math.ceil(maxreg.QUAD_NODES / f.n_cells) * 2 ** level
+            h = f.time_step / refine
+            e, p = maxreg._propagator_pair(a, h)
+            nyt, nay, nf = (x[:, 0] for x in
+                            _kernels.lti_norm_scan(a, e, p, f.values[:, :, None], refine))
+            for i, q in enumerate(p_list):
+                num = maxreg.lp_time_norm(nyt, h, q) + maxreg.lp_time_norm(nay, h, q)
+                best[i] = max(best[i], num / maxreg.lp_time_norm(nf, h, q))
+        if prev is not None and np.all(np.abs(best - prev) <= maxreg.QUAD_RTOL * prev):
+            return best, level
+        prev = best
+    return prev, level
+
+
+@pytest.mark.parametrize(("n_cells_max", "horizon", "level"),
+                         [(50, 20.0, 1), (250, 10.0, maxreg.QUAD_MAX_DOUBLINGS)],
+                         ids=["stops-at-level-1", "reaches-cap"])
+def test_levels_read_off_one_sweep_match_doubling_sweeps(n_cells_max, horizon, level):
+    a = maxreg.operator_matrix(stable_heat_loop(16).composed)
+    t_grid = [horizon / 4, horizon / 2, horizon]
+    fs = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=1234,
+                                   n_cells_max=n_cells_max)[-1]
+    p_list = [1.5, 2.0, 4.0]
+    expected, stopped = doubling_reference(a, p_list, fs)
+    assert stopped == level
+    got = maxreg.maxreg_constants_multi(a, p_list, horizon, fs)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+# C_estimate on the benchmark's [maxreg] grid (8 forcings, 500 cells, seed
+# 1234, p = 1.5 / 2 / 4 by rows, T = 10 / 20 / 40 by columns).
+GOLDEN = {
+    "heat": [[1.2222857172970891, 1.2177596224695102, 1.2126036089599592],
+             [1.237248429368248, 1.2349607038453072, 1.2280378862392702],
+             [1.3072474037852395, 1.2941456079279274, 1.2839291902751675]],
+    "coupled": [[1.3731849384103814, 1.358806626623183, 1.3429660007175184],
+                [1.3953404875888302, 1.3810904663279104, 1.3630413222729605],
+                [1.4797920278536814, 1.4607604286764833, 1.4335593652779404]],
+}
+
+
+@pytest.mark.parametrize("model", ["heat", "coupled"])
+def test_benchmark_grid_estimates_golden(model):
+    if model == "heat":
+        loop = HeatConfig(n=32, c2=16.0).synthesize(targets=[-2.0])[0]
+    else:
+        loop = CoupledConfig(n=12).synthesize(use_interior=True)[0]
+    t_grid = [10.0, 20.0, 40.0]
+    sets = maxreg.build_forcing_grid(loop.composed, t_grid, 8, 1234, 500)
+    reports = maxreg.plateau_scan_multi(loop.composed, [1.5, 2.0, 4.0], t_grid, sets)
+    got = [rep.c_estimates for rep in reports]
+    assert np.allclose(got, GOLDEN[model], rtol=1e-10, atol=0.0)
 
 
 # ---------------------------------------------------------------- plateau scans
