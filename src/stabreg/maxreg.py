@@ -164,7 +164,8 @@ def lp_time_norm(node_values, dt, p):
     g = np.atleast_2d(np.asarray(node_values, dtype=float).T).T
     s = g.max(axis=0)
     safe = np.where(s == 0.0, 1.0, s)
-    z = (g / safe) ** p
+    z = g / safe
+    np.power(z, p, out=z)
     integral = np.trapezoid(z, dx=dt, axis=0)
     out = safe * integral ** (1.0 / p)
     out = np.where(s == 0.0, 0.0, out)

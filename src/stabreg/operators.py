@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DimensionError,
@@ -173,21 +172,89 @@ def spectral_abscissa(op):
     return float(np.max(la.eigvals(_as_entries(op)).real))
 
 
+def _assignment(cost):
+    """Column assigned to each row of a square cost matrix at least total cost.
+
+    Shortest augmenting path method of Crouse (2016, IEEE Trans. Aerosp.
+    Electron. Syst. 52:1679), as SciPy's ``linear_sum_assignment`` implements
+    it: rows are added one at a time, each by a Dijkstra search over reduced
+    costs that scans the unvisited columns in its swap-removal order, starting
+    from the last column.  The tie rule is SciPy's too: among equal reduced
+    costs the last unassigned column scanned wins, else the first scanned, so
+    the same index array comes back also on exact ties (a repeated pole
+    target).  It lives here because importing ``scipy.optimize`` for this one
+    call loads ``scipy.sparse``, ``spatial`` and ``special`` as well, about
+    0.25 s and 21 MB per process.  A NaN or -inf entry, or a cost matrix with
+    no finite assignment, raises ValueError.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    if np.isnan(cost).any() or (cost == -np.inf).any():
+        raise ValueError("cost matrix contains NaN or -inf")
+    u, v = np.zeros(n), np.zeros(n)
+    path, col4row, row4col = (np.full(n, -1) for _ in range(3))
+    for row in range(n):
+        dist = np.full(n, np.inf)
+        seen_rows, seen_cols = np.zeros(n, bool), np.zeros(n, bool)
+        remaining = np.arange(n - 1, -1, -1)
+        i, lowest = row, 0.0
+        for left in range(n, 0, -1):
+            seen_rows[i] = True
+            rem = remaining[:left]
+            r = lowest + cost[i, rem] - u[i] - v[rem]
+            shorter = r < dist[rem]
+            path[rem[shorter]] = i
+            dist[rem[shorter]] = r[shorter]
+            d = dist[rem]
+            lowest = d.min()
+            if lowest == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            tied = d == lowest
+            free = np.flatnonzero(tied & (row4col[rem] < 0))
+            index = free[-1] if free.size else int(np.argmax(tied))
+            j = rem[index]
+            seen_cols[j] = True
+            remaining[index] = remaining[left - 1]
+            if row4col[j] < 0:
+                sink = j
+                break
+            i = row4col[j]
+        u[row] += lowest
+        seen_rows[row] = False
+        u[seen_rows] += lowest - dist[col4row[seen_rows]]
+        v[seen_cols] -= lowest - dist[seen_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return col4row
+
+
 def pair_spectra(a, b):
-    """``b`` reordered so that ``b[k]`` is optimally assigned to ``a[k]``."""
+    """``b`` reordered so that ``b[k]`` is optimally assigned to ``a[k]``.
+
+    The assignment minimizes the summed distance ``|a[k] - b[k]|`` by Crouse's
+    shortest augmenting path method with SciPy's tie rule (``_assignment``),
+    so it returns SciPy's index array, ties included.  It is in-house because
+    importing ``scipy.optimize`` costs about 0.25 s and 21 MB per process.
+    """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.shape != b.shape:
         raise UsageError(f"spectra size mismatch: {a.shape} vs {b.shape}")
-    _, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
-    return b[cols]
+    return b[_assignment(np.abs(a[:, None] - b[None, :]))]
 
 
 def match_spectra(a, b):
     """Greatest matched distance between two equal-length eigenvalue sets.
 
-    Uses optimal assignment; the standard oracle for "spectrum equals targets
-    union untouched modes" claims.
+    Uses the optimal assignment of ``pair_spectra`` (Crouse's shortest
+    augmenting path with SciPy's tie rule, in-house to spare every process
+    the 0.25 s and 21 MB of importing ``scipy.optimize``); the standard
+    oracle for "spectrum equals targets union untouched modes" claims.
     """
     a = np.asarray(a, dtype=complex).ravel()
     return float(np.abs(a - pair_spectra(a, b)).max(initial=0.0))
@@ -242,14 +309,11 @@ def spectrum(op):
         warnings.warn(
             "matrix is numerically defective; left basis taken from the adjoint "
             "eigenproblem with least-squares biorthogonalization", stacklevel=2)
-        wl_adj, vl_adj = la.eig(m.conj().T)
-        # pair adjoint eigenvectors with conj eigenvalues by optimal matching
-        cost = np.abs(np.conj(wl_adj)[:, None] - w[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        vl_m = np.empty_like(vl_adj)
-        vl_m[:, cols] = vl_adj[:, rows]
-        gram = vl_m.conj().T @ vr
-        vl = vl_m @ np.linalg.pinv(gram).conj().T
+        # no pairing of the adjoint eigenvalues is needed: reordering the
+        # columns of vl_adj by a permutation P turns pinv(gram)^H into
+        # P^T pinv(gram)^H, so the product below does not change
+        vl_adj = la.eig(m.conj().T)[1]
+        vl = vl_adj @ np.linalg.pinv(vl_adj.conj().T @ vr).conj().T
 
     biorth_err = np.abs(vl.conj().T @ vr - np.eye(m.shape[0])).max()
     if biorth_err > 1e-8 and not defective:

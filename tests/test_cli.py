@@ -384,11 +384,15 @@ def test_simulate_random_seed_matches_manifest(tmp_path):
     assert trajectory != (tmp_path / "0" / "trajectory.csv").read_bytes()
 
 
-def test_import_leaves_scipy_signal_out():
-    # scipy.signal costs about 0.5 s and 27 MB at import; no command needs it
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize", "scipy.sparse",
+                                    "scipy.spatial", "scipy.special"])
+def test_import_leaves_scipy_signal_out(module):
+    # scipy.signal costs about 0.5 s and 27 MB at import, scipy.optimize with
+    # sparse, spatial and special about 0.25 s and 21 MB; only scipy.linalg is
+    # needed
     src = os.path.dirname(os.path.dirname(stabreg.__file__))
     code = f"import sys; sys.path.insert(0, {src!r}); import stabreg, stabreg.cli; " \
-        "print('scipy.signal' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"

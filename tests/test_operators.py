@@ -85,6 +85,19 @@ def test_spectrum_defective_warns():
     with pytest.warns(UserWarning):
         sp = ops.spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert sp.ill_conditioned or sp.defective
+    # n >= 3 reaches the fallback that takes the left basis from the adjoint
+    # eigenproblem by least squares, whose result does not depend on the
+    # column order of the adjoint eigenvectors
+    defective = [
+        (np.eye(3, k=1), np.zeros((3, 3))),
+        (np.diag([1.0, 1.0, 0.0], k=1) + np.diag([0.0, 0.0, 0.0, -1.0]),
+         np.diag([0.0, 0.0, 0.0, 1.0])),
+    ]
+    for m, left in defective:
+        with pytest.warns(UserWarning, match="numerically defective"):
+            sp = ops.spectrum(m)
+        assert sp.defective
+        np.testing.assert_allclose(sp.left_vectors, left, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- resolvent
@@ -390,3 +403,39 @@ def test_match_spectra():
     assert ops.match_spectra(a, b) <= 1e-8
     with pytest.raises(UsageError):
         ops.match_spectra([1.0], [1.0, 2.0])
+
+
+def _oracle_costs():
+    rng = np.random.default_rng(2016)
+    for n in list(range(13)) + [32, 64]:
+        yield f"normal-{n}", rng.standard_normal((n, n))
+        yield f"small-int-{n}", rng.integers(0, 3, (n, n)).astype(float)
+        yield f"zero-{n}", np.zeros((n, n))
+        # repeated and clustered complex spectra, as |a_i - b_j|
+        k = n // 3 + 1
+        a = np.repeat(rng.standard_normal(k) + 1j * rng.standard_normal(k), 3)[:n]
+        b = a[rng.permutation(n)] + 1e-12 * rng.standard_normal(n) * rng.integers(0, 2, n)
+        yield f"repeated-{n}", np.abs(a[:, None] - b[None, :])
+        a = np.full(n, -2.0) + 1e-9 * np.arange(n) * (np.arange(n) % 2)
+        b = a[rng.permutation(n)] + 1e-9 * rng.standard_normal(n)
+        yield f"clustered-{n}", np.abs(a[:, None] - b[None, :])
+
+
+def test_assignment_matches_scipy_including_ties():
+    # the oracle is imported here only: the package keeps scipy.optimize out
+    from scipy.optimize import linear_sum_assignment
+
+    for name, cost in _oracle_costs():
+        rows, cols = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(rows, np.arange(cost.shape[0]), err_msg=name)
+        np.testing.assert_array_equal(ops._assignment(cost), cols, err_msg=name)
+
+
+@pytest.mark.parametrize("cost", [
+    np.array([[0.0, np.nan], [1.0, 0.0]]),
+    np.array([[0.0, -np.inf], [1.0, 0.0]]),
+    np.array([[np.inf, np.inf], [1.0, 0.0]]),
+], ids=["nan", "minus-inf", "infeasible-row"])
+def test_assignment_rejects_invalid_costs(cost):
+    with pytest.raises(ValueError):
+        ops._assignment(cost)
