@@ -353,11 +353,11 @@ def cmd_simulate(args, cfgp, out_dir, bundle):
         f = maxreg.piecewise_random_forcing(a.shape[0], horizon, n_cells,
                                             seed=_scan_seed(cfgp, args.seed))
     else:
-        f = maxreg.single_mode_forcings(a, horizon)[index]
+        f = maxreg.ForcingSignal(maxreg.mode_forcings(a, horizon).values[:, :, index], horizon)
     refine = max(1, int(np.ceil(n_cells / f.n_cells)))
     t, y = maxreg.solution_map(composed, f, refine=refine)
     cell = np.minimum((np.arange(len(t)) - 1) // refine, f.n_cells - 1).clip(0)
-    fvals = f.values[cell]
+    fvals = f.values[cell, :, 0]
     dy = y @ a.T + fvals
     rows = [(t[i], float(np.linalg.norm(y[i])), float(np.linalg.norm(dy[i])))
             for i in range(len(t))]
@@ -407,8 +407,10 @@ def cmd_verify(args, cfgp, out_dir, bundle, built=None):
     loop, _, mode, _ = built
     rows = _identity_rows(loop, _scan_seed(cfgp, args.seed))
     scans = _plateau_reports(cfgp, args, loop.composed)
-    matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER,
-                    rows + bundle.model.verify(loop, scans))
+    rows += bundle.model.verify(loop, scans)
+    passed = all(row[3] == "PASS" for row in rows)
+    rows.append(("overall", float(passed), 1.0, "PASS" if passed else "FAIL"))
+    matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows)
     matio.write_csv(os.path.join(out_dir, "maxreg.csv"), maxreg.CSV_HEADER,
                     maxreg.report_rows(bundle.kind, mode, scans))
     return 0

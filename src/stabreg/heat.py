@@ -354,7 +354,6 @@ class VerificationReport:
         rows = []
         for name, (ok, value, threshold) in self.checks.items():
             rows.append((name, value, threshold, "PASS" if ok else "FAIL"))
-        rows.append(("overall", float(self.passed), 1.0, "PASS" if self.passed else "FAIL"))
         return rows
 
 

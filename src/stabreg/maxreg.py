@@ -5,10 +5,12 @@ piecewise-constant-in-time forcings, integrated exactly per cell with the
 augmented-matrix exponential.  The regularity constant estimate is the
 largest quotient (||y_t||_p + ||A y||_p) / ||f||_p over a finite forcing
 family (a lower bound on the true constant; its trend over growing horizons
-is the verified content).  y_t is evaluated algebraically as A y + f, with
-the forcing value attached to each node taken from the cell ending there
-(left limit), which keeps the trapezoid quadrature clear of the stiff
-transient spikes at cell openings.
+is the verified content).  The family is a list of ForcingSignal batches,
+each a set of forcings sharing one cell structure and swept by one kernel
+call.  y_t is evaluated algebraically as A y + f, with the forcing value
+attached to each node taken from the cell ending there (left limit), which
+keeps the trapezoid quadrature clear of the stiff transient spikes at cell
+openings.
 """
 
 import math
@@ -24,7 +26,7 @@ from .errors import (
     SingularityError,
     UsageError,
 )
-from .operators import ClosedLoop, Operator, resolvent, spectral_norm
+from .operators import Operator, operator_matrix, resolvent, spectral_norm
 
 CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict"
 
@@ -37,26 +39,28 @@ QUAD_RTOL = 0.005
 QUAD_MAX_DOUBLINGS = 2
 
 
-def operator_matrix(x):
-    """Entries of a ClosedLoop / Operator / plain array."""
-    if isinstance(x, ClosedLoop):
-        return x.composed.entries
-    if isinstance(x, Operator):
-        return x.entries
-    return np.atleast_2d(np.asarray(x))
-
-
 @dataclass(frozen=True)
 class ForcingSignal:
-    """Piecewise-constant-in-time forcing: one state-dim value per time cell."""
+    """A batch of piecewise-constant-in-time forcings sharing one cell structure.
+
+    ``values`` is (n_cells, state_dim, count): column k of the last axis is
+    forcing k, one state-dim value per time cell.  A 2-D (n_cells, state_dim)
+    array is taken as a batch of one.
+    """
 
     values: np.ndarray
     time_step: float
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values))
-        if v.ndim != 2:
-            raise DimensionError("forcing values must be (n_cells, state_dim)")
+        # C order: the kernel's per-block products and sums run slower on a
+        # transposed (dim, count) cell slice.
+        v = np.atleast_2d(np.ascontiguousarray(self.values))
+        if v.ndim == 2:
+            v = v[:, :, None]
+        if v.ndim != 3:
+            raise DimensionError("forcing values must be (n_cells, state_dim[, count])")
+        if v.shape[2] == 0:
+            raise UsageError("forcing batch must hold at least one forcing")
         if not np.all(np.isfinite(v.real)) or (np.iscomplexobj(v) and not np.all(np.isfinite(v.imag))):
             raise UsageError("forcing values must be finite")
         if not (self.time_step > 0 and np.isfinite(self.time_step)):
@@ -70,6 +74,10 @@ class ForcingSignal:
     @property
     def dim(self):
         return self.values.shape[1]
+
+    @property
+    def count(self):
+        return self.values.shape[2]
 
     @property
     def horizon(self):
@@ -87,41 +95,34 @@ def constant_forcing(vector, horizon):
     return ForcingSignal(v[None, :], horizon)
 
 
-def single_mode_forcings(op, horizon):
-    """One constant-in-time forcing per eigenmode (real part, normalized)."""
-    m = operator_matrix(op)
-    _, vr = la.eig(m)
-    out = []
-    for k in range(m.shape[0]):
-        v = vr[:, k].real
-        if np.linalg.norm(v) <= 1e-12:
-            v = vr[:, k].imag
-        v = v / np.linalg.norm(v)
-        out.append(ForcingSignal(v[None, :], horizon))
-    return out
+def mode_forcings(op, horizon):
+    """One constant-in-time forcing per eigenmode (real part, normalized), as
+    one batch of shape (1, dim, dim): column k is eigenmode k."""
+    _, vr = la.eig(operator_matrix(op))
+    # Contiguous columns: each norm is one BLAS dot, as np.linalg.norm takes it.
+    v = np.array(vr.real, order="F")
+    weak = np.sqrt(np.vecdot(v.T, v.T)) <= 1e-12
+    v[:, weak] = vr.imag[:, weak]
+    return ForcingSignal((v / np.sqrt(np.vecdot(v.T, v.T)))[None], horizon)
 
 
 def build_forcing_grid(op, t_grid, n_random, seed, n_cells_max):
-    """Nested forcing sets over a horizon grid: the random forcings, then one
-    constant forcing per eigenmode.
+    """Nested forcing batches over a horizon grid: per horizon, the random
+    batch (left out when ``n_random`` is 0), then the eigenmode batch.
 
     Random forcings share one cell width (longest horizon / n_cells_max) and
-    shorter horizons take prefixes, so the scan compares the same underlying
-    signals when the horizon grows.
+    shorter horizons take prefixes (views of one array), so the scan compares
+    the same underlying signals when the horizon grows.
     """
     t_grid = [float(t) for t in t_grid]
     t_max = max(t_grid)
-    m = operator_matrix(op)
-    dim = m.shape[0]
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((n_cells_max, dim, n_random))
-    modes = single_mode_forcings(op, 1.0)
+    modes = mode_forcings(op, 1.0).values
+    base = np.random.default_rng(seed).standard_normal((n_cells_max, modes.shape[1], n_random))
     sets = []
     for t in t_grid:
         cells = max(1, int(round(n_cells_max * t / t_max)))
-        fs = [ForcingSignal(base[:cells, :, j], t / cells) for j in range(n_random)]
-        fs.extend(ForcingSignal(f.values, t) for f in modes)
-        sets.append(fs)
+        randoms = [ForcingSignal(base[:cells], t / cells)] if n_random else []
+        sets.append(randoms + [ForcingSignal(modes, t)])
     return sets
 
 
@@ -138,20 +139,23 @@ def _propagator_pair(a, h):
 def solution_map(cl, forcing, refine=1):
     """Trajectory of dy/dt = A y + f, y(0) = 0, exactly per forcing cell.
 
-    Returns (t_nodes, Y) with Y[k] the state at node k; ``refine`` subdivides
-    each forcing cell for denser output without changing the (exact) values
-    at cell boundaries.  The integrator is exact for this forcing class at
-    any step, so no step-size condition applies.
+    ``forcing`` holds one forcing.  Returns (t_nodes, Y) with Y[k] the state
+    at node k; ``refine`` subdivides each forcing cell for denser output
+    without changing the (exact) values at cell boundaries.  The integrator is
+    exact for this forcing class at any step, so no step-size condition
+    applies.
     """
     a = operator_matrix(cl)
     if forcing.dim != a.shape[0]:
         raise DimensionError(
             f"forcing dimension {forcing.dim} != state dimension {a.shape[0]}")
+    if forcing.count != 1:
+        raise DimensionError(f"solution map takes one forcing, got a batch of {forcing.count}")
     if refine < 1:
         raise UsageError("refine must be >= 1")
     h = forcing.time_step / refine
     e, p = _propagator_pair(a, h)
-    y = _kernels.lti_propagate(e, p, forcing.values, refine)
+    y = _kernels.lti_propagate(e, p, forcing.values[:, :, 0], refine)
     t = np.arange(y.shape[0]) * h
     return t, y
 
@@ -172,25 +176,6 @@ def lp_time_norm(node_values, dt, p):
     return out if np.asarray(node_values).ndim > 1 else float(out[0])
 
 
-def _finest_sweeps(a, forcings):
-    """Nodal norm sweeps at the finest quadrature level, one per cell structure.
-
-    Forcings sharing (n_cells, time_step) form one batch and one kernel call
-    with ``ceil(QUAD_NODES / n_cells) * 2**QUAD_MAX_DOUBLINGS`` substeps per
-    cell.  Yields one (h, nyt, nay, nf) per batch, the norms of shape
-    (nodes, batch size), so one batch's sweep is held at a time.
-    """
-    groups = {}
-    for f in forcings:
-        key = (f.n_cells, round(f.time_step, 15))
-        groups.setdefault(key, []).append(f.values)
-    for (n_cells, step), values in groups.items():
-        refine = math.ceil(QUAD_NODES / n_cells) * 2 ** QUAD_MAX_DOUBLINGS
-        h = step / refine
-        e, p = _propagator_pair(a, h)
-        yield (h, *_kernels.lti_norm_scan(a, e, p, np.stack(values, axis=2), refine))
-
-
 def _validate_family(p_list, horizon, forcing_set):
     for p in p_list:
         if not (1.0 < p < np.inf):
@@ -201,27 +186,32 @@ def _validate_family(p_list, horizon, forcing_set):
         if abs(f.horizon - horizon) > 1e-9 * max(horizon, 1.0):
             raise UsageError(
                 f"forcing horizon {f.horizon:g} does not match requested T = {horizon:g}")
-        if np.linalg.norm(f.values) == 0.0:
+        if not np.all(np.any(f.values, axis=(0, 1))):      # one test per column
             raise UsageError("zero-norm forcing in the estimation family")
 
 
 def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
-    """C_{p,T} estimates for several exponents, one sweep per forcing group.
+    """C_{p,T} estimates for several exponents, one kernel sweep per batch.
 
-    Largest (||y_t||_p + ||A y||_p)/||f||_p over the forcing family.  Each
-    cell-structure group is swept once, at the finest quadrature level D =
-    QUAD_MAX_DOUBLINGS: ``ceil(QUAD_NODES / n_cells) * 2**L`` substeps per cell
-    at level L, so every coarser level is a sub-grid of that sweep and level L
-    reads every ``2**(D - L)``-th node.  Levels are taken in turn from L = 0
-    until every estimate moves less than QUAD_RTOL (relative) from the level
-    before.  Transient boundary layers converge slowly, so the cap bounds the
+    Largest (||y_t||_p + ||A y||_p)/||f||_p over the forcing family, a list
+    of ForcingSignal batches.  Each batch is one kernel sweep, at the finest
+    quadrature level D = QUAD_MAX_DOUBLINGS: ``ceil(QUAD_NODES / n_cells) *
+    2**L`` substeps per cell at level L, so every coarser level is a sub-grid
+    of that sweep and level L reads every ``2**(D - L)``-th node.  Levels are
+    taken in turn from L = 0 until every estimate moves less than QUAD_RTOL
+    (relative) from the level before.  Transient boundary layers converge slowly, so the cap bounds the
     cost while the trend over horizons stays unaffected; when the cap is
     reached, the last estimate is returned without a flag.
     """
     p_list = [float(p) for p in p_list]
     _validate_family(p_list, horizon, forcing_set)
+    a = operator_matrix(cl)
     best = np.zeros((QUAD_MAX_DOUBLINGS + 1, len(p_list)))    # level x exponent
-    for h, nyt, nay, nf in _finest_sweeps(operator_matrix(cl), forcing_set):
+    for f in forcing_set:
+        refine = math.ceil(QUAD_NODES / f.n_cells) * 2 ** QUAD_MAX_DOUBLINGS
+        h = f.time_step / refine
+        e_h, p_h = _propagator_pair(a, h)
+        nyt, nay, nf = _kernels.lti_norm_scan(a, e_h, p_h, f.values, refine)
         for level in range(QUAD_MAX_DOUBLINGS + 1):
             stride = 2 ** (QUAD_MAX_DOUBLINGS - level)
             dx = h * stride

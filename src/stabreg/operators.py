@@ -157,8 +157,11 @@ def feedback_as_matrix(feedback, input_dim, state_dim):
     return mat
 
 
-def _as_entries(op):
-    return op.entries if isinstance(op, Operator) else np.atleast_2d(np.asarray(op))
+def operator_matrix(x):
+    """Entries of a ClosedLoop / Operator / plain array."""
+    if isinstance(x, ClosedLoop):
+        x = x.composed
+    return x.entries if isinstance(x, Operator) else np.atleast_2d(np.asarray(x))
 
 
 def spectral_norm(m):
@@ -169,7 +172,7 @@ def spectral_norm(m):
 
 def spectral_abscissa(op):
     """Largest real part over the spectrum."""
-    return float(np.max(la.eigvals(_as_entries(op)).real))
+    return float(np.max(la.eigvals(operator_matrix(op)).real))
 
 
 def _assignment(cost):
@@ -269,7 +272,7 @@ def spectrum(op):
     conditioning exceeds 1e8; a defective (numerically non-diagonalizable)
     matrix is flagged and the left basis is least-squares biorthogonalized.
     """
-    m = _as_entries(op)
+    m = operator_matrix(op)
     try:
         w, vl, vr = la.eig(m, left=True, right=True)
     except la.LinAlgError as exc:
@@ -343,7 +346,7 @@ def resolvent(op, lam, eigenvalues=None):
     ``lam`` within 1e-10 of an eigenvalue raises SingularityError; a solve
     residual ||(lam I - op) R - I|| above 1e-8 raises NumericalError.
     """
-    m = _as_entries(op)
+    m = operator_matrix(op)
     lam = complex(lam)
     evs = la.eigvals(m) if eigenvalues is None else np.asarray(eigenvalues)
     gap = np.abs(evs - lam)
@@ -370,7 +373,7 @@ def semigroup_apply(op, t):
         raise UsageError("time must be finite")
     if t < 0:
         raise UsageError(f"semigroup time must be nonnegative, got {t}")
-    m = _as_entries(op)
+    m = operator_matrix(op)
     if t == 0:
         return Operator(np.eye(m.shape[0], dtype=m.dtype), label="identity")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,7 +404,7 @@ def fractional_power(op, theta, spectral=None):
     """
     if not (0.0 < theta < 1.0):
         raise UsageError(f"fractional exponent must lie in (0,1), got {theta}")
-    m = _as_entries(op)
+    m = operator_matrix(op)
     sp = spectral if spectral is not None else spectrum(op)
     frac = real_power(op, theta, spectral=sp).entries
     comp = _power_from_spectral(sp, 1.0 - theta)
@@ -438,7 +441,7 @@ def translate_to_positive(op):
     Returns (k, translated operator); the translated spectrum lies in the
     right half-plane with at least 1 to spare.
     """
-    m = _as_entries(op)
+    m = operator_matrix(op)
     k = max(0.0, spectral_abscissa(op)) + 1.0
     return k, Operator(k * np.eye(m.shape[0]) - m, label=f"translated(k={k:g})")
 

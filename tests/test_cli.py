@@ -190,6 +190,14 @@ def test_maxreg_csv_contract(tmp_path):
     assert all(r[6] == "plateau" for r in rows)
 
 
+def test_maxreg_forcing_count_zero(tmp_path):
+    text = HEAT_CFG.format(out=tmp_path / "out").replace("forcing_count = 6", "forcing_count = 0")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert run(["maxreg", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "maxreg.csv")
+    assert len(rows) == 3
+
+
 def test_verify_deterministic_byte_identical(tmp_path):
     out1 = tmp_path / "o1"
     out2 = tmp_path / "o2"
@@ -211,6 +219,16 @@ def test_verify_identity_rows_pass(tmp_path):
     assert by_name["overall"][3] == "PASS"
 
 
+def test_verify_overall_covers_identity_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_identity_rows",
+                        lambda cl, seed: [("resolvent_identity_max", 1.0, 1e-8, "FAIL")])
+    cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
+    assert run(["verify", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "verify.csv")
+    assert rows[-1] == ["overall", "0", "1", "FAIL"]
+    assert [r[0] for r in rows].count("overall") == 1
+
+
 def test_abstract_model_identity_rows(tmp_path):
     write_abstract_files(tmp_path)
     text = ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out")
@@ -220,6 +238,7 @@ def test_abstract_model_identity_rows(tmp_path):
     by_name = {r[0]: r for r in rows}
     assert float(by_name["resolvent_identity_max"][1]) <= 1e-8
     assert float(by_name["adjoint_decomposition"][1]) <= 1e-8
+    assert rows[-1] == ["overall", "1", "1", "PASS"]
 
 
 def test_coupled_verify_and_report(tmp_path):

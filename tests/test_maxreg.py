@@ -6,6 +6,7 @@ import pytest
 from stabreg import _kernels, heat, maxreg
 from stabreg import operators as ops
 from stabreg.errors import (
+    DimensionError,
     SingularityError,
     UsageError,
 )
@@ -27,9 +28,14 @@ def test_forcing_validation():
         ForcingSignal(np.ones((3, 2)), time_step=-0.1)
     with pytest.raises(UsageError):
         ForcingSignal(np.array([[np.inf]]), time_step=0.1)
+    with pytest.raises(UsageError):
+        ForcingSignal(np.ones((3, 2, 0)), time_step=0.1)
     f = maxreg.piecewise_random_forcing(4, 10.0, 100, seed=3)
     assert f.horizon == pytest.approx(10.0)
     assert f.n_cells == 100 and f.dim == 4
+    # one forcing is stored as a batch of one
+    assert f.count == 1 and f.values.shape == (100, 4, 1)
+    assert ForcingSignal(np.ones((3, 2, 4), order="F"), 0.1).values.flags.c_contiguous
 
 
 # ---------------------------------------------------------------- solution map
@@ -52,12 +58,20 @@ def test_solution_map_scalar_closed_form():
 def test_solution_map_single_mode_bounded_by_decay_envelope():
     cl = stable_heat_loop()
     m_fit, delta = ops.decay_estimate(cl.composed, np.linspace(0.5, 8.0, 12))
-    modes = maxreg.single_mode_forcings(cl, 10.0)
-    f = modes[0]
+    modes = maxreg.mode_forcings(cl, 10.0)
+    assert modes.values.shape == (1, cl.dim, cl.dim)
+    f = ForcingSignal(modes.values[:, :, 0], 10.0)
     _, y = maxreg.solution_map(cl, f, refine=400)
     sup = np.linalg.norm(y, axis=1).max()
     bound = max(m_fit, 1.0) / delta * np.linalg.norm(f.values)
     assert sup <= 1.05 * bound
+
+
+def test_solution_map_rejects_batch():
+    a = np.diag([-1.0, -2.0])
+    batch = ForcingSignal(np.ones((10, 2, 3)), 0.1)
+    with pytest.raises(DimensionError):
+        maxreg.solution_map(a, batch)
 
 
 def test_solution_map_linearity():
@@ -82,7 +96,7 @@ def test_solution_map_ode_residual():
     resid = 0.0
     for j in range(f.n_cells):
         lhs = (y[j + 1] - y[j]) / h
-        rhs = a @ (0.5 * (y[j] + y[j + 1])) + f.values[j]
+        rhs = a @ (0.5 * (y[j] + y[j + 1])) + f.values[j, :, 0]
         resid = max(resid, np.linalg.norm(lhs - rhs))
     scale = np.linalg.norm(y, axis=1).max() + np.linalg.norm(f.values, axis=1).max()
     assert resid <= 1e-6 * scale
@@ -114,6 +128,9 @@ def test_maxreg_constant_rejects_zero_forcing():
     a = np.array([[-1.0]])
     with pytest.raises(UsageError):
         maxreg.maxreg_constants_multi(a, [2.0], 1.0, [maxreg.constant_forcing(np.zeros(1), 1.0)])
+    batch = ForcingSignal(np.array([[[1.0, 0.0, 2.0]]]), 1.0)      # column 1 is zero
+    with pytest.raises(UsageError):
+        maxreg.maxreg_constants_multi(a, [2.0], 1.0, [batch])
 
 
 def test_maxreg_constant_horizon_mismatch():
@@ -151,15 +168,29 @@ def test_one_kernel_sweep_per_cell_structure(monkeypatch):
         calls.clear()
         maxreg.maxreg_constants_multi(a, [1.5, 2.0], t, fs)
         # the random forcings share one cell structure, the eigenmodes another
+        cells = round(200 * t / t_grid[-1])
+        assert [f.values.shape for f in fs] == [(cells, 16, 2), (1, 16, 16)]
         groups = {(f.n_cells, f.time_step) for f in fs}
         assert len(groups) == 2 and len(calls) == 2
         top = 2 ** maxreg.QUAD_MAX_DOUBLINGS
-        assert sorted(calls) == sorted(math.ceil(maxreg.QUAD_NODES / c) * top
-                                       for c, _ in groups)
+        assert calls == [math.ceil(maxreg.QUAD_NODES / f.n_cells) * top for f in fs]
+    # shorter horizons take views of the longest horizon's random batch
+    assert all(np.shares_memory(fs[0].values, sets[-1][0].values) for fs in sets)
+
+
+def test_forcing_count_zero_scans_the_eigenmodes_alone():
+    a = maxreg.operator_matrix(stable_heat_loop(16).composed)
+    t_grid = [5.0, 10.0, 20.0]
+    sets = maxreg.build_forcing_grid(a, t_grid, n_random=0, seed=3, n_cells_max=200)
+    for t, fs in zip(t_grid, sets):
+        assert len(fs) == 1
+        assert fs[0].values.shape == (1, 16, 16) and fs[0].horizon == t
+    reports = maxreg.plateau_scan_multi(a, [2.0], t_grid, sets)
+    assert all(np.isfinite(reports[0].c_estimates))
 
 
 def doubling_reference(a, p_list, forcings):
-    """Independent sweeps per forcing and level, QUAD_RTOL stopping rule.
+    """Independent sweeps per batch and level, QUAD_RTOL stopping rule.
 
     Returns (estimates, level stopped at)."""
     prev = None
@@ -169,11 +200,10 @@ def doubling_reference(a, p_list, forcings):
             refine = math.ceil(maxreg.QUAD_NODES / f.n_cells) * 2 ** level
             h = f.time_step / refine
             e, p = maxreg._propagator_pair(a, h)
-            nyt, nay, nf = (x[:, 0] for x in
-                            _kernels.lti_norm_scan(a, e, p, f.values[:, :, None], refine))
+            nyt, nay, nf = _kernels.lti_norm_scan(a, e, p, f.values, refine)
             for i, q in enumerate(p_list):
                 num = maxreg.lp_time_norm(nyt, h, q) + maxreg.lp_time_norm(nay, h, q)
-                best[i] = max(best[i], num / maxreg.lp_time_norm(nf, h, q))
+                best[i] = max(best[i], (num / maxreg.lp_time_norm(nf, h, q)).max())
         if prev is not None and np.all(np.abs(best - prev) <= maxreg.QUAD_RTOL * prev):
             return best, level
         prev = best
