@@ -235,6 +235,25 @@ def test_place_poles_single_input_closed_form(targets):
     assert np.abs(gain[0] - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
+@pytest.mark.parametrize("targets", [[-1.0, -2.0, -2.0], [-2.0, -2.0, -2.0]])
+def test_place_poles_repeated_targets_on_wide_spectrum(targets):
+    # three unstable modes near 90, 60 and 11, one input as synthesis uses it:
+    # a repeated root moves by about sqrt(eps * cond) and misses an eigenvalue
+    # check at 1e-6, so the gain is checked against the target polynomial,
+    # p(Lambda - B K) = 0 (Cayley-Hamilton)
+    _, op, d, sp = heat_setup(c2=100.0)
+    rp = syn.reduce(sp, op, d)
+    assert rp.n_unstable == 3
+    b = rp.b_matrix[:, :1]
+    gain = syn.place_poles(rp, targets, input_matrix=b)
+    m = rp.lambda_matrix - b @ gain
+    poly, scale = np.eye(3), 1.0
+    for t in targets:
+        poly = poly @ (m - t * np.eye(3))
+        scale *= la.norm(m - t * np.eye(3), 2)
+    assert la.norm(poly, 2) <= 1e-12 * scale
+
+
 def test_place_poles_rejects_complex_reduced_pair():
     for lam in ([1.0 + 2.0j], [1.0 + 2.0j, 3.0 + 0j]):
         n = len(lam)
