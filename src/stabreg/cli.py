@@ -116,7 +116,7 @@ class AbstractModel:
     """``type = abstract``: operator, lifting and feedback read from matrix files.
 
     Follows the model protocol of ``heat.HeatConfig``.  It reads no
-    ``[synthesis]`` key, adds no verification rows, and its grid step is 1.0.
+    ``[synthesis]`` key, has no verify.csv rows of its own, and its grid step is 1.0.
     """
 
     operator_file: str
@@ -145,8 +145,8 @@ class AbstractModel:
         loop = compose_closed_loop(operator, green, feedback)
         return loop, {"feedback_matrix": loop.feedback_matrix()}, "abstract", {}
 
-    def verify(self, loop, scans):
-        """No rows past the identity rows."""
+    def verify(self, loop):
+        """No rows of its own."""
         return []
 
 
@@ -379,7 +379,6 @@ def _identity_rows(cl, seed):
     The resolvent identity is checked at 20 seeded points right of both
     spectra.
     """
-    rows = []
     rng = np.random.default_rng(seed)
     drift = cl.drift_A.entries
     a_f = cl.feedback_part()
@@ -388,26 +387,23 @@ def _identity_rows(cl, seed):
     for _ in range(20):
         lam = complex(right + 1.0 + 49.0 * rng.random(), -50.0 + 100.0 * rng.random())
         worst = max(worst, resolvent_perturbation_residual(cl, lam))
-    rows.append(("resolvent_identity_max", worst, 1e-8, "PASS" if worst <= 1e-8 else "FAIL"))
-    resid32 = adjoint_decomposition_residual(cl)
-    rows.append(("adjoint_decomposition", resid32, 1e-8,
-                 "PASS" if resid32 <= 1e-8 else "FAIL"))
-    sp = spectrum(cl.drift_A)
-    pn = unstable_projection(sp).entries
-    idem = spectral_norm(pn @ pn - pn)
-    rows.append(("projection_idempotency", idem, 1e-8, "PASS" if idem <= 1e-8 else "FAIL"))
+    pn = unstable_projection(spectrum(cl.drift_A)).entries
     comm = spectral_norm(pn @ drift - drift @ pn) / max(spectral_norm(drift), 1e-300)
-    rows.append(("projection_commutation", comm, 1e-6, "PASS" if comm <= 1e-6 else "FAIL"))
-    return rows
+    checks = [("resolvent_identity_max", worst, 1e-8),
+              ("adjoint_decomposition", adjoint_decomposition_residual(cl), 1e-8),
+              ("projection_idempotency", spectral_norm(pn @ pn - pn), 1e-8),
+              ("projection_commutation", comm, 1e-6)]
+    return [(name, value, tol, "PASS" if value <= tol else "FAIL")
+            for name, value, tol in checks]
 
 
 def cmd_verify(args, cfgp, out_dir, bundle, built=None):
     if built is None:
         built = build_closed_loop(cfgp, bundle)
     loop, _, mode, _ = built
-    rows = _identity_rows(loop, _scan_seed(cfgp, args.seed))
     scans = _plateau_reports(cfgp, args, loop.composed)
-    rows += bundle.model.verify(loop, scans)
+    rows = (_identity_rows(loop, _scan_seed(cfgp, args.seed))
+            + bundle.model.verify(loop) + maxreg.verify_rows(scans))
     passed = all(row[3] == "PASS" for row in rows)
     rows.append(("overall", float(passed), 1.0, "PASS" if passed else "FAIL"))
     matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows)

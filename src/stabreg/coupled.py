@@ -17,7 +17,7 @@ import scipy.linalg as la
 
 from . import synthesis
 from .errors import ConfigError, ResonanceError
-from .heat import dirichlet_lift, first_difference, laplacian, verification_report
+from .heat import VerificationReport, dirichlet_lift, first_difference, laplacian
 from .operators import (
     GreenMap,
     Operator,
@@ -37,7 +37,7 @@ class CoupledConfig:
     ``theta_e_profile`` is the nodal equilibrium-gradient surrogate (a scalar
     broadcasts to a constant profile); ``ye_advect`` multiplies the centered
     first difference in both components.  The methods are the model protocol
-    of ``heat.HeatConfig``.
+    of ``heat.HeatConfig``; ``verify`` returns the coupled checks alone.
     """
 
     n: int = 48
@@ -108,9 +108,9 @@ class CoupledConfig:
         return (loop, {"feedback_matrix": loop.feedback_matrix(),
                        "interior_matrix": j_law.as_matrix}, mode, info)
 
-    def verify(self, loop, scans):
-        """Verification rows past the identity rows, read partly from ``scans``."""
-        return verify_coupled_stabilization(loop, self, scans).summary_rows()
+    def verify(self, loop):
+        """The model's verification rows: reassembly, margins, abscissa, decay."""
+        return verify_coupled_stabilization(loop, self).summary_rows()
 
 
 def coupled_split(cfg):
@@ -288,16 +288,14 @@ def adjoint_bound_scan(grids, cfg, targets=None):
     return rows
 
 
-def verify_coupled_stabilization(cl, cfg, scans):
+def verify_coupled_stabilization(cl, cfg):
     """PASS/FAIL bundle for the coupled loop ``cl`` composed on ``cfg``.
 
     Checks: split reassembly |feedback_part() + interior_B - composed|
     (<= 1e-12), boundary-route Hautus margins (zero margin with no interior
     feedback is the designed failure), closed-loop abscissa strictly between
     the first untouched open-loop mode and zero, decay-fit rate (on
-    t = 0.5, 1, ..., 6) in the same window, and one regularity plateau per
-    exponent of ``scans``, the regularity scan of ``cl.composed`` (one
-    MaxRegReport per exponent).
+    t = 0.5, 1, ..., 6) in the same window.
     """
     checks = {}
     scale = max(np.abs(cl.composed.entries).max(), 1.0)
@@ -332,4 +330,4 @@ def verify_coupled_stabilization(cl, cfg, scans):
             checks["decay_rate"] = (delta > 0.0, delta, 0.0)
     else:
         checks["decay_rate"] = (False, np.nan, np.nan)
-    return verification_report(checks, scans)
+    return VerificationReport(checks)

@@ -42,7 +42,8 @@ class HeatConfig:
 
     The methods are the CLI's model protocol; the keyword arguments of
     ``synthesize`` are the ``[synthesis]`` keys the model reads, and ``verify``
-    reads the regularity scan the CLI ran on the loop.
+    returns the model's own verify.csv rows; the CLI adds the identity rows
+    before them and the regularity-scan rows after them, for every model.
     """
 
     n: int = 64
@@ -95,9 +96,9 @@ class HeatConfig:
         loop = closed_loop_heat(self, law)
         return loop, {"feedback_matrix": loop.feedback_matrix()}, mode, info
 
-    def verify(self, loop, scans):
-        """Verification rows past the identity rows, read partly from ``scans``."""
-        return verify_stabilization(loop, scans).summary_rows()
+    def verify(self, loop):
+        """The model's verification rows: spectral abscissa and decay rate."""
+        return verify_stabilization(loop).summary_rows()
 
 
 def laplacian(n):
@@ -346,45 +347,33 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
 class VerificationReport:
     """PASS/FAIL bundle over named sub-checks: {name: (ok, value, threshold)}."""
 
-    passed: bool
     checks: dict
-    failing: tuple
+
+    @property
+    def failing(self):
+        return tuple(name for name, (ok, _, _) in self.checks.items() if not ok)
+
+    @property
+    def passed(self):
+        return not self.failing
 
     def summary_rows(self):
-        rows = []
-        for name, (ok, value, threshold) in self.checks.items():
-            rows.append((name, value, threshold, "PASS" if ok else "FAIL"))
-        return rows
+        return [(name, value, threshold, "PASS" if ok else "FAIL")
+                for name, (ok, value, threshold) in self.checks.items()]
 
 
-def verification_report(checks, scans):
-    """Bundle ``checks`` and one plateau check per MaxRegReport in ``scans``."""
-    for rep in scans:
-        checks[f"plateau_p={rep.p:g}"] = (rep.verdict == "plateau",
-                                          rep.c_estimates[-1], 0.05)
-    failing = tuple(name for name, (ok, _, _) in checks.items() if not ok)
-    return VerificationReport(passed=not failing, checks=checks, failing=failing)
+def verify_stabilization(cl):
+    """Spectral abscissa and decay-rate checks of the heat loop ``cl``.
 
-
-def verify_stabilization(cl, scans, decay_margin=None):
-    """Bundle decay fit, regularity plateau and imaginary-axis boundedness.
-
-    PASS requires a negative spectral abscissa, a decay rate fitted on
-    t = 1, 1.5, ..., 10 of at least 0.9 x ``decay_margin`` (when given),
-    plateau verdicts for every exponent and a finite imaginary-axis supremum.
-    ``scans`` is the regularity scan of ``cl.composed``, one MaxRegReport per
-    exponent; it supplies both the plateau verdicts and the imaginary-axis
-    supremum.
+    PASS requires a negative spectral abscissa and a positive decay rate
+    fitted on t = 1, 1.5, ..., 10.
     """
     checks = {}
     alpha = spectral_abscissa(cl.composed)
     checks["spectral_abscissa"] = (alpha < 0.0, alpha, 0.0)
     if alpha < 0.0:
         _, delta = decay_estimate(cl.composed, np.linspace(1.0, 10.0, 19))
-        need = 0.9 * decay_margin if decay_margin is not None else 0.0
-        checks["decay_rate"] = (delta >= need and delta > 0.0, delta, need)
+        checks["decay_rate"] = (delta > 0.0, delta, 0.0)
     else:
         checks["decay_rate"] = (False, np.nan, np.nan)
-    sup = scans[0].imag_axis_sup     # inf unless the loop is stable
-    checks["imag_axis_sup"] = (np.isfinite(sup), sup, np.inf)
-    return verification_report(checks, scans)
+    return VerificationReport(checks)

@@ -35,6 +35,9 @@ CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict"
 # trapezoid intervals (exactly that many whenever n_cells divides QUAD_NODES).
 QUAD_NODES = 8000
 
+# Largest last relative move of a horizon scan that still reads as a plateau.
+PLATEAU_RTOL = 0.05
+
 
 @dataclass(frozen=True)
 class ForcingSignal:
@@ -224,11 +227,11 @@ class MaxRegReport:
 
 
 def _verdict(c_estimates):
-    """plateau: settled (< 5% last move) or monotone nonincreasing (bounded);
-    growth: log C climbing by more than 1 per horizon step."""
+    """plateau: settled (last move < PLATEAU_RTOL) or monotone nonincreasing
+    (bounded); growth: log C climbing by more than 1 per horizon step."""
     c = np.asarray(c_estimates, dtype=float)
     rel = abs(c[-1] - c[-2]) / max(abs(c[-2]), 1e-300)
-    if rel < 0.05:
+    if rel < PLATEAU_RTOL:
         return "plateau"
     logs = np.diff(np.log(np.maximum(c, 1e-300)))
     if np.all(logs > 1.0):
@@ -265,9 +268,9 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, workers=1):
     """Horizon scans for several exponents sharing one trajectory sweep per T.
 
     Returns one MaxRegReport per exponent.  verdict ``plateau``: the last two
-    estimates differ by < 5% relative; ``growth``: log C increases by more
-    than 1 between every pair of consecutive horizons; anything in between is
-    ``indeterminate``.  ``workers`` > 1 fans the horizon sweep over threads
+    estimates differ by < PLATEAU_RTOL relative; ``growth``: log C increases
+    by more than 1 between every pair of consecutive horizons; anything in
+    between is ``indeterminate``.  ``workers`` > 1 fans the horizon sweep over threads
     (each task reads only immutable inputs).
     """
     t_grid = [float(t) for t in t_grid]
@@ -339,4 +342,16 @@ def report_rows(model, mode, reports):
     for rep in reports:
         for t, c in zip(rep.t_grid, rep.c_estimates):
             rows.append((model, mode, rep.p, t, c, rep.imag_axis_sup, rep.verdict))
+    return rows
+
+
+def verify_rows(reports):
+    """verify.csv rows (check, value, threshold, status) of a regularity scan:
+    ``imag_axis_sup``, finite unless the loop is unstable, then per report a
+    ``plateau_p=<p>`` row on the longest horizon that passes on ``plateau``."""
+    sup = reports[0].imag_axis_sup
+    rows = [("imag_axis_sup", sup, np.inf, "PASS" if np.isfinite(sup) else "FAIL")]
+    for rep in reports:
+        rows.append((f"plateau_p={rep.p:g}", rep.c_estimates[-1], PLATEAU_RTOL,
+                     "PASS" if rep.verdict == "plateau" else "FAIL"))
     return rows

@@ -543,6 +543,7 @@ def resolvent_perturbation_residual(cl, lam):
     n = cl.dim
     drift = cl.drift_A.entries
     a_f = cl.feedback_part()
+    resolvents = []
     for name, mat in (("drift operator", drift), ("closed loop", a_f)):
         evs = la.eigvals(mat)
         gap = np.abs(evs - lam)
@@ -550,8 +551,8 @@ def resolvent_perturbation_residual(cl, lam):
         if gap[i] <= 1e-6:
             raise SingularityError(
                 f"lambda = {lam} within 1e-6 of {name} eigenvalue {evs[i]}")
-    r_drift = resolvent(Operator(drift), lam).entries
-    r_af = resolvent(Operator(a_f), lam).entries
+        resolvents.append(resolvent(Operator(mat), lam, eigenvalues=evs).entries)
+    r_drift, r_af = resolvents
     gf = cl.green.entries @ cl.feedback_matrix()
     lhs_factor = np.eye(n) + r_drift @ drift @ gf
     try:

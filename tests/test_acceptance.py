@@ -145,11 +145,7 @@ def test_09_coupled_stabilization_and_reachability(coupled_closed):
     # interior control withheld and fluid block unreachable from the boundary
     cfg0 = coupled.CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)
     cl0 = coupled.compose_coupled_loop(cfg0, None)
-    t_grid = (5.0, 10.0, 20.0)
-    sets = maxreg.build_forcing_grid(cl0.composed, t_grid, n_random=4, seed=0,
-                                     n_cells_max=2000)
-    scans = maxreg.plateau_scan_multi(cl0.composed, (2.0,), t_grid, sets)
-    rep = coupled.verify_coupled_stabilization(cl0, cfg0, scans)
+    rep = coupled.verify_coupled_stabilization(cl0, cfg0)
     assert not rep.passed
     assert "hautus_margins" in rep.failing
     assert rep.checks["hautus_margins"][1] <= 1e-8

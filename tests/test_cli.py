@@ -241,6 +241,30 @@ def test_abstract_model_identity_rows(tmp_path):
     assert rows[-1] == ["overall", "1", "1", "PASS"]
 
 
+def test_verify_writes_scan_rows_for_every_model(tmp_path):
+    # abstract 1x1 loop that its feedback destabilizes: -1 * (1 - 1 * 2) = +1
+    matio.write_matrix(tmp_path / "op.txt", np.array([[-1.0]]))
+    matio.write_matrix(tmp_path / "g.txt", np.array([[1.0]]))
+    matio.write_matrix(tmp_path / "f.txt", np.array([[2.0]]))
+    cfg = write_config(tmp_path / "a.ini",
+                       ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "abstract"))
+    assert run(["verify", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "abstract" / "verify.csv")
+    by_name = {r[0]: r for r in rows}
+    assert by_name["imag_axis_sup"][1:] == ["inf", "inf", "FAIL"]
+    assert by_name["plateau_p=2"][3] == "FAIL"
+    assert rows[-1] == ["overall", "0", "1", "FAIL"]
+    # coupled: its own rows end with decay_rate, then the scan's rows follow
+    cfg = write_config(tmp_path / "c.ini", COUPLED_CFG.format(out=tmp_path / "coupled"))
+    assert run(["verify", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "coupled" / "verify.csv")
+    names = [r[0] for r in rows]
+    i = names.index("imag_axis_sup")
+    assert rows[i][3] == "PASS"
+    assert names[i - 1] == "decay_rate"
+    assert names[i + 1:] == ["plateau_p=2", "overall"]
+
+
 def test_coupled_verify_and_report(tmp_path):
     text = COUPLED_CFG.format(out=tmp_path / "out").replace(
         "targets = -2 -3", "mode = spectral\ntargets = -2 -3")    # the one coupled mode

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from stabreg import _kernels, heat, maxreg
+from stabreg import _kernels, coupled, heat, maxreg
 from stabreg import operators as ops
 from stabreg.errors import (
     DimensionError,
@@ -398,3 +399,45 @@ def test_report_rows_header_contract():
                               imag_axis_sup=3.0, verdict="plateau")
     rows = maxreg.report_rows("heat", "spectral", [rep])
     assert len(rows) == 2 and rows[0][0] == "heat"
+
+
+# ---------------------------------------------------------------- verify.csv rows
+
+def regularity_scans(cl, p_grid, t_horizons, n_random, seed=0, n_cells=2000):
+    """The regularity scan the CLI runs on a loop and writes verify.csv rows from."""
+    sets = maxreg.build_forcing_grid(cl.composed, t_horizons, n_random, seed, n_cells)
+    return maxreg.plateau_scan_multi(cl.composed, p_grid, t_horizons, sets)
+
+
+@pytest.mark.parametrize("model, replaced", [("heat", 0), ("coupled", 1)])
+def test_verify_rows_read_the_given_scan(model, replaced):
+    if model == "heat":
+        loop = stable_heat_loop(n=16)
+    else:
+        loop = CoupledConfig(n=12).synthesize(targets=[-2.0, -3.0])[0]
+    scans = regularity_scans(loop, (1.5, 2.0), (2.0, 4.0, 8.0), n_random=3, seed=7,
+                             n_cells=200)
+    rows = maxreg.verify_rows(scans)
+    assert rows[0] == ("imag_axis_sup", scans[0].imag_axis_sup, np.inf, "PASS")
+    assert [row[0] for row in rows[1:]] == ["plateau_p=1.5", "plateau_p=2"]
+    for scan, row in zip(scans, rows[1:]):
+        assert row[1:] == (scan.c_estimates[-1], 0.05,
+                           "PASS" if scan.verdict == "plateau" else "FAIL")
+    # a verdict the row function did not compute decides its row
+    grown = list(scans)
+    grown[replaced] = dataclasses.replace(scans[replaced], verdict="growth")
+    failing = [row[0] for row in maxreg.verify_rows(grown) if row[3] == "FAIL"]
+    assert failing == [f"plateau_p={scans[replaced].p:g}"]
+
+
+@pytest.mark.parametrize("model", ["heat", "coupled"])
+def test_verify_rows_fail_on_unstable_loop(model):
+    if model == "heat":
+        loop = heat.closed_loop_heat(HeatConfig(n=32, c2=16.0), None)
+    else:       # fluid block unreachable and no interior feedback: open loop
+        cfg = CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)
+        loop = coupled.compose_coupled_loop(cfg, None)
+    scans = regularity_scans(loop, (2.0,), (5.0, 10.0, 20.0), n_random=4)
+    rows = maxreg.verify_rows(scans)
+    assert rows[0] == ("imag_axis_sup", np.inf, np.inf, "FAIL")
+    assert rows[1][0] == "plateau_p=2" and rows[1][3] == "FAIL"
