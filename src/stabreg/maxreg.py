@@ -5,12 +5,16 @@ piecewise-constant-in-time forcings, integrated exactly per cell with the
 augmented-matrix exponential.  The regularity constant estimate is the
 largest quotient (||y_t||_p + ||A y||_p) / ||f||_p over a finite forcing
 family (a lower bound on the true constant; its trend over growing horizons
-is the verified content).  The family is a list of ForcingSignal batches,
-each a set of forcings sharing one cell structure and swept by one kernel
-call.  y_t is evaluated algebraically as A y + f, with the forcing value
+is the verified content).  The family is a list of batches.  A ForcingSignal
+batch holds forcings sharing one cell structure and is swept by one kernel
+call; y_t is evaluated algebraically as A y + f, with the forcing value
 attached to each node taken from the cell ending there (left limit), which
 keeps the trapezoid quadrature clear of the stiff transient spikes at cell
-openings.
+openings.  An EigenModes batch holds the constant-in-time eigenmode forcings,
+whose quotients are scalar functions of the eigenvalue, the horizon and a
+2 x 2 Gram matrix: sums of exponentials at p = 2, Gauss-Legendre quadrature
+on graded panels at other p.  The horizon scan adds the eigenmodes of the
+operator it scans to every horizon's family.
 """
 
 import math
@@ -37,6 +41,15 @@ QUAD_NODES = 8000
 
 # Largest last relative move of a horizon scan that still reads as a plateau.
 PLATEAU_RTOL = 0.05
+
+# Largest eigen-residual ||A v - lam v|| / ||A||_F (v a unit eigenvector) of a
+# mode evaluated in closed form; the kernel sweeps a mode above it.
+EIG_RTOL = 1e-10
+
+# Gauss-Legendre rule of the closed-form mode integrals at p != 2, and the
+# decay lengths 1 / |Re lam| after which a mode's transient is below e^-40.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_TRANSIENT = 40.0
 
 
 @dataclass(frozen=True)
@@ -95,34 +108,168 @@ def constant_forcing(vector, horizon):
     return ForcingSignal(v[None, :], horizon)
 
 
+def _mode_columns(vr):
+    """(u, b) for the eigenvector columns of ``vr``: the forcing u = Re w and
+    b = Im w, where w = v / ||Re v||, or w = -i v / ||Im v|| when Re v is weak."""
+    # Contiguous columns: each norm is one BLAS dot, as np.linalg.norm takes it.
+    u = np.array(vr.real, order="F")
+    b = np.array(vr.imag, order="F")
+    weak = np.sqrt(np.vecdot(u.T, u.T)) <= 1e-12
+    u[:, weak] = vr.imag[:, weak]
+    b[:, weak] = -vr.real[:, weak]
+    norm = np.sqrt(np.vecdot(u.T, u.T))
+    return u / norm, b / norm
+
+
 def mode_forcings(op, horizon):
     """One constant-in-time forcing per eigenmode (real part, normalized), as
     one batch of shape (1, dim, dim): column k is eigenmode k."""
     _, vr = la.eig(operator_matrix(op))
-    # Contiguous columns: each norm is one BLAS dot, as np.linalg.norm takes it.
-    v = np.array(vr.real, order="F")
-    weak = np.sqrt(np.vecdot(v.T, v.T)) <= 1e-12
-    v[:, weak] = vr.imag[:, weak]
-    return ForcingSignal((v / np.sqrt(np.vecdot(v.T, v.T)))[None], horizon)
+    return ForcingSignal(_mode_columns(vr)[0][None], horizon)
+
+
+@dataclass(frozen=True)
+class EigenModes:
+    """The eigenmode forcings of an operator (``mode_forcings``), as a batch
+    evaluated in closed form.
+
+    Mode k is the constant forcing u = Re w with A w = lam w, so that
+    y_t = Re(e^{lam t} w) and A y = Re(expm1(lam t) w) (for a real operator,
+    conj(w) is an eigenvector for conj(lam)).  ``eigenvalues`` holds lam for
+    each such mode and ``gram`` the rows (|Re w|^2, <Re w, Im w>, |Im w|^2).
+    ``swept`` is the (dim, j) array of the forcings whose eigen-residual
+    exceeds EIG_RTOL; the kernel sweeps them as one one-cell batch.
+    """
+
+    eigenvalues: np.ndarray
+    gram: np.ndarray
+    swept: np.ndarray
+
+
+def eigenmodes(op):
+    """The EigenModes of ``op`` from one eigendecomposition."""
+    a = operator_matrix(op)
+    lam, vr = la.eig(a)
+    u, b = _mode_columns(vr)
+    resid = np.linalg.norm(a @ vr - vr * lam, axis=0)
+    if np.iscomplexobj(a):      # Re w also needs conj(A) v = lam v
+        resid = np.maximum(resid, np.linalg.norm(a.conj() @ vr - vr * lam, axis=0))
+    ok = resid <= EIG_RTOL * np.linalg.norm(a)
+    gram = np.stack([np.vecdot(u.T, u.T), np.vecdot(u.T, b.T), np.vecdot(b.T, b.T)], axis=1)
+    return EigenModes(lam[ok], gram[ok], u[:, ~ok])
+
+
+def _gram_form(gram, z):
+    """|Re(z w)|^2 from the Gram rows of w, for z broadcast against them."""
+    x, y = z.real, z.imag
+    return np.maximum(gram[..., 0] * x * x - 2.0 * gram[..., 1] * x * y
+                      + gram[..., 2] * y * y, 0.0)
+
+
+def _expm1_ratio(x):
+    """expm1(x) / x, 1 at x = 0."""
+    zero = x == 0
+    return np.where(zero, 1.0, np.expm1(x) / np.where(zero, 1.0, x))
+
+
+def _exp_integral(mu, horizon, shift):
+    """int_0^T exp(mu t - shift) dt, overflow-free when Re(mu) T <= shift."""
+    x = mu * horizon
+    with np.errstate(over="ignore", invalid="ignore"):
+        return horizon * np.where(x.real > 0, np.exp(x - shift) * _expm1_ratio(-x),
+                                  np.exp(-shift) * _expm1_ratio(x))
+
+
+def _mode_panels(lam, horizon, p_max):
+    """Gauss-Legendre panel breakpoints on [0, T] for one mode: graded toward
+    t = 0, panels of width at most 4 / (p |Re lam|) and pi / |Im lam| over the
+    transient (next to t = 0 for a decaying mode, t = T for a growing one),
+    then doubling widths."""
+    rate, freq = abs(lam.real), abs(lam.imag)
+    width = min(horizon, 4.0 / (p_max * rate) if rate else np.inf,
+                np.pi / freq if freq else np.inf)
+    span = min(horizon, _TRANSIENT / rate) if rate else horizon
+    uniform = np.arange(0.0, span, width)
+    doubling = span * 2.0 ** np.arange(1, max(1, math.ceil(math.log2(horizon / span)) + 1))
+    away = np.concatenate([uniform, doubling[doubling < horizon]])
+    if lam.real > 0:
+        away = horizon - away
+    breaks = np.concatenate([[0.0, horizon], width * 2.0 ** -np.arange(1, 21), away])
+    return np.unique(np.clip(breaks, 0.0, horizon))
+
+
+def _p2_norm_sums(lam, gram, horizon, shift):
+    """e^{-shift} (||y_t||_2 + ||A y||_2) per mode, as sums of exponentials:
+    |Re(z w)|^2 = s |z|^2 + Re(kappa z^2) with z = e^{lam t} or expm1(lam t)."""
+    s = 0.5 * (gram[:, 0] + gram[:, 2])
+    kappa = 0.5 * (gram[:, 0] - gram[:, 2]) + 1j * gram[:, 1]
+    e2a = _exp_integral(2.0 * lam.real, horizon, 2.0 * shift)
+    e2l = _exp_integral(2.0 * lam, horizon, 2.0 * shift)
+    el = _exp_integral(lam, horizon, 2.0 * shift)
+    e0 = horizon * np.exp(-2.0 * shift)
+    yt = s * e2a + (kappa * e2l).real
+    ay = s * (e2a - 2.0 * el.real + e0) + (kappa * (e2l - 2.0 * el + e0)).real
+    return np.sqrt(np.maximum(yt, 0.0)) + np.sqrt(np.maximum(ay, 0.0))
+
+
+def _quadrature_norm_sums(lam, gram, horizon, shift, p_list):
+    """e^{-shift} (||y_t||_p + ||A y||_p) per exponent and mode, by
+    Gauss-Legendre quadrature on each mode's ``_mode_panels``."""
+    breaks = [_mode_panels(lam_k, horizon, max(p_list)) for lam_k in lam]
+    owner = np.repeat(np.arange(lam.size), [len(b) - 1 for b in breaks])
+    half = 0.5 * np.concatenate([np.diff(b) for b in breaks])
+    t = (np.concatenate([b[:-1] for b in breaks]) + half)[:, None] + half[:, None] * _GL_NODES
+    weight = (half[:, None] * _GL_WEIGHTS).ravel()
+    lt = lam[owner, None] * t
+    scale = np.exp(-shift[owner, None])
+    yt = np.exp(lt - shift[owner, None])
+    near = np.abs(lt) < 1.0
+    ay = np.where(near, scale * np.expm1(np.where(near, lt, 0.0)), yt - scale)
+    g = gram[owner][:, None, :]
+    squares = [_gram_form(g, z).ravel() for z in (yt, ay)]
+    owner = np.repeat(owner, _GL_NODES.size)
+    return np.array([sum(np.bincount(owner, weight * sq ** (p / 2.0), minlength=lam.size)
+                         ** (1.0 / p) for sq in squares) for p in p_list])
+
+
+def _mode_quotients(modes, p_list, horizon):
+    """Closed-form quotients of the EigenModes modes, shape (len(p_list), k).
+
+    Both norms are scaled by e^{-max(Re lam, 0) T}, so a growing mode does not
+    overflow before the quotient is formed.
+    """
+    lam, gram = modes.eigenvalues, modes.gram
+    shift = np.maximum(lam.real, 0.0) * horizon
+    out = np.empty((len(p_list), lam.size))
+    exact = [i for i, p in enumerate(p_list) if p == 2.0]
+    rest = [i for i, p in enumerate(p_list) if p != 2.0]
+    if exact:
+        out[exact] = _p2_norm_sums(lam, gram, horizon, shift)
+    if rest:
+        out[rest] = _quadrature_norm_sums(lam, gram, horizon, shift, [p_list[i] for i in rest])
+    norm_f = np.sqrt(gram[:, 0])[None] * horizon ** (1.0 / np.array(p_list))[:, None]
+    with np.errstate(over="ignore"):
+        return np.exp(shift)[None] * out / norm_f
 
 
 def build_forcing_grid(op, t_grid, n_random, seed, n_cells_max):
-    """Nested forcing batches over a horizon grid: per horizon, the random
-    batch (left out when ``n_random`` is 0), then the eigenmode batch.
+    """Nested random forcing batches over a horizon grid: one batch per
+    horizon, or none when ``n_random`` is 0.
 
     Random forcings share one cell width (longest horizon / n_cells_max) and
     shorter horizons take prefixes (views of one array), so the scan compares
-    the same underlying signals when the horizon grows.
+    the same underlying signals when the horizon grows.  The eigenmodes are
+    not part of the grid: ``plateau_scan_multi`` adds the EigenModes of the
+    operator it scans.
     """
     t_grid = [float(t) for t in t_grid]
     t_max = max(t_grid)
-    modes = mode_forcings(op, 1.0).values
-    base = np.random.default_rng(seed).standard_normal((n_cells_max, modes.shape[1], n_random))
+    base = np.random.default_rng(seed).standard_normal(
+        (n_cells_max, operator_matrix(op).shape[0], n_random))
     sets = []
     for t in t_grid:
         cells = max(1, int(round(n_cells_max * t / t_max)))
-        randoms = [ForcingSignal(base[:cells], t / cells)] if n_random else []
-        sets.append(randoms + [ForcingSignal(modes, t)])
+        sets.append([ForcingSignal(base[:cells], t / cells)] if n_random else [])
     return sets
 
 
@@ -183,6 +330,8 @@ def _validate_family(p_list, horizon, forcing_set):
     if not forcing_set:
         raise UsageError("forcing set must be nonempty")
     for f in forcing_set:
+        if isinstance(f, EigenModes):
+            continue
         if abs(f.horizon - horizon) > 1e-9 * max(horizon, 1.0):
             raise UsageError(
                 f"forcing horizon {f.horizon:g} does not match requested T = {horizon:g}")
@@ -194,17 +343,28 @@ def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
     """C_{p,T} estimates for several exponents, one kernel sweep per batch.
 
     Largest (||y_t||_p + ||A y||_p)/||f||_p over the forcing family, a list
-    of ForcingSignal batches.  Each batch is one kernel sweep with
-    ``ceil(QUAD_NODES / n_cells)`` substeps per cell, and each norm is the
-    trapezoid rule on that sweep's nodes.  No convergence test is made: a
-    transient boundary layer at a cell opening can leave the estimate short of
-    its limit, without a flag.
+    of ForcingSignal and EigenModes batches.  Each ForcingSignal batch is one
+    kernel sweep with ``ceil(QUAD_NODES / n_cells)`` substeps per cell, and
+    each norm is the trapezoid rule on that sweep's nodes.  No convergence
+    test is made: a transient boundary layer at a cell opening can leave the
+    estimate short of its limit, without a flag.  EigenModes quotients are
+    evaluated in closed form; the modes it could not vouch for are swept as
+    one more (one-cell) batch.
     """
     p_list = [float(p) for p in p_list]
     _validate_family(p_list, horizon, forcing_set)
     a = operator_matrix(cl)
     best = np.zeros(len(p_list))
+    batches = []
     for f in forcing_set:
+        if not isinstance(f, EigenModes):
+            batches.append(f)
+            continue
+        if f.eigenvalues.size:
+            best = np.maximum(best, _mode_quotients(f, p_list, horizon).max(axis=1))
+        if f.swept.shape[1]:
+            batches.append(ForcingSignal(f.swept[None], horizon))
+    for f in batches:
         refine = math.ceil(QUAD_NODES / f.n_cells)
         h = f.time_step / refine
         e_h, p_h = _propagator_pair(a, h)
@@ -267,7 +427,9 @@ def imaginary_axis_bound(cl):
 def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, workers=1):
     """Horizon scans for several exponents sharing one trajectory sweep per T.
 
-    Returns one MaxRegReport per exponent.  verdict ``plateau``: the last two
+    Each horizon's family is its forcing set plus the EigenModes of ``cl``,
+    taken from one eigendecomposition for the whole scan.  Returns one
+    MaxRegReport per exponent.  verdict ``plateau``: the last two
     estimates differ by < PLATEAU_RTOL relative; ``growth``: log C increases
     by more than 1 between every pair of consecutive horizons; anything in
     between is ``indeterminate``.  ``workers`` > 1 fans the horizon sweep over threads
@@ -281,10 +443,11 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, workers=1):
     p_list = [float(p) for p in p_list]
     if not p_list:
         raise UsageError("exponent grid must be nonempty")
+    modes = eigenmodes(cl)
 
     def one(pair):
         t, fs = pair
-        return maxreg_constants_multi(cl, p_list, t, fs)
+        return maxreg_constants_multi(cl, p_list, t, [*fs, modes])
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -323,6 +486,9 @@ def duality_check(cl, p, t_grid, forcing_sets):
     Runs the horizon scan for the closed loop at exponent p and for its
     conjugate transpose at the dual exponent with conjugated forcings, demands
     matching verdicts and returns |log C - log C*| at the longest horizon.
+    Each scan adds the eigenmodes of the operator it scans, so the adjoint's
+    come from the adjoint's own eigenpairs, in closed form; they are not the
+    conjugated eigenvectors of the closed loop.
     """
     rep = plateau_scan_multi(cl, [p], t_grid, forcing_sets)[0]
     a = operator_matrix(cl)

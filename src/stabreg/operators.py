@@ -502,7 +502,10 @@ def adjoint_decomposition_residual(cl):
     The B-less part satisfies (M(I-GF))^H = -A^H + [F^H G^H (A^H)^g](A^H)^(1-g)
     + (I-GF)^H (A^(-(1-e)) Ao)^H (A^H)^(1-e) with g the Green exponent and e
     the perturbation exponent.  Requires the positive part -generator_A to
-    have right-half-plane spectrum.
+    have right-half-plane spectrum.  Returns inf when its eigenbasis condition
+    exceeds 1e8, where ``real_power`` refuses the basis: every power comes
+    from that one basis and the identity only multiplies them back together,
+    so the residual would read 0 on any basis.
     """
     n = cl.dim
     a_pos = -cl.generator_A.entries
@@ -511,6 +514,8 @@ def adjoint_decomposition_residual(cl):
         raise TranslationRequiredError(
             "adjoint decomposition needs the generator split's positive part to "
             "have right-half-plane spectrum")
+    if sp.cond_estimate > _COND_FLAG:
+        return np.inf
     gamma = cl.green.gamma
     eps = 0.5   # a first-order perturbation is relatively bounded w.r.t. A^(1/2)
     a_g = _power_from_spectral(sp, gamma)

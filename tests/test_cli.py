@@ -241,6 +241,20 @@ def test_abstract_model_identity_rows(tmp_path):
     assert rows[-1] == ["overall", "1", "1", "PASS"]
 
 
+def test_abstract_defective_block_fails_adjoint_row(tmp_path):
+    write_abstract_files(tmp_path)
+    matio.write_matrix(tmp_path / "op.txt", np.array([[-1.0, 10.0], [0.0, -1.0]]))
+    matio.write_matrix(tmp_path / "g.txt", np.array([[1.0], [0.0]]))
+    cfg = write_config(tmp_path / "c.ini",
+                       ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out"))
+    with pytest.warns(UserWarning):
+        assert run(["report", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "verify.csv")
+    by_name = {r[0]: r for r in rows}
+    assert by_name["adjoint_decomposition"][1:] == ["inf", "1e-08", "FAIL"]
+    assert rows[-1] == ["overall", "0", "1", "FAIL"]
+
+
 def test_verify_writes_scan_rows_for_every_model(tmp_path):
     # abstract 1x1 loop that its feedback destabilizes: -1 * (1 - 1 * 2) = +1
     matio.write_matrix(tmp_path / "op.txt", np.array([[-1.0]]))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+from scipy import integrate
 
 from stabreg import _kernels, coupled, heat, maxreg
 from stabreg import operators as ops
@@ -151,42 +153,167 @@ def test_maxreg_monotone_in_horizon_extension_by_zero():
     assert c_long >= c_short * (1 - 1e-9)
 
 
+# ---------------------------------------------------------------- closed-form eigenmodes
+
+def test_eigenmode_scalar_p2_explicit():
+    lam, horizon = -1.7, 3.0
+    a = np.array([[lam]])
+    yt = np.expm1(2 * lam * horizon) / (2 * lam)        # int e^{2 lam t}
+    ay = yt - 2 * np.expm1(lam * horizon) / lam + horizon   # int (e^{lam t} - 1)^2
+    want = (math.sqrt(yt) + math.sqrt(ay)) / math.sqrt(horizon)
+    got = maxreg.maxreg_constants_multi(a, [2.0], horizon, [maxreg.eigenmodes(a)])[0]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def rotation_mode_integrals(a, b, horizon, p):
+    """int |y_t|^p and int |A y|^p for a unit forcing of [[-a, b], [-b, -a]]:
+    e^{tA} is e^{-at} times a rotation by bt, so |y_t| = e^{-at} and
+    |A y|^2 = e^{-2at} - 2 e^{-at} cos(bt) + 1."""
+    yt = -np.expm1(-p * a * horizon) / (p * a)
+    if p == 2.0:
+        rot = ((1 - np.exp((-a + 1j * b) * horizon)) / (a - 1j * b)).real
+        return yt, yt - 2 * rot + horizon
+    t = np.linspace(0.0, horizon, 400_001)      # dense Simpson rule
+    g = (np.exp(-2 * a * t) - 2 * np.exp(-a * t) * np.cos(b * t) + 1) ** (p / 2)
+    return yt, integrate.simpson(g, x=t)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize(("a", "b", "horizon"), [(0.5, 3.0, 10.0), (2.0, 30.0, 40.0)],
+                         ids=["slow", "fast-past-transient"])
+def test_eigenmode_rotation_block(a, b, horizon, p):
+    modes = maxreg.eigenmodes(np.array([[-a, b], [-b, -a]]))
+    assert modes.swept.shape == (2, 0)
+    assert np.allclose(np.sort_complex(modes.eigenvalues), [-a - 1j * b, -a + 1j * b])
+    yt, ay = rotation_mode_integrals(a, b, horizon, p)
+    want = (yt ** (1 / p) + ay ** (1 / p)) / horizon ** (1 / p)
+    got = maxreg._mode_quotients(modes, [p], horizon)[0]
+    assert np.allclose(got, want, rtol=1e-12 if p == 2.0 else 1e-8, atol=0.0)
+
+
+def test_eigenmode_unstable_scalar_overflow_safe():
+    # e^{p lam T} = e^{960} overflows; the quotient e^{240} (...) does not
+    lam, horizon, p = 6.0, 40.0, 4.0
+    a = np.array([[lam]])
+    got = maxreg.maxreg_constants_multi(a, [p], horizon, [maxreg.eigenmodes(a)])[0]
+    # with x = e^{lam (t - T)} and eps = e^{-lam T}: |y_t| = x / eps and
+    # |A y| = (x - eps) / eps; int x^k = -expm1(-k lam T) / (k lam)
+    eps = math.exp(-lam * horizon)
+    moments = [horizon] + [-math.expm1(-k * lam * horizon) / (k * lam) for k in (1, 2, 3, 4)]
+    ay = sum(math.comb(4, k) * (-eps) ** (4 - k) * moments[k] for k in range(5))
+    want = (moments[4] ** 0.25 + ay ** 0.25) / (eps * horizon ** 0.25)
+    assert np.isfinite(got) and got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("shift", [-1.5, 0.0], ids=["stable", "growing"])
+def test_eigenmodes_match_trajectory_oracle(shift):
+    # a non-normal real matrix with complex pairs: <Re w, Im w> != 0
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((5, 5)) + shift * np.eye(5)
+    assert np.abs(np.linalg.eigvals(a).imag).max() > 0.5
+    modes = maxreg.eigenmodes(a)
+    assert modes.swept.shape == (5, 0) and np.abs(modes.gram[:, 1]).max() > 1e-2
+    p_list = [1.5, 2.0, 4.0]
+    got = maxreg.maxreg_constants_multi(a, p_list, 5.0, [modes])
+    assert np.allclose(got, mode_oracle(a, p_list, 5.0), rtol=1e-10, atol=0.0)
+
+
+def test_eigen_residual_fallback_sweeps_that_mode(monkeypatch):
+    a = maxreg.operator_matrix(stable_heat_loop(16).composed)
+    eig, bad = la.eig, 5
+
+    def corrupted(m):
+        w, v = eig(m)
+        v[:, bad] += 1e-3       # no longer an eigenvector for w[bad]
+        return w, v
+
+    monkeypatch.setattr(maxreg.la, "eig", corrupted)
+    modes = maxreg.eigenmodes(a)
+    assert modes.eigenvalues.size == 15 and modes.swept.shape == (16, 1)
+    calls = counting_kernel(monkeypatch)
+    maxreg.maxreg_constants_multi(a, [2.0], 5.0, [modes])
+    # exactly that mode's forcing, as mode_forcings builds it, is swept
+    forcing = maxreg.mode_forcings(a, 5.0).values[0, :, bad]
+    assert len(calls) == 1
+    f_cells, refine = calls[0]
+    assert f_cells.shape == (1, 16, 1) and refine == maxreg.QUAD_NODES
+    assert np.array_equal(f_cells[0, :, 0], forcing)
+
+
+def test_complex_operator_modes_take_the_kernel():
+    # Re w evolves as Re(e^{lam t} w) only when conj(w) is an eigenvector too
+    a = np.array([[-1.0 + 2.0j, 0.5], [0.0, -2.0 - 1.0j]])
+    modes = maxreg.eigenmodes(a)
+    assert modes.eigenvalues.size == 0 and modes.swept.shape == (2, 2)
+    got = maxreg.maxreg_constants_multi(a, [1.5, 2.0], 4.0, [modes])
+    want = maxreg.maxreg_constants_multi(a, [1.5, 2.0], 4.0, [maxreg.mode_forcings(a, 4.0)])
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------- quadrature
 
-def test_one_kernel_sweep_per_cell_structure(monkeypatch):
+def counting_kernel(monkeypatch):
+    """Record the ``f_cells`` and ``refine`` of every kernel sweep."""
     calls = []
     sweep = _kernels.lti_norm_scan
 
     def counting(A, E, P, f_cells, refine):
-        calls.append(refine)
+        calls.append((np.array(f_cells), refine))
         return sweep(A, E, P, f_cells, refine)
 
     monkeypatch.setattr(_kernels, "lti_norm_scan", counting)
+    return calls
+
+
+def test_one_kernel_sweep_per_cell_structure(monkeypatch):
+    calls = counting_kernel(monkeypatch)
     a = maxreg.operator_matrix(stable_heat_loop(16).composed)
+    modes = maxreg.eigenmodes(a)
     t_grid = [5.0, 10.0, 20.0]
     sets = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=3, n_cells_max=200)
     for t, fs in zip(t_grid, sets):
         calls.clear()
-        maxreg.maxreg_constants_multi(a, [1.5, 2.0], t, fs)
-        # the random forcings share one cell structure, the eigenmodes another
+        maxreg.maxreg_constants_multi(a, [1.5, 2.0], t, [*fs, modes])
+        # the random forcings share one cell structure and take the one sweep;
+        # the eigenmodes are evaluated in closed form
         cells = round(200 * t / t_grid[-1])
-        assert [f.values.shape for f in fs] == [(cells, 16, 2), (1, 16, 16)]
-        groups = {(f.n_cells, f.time_step) for f in fs}
-        assert len(groups) == 2 and len(calls) == 2
-        assert calls == [math.ceil(maxreg.QUAD_NODES / f.n_cells) for f in fs]
+        assert [f.values.shape for f in fs] == [(cells, 16, 2)]
+        assert modes.eigenvalues.shape == (16,) and modes.swept.shape == (16, 0)
+        assert [(f.shape, refine) for f, refine in calls] == [
+            ((cells, 16, 2), math.ceil(maxreg.QUAD_NODES / cells))]
     # shorter horizons take views of the longest horizon's random batch
     assert all(np.shares_memory(fs[0].values, sets[-1][0].values) for fs in sets)
 
 
-def test_forcing_count_zero_scans_the_eigenmodes_alone():
+def test_forcing_count_zero_scans_the_eigenmodes_alone(monkeypatch):
+    calls = counting_kernel(monkeypatch)
     a = maxreg.operator_matrix(stable_heat_loop(16).composed)
     t_grid = [5.0, 10.0, 20.0]
     sets = maxreg.build_forcing_grid(a, t_grid, n_random=0, seed=3, n_cells_max=200)
-    for t, fs in zip(t_grid, sets):
-        assert len(fs) == 1
-        assert fs[0].values.shape == (1, 16, 16) and fs[0].horizon == t
-    reports = maxreg.plateau_scan_multi(a, [2.0], t_grid, sets)
-    assert all(np.isfinite(reports[0].c_estimates))
+    assert sets == [[], [], []]
+    reports = maxreg.plateau_scan_multi(a, [1.5, 2.0, 4.0], t_grid, sets)
+    assert calls == []
+    for rep in reports:
+        assert all(np.isfinite(rep.c_estimates)) and min(rep.c_estimates) >= 1.0
+
+
+def mode_oracle(a, p_list, horizon):
+    """Largest eigenmode quotient per exponent, from ``mode_forcings`` and the
+    trajectories y_t = e^{tA} u, A y = (e^{tA} - I) u by adaptive quadrature."""
+    u = maxreg.mode_forcings(a, horizon).values[0]
+    q = np.array(p_list)[:, None, None]
+    rate = np.abs(np.linalg.eigvals(a).real)
+    marks = sorted({min(horizon, k / r) for r in rate for k in (1.0, 10.0)} - {horizon})
+
+    def powered(t):     # |y_t|^p and |A y|^p per exponent and forcing
+        e = la.expm(t * a) @ u
+        return np.linalg.norm(np.stack([e, e - u]), axis=1)[None] ** q
+
+    integral = integrate.quad_vec(powered, 0.0, horizon, epsabs=0.0, epsrel=1e-13,
+                                  points=marks, limit=2000)[0]
+    norms = integral ** (1 / q)
+    fq = np.linalg.norm(u, axis=0) * horizon ** (1 / q[:, :, 0])
+    return ((norms[:, 0] + norms[:, 1]) / fq).max(axis=1)
 
 
 def trajectory_reference(a, p_list, forcing_set):
@@ -214,14 +341,22 @@ def trajectory_reference(a, p_list, forcing_set):
                          ids=["stops-at-level-1", "reaches-cap"])
 def test_estimates_match_trajectory_quadrature(n_cells_max, horizon):
     # on stops-at-level-1 a sweep at half the density reads up to 0.4% off,
-    # so the case shows a coarser quadrature reported in place of this one
+    # so the case shows a coarser quadrature reported in place of this one.
+    # Random forcings are checked against one trajectory each, the eigenmodes
+    # against adaptive quadrature of theirs.
     a = maxreg.operator_matrix(stable_heat_loop(16).composed)
     t_grid = [horizon / 4, horizon / 2, horizon]
     fs = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=1234,
                                    n_cells_max=n_cells_max)[-1]
     p_list = [1.5, 2.0, 4.0]
-    got = maxreg.maxreg_constants_multi(a, p_list, horizon, fs)
-    assert np.allclose(got, trajectory_reference(a, p_list, fs), rtol=1e-10, atol=0.0)
+    modes = maxreg.eigenmodes(a)
+    got = maxreg.maxreg_constants_multi(a, p_list, horizon, [*fs, modes])
+    oracle = mode_oracle(a, p_list, horizon)
+    want = np.maximum(trajectory_reference(a, p_list, fs), oracle)
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+    # the random forcings win every cell here, so the modes are checked alone too
+    got_modes = maxreg.maxreg_constants_multi(a, p_list, horizon, [modes])
+    assert np.allclose(got_modes, oracle, rtol=1e-10, atol=0.0)
 
 
 def p2_ceiling(a):
@@ -248,16 +383,18 @@ def test_p2_estimates_below_plancherel_ceiling(a, ceiling):
     t_grid = [5.0, 10.0, 20.0]
     sets = maxreg.build_forcing_grid(a, t_grid, n_random=4, seed=1, n_cells_max=200)
     for t, fs in zip(t_grid, sets):
-        c = maxreg.maxreg_constants_multi(a, [2.0], t, fs)[0]
+        c = maxreg.maxreg_constants_multi(a, [2.0], t, [*fs, maxreg.eigenmodes(a)])[0]
         assert c <= ceiling * (1 + 5e-3)
 
 
 # C_estimate on the benchmark's [maxreg] grid (8 forcings, 500 cells, seed
-# 1234, p = 1.5 / 2 / 4 by rows, T = 10 / 20 / 40 by columns).
+# 1234, p = 1.5 / 2 / 4 by rows, T = 10 / 20 / 40 by columns).  Heat p = 4,
+# T = 10 is an eigenmode's closed-form value; the 8000-substep sweep of that
+# mode read 1.3072453140218327.
 GOLDEN = {
     "heat": [[1.2260024531951885, 1.2177596224695102, 1.2126036089599592],
              [1.2420418024490387, 1.2349607038453072, 1.2280378862392702],
-             [1.3072453140218327, 1.2941456079279274, 1.2839291902751675]],
+             [1.3072446174207724, 1.2941456079279274, 1.2839291902751675]],
     "coupled": [[1.3731849384103814, 1.358806626623183, 1.3429660007175184],
                 [1.3953404875888302, 1.3810904663279104, 1.3630413222729605],
                 [1.4797920278536814, 1.4607604286764833, 1.4335593652779404]],

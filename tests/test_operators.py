@@ -284,6 +284,17 @@ def test_adjoint_rank_one_feedback():
     assert ops.adjoint_decomposition_residual(bad) == pytest.approx(0.5, rel=1e-9)
 
 
+def test_adjoint_defective_block_reads_inf():
+    # every power of [[1, -10], [0, 1]] comes from one eigenbasis of condition
+    # ~1e17 and multiplies back to the same matrix, so the residual read 0.0
+    gen = Operator(np.array([[-1.0, 10.0], [0.0, -1.0]]))
+    green = GreenMap(np.array([[1.0], [0.0]]), gamma=0.25)
+    for feedback in (None, np.array([[0.1, 0.2]])):
+        cl = ops.compose_closed_loop(gen, green, feedback)
+        with pytest.warns(UserWarning):
+            assert ops.adjoint_decomposition_residual(cl) == np.inf
+
+
 def test_adjoint_heat_with_advection():
     from stabreg.heat import closed_loop_heat, synthesize_heat_feedback
     cfg = HeatConfig(n=32, c2=16.0, advection_b=4.0)
