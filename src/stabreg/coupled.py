@@ -17,7 +17,13 @@ import scipy.linalg as la
 
 from . import synthesis
 from .errors import ConfigError, ResonanceError
-from .heat import VerificationReport, dirichlet_lift, first_difference, laplacian
+from .heat import (
+    VerificationReport,
+    check_window,
+    dirichlet_lift,
+    first_difference,
+    laplacian,
+)
 from .operators import (
     GreenMap,
     Operator,
@@ -57,9 +63,7 @@ class CoupledConfig:
             raise ConfigError(f"need at least 8 interior nodes per component, got {self.n}")
         if self.nu <= 0 or self.kappa <= 0:
             raise ConfigError("diffusivities must be positive")
-        a, b = self.omega
-        if not (0.0 < a < b < 1.0):
-            raise ConfigError(f"window {self.omega} must be a strict subinterval of (0,1)")
+        check_window(self.omega)
         if not (1.0 < self.q < np.inf):
             raise ConfigError(f"q must lie in (1, inf), got {self.q}")
         if not (0.0 < self.epsilon < 1.0 / (2.0 * self.q)):

@@ -36,6 +36,13 @@ from .operators import (
 )
 
 
+def check_window(omega):
+    """The control window ``[model] omega`` must be two values 0 < a < b < 1."""
+    if not (len(omega) == 2 and 0.0 < omega[0] < omega[1] < 1.0):
+        raise ConfigError(f"[model] omega = {tuple(omega)}: need two values a < b with "
+                          "(a, b) a strict subinterval of (0,1)")
+
+
 @dataclass(frozen=True)
 class HeatConfig:
     """Discretization and model parameters for the heat example.
@@ -56,9 +63,7 @@ class HeatConfig:
     def __post_init__(self):
         if self.n < 8:
             raise ConfigError(f"need at least 8 interior nodes, got {self.n}")
-        a, b = self.omega
-        if not (0.0 < a < b < 1.0):
-            raise ConfigError(f"window {self.omega} must be a nonempty strict subinterval of (0,1)")
+        check_window(self.omega)
         if not (1.0 < self.q < np.inf):
             raise ConfigError(f"q must lie in (1, inf), got {self.q}")
         if not (0.0 < self.epsilon < 1.0 / (2.0 * self.q)):

@@ -11,10 +11,10 @@ call; y_t is evaluated algebraically as A y + f, with the forcing value
 attached to each node taken from the cell ending there (left limit), which
 keeps the trapezoid quadrature clear of the stiff transient spikes at cell
 openings.  An EigenModes batch holds the constant-in-time eigenmode forcings,
-whose quotients are scalar functions of the eigenvalue, the horizon and a
-2 x 2 Gram matrix: sums of exponentials at p = 2, Gauss-Legendre quadrature
-on graded panels at other p.  The horizon scan adds the eigenmodes of the
-operator it scans to every horizon's family.
+one per distinct forcing, whose quotients are scalar functions of the
+eigenvalue, the horizon and a 2 x 2 Gram matrix, integrated by Gauss-Legendre
+quadrature on graded panels at every p.  The horizon scan adds the eigenmodes
+of the operator it scans to every horizon's family.
 """
 
 import math
@@ -46,7 +46,7 @@ PLATEAU_RTOL = 0.05
 # mode evaluated in closed form; the kernel sweeps a mode above it.
 EIG_RTOL = 1e-10
 
-# Gauss-Legendre rule of the closed-form mode integrals at p != 2, and the
+# Gauss-Legendre rule of the closed-form mode integrals, and the
 # decay lengths 1 / |Re lam| after which a mode's transient is below e^-40.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _TRANSIENT = 40.0
@@ -110,13 +110,11 @@ def constant_forcing(vector, horizon):
 
 def _mode_columns(vr):
     """(u, b) for the eigenvector columns of ``vr``: the forcing u = Re w and
-    b = Im w, where w = v / ||Re v||, or w = -i v / ||Im v|| when Re v is weak."""
+    b = Im w, where w = v / ||Re v||.  LAPACK returns each v with unit norm and
+    its largest component real, so ||Re v|| >= 1 / sqrt(n)."""
     # Contiguous columns: each norm is one BLAS dot, as np.linalg.norm takes it.
     u = np.array(vr.real, order="F")
     b = np.array(vr.imag, order="F")
-    weak = np.sqrt(np.vecdot(u.T, u.T)) <= 1e-12
-    u[:, weak] = vr.imag[:, weak]
-    b[:, weak] = -vr.real[:, weak]
     norm = np.sqrt(np.vecdot(u.T, u.T))
     return u / norm, b / norm
 
@@ -135,7 +133,8 @@ class EigenModes:
 
     Mode k is the constant forcing u = Re w with A w = lam w, so that
     y_t = Re(e^{lam t} w) and A y = Re(expm1(lam t) w) (for a real operator,
-    conj(w) is an eigenvector for conj(lam)).  ``eigenvalues`` holds lam for
+    conj(w) is an eigenvector for conj(lam), with the same forcing, so only the
+    mode with Im lam >= 0 of a pair is held).  ``eigenvalues`` holds lam for
     each such mode and ``gram`` the rows (|Re w|^2, <Re w, Im w>, |Im w|^2).
     ``swept`` is the (dim, j) array of the forcings whose eigen-residual
     exceeds EIG_RTOL; the kernel sweeps them as one one-cell batch.
@@ -147,9 +146,11 @@ class EigenModes:
 
 
 def eigenmodes(op):
-    """The EigenModes of ``op`` from one eigendecomposition."""
+    """The EigenModes of ``op`` from one eigendecomposition, one per distinct forcing."""
     a = operator_matrix(op)
     lam, vr = la.eig(a)
+    if not np.iscomplexobj(a):      # Re conj(v) = Re v: one forcing per pair
+        lam, vr = lam[lam.imag >= 0], vr[:, lam.imag >= 0]
     u, b = _mode_columns(vr)
     resid = np.linalg.norm(a @ vr - vr * lam, axis=0)
     if np.iscomplexobj(a):      # Re w also needs conj(A) v = lam v
@@ -164,20 +165,6 @@ def _gram_form(gram, z):
     x, y = z.real, z.imag
     return np.maximum(gram[..., 0] * x * x - 2.0 * gram[..., 1] * x * y
                       + gram[..., 2] * y * y, 0.0)
-
-
-def _expm1_ratio(x):
-    """expm1(x) / x, 1 at x = 0."""
-    zero = x == 0
-    return np.where(zero, 1.0, np.expm1(x) / np.where(zero, 1.0, x))
-
-
-def _exp_integral(mu, horizon, shift):
-    """int_0^T exp(mu t - shift) dt, overflow-free when Re(mu) T <= shift."""
-    x = mu * horizon
-    with np.errstate(over="ignore", invalid="ignore"):
-        return horizon * np.where(x.real > 0, np.exp(x - shift) * _expm1_ratio(-x),
-                                  np.exp(-shift) * _expm1_ratio(x))
 
 
 def _mode_panels(lam, horizon, p_max):
@@ -198,23 +185,15 @@ def _mode_panels(lam, horizon, p_max):
     return np.unique(np.clip(breaks, 0.0, horizon))
 
 
-def _p2_norm_sums(lam, gram, horizon, shift):
-    """e^{-shift} (||y_t||_2 + ||A y||_2) per mode, as sums of exponentials:
-    |Re(z w)|^2 = s |z|^2 + Re(kappa z^2) with z = e^{lam t} or expm1(lam t)."""
-    s = 0.5 * (gram[:, 0] + gram[:, 2])
-    kappa = 0.5 * (gram[:, 0] - gram[:, 2]) + 1j * gram[:, 1]
-    e2a = _exp_integral(2.0 * lam.real, horizon, 2.0 * shift)
-    e2l = _exp_integral(2.0 * lam, horizon, 2.0 * shift)
-    el = _exp_integral(lam, horizon, 2.0 * shift)
-    e0 = horizon * np.exp(-2.0 * shift)
-    yt = s * e2a + (kappa * e2l).real
-    ay = s * (e2a - 2.0 * el.real + e0) + (kappa * (e2l - 2.0 * el + e0)).real
-    return np.sqrt(np.maximum(yt, 0.0)) + np.sqrt(np.maximum(ay, 0.0))
+def _mode_quotients(modes, p_list, horizon):
+    """Quotients of the EigenModes modes, shape (len(p_list), k), by
+    Gauss-Legendre quadrature on each mode's ``_mode_panels``.
 
-
-def _quadrature_norm_sums(lam, gram, horizon, shift, p_list):
-    """e^{-shift} (||y_t||_p + ||A y||_p) per exponent and mode, by
-    Gauss-Legendre quadrature on each mode's ``_mode_panels``."""
+    Both norms are scaled by e^{-max(Re lam, 0) T}, so a growing mode does not
+    overflow before the quotient is formed.
+    """
+    lam, gram = modes.eigenvalues, modes.gram
+    shift = np.maximum(lam.real, 0.0) * horizon
     breaks = [_mode_panels(lam_k, horizon, max(p_list)) for lam_k in lam]
     owner = np.repeat(np.arange(lam.size), [len(b) - 1 for b in breaks])
     half = 0.5 * np.concatenate([np.diff(b) for b in breaks])
@@ -228,25 +207,8 @@ def _quadrature_norm_sums(lam, gram, horizon, shift, p_list):
     g = gram[owner][:, None, :]
     squares = [_gram_form(g, z).ravel() for z in (yt, ay)]
     owner = np.repeat(owner, _GL_NODES.size)
-    return np.array([sum(np.bincount(owner, weight * sq ** (p / 2.0), minlength=lam.size)
-                         ** (1.0 / p) for sq in squares) for p in p_list])
-
-
-def _mode_quotients(modes, p_list, horizon):
-    """Closed-form quotients of the EigenModes modes, shape (len(p_list), k).
-
-    Both norms are scaled by e^{-max(Re lam, 0) T}, so a growing mode does not
-    overflow before the quotient is formed.
-    """
-    lam, gram = modes.eigenvalues, modes.gram
-    shift = np.maximum(lam.real, 0.0) * horizon
-    out = np.empty((len(p_list), lam.size))
-    exact = [i for i, p in enumerate(p_list) if p == 2.0]
-    rest = [i for i, p in enumerate(p_list) if p != 2.0]
-    if exact:
-        out[exact] = _p2_norm_sums(lam, gram, horizon, shift)
-    if rest:
-        out[rest] = _quadrature_norm_sums(lam, gram, horizon, shift, [p_list[i] for i in rest])
+    out = np.array([sum(np.bincount(owner, weight * sq ** (p / 2.0), minlength=lam.size)
+                        ** (1.0 / p) for sq in squares) for p in p_list])
     norm_f = np.sqrt(gram[:, 0])[None] * horizon ** (1.0 / np.array(p_list))[:, None]
     with np.errstate(over="ignore"):
         return np.exp(shift)[None] * out / norm_f

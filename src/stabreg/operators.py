@@ -538,34 +538,39 @@ def adjoint_decomposition_residual(cl):
     return float(spectral_norm(three_term - bless_adj) / denom)
 
 
-def resolvent_perturbation_residual(cl, lam):
-    """Relative residual of R(lam, A_F) = [I + R(lam,M) M G F]^{-1} R(lam,M).
+def resolvent_perturbation_residual(cl, lams):
+    """Largest relative residual of R(lam, A_F) = [I + R(lam,M) M G F]^{-1} R(lam,M)
+    over ``lams``, one point or several.
 
-    A_F here is the B-less part drift (I - GF); lam must lie in the resolvent
-    set of both operators, at least 1e-6 from either spectrum.
+    A_F here is the B-less part drift (I - GF); each lam must lie in the
+    resolvent set of both operators, at least 1e-6 from either spectrum.  Both
+    spectra, A_F and G F are computed once per call.
     """
-    lam = complex(lam)
     n = cl.dim
     drift = cl.drift_A.entries
-    a_f = cl.feedback_part()
-    resolvents = []
-    for name, mat in (("drift operator", drift), ("closed loop", a_f)):
-        evs = la.eigvals(mat)
-        gap = np.abs(evs - lam)
-        i = int(np.argmin(gap))
-        if gap[i] <= 1e-6:
-            raise SingularityError(
-                f"lambda = {lam} within 1e-6 of {name} eigenvalue {evs[i]}")
-        resolvents.append(resolvent(Operator(mat), lam, eigenvalues=evs).entries)
-    r_drift, r_af = resolvents
+    parts = [(name, Operator(mat), la.eigvals(mat))
+             for name, mat in (("drift operator", drift), ("closed loop", cl.feedback_part()))]
     gf = cl.green.entries @ cl.feedback_matrix()
-    lhs_factor = np.eye(n) + r_drift @ drift @ gf
-    try:
-        rhs = la.solve(lhs_factor, r_drift)
-    except la.LinAlgError as exc:
-        raise SingularityError(
-            f"[I + R(lam,M) M G F] singular at lambda = {lam}") from exc
-    return float(spectral_norm(rhs - r_af) / max(spectral_norm(r_af), 1e-300))
+    residuals = []
+    for lam in np.atleast_1d(lams):
+        lam = complex(lam)
+        resolvents = []
+        for name, op, evs in parts:
+            gap = np.abs(evs - lam)
+            i = int(np.argmin(gap))
+            if gap[i] <= 1e-6:
+                raise SingularityError(
+                    f"lambda = {lam} within 1e-6 of {name} eigenvalue {evs[i]}")
+            resolvents.append(resolvent(op, lam, eigenvalues=evs).entries)
+        r_drift, r_af = resolvents
+        lhs_factor = np.eye(n) + r_drift @ drift @ gf
+        try:
+            rhs = la.solve(lhs_factor, r_drift)
+        except la.LinAlgError as exc:
+            raise SingularityError(
+                f"[I + R(lam,M) M G F] singular at lambda = {lam}") from exc
+        residuals.append(float(spectral_norm(rhs - r_af) / max(spectral_norm(r_af), 1e-300)))
+    return max(residuals)
 
 
 def ray_decay_check(drift_translated, gamma, lambda_grid):

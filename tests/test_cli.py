@@ -381,6 +381,11 @@ def _simulate(lines):
     return ("[output]", "[simulate]\n" + lines + "\n\n[output]")
 
 
+def _coupled(old, new):
+    """An edit marked for COUPLED_CFG; a plain (old, new) pair edits HEAT_CFG."""
+    return (COUPLED_CFG, old, new)
+
+
 @pytest.mark.parametrize("command, edit, flags, name", [
     ("simulate", _simulate("forcing ="), [], "[simulate] forcing"),
     ("simulate", _simulate("forcing = single_mode x"), [], "[simulate] forcing"),
@@ -407,16 +412,28 @@ def _simulate(lines):
     ("simulate", _simulate("T = -1"), [], "[simulate] T"),
     ("simulate", _simulate("T = nan"), [], "[simulate] T"),
     ("simulate", _simulate("T = inf"), [], "[simulate] T"),
+    # str.isdigit accepts digits that int() rejects or reads as another value
+    ("simulate", _simulate("forcing = single_mode \u00b2"), [], "[simulate] forcing"),
+    ("simulate", _simulate("forcing = single_mode \u0661"), [], "[simulate] forcing"),
+    ("spectrum", ("omega = 0.2 0.4", "omega = 0.2"), [], "[model] omega"),
+    ("spectrum", ("omega = 0.2 0.4", "omega = 0.2 0.4 0.6"), [], "[model] omega"),
+    ("spectrum", ("omega = 0.2 0.4", "omega ="), [], "[model] omega"),
+    ("spectrum", _coupled("omega = 0.25 0.45", "omega = 0.2"), [], "[model] omega"),
+    ("spectrum", _coupled("omega = 0.25 0.45", "omega = 0.2 0.4 0.6"), [], "[model] omega"),
+    ("spectrum", _coupled("omega = 0.25 0.45", "omega ="), [], "[model] omega"),
 ], ids=["forcing-empty", "mode-not-int", "mode-negative", "mode-too-large",
         "constant-extra-token", "simulate-cells-0", "simulate-cells-negative",
         "maxreg-cells-negative", "maxreg-cells-0", "forcing-count-negative",
         "config-seed-negative", "flag-seed-negative", "parallel-0",
         "t-grid-nan", "t-grid-inf", "t-grid-zero", "t-grid-two-horizons",
         "t-grid-decreasing", "p-grid-1", "p-grid-nan", "p-grid-empty",
-        "simulate-T-0", "simulate-T-negative", "simulate-T-nan", "simulate-T-inf"])
+        "simulate-T-0", "simulate-T-negative", "simulate-T-nan", "simulate-T-inf",
+        "mode-superscript-digit", "mode-arabic-indic-digit",
+        "heat-omega-one-value", "heat-omega-three-values", "heat-omega-empty",
+        "coupled-omega-one-value", "coupled-omega-three-values", "coupled-omega-empty"])
 def test_bad_input_exit_2(tmp_path, capsys, command, edit, flags, name):
-    old, new = edit
-    text = HEAT_CFG.format(out=tmp_path / "out").replace(old, new)
+    template, old, new = edit if len(edit) == 3 else (HEAT_CFG, *edit)
+    text = template.format(out=tmp_path / "out").replace(old, new)
     assert new in text
     cfg = write_config(tmp_path / "c.ini", text)
     try:

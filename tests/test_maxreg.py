@@ -183,8 +183,9 @@ def rotation_mode_integrals(a, b, horizon, p):
                          ids=["slow", "fast-past-transient"])
 def test_eigenmode_rotation_block(a, b, horizon, p):
     modes = maxreg.eigenmodes(np.array([[-a, b], [-b, -a]]))
+    # the pair -a +/- ib has one forcing, held once
     assert modes.swept.shape == (2, 0)
-    assert np.allclose(np.sort_complex(modes.eigenvalues), [-a - 1j * b, -a + 1j * b])
+    assert np.allclose(modes.eigenvalues, [-a + 1j * b])
     yt, ay = rotation_mode_integrals(a, b, horizon, p)
     want = (yt ** (1 / p) + ay ** (1 / p)) / horizon ** (1 / p)
     got = maxreg._mode_quotients(modes, [p], horizon)[0]
@@ -248,6 +249,60 @@ def test_complex_operator_modes_take_the_kernel():
     got = maxreg.maxreg_constants_multi(a, [1.5, 2.0], 4.0, [modes])
     want = maxreg.maxreg_constants_multi(a, [1.5, 2.0], 4.0, [maxreg.mode_forcings(a, 4.0)])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shift", [-1.5, 0.0], ids=["stable", "growing"])
+def test_conjugate_pair_dedup_is_lossless(shift):
+    # the matrix of test_eigenmodes_match_trajectory_oracle, with both columns
+    # of every pair held: each dropped column is its partner's forcing
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((5, 5)) + shift * np.eye(5)
+    lam, vr = la.eig(a)
+    u, b = maxreg._mode_columns(vr)
+    gram = np.stack([np.vecdot(u.T, u.T), np.vecdot(u.T, b.T), np.vecdot(b.T, b.T)], axis=1)
+    both = maxreg.EigenModes(lam, gram, np.zeros((5, 0)))
+    p_list = [1.5, 2.0, 4.0]
+    quotients = maxreg._mode_quotients(both, p_list, 5.0)
+    dropped = np.flatnonzero(lam.imag < 0)
+    assert dropped.size >= 1
+    for k in dropped:
+        partner = int(np.flatnonzero(lam == lam[k].conj())[0])
+        assert np.array_equal(u[:, k], u[:, partner])
+        assert np.allclose(quotients[:, k], quotients[:, partner], rtol=1e-14, atol=0.0)
+    held = maxreg.eigenmodes(a)
+    assert np.array_equal(held.eigenvalues, lam[lam.imag >= 0])
+    assert np.array_equal(maxreg.maxreg_constants_multi(a, p_list, 5.0, [held]),
+                          maxreg.maxreg_constants_multi(a, p_list, 5.0, [both]))
+
+
+def benchmark_loop(model):
+    """The closed loop of the benchmark's heat or coupled report."""
+    if model == "heat":
+        return HeatConfig(n=32, c2=16.0).synthesize(targets=[-2.0])[0]
+    return CoupledConfig(n=12).synthesize(use_interior=True)[0]
+
+
+@pytest.mark.parametrize(("model", "held"), [("heat", 32), ("coupled", 13)])
+def test_benchmark_loops_hold_one_mode_per_forcing(model, held):
+    # heat has a real spectrum; coupled has 11 conjugate pairs and 2 real modes
+    a = maxreg.operator_matrix(benchmark_loop(model).composed)
+    modes = maxreg.eigenmodes(a)
+    assert modes.eigenvalues.size == held and modes.swept.shape == (a.shape[0], 0)
+
+
+def test_lapack_eigenvectors_have_a_strong_real_part():
+    # geev returns unit eigenvectors with their largest component real, so
+    # sqrt(n) ||Re v|| >= 1 and _mode_columns can always normalize Re v
+    rng = np.random.default_rng(7)
+    mats = [maxreg.operator_matrix(benchmark_loop(m).composed) for m in ("heat", "coupled")]
+    mats.append(np.array([[-1.0, 10.0], [0.0, -1.0]]))
+    for n in (1, 2, 5, 17, 40):
+        mats += [rng.standard_normal((n, n)),
+                 rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                 np.triu(rng.standard_normal((n, n)))]
+    for a in mats:
+        v = la.eig(a)[1]
+        assert np.all(math.sqrt(a.shape[0]) * np.linalg.norm(v.real, axis=0) >= 1.0)
 
 
 # ---------------------------------------------------------------- quadrature
@@ -403,10 +458,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("model", ["heat", "coupled"])
 def test_benchmark_grid_estimates_golden(model):
-    if model == "heat":
-        loop = HeatConfig(n=32, c2=16.0).synthesize(targets=[-2.0])[0]
-    else:
-        loop = CoupledConfig(n=12).synthesize(use_interior=True)[0]
+    loop = benchmark_loop(model)
     t_grid = [10.0, 20.0, 40.0]
     sets = maxreg.build_forcing_grid(loop.composed, t_grid, 8, 1234, 500)
     reports = maxreg.plateau_scan_multi(loop.composed, [1.5, 2.0, 4.0], t_grid, sets)
