@@ -180,6 +180,8 @@ def load_config(path):
             parser.read_file(fh, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"--config = {path}: cannot read ({exc.strerror})") from exc
     if not parser.has_section("model"):
         raise ConfigError("config needs a [model] section")
     _check_keys(parser)
@@ -457,12 +459,20 @@ def make_parser():
     return parser
 
 
+def _make_out_dir(path, source):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{source} = {path}: cannot create output directory "
+                          f"({exc.strerror})") from exc
+
+
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfgp = load_config(args.config)
         out_dir = args.out or _get(cfgp, "output", "dir", "out")
-        os.makedirs(out_dir, exist_ok=True)
+        _make_out_dir(out_dir, "--out" if args.out else "[output] dir")
         _manifest(out_dir, args, cfgp)
         return _COMMANDS[args.command](args, cfgp, out_dir, build_model(cfgp))
     except RankCheckFailure as exc:

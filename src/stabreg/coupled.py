@@ -23,6 +23,7 @@ from .heat import (
     dirichlet_lift,
     first_difference,
     laplacian,
+    window_mask,
 )
 from .operators import (
     GreenMap,
@@ -165,12 +166,7 @@ def build_thermal_dirichlet_map(cfg):
 
 def fluid_window_mask(cfg):
     """Block-state mask of the control window inside the fluid component."""
-    x = cfg.nodes()
-    a, b = cfg.omega
-    comp = (x >= a) & (x <= b)
-    if not comp.any():
-        raise ConfigError(f"window {cfg.omega} contains no grid node at n = {cfg.n}")
-    return np.concatenate([comp, np.zeros(cfg.n, dtype=bool)])
+    return np.concatenate([window_mask(cfg), np.zeros(cfg.n, dtype=bool)])
 
 
 def interior_control_profiles(cfg, k):

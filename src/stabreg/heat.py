@@ -180,13 +180,20 @@ def build_dirichlet_map(cfg):
     return GreenMap(cols, gamma=cfg.gamma, input_labels=("x=0", "x=1"))
 
 
-def omega_mask_weights(cfg):
-    """Boolean window mask over the interior nodes and trapezoid weights on it."""
+def window_mask(cfg):
+    """Boolean mask of the interior nodes in the closed window ``cfg.omega``,
+    with 1e-12 of slack so a node that rounding moves off an edge stays in."""
     x = cfg.nodes()
     a, b = cfg.omega
     mask = (x >= a - 1e-12) & (x <= b + 1e-12)
     if not mask.any():
         raise ConfigError(f"window {cfg.omega} contains no grid node at n = {cfg.n}")
+    return mask
+
+
+def omega_mask_weights(cfg):
+    """Boolean window mask over the interior nodes and trapezoid weights on it."""
+    mask = window_mask(cfg)
     w = np.zeros(cfg.n)
     idx = np.nonzero(mask)[0]
     w[idx] = cfg.h

@@ -129,6 +129,26 @@ def test_missing_config_exit_2(tmp_path):
     assert run(["spectrum", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
+@pytest.mark.parametrize("path", ["afile", "afile/sub"])
+@pytest.mark.parametrize("source", ["--out", "[output] dir"])
+def test_bad_out_path_exit_2(tmp_path, capsys, path, source):
+    # an existing file, or a directory under one, cannot be the output directory
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / path)
+    in_config = source == "[output] dir"
+    cfg = write_config(tmp_path / "c.ini",
+                       HEAT_CFG.format(out=out if in_config else tmp_path / "out"))
+    flags = [] if in_config else ["--out", out]
+    assert run(["spectrum", "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{source} = {out}:" in err
+
+
+def test_config_directory_exit_2(tmp_path, capsys):
+    assert run(["spectrum", "--config", str(tmp_path)]) == 2
+    assert f"--config = {tmp_path}:" in capsys.readouterr().err
+
+
 def test_synthesize_achieved_pole(tmp_path):
     cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
     assert run(["synthesize", "--config", cfg]) == 0

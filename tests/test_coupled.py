@@ -181,6 +181,14 @@ def test_adjoint_bound_scan_grid_stable():
     assert max(vals) / min(vals) < 1.5
 
 
+def test_window_keeps_edge_node_lost_to_rounding():
+    # at n = 39 the node 0.25 is stored as 0.24999999999999997
+    cfg = CoupledConfig(n=39)
+    x = cfg.nodes()
+    assert np.any((x < 0.25) & (x > 0.25 - 1e-12))
+    assert coupled.fluid_window_mask(cfg).sum() == 9
+
+
 def test_interior_profiles_orthonormal():
     cfg = CoupledConfig(n=48)
     cols = coupled.interior_control_profiles(cfg, 2)

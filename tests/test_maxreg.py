@@ -8,11 +8,7 @@ from scipy import integrate
 
 from stabreg import _kernels, coupled, heat, maxreg
 from stabreg import operators as ops
-from stabreg.errors import (
-    DimensionError,
-    SingularityError,
-    UsageError,
-)
+from stabreg.errors import DimensionError, UsageError
 from stabreg.coupled import CoupledConfig
 from stabreg.heat import HeatConfig
 from stabreg.maxreg import ForcingSignal
@@ -523,11 +519,19 @@ def test_imaginary_axis_diag():
     assert sup < 1.0
 
 
-def test_imaginary_axis_unstable_raises():
-    cfg = HeatConfig(n=16, c2=16.0)
-    with pytest.raises(SingularityError) as err:
-        maxreg.imaginary_axis_bound(heat.build_heat_operator(cfg))
-    assert "t near" in str(err.value)
+def test_imaginary_axis_unstable_is_inf():
+    open_loop = heat.build_heat_operator(HeatConfig(n=16, c2=16.0))
+    assert maxreg.imaginary_axis_bound(open_loop) == np.inf
+    # eigenvalues +/- i sit on the axis itself
+    assert maxreg.imaginary_axis_bound(np.array([[0.0, 1.0], [-1.0, 0.0]])) == np.inf
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 10.0, 100.0])
+def test_imaginary_axis_jordan_oracle(s):
+    # A = [[-1, s], [0, -1]]: sup_w ||iw R(iw, A)|| = sqrt(s^2 + 4) / 2 exactly
+    exact = math.sqrt(s * s + 4.0) / 2.0
+    sup = maxreg.imaginary_axis_bound(np.array([[-1.0, s], [0.0, -1.0]]))
+    assert 0.99 * exact <= sup <= exact * (1.0 + 1e-12)
 
 
 def test_imaginary_axis_finite_iff_stable():
