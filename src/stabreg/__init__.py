@@ -33,10 +33,7 @@ from .operators import (
     adjoint_decomposition_residual,
     compose_closed_loop,
     decay_estimate,
-    fit_loglog_slope,
-    fractional_power,
     match_spectra,
-    ray_decay_check,
     resolvent,
     resolvent_perturbation_residual,
     semigroup_apply,

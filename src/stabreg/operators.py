@@ -5,7 +5,7 @@ maps, eigendecompositions, composed closed loops) and the operations built on
 them: spectra with biorthogonal left bases, resolvents, matrix exponentials,
 fractional powers by spectral calculus, closed-loop composition A_F = M(I-GF)+B
 with its factors retained, the adjoint three-term decomposition check, the
-resolvent perturbation identity, resolvent ray decay and semigroup decay fits.
+resolvent perturbation identity and semigroup decay fits.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs; concurrent use needs no locks.
@@ -171,8 +171,11 @@ def spectral_norm(m):
 
 
 def spectral_abscissa(op):
-    """Largest real part over the spectrum."""
-    return float(np.max(la.eigvals(operator_matrix(op)).real))
+    """Largest real part over the spectrum (``eigvalsh`` on Hermitian input)."""
+    m = operator_matrix(op)
+    if np.array_equal(m, m.conj().T):
+        return float(la.eigvalsh(m)[-1])
+    return float(np.max(la.eigvals(m).real))
 
 
 def _assignment(cost):
@@ -268,19 +271,29 @@ def spectrum(op):
 
     Eigenvalues are sorted by decreasing real part (imaginary part descending
     as tie-break).  Eigenvalues with ``Re >= -1e-9`` are counted unstable.
-    A warning-carrying flag is raised when the right-eigenvector basis
-    conditioning exceeds 1e8; a defective (numerically non-diagonalizable)
-    matrix is flagged and the left basis is least-squares biorthogonalized.
+    A Hermitian matrix (equal to its conjugate transpose entry for entry) is
+    decomposed by ``eigh``: its eigenvalues are stored as complex with zero
+    imaginary part, its orthonormal right basis is also its left basis, and
+    it is never defective.  Otherwise ``eig`` gives both bases and the left
+    one is biorthogonalized through the Gram matrix.  A warning-carrying flag
+    is raised when the right-eigenvector basis conditioning exceeds 1e8; a
+    defective (numerically non-diagonalizable) matrix is flagged and the left
+    basis is least-squares biorthogonalized.
     """
     m = operator_matrix(op)
+    hermitian = np.array_equal(m, m.conj().T)
     try:
-        w, vl, vr = la.eig(m, left=True, right=True)
+        if hermitian:
+            w, vr = la.eigh(m)
+            w = w.astype(complex)
+        else:
+            w, vl, vr = la.eig(m, left=True, right=True)
     except la.LinAlgError as exc:
         raise EigenDecompositionError(f"eigen iteration failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise EigenDecompositionError("eigen iteration returned non-finite eigenvalues")
     order = np.lexsort((-w.imag, -w.real))
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    w, vr = w[order], vr[:, order]
 
     # deterministic phase: make the largest-magnitude component of each right
     # vector real positive (keeps conjugate pairs of real matrices conjugate)
@@ -291,32 +304,36 @@ def spectrum(op):
             vr[:, j] = vr[:, j] * (abs(piv) / piv)
     cond_estimate = float(np.linalg.cond(vr))
 
-    gram = vl.conj().T @ vr
     defective = False
-    try:
-        gram_cond = np.linalg.cond(gram)
-        if not np.isfinite(gram_cond) or gram_cond > 1e12:
-            raise la.LinAlgError("singular Gram matrix")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", la.LinAlgWarning)
-            lu, piv = la.lu_factor(gram)
-            corr = la.lu_solve((lu, piv), np.eye(gram.shape[0]))
-        vl = vl @ corr.conj().T
-        if gram_cond > _COND_FLAG:
-            warnings.warn(
-                f"biorthogonalization Gram condition {gram_cond:.3e} > 1e8; "
-                "left basis may be inaccurate", stacklevel=2)
+    if hermitian:
+        vl = vr
+    else:
+        vl = vl[:, order]
+        gram = vl.conj().T @ vr
+        try:
+            gram_cond = np.linalg.cond(gram)
+            if not np.isfinite(gram_cond) or gram_cond > 1e12:
+                raise la.LinAlgError("singular Gram matrix")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", la.LinAlgWarning)
+                lu, piv = la.lu_factor(gram)
+                corr = la.lu_solve((lu, piv), np.eye(gram.shape[0]))
+            vl = vl @ corr.conj().T
+            if gram_cond > _COND_FLAG:
+                warnings.warn(
+                    f"biorthogonalization Gram condition {gram_cond:.3e} > 1e8; "
+                    "left basis may be inaccurate", stacklevel=2)
+                defective = True
+        except (la.LinAlgError, la.LinAlgWarning):
             defective = True
-    except (la.LinAlgError, la.LinAlgWarning):
-        defective = True
-        warnings.warn(
-            "matrix is numerically defective; left basis taken from the adjoint "
-            "eigenproblem with least-squares biorthogonalization", stacklevel=2)
-        # no pairing of the adjoint eigenvalues is needed: reordering the
-        # columns of vl_adj by a permutation P turns pinv(gram)^H into
-        # P^T pinv(gram)^H, so the product below does not change
-        vl_adj = la.eig(m.conj().T)[1]
-        vl = vl_adj @ np.linalg.pinv(vl_adj.conj().T @ vr).conj().T
+            warnings.warn(
+                "matrix is numerically defective; left basis taken from the adjoint "
+                "eigenproblem with least-squares biorthogonalization", stacklevel=2)
+            # no pairing of the adjoint eigenvalues is needed: reordering the
+            # columns of vl_adj by a permutation P turns pinv(gram)^H into
+            # P^T pinv(gram)^H, so the product below does not change
+            vl_adj = la.eig(m.conj().T)[1]
+            vl = vl_adj @ np.linalg.pinv(vl_adj.conj().T @ vr).conj().T
 
     biorth_err = np.abs(vl.conj().T @ vr - np.eye(m.shape[0])).max()
     if biorth_err > 1e-8 and not defective:
@@ -394,32 +411,8 @@ def _power_from_spectral(spectral, theta):
     return (v * powered) @ w
 
 
-def fractional_power(op, theta, spectral=None):
-    """Principal-branch fractional power of an operator with right-half-plane spectrum.
-
-    Computed by eigendecomposition: V diag(lambda^theta) V^{-1}.  The spectrum
-    must lie strictly in the open right half-plane (translate first otherwise)
-    and the eigenbasis must be acceptably conditioned.  The semigroup law
-    ``A^theta A^{1-theta} = A`` is checked to relative tolerance 1e-6.
-    """
-    if not (0.0 < theta < 1.0):
-        raise UsageError(f"fractional exponent must lie in (0,1), got {theta}")
-    m = operator_matrix(op)
-    sp = spectral if spectral is not None else spectrum(op)
-    frac = real_power(op, theta, spectral=sp).entries
-    comp = _power_from_spectral(sp, 1.0 - theta)
-    resid = spectral_norm(frac @ comp - m) / max(spectral_norm(m), 1e-300)
-    if resid > 1e-6:
-        raise NumericalError(
-            f"fractional power verification failed: ||A^t A^(1-t) - A||/||A|| = {resid:.3e}")
-    out = frac
-    if np.isrealobj(m) and np.abs(out.imag).max(initial=0.0) <= 1e-12 * max(np.abs(out.real).max(), 1.0):
-        out = out.real
-    return Operator(out, label=f"power({theta})")
-
-
 def real_power(op, theta, spectral=None):
-    """Arbitrary real power by the same spectral calculus (no (0,1) restriction).
+    """Real power V diag(lambda^theta) V^{-1} by spectral calculus, any real theta.
 
     Raises TranslationRequiredError unless the spectrum lies in the open right
     half-plane, and IllConditionedBasisError above eigenbasis condition 1e8.
@@ -571,34 +564,6 @@ def resolvent_perturbation_residual(cl, lams):
                 f"[I + R(lam,M) M G F] singular at lambda = {lam}") from exc
         residuals.append(float(spectral_norm(rhs - r_af) / max(spectral_norm(r_af), 1e-300)))
     return max(residuals)
-
-
-def ray_decay_check(drift_translated, gamma, lambda_grid):
-    """||R(lam, M^) M^^(1-gamma)|| along a lambda ray.
-
-    ``drift_translated`` must already have right-half-plane spectrum.  Returns
-    a list of (|lam|, value) pairs; the caller asserts a log-log slope.
-    """
-    op = drift_translated if isinstance(drift_translated, Operator) else Operator(drift_translated)
-    sp = spectrum(op)
-    if np.min(sp.eigenvalues.real) <= 0.0:
-        raise TranslationRequiredError("ray check expects a translated operator")
-    power = real_power(op, 1.0 - gamma, spectral=sp).entries
-    rows = []
-    for lam in lambda_grid:
-        r = resolvent(op, lam, eigenvalues=sp.eigenvalues).entries
-        rows.append((abs(complex(lam)), float(spectral_norm(r @ power))))
-    return rows
-
-
-def fit_loglog_slope(pairs):
-    """Least-squares slope of log(value) against log(|lam|)."""
-    pairs = [(x, y) for x, y in pairs]
-    if len(pairs) < 2:
-        raise UsageError("need at least two points for a slope fit")
-    x = np.log([p[0] for p in pairs])
-    y = np.log([p[1] for p in pairs])
-    return float(np.polyfit(x, y, 1)[0])
 
 
 def decay_estimate(op, t_grid):

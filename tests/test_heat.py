@@ -124,6 +124,26 @@ def test_gamma_scan_threshold_crossover():
     assert max(high) / min(high) > 4.0
 
 
+def test_gamma_scan_matches_sine_basis_oracle():
+    # (kI - M)^gamma = S diag((k - lam)^gamma) S^T in the orthonormal sine
+    # basis S_jk = sqrt(2h) sin(j k pi h) of the advection-free drift M
+    cfg = HeatConfig(c2=16.0, q=2.0)
+    grids, gammas = [64, 128, 256], [0.2, 0.75]
+    rows = heat.gamma_bound_scan(grids, gammas, cfg)
+    assert [(n, g) for n, g, _ in rows] == [(n, g) for n in grids for g in gammas]
+    for n, g, value in rows:
+        sub = HeatConfig(n=n, c2=16.0, q=2.0)
+        h = sub.h
+        j = np.arange(1, n + 1)
+        s = np.sqrt(2.0 * h) * np.sin(np.outer(j, j) * np.pi * h)
+        lam = heat.fd_eigenvalues(sub)
+        k = max(0.0, lam.max()) + 1.0
+        power = (s * (k - lam) ** g) @ s.T
+        d = heat.build_dirichlet_map(sub).entries
+        exact = np.sqrt(h) * np.linalg.norm(power @ d, 2)
+        assert abs(value - exact) <= 1e-10 * exact
+
+
 def test_h5_square_root_bound():
     cfg = HeatConfig(c2=16.0, advection_b=5.0)
     rows = heat.h5_bound_scan([16, 32, 64, 128], cfg)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from stabreg.errors import (
     TranslationRequiredError,
     UsageError,
 )
-from stabreg.heat import HeatConfig, build_heat_operator, heat_split
+from stabreg.heat import HeatConfig, build_heat_operator, fd_eigenvalues, heat_split
 from stabreg.operators import GreenMap, Operator
 
 
@@ -67,11 +68,20 @@ def test_spectrum_diag_indefinite():
 
 
 def test_spectrum_heat_unstable_eigenvalue():
+    # the advection-free drift is exactly symmetric, so it takes the eigh path:
+    # closed-form spectrum, its orthonormal basis as the left basis, no warning
     cfg = HeatConfig(n=64, c2=16.0)
-    sp = ops.spectrum(build_heat_operator(cfg))
+    drift = build_heat_operator(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = ops.spectrum(drift)
     assert sp.unstable_count == 1
-    exact = cfg.c2 - (4 / cfg.h**2) * np.sin(np.pi * cfg.h / 2) ** 2
-    assert abs(sp.eigenvalues[0].real - exact) <= 1e-8
+    exact = np.sort(fd_eigenvalues(cfg))[::-1]
+    assert np.all(np.abs(sp.eigenvalues - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
+    assert np.array_equal(sp.left_vectors, sp.right_vectors)
+    assert abs(sp.cond_estimate - 1.0) <= 1e-12
+    assert not sp.defective and not sp.ill_conditioned
+    assert abs(ops.spectral_abscissa(drift) - exact[0]) <= 1e-10 * max(1.0, abs(exact[0]))
 
 
 def test_spectrum_biorthogonality_nonsymmetric():
@@ -79,6 +89,26 @@ def test_spectrum_biorthogonality_nonsymmetric():
     sp = ops.spectrum(m)
     gram = sp.left_vectors.conj().T @ sp.right_vectors
     assert np.abs(gram - np.eye(12)).max() <= 1e-8
+
+
+def test_spectrum_hermitian_test_is_exact(monkeypatch):
+    # a symmetric matrix with one off-diagonal entry moved by one ulp is not
+    # Hermitian, so it decomposes with eigh and eigvalsh unavailable
+    m = -heat_split(HeatConfig(n=16, c2=9.1))[0].entries
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hermitian solver called")
+    monkeypatch.setattr(la, "eigh", refuse)
+    monkeypatch.setattr(la, "eigvalsh", refuse)
+    with pytest.raises(AssertionError, match="Hermitian solver"):
+        ops.spectrum(m)
+    with pytest.raises(AssertionError, match="Hermitian solver"):
+        ops.spectral_abscissa(m)
+    bumped = m.copy()
+    bumped[0, 1] = np.nextafter(bumped[0, 1], np.inf)
+    sp = ops.spectrum(bumped)
+    assert not np.array_equal(sp.left_vectors, sp.right_vectors)
+    assert np.abs(sp.left_vectors.conj().T @ sp.right_vectors - np.eye(16)).max() <= 1e-8
+    assert ops.spectral_abscissa(bumped) == pytest.approx(sp.eigenvalues[0].real, rel=1e-12)
 
 
 def test_spectrum_defective_warns():
@@ -191,16 +221,16 @@ def test_generator_consistency_first_order():
 # ---------------------------------------------------------------- fractional powers
 
 def test_fractional_power_diag():
-    out = ops.fractional_power(np.diag([4.0]), 0.5)
+    out = ops.real_power(np.diag([4.0]), 0.5)
     assert np.allclose(out.entries, [[2.0]])
-    out = ops.fractional_power(np.diag([1.0, 16.0]), 0.25)
+    out = ops.real_power(np.diag([1.0, 16.0]), 0.25)
     assert np.allclose(np.diag(out.entries), [1.0, 2.0])
 
 
 def test_fractional_power_sqrt_squares_back():
     cfg = HeatConfig(n=16, c2=9.1)
     a = -heat_split(cfg)[0].entries          # sign-flipped Laplacian, SPD
-    half = ops.fractional_power(a, 0.5).entries
+    half = ops.real_power(a, 0.5).entries
     assert np.linalg.norm(half @ half - a, 2) <= 1e-8 * np.linalg.norm(a, 2)
 
 
@@ -208,25 +238,33 @@ def test_fractional_power_sqrt_squares_back():
 def test_fractional_power_semigroup_law(theta):
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-    a = q @ np.diag(rng.uniform(0.5, 30.0, 7)) @ q.T
-    p1 = ops.fractional_power(a, theta).entries
-    p2 = ops.fractional_power(a, 1.0 - theta).entries
-    assert np.linalg.norm(p1 @ p2 - a, 2) <= 1e-6 * np.linalg.norm(a, 2)
+    # q D q^T is not symmetric bit for bit, so it takes the eig path; the
+    # complex matrix is Hermitian by construction and takes the eigh path,
+    # whose eigenvalues come back exactly real
+    real = q @ np.diag(rng.uniform(0.5, 30.0, 7)) @ q.T
+    b = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    herm = (b + b.conj().T) / 2
+    herm = herm + (0.5 - la.eigvalsh(herm)[0]) * np.eye(7)
+    assert np.all(ops.spectrum(herm).eigenvalues.imag == 0.0)
+    for a in (real, herm):
+        p1 = ops.real_power(a, theta).entries
+        p2 = ops.real_power(a, 1.0 - theta).entries
+        assert np.linalg.norm(p1 @ p2 - a, 2) <= 1e-6 * np.linalg.norm(a, 2)
 
 
 def test_fractional_power_requires_translation():
     with pytest.raises(TranslationRequiredError):
-        ops.fractional_power(np.diag([1.0, -0.5]), 0.5)
+        ops.real_power(np.diag([1.0, -0.5]), 0.5)
     k, hat = ops.translate_to_positive(np.diag([1.0, -0.5]))
     assert k == 2.0
-    ops.fractional_power(hat, 0.5)   # no raise after translation
+    ops.real_power(hat, 0.5)   # no raise after translation
 
 
 def test_fractional_power_refuses_ill_conditioned():
     with pytest.warns(UserWarning):
         sp = ops.spectrum(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]]))
     with pytest.raises(IllConditionedBasisError):
-        ops.fractional_power(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]]), 0.5, spectral=sp)
+        ops.real_power(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]]), 0.5, spectral=sp)
 
 
 # ---------------------------------------------------------------- closed loop
@@ -337,36 +375,7 @@ def test_perturbation_identity_random_lambdas():
         assert ops.resolvent_perturbation_residual(cl, lam) <= 1e-8
 
 
-# ---------------------------------------------------------------- ray decay / decay fit
-
-def test_ray_decay_scalar():
-    rows = ops.ray_decay_check(np.array([[1.0]]), 0.5, np.linspace(10, 1000, 12))
-    assert ops.fit_loglog_slope(rows) <= -0.4
-    vals = [v for _, v in rows]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_ray_decay_diag():
-    rows = ops.ray_decay_check(np.diag([1.0, 4.0, 9.0]), 0.25,
-                               np.logspace(2, 4, 9))
-    assert ops.fit_loglog_slope(rows) <= -0.15
-
-
-def test_ray_decay_heat_beyond_spectral_radius():
-    cfg = HeatConfig(n=32, c2=16.0)
-    _, hat = ops.translate_to_positive(build_heat_operator(cfg))
-    radius = np.max(np.abs(la.eigvals(hat.entries)))
-    grid = [3 * radius, 10 * radius, 30 * radius]
-    rows = ops.ray_decay_check(hat, 0.25, grid)
-    vals = [v for _, v in rows]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert ops.fit_loglog_slope(rows) <= -0.15
-
-
-def test_ray_decay_requires_translation():
-    with pytest.raises(TranslationRequiredError):
-        ops.ray_decay_check(np.diag([-1.0, 2.0]), 0.5, [10.0, 100.0])
-
+# ---------------------------------------------------------------- decay fit
 
 def test_decay_estimate_scalar():
     m, delta = ops.decay_estimate(np.diag([-2.0]), np.linspace(0.5, 8, 12))
