@@ -15,6 +15,7 @@ import dataclasses
 import inspect
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -35,7 +36,6 @@ from .operators import (
     resolvent_perturbation_residual,
     spectral_abscissa,
     spectral_norm,
-    spectrum,
 )
 from .synthesis import unstable_projection
 
@@ -125,10 +125,12 @@ class AbstractModel:
     feedback_file: str = None
     h = 1.0
 
+    @cached_property
     def operator(self):
         return Operator(_real_if_real(_read_matrix_file(self.operator_file, "operator")),
                         label="abstract operator")
 
+    @cached_property
     def lifting(self):
         if self.green_file is None:
             return None
@@ -137,7 +139,7 @@ class AbstractModel:
 
     def synthesize(self):
         """Compose with the feedback file (zero without one); nothing is synthesized."""
-        operator, green = self.operator(), self.lifting()
+        operator, green = self.operator, self.lifting
         if green is None:
             raise ConfigError("abstract model needs green_file to compose a closed loop")
         feedback = (None if self.feedback_file is None
@@ -217,7 +219,7 @@ def build_model(cfgp):
         values[f.name] = (tuple(_get_floats(cfgp, "model", key)) if f.type is tuple
                           else _get(cfgp, "model", key, cast=_CASTS[f.type]))
     model = _MODELS[kind](**values)
-    return ModelBundle(kind, model, model.operator(), model.lifting())
+    return ModelBundle(kind, model, model.operator, model.lifting)
 
 
 def build_closed_loop(cfgp, bundle):
@@ -287,7 +289,7 @@ def _plateau_reports(cfgp, args, composed):
 
 
 def cmd_spectrum(args, cfgp, out_dir, bundle):
-    sp = spectrum(bundle.operator)
+    sp = bundle.operator.spectral
     rows = [(k + 1, lam.real, lam.imag, k < sp.unstable_count)
             for k, lam in enumerate(sp.eigenvalues)]
     matio.write_csv(os.path.join(out_dir, "spectrum.csv"), SPECTRUM_HEADER, rows)
@@ -379,15 +381,14 @@ def _identity_rows(cl, seed):
     """Structural identity residuals for a composed ClosedLoop.
 
     The resolvent identity is checked at 20 seeded points right of both
-    spectra.
+    spectra, the drift's and the B-less loop's.
     """
     rng = np.random.default_rng(seed)
     drift = cl.drift_A.entries
-    a_f = cl.feedback_part()
-    right = max(spectral_abscissa(cl.drift_A), float(np.max(np.linalg.eigvals(a_f).real)))
+    right = max(spectral_abscissa(cl.drift_A), spectral_abscissa(cl.feedback_part))
     points = [complex(right + 1.0 + 49.0 * rng.random(), -50.0 + 100.0 * rng.random())
               for _ in range(20)]
-    pn = unstable_projection(spectrum(cl.drift_A)).entries
+    pn = unstable_projection(cl.drift_A.spectral).entries
     comm = spectral_norm(pn @ drift - drift @ pn) / max(spectral_norm(drift), 1e-300)
     checks = [("resolvent_identity_max", resolvent_perturbation_residual(cl, points), 1e-8),
               ("adjoint_decomposition", adjoint_decomposition_residual(cl), 1e-8),

@@ -11,6 +11,7 @@ couplings, interior feedback), both retained for reassembly checks.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -33,7 +34,6 @@ from .operators import (
     real_power,
     spectral_abscissa,
     spectral_norm,
-    spectrum,
 )
 
 
@@ -97,9 +97,11 @@ class CoupledConfig:
         prof = np.asarray(self.theta_e_profile, dtype=float)
         return np.full(self.n, float(prof)) if prof.ndim == 0 else prof.copy()
 
+    @cached_property
     def operator(self):
         return build_block_operator(self)
 
+    @cached_property
     def lifting(self):
         return build_thermal_dirichlet_map(self)
 
@@ -193,7 +195,7 @@ def compose_coupled_loop(cfg, f_law, j_law=None):
     """
     n2 = 2 * cfg.n
     ahat, pi0, gen, trans = coupled_split(cfg)
-    dmap = build_thermal_dirichlet_map(cfg)
+    dmap = cfg.lifting
     if j_law is None:
         j_law = synthesis.FeedbackLaw.zero(n2, n2)
     j_mat = np.atleast_2d(np.asarray(j_law.as_matrix))
@@ -228,10 +230,9 @@ def synthesize_coupled_feedback(cfg, targets=None, use_interior=True):
     additive).  Returns (f_law, j_law, info).
     """
     n2 = 2 * cfg.n
-    ahat, pi0, _, _ = coupled_split(cfg)
-    block = Operator(ahat.entries + pi0.entries)
-    dmap = build_thermal_dirichlet_map(cfg)
-    sp = spectrum(block)
+    ahat = coupled_split(cfg)[0]
+    dmap = cfg.lifting
+    sp = cfg.operator.spectral
     if sp.unstable_count == 0:
         return (synthesis.FeedbackLaw.zero(2, n2), synthesis.FeedbackLaw.zero(n2, n2),
                 {"spectral": sp, "reduced": None, "targets": np.array([]),
@@ -281,8 +282,7 @@ def adjoint_bound_scan(grids, cfg, targets=None):
                                        else float(np.mean(cfg.theta_vector()))))
         f_law, j_law, _ = synthesize_coupled_feedback(sub, targets=targets)
         cl = compose_coupled_loop(sub, f_law, j_law)
-        a_pos = Operator(-cl.generator_A.entries)
-        power = real_power(a_pos, -(1.0 - sub.gamma)).entries
+        power = real_power(-cl.generator_A.entries, -(1.0 - sub.gamma)).entries
         term = cl.drift_A.entries @ cl.green.entries @ cl.feedback_matrix()
         rows.append((int(n), spectral_norm(power @ term)))
     return rows
@@ -291,7 +291,7 @@ def adjoint_bound_scan(grids, cfg, targets=None):
 def verify_coupled_stabilization(cl, cfg):
     """PASS/FAIL bundle for the coupled loop ``cl`` composed on ``cfg``.
 
-    Checks: split reassembly |feedback_part() + interior_B - composed|
+    Checks: split reassembly |feedback_part + interior_B - composed|
     (<= 1e-12), boundary-route Hautus margins (zero margin with no interior
     feedback is the designed failure), closed-loop abscissa strictly between
     the first untouched open-loop mode and zero, decay-fit rate (on
@@ -299,10 +299,10 @@ def verify_coupled_stabilization(cl, cfg):
     """
     checks = {}
     scale = max(np.abs(cl.composed.entries).max(), 1.0)
-    resid = float(np.abs(cl.feedback_part() + cl.interior_B.entries
+    resid = float(np.abs(cl.feedback_part.entries + cl.interior_B.entries
                          - cl.composed.entries).max() / scale)
     checks["reassembly"] = (resid <= 1e-12, resid, 1e-12)
-    sp_open = spectrum(build_block_operator(cfg))
+    sp_open = cfg.operator.spectral
     nu = sp_open.unstable_count
     # interior_B is the bounded part plus the interior feedback, if any
     has_interior = bool(np.any(cl.interior_B.entries != coupled_split(cfg)[1].entries))

@@ -11,6 +11,7 @@ boundedness of the advection; the closed loop is assembled exactly as
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -31,7 +32,6 @@ from .operators import (
     real_power,
     spectral_abscissa,
     spectral_norm,
-    spectrum,
     translate_to_positive,
 )
 
@@ -47,10 +47,11 @@ def check_window(omega):
 class HeatConfig:
     """Discretization and model parameters for the heat example.
 
-    The methods are the CLI's model protocol; the keyword arguments of
-    ``synthesize`` are the ``[synthesis]`` keys the model reads, and ``verify``
-    returns the model's own verify.csv rows; the CLI adds the identity rows
-    before them and the regularity-scan rows after them, for every model.
+    The members below are the CLI's model protocol, ``operator`` and
+    ``lifting`` built once per config; the keyword arguments of ``synthesize``
+    are the ``[synthesis]`` keys the model reads, and ``verify`` returns the
+    model's own verify.csv rows; the CLI adds the identity rows before them
+    and the regularity-scan rows after them, for every model.
     """
 
     n: int = 64
@@ -87,9 +88,11 @@ class HeatConfig:
     def nodes(self):
         return np.linspace(self.h, 1.0 - self.h, self.n)
 
+    @cached_property
     def operator(self):
         return build_heat_operator(self)
 
+    @cached_property
     def lifting(self):
         return build_dirichlet_map(self)
 
@@ -240,15 +243,10 @@ def gamma_bound_scan(grids, gamma_list, cfg):
     rows = []
     for n in grids:
         sub = replace(cfg, n=int(n))
-        op = build_heat_operator(sub)
         d = build_dirichlet_map(sub)
-        _, hat = translate_to_positive(op)
-        sp = spectrum(hat)
+        _, hat = translate_to_positive(build_heat_operator(sub))
         for g in gamma_list:
-            if g == 0.0:
-                powered = d.entries
-            else:
-                powered = real_power(hat, g, spectral=sp).entries @ d.entries
+            powered = d.entries if g == 0.0 else real_power(hat, g).entries @ d.entries
             rows.append((int(n), float(g), map_norm_q(powered, sub.h, sub.q)))
     return rows
 
@@ -263,9 +261,7 @@ def h5_bound_scan(grids, cfg):
         raise UsageError("square-root bound scan needs a nonzero advection coefficient")
     rows = []
     for n in grids:
-        a_pos = -laplacian(int(n))
-        w, v = la.eigh(a_pos)
-        inv_half = (v * w**-0.5) @ v.T
+        inv_half = real_power(-laplacian(int(n)), -0.5).entries
         ao = cfg.advection_b * first_difference(int(n))
         rows.append((int(n), spectral_norm(ao @ inv_half)))
     return rows
@@ -274,9 +270,7 @@ def h5_bound_scan(grids, cfg):
 def closed_loop_heat(cfg, feedback):
     """Closed loop (diffusion + translation + advection)(I - D F), B = 0."""
     gen, pert = heat_split(cfg)
-    op = Operator(gen.entries + pert.entries, label="heat operator")
-    d = build_dirichlet_map(cfg)
-    return compose_closed_loop(op, d, feedback, interior_B=None,
+    return compose_closed_loop(cfg.operator, cfg.lifting, feedback, interior_B=None,
                                generator_A=gen, perturbation_Ao=pert)
 
 
@@ -302,9 +296,8 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
     spectral data, reduced pair, targets actually used and the achieved
     reduced spectrum.
     """
-    op = build_heat_operator(cfg)
-    d = build_dirichlet_map(cfg)
-    sp = spectrum(op)
+    op, d = cfg.operator, cfg.lifting
+    sp = op.spectral
     try:
         mask, wts = omega_mask_weights(cfg)
     except ConfigError as exc:

@@ -25,7 +25,7 @@ import scipy.linalg as la
 
 from . import _kernels
 from .errors import DimensionError, IdentityViolationError, UsageError
-from .operators import Operator, operator_matrix
+from .operators import Operator, decomposition, operator_matrix, spectral_abscissa
 
 CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict"
 
@@ -105,8 +105,8 @@ def constant_forcing(vector, horizon):
 
 def _mode_columns(vr):
     """(u, b) for the eigenvector columns of ``vr``: the forcing u = Re w and
-    b = Im w, where w = v / ||Re v||.  LAPACK returns each v with unit norm and
-    its largest component real, so ||Re v|| >= 1 / sqrt(n)."""
+    b = Im w, where w = v / ||Re v||.  ``spectrum`` returns each v with unit
+    norm and its largest component real and positive, so ||Re v|| >= 1 / sqrt(n)."""
     # Contiguous columns: each norm is one BLAS dot, as np.linalg.norm takes it.
     u = np.array(vr.real, order="F")
     b = np.array(vr.imag, order="F")
@@ -116,8 +116,8 @@ def _mode_columns(vr):
 
 def mode_forcings(op, horizon):
     """One constant-in-time forcing per eigenmode (real part, normalized), as
-    one batch of shape (1, dim, dim): column k is eigenmode k."""
-    _, vr = la.eig(operator_matrix(op))
+    one batch of shape (1, dim, dim): column k is eigenmode k, in spectrum order."""
+    vr = decomposition(op).right_vectors
     return ForcingSignal(_mode_columns(vr)[0][None], horizon)
 
 
@@ -141,9 +141,10 @@ class EigenModes:
 
 
 def eigenmodes(op):
-    """The EigenModes of ``op`` from one eigendecomposition, one per distinct forcing."""
+    """The EigenModes of ``op`` from its decomposition, one per distinct forcing."""
     a = operator_matrix(op)
-    lam, vr = la.eig(a)
+    sp = decomposition(op)
+    lam, vr = sp.eigenvalues, sp.right_vectors
     if not np.iscomplexobj(a):      # Re conj(v) = Re v: one forcing per pair
         lam, vr = lam[lam.imag >= 0], vr[:, lam.imag >= 0]
     u, b = _mode_columns(vr)
@@ -366,9 +367,9 @@ def imaginary_axis_bound(cl):
     singular-value computation each and no inverse formed.  ``inf`` when an
     eigenvalue lies on or right of the imaginary axis.
     """
-    a = operator_matrix(cl)
-    if np.max(la.eigvals(a).real) >= 0:
+    if spectral_abscissa(cl) >= 0:
         return np.inf
+    a = operator_matrix(cl)
     eye = np.eye(a.shape[0])
     sup = 0.0
     for t in np.logspace(-3.0, 3.0, 60):
@@ -381,7 +382,7 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, workers=1):
     """Horizon scans for several exponents sharing one trajectory sweep per T.
 
     Each horizon's family is its forcing set plus the EigenModes of ``cl``,
-    taken from one eigendecomposition for the whole scan.  Returns one
+    taken from its one decomposition for the whole scan.  Returns one
     MaxRegReport per exponent.  verdict ``plateau``: the last two
     estimates differ by < PLATEAU_RTOL relative; ``growth``: log C increases
     by more than 1 between every pair of consecutive horizons; anything in

@@ -8,11 +8,13 @@ with its factors retained, the adjoint three-term decomposition check, the
 resolvent perturbation identity and semigroup decay fits.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs; concurrent use needs no locks.
+function of its inputs.  ``Operator.spectral`` caches the decomposition on first
+use; threads racing on it compute the same value, so no lock is needed.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -56,6 +58,11 @@ class Operator:
     @property
     def dim(self):
         return self.entries.shape[0]
+
+    @cached_property
+    def spectral(self):
+        """The ``spectrum`` of this operator, computed on first use."""
+        return spectrum(self)
 
 
 @dataclass(frozen=True)
@@ -138,11 +145,13 @@ class ClosedLoop:
     def feedback_matrix(self):
         return feedback_as_matrix(self.feedback, self.green.input_dim, self.dim)
 
+    @cached_property
     def feedback_part(self):
-        """The B-less part drift_A (I - G F), recomputed from the factors."""
-        n = self.dim
+        """The B-less part drift_A (I - G F): ``composed`` itself without interior_B."""
+        if self.interior_B is None:
+            return self.composed
         gf = self.green.entries @ self.feedback_matrix()
-        return self.drift_A.entries @ (np.eye(n) - gf)
+        return Operator(self.drift_A.entries @ (np.eye(self.dim) - gf), label="B-less loop")
 
 
 def feedback_as_matrix(feedback, input_dim, state_dim):
@@ -170,12 +179,15 @@ def spectral_norm(m):
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
+def decomposition(x):
+    """Cached SpectralData of an Operator or a ClosedLoop; a plain array's, afresh."""
+    x = x.composed if isinstance(x, ClosedLoop) else x
+    return x.spectral if isinstance(x, Operator) else spectrum(x)
+
+
 def spectral_abscissa(op):
-    """Largest real part over the spectrum (``eigvalsh`` on Hermitian input)."""
-    m = operator_matrix(op)
-    if np.array_equal(m, m.conj().T):
-        return float(la.eigvalsh(m)[-1])
-    return float(np.max(la.eigvals(m).real))
+    """Largest real part over the spectrum: the first eigenvalue of ``spectrum``."""
+    return float(decomposition(op).eigenvalues[0].real)
 
 
 def _assignment(cost):
@@ -270,15 +282,16 @@ def spectrum(op):
     """Full eigendecomposition with a biorthogonal left basis.
 
     Eigenvalues are sorted by decreasing real part (imaginary part descending
-    as tie-break).  Eigenvalues with ``Re >= -1e-9`` are counted unstable.
-    A Hermitian matrix (equal to its conjugate transpose entry for entry) is
-    decomposed by ``eigh``: its eigenvalues are stored as complex with zero
-    imaginary part, its orthonormal right basis is also its left basis, and
-    it is never defective.  Otherwise ``eig`` gives both bases and the left
-    one is biorthogonalized through the Gram matrix.  A warning-carrying flag
-    is raised when the right-eigenvector basis conditioning exceeds 1e8; a
-    defective (numerically non-diagonalizable) matrix is flagged and the left
-    basis is least-squares biorthogonalized.
+    as tie-break); each right vector has unit norm, its largest component real
+    positive.  Eigenvalues with ``Re >= -1e-9`` are counted unstable.  A
+    Hermitian matrix (equal to its conjugate transpose entry for entry) is
+    decomposed by ``eigh``: eigenvalues stored as complex, one basis for both
+    sides, of condition 1.0 when max |V^H V - I| <= 1e-8 (a bound of
+    1 + n 1e-8), else defective with its condition measured.  Otherwise ``eig``
+    gives both bases and the left one is biorthogonalized through the Gram
+    matrix.  A warning-carrying flag is raised when the right-eigenvector basis
+    conditioning exceeds 1e8; a defective (numerically non-diagonalizable)
+    matrix is flagged and the left basis is least-squares biorthogonalized.
     """
     m = operator_matrix(op)
     hermitian = np.array_equal(m, m.conj().T)
@@ -302,7 +315,6 @@ def spectrum(op):
         piv = vr[i, j]
         if piv != 0:
             vr[:, j] = vr[:, j] * (abs(piv) / piv)
-    cond_estimate = float(np.linalg.cond(vr))
 
     defective = False
     if hermitian:
@@ -339,25 +351,26 @@ def spectrum(op):
     if biorth_err > 1e-8 and not defective:
         defective = True
         warnings.warn(
-            f"biorthogonality residual {biorth_err:.3e} > 1e-8 after Gram correction; "
+            f"biorthogonality residual {biorth_err:.3e} > 1e-8; "
             "matrix treated as defective", stacklevel=2)
+    cond_estimate = 1.0 if hermitian and not defective else float(np.linalg.cond(vr))
     ill = cond_estimate > _COND_FLAG
     if ill and not defective:
         warnings.warn(f"eigenvector basis condition {cond_estimate:.3e} > 1e8", stacklevel=2)
 
-    n_unstable = int(np.sum(w.real >= -1e-9))
+    vr = _frozen_array(vr)
     return SpectralData(
         eigenvalues=_frozen_array(w),
-        right_vectors=_frozen_array(vr),
-        left_vectors=_frozen_array(vl),
-        unstable_count=n_unstable,
+        right_vectors=vr,
+        left_vectors=vr if hermitian else _frozen_array(vl),
+        unstable_count=int(np.sum(w.real >= -1e-9)),
         cond_estimate=cond_estimate,
         ill_conditioned=bool(ill),
         defective=bool(defective),
     )
 
 
-def resolvent(op, lam, eigenvalues=None):
+def resolvent(op, lam):
     """(lam I - op)^{-1} with a spectral-distance guard and residual check.
 
     ``lam`` within 1e-10 of an eigenvalue raises SingularityError; a solve
@@ -365,7 +378,7 @@ def resolvent(op, lam, eigenvalues=None):
     """
     m = operator_matrix(op)
     lam = complex(lam)
-    evs = la.eigvals(m) if eigenvalues is None else np.asarray(eigenvalues)
+    evs = decomposition(op).eigenvalues
     gap = np.abs(evs - lam)
     i = int(np.argmin(gap))
     if gap[i] <= 1e-10:
@@ -402,22 +415,15 @@ def semigroup_apply(op, t):
     return Operator(e, label=f"exp(t={t})")
 
 
-def _power_from_spectral(spectral, theta):
-    """V diag(lambda^theta) V^{-1} using the biorthogonal left basis."""
-    lam = spectral.eigenvalues
-    powered = np.power(lam.astype(complex), theta)
-    v = spectral.right_vectors
-    w = spectral.left_vectors.conj().T
-    return (v * powered) @ w
-
-
-def real_power(op, theta, spectral=None):
+def real_power(op, theta):
     """Real power V diag(lambda^theta) V^{-1} by spectral calculus, any real theta.
 
-    Raises TranslationRequiredError unless the spectrum lies in the open right
+    Formed in real arithmetic (a float64 result) when the biorthogonal bases
+    and the eigenvalues are real, as for a real symmetric operator.  Raises
+    TranslationRequiredError unless the spectrum lies in the open right
     half-plane, and IllConditionedBasisError above eigenbasis condition 1e8.
     """
-    sp = spectral if spectral is not None else spectrum(op)
+    sp = decomposition(op)
     if np.min(sp.eigenvalues.real) <= 0.0:
         raise TranslationRequiredError(
             "spectrum touches the closed left half-plane "
@@ -425,7 +431,10 @@ def real_power(op, theta, spectral=None):
     if sp.cond_estimate > _COND_FLAG:
         raise IllConditionedBasisError(
             f"eigenvector basis condition {sp.cond_estimate:.3e} > 1e8; refusing spectral calculus")
-    return Operator(_power_from_spectral(sp, theta), label=f"power({theta})")
+    lam, v, w = sp.eigenvalues, sp.right_vectors, sp.left_vectors.conj().T
+    if np.isrealobj(v) and np.isrealobj(w) and not lam.imag.any():
+        lam = lam.real
+    return Operator((v * np.power(lam, theta)) @ w, label=f"power({theta})")
 
 
 def translate_to_positive(op):
@@ -494,34 +503,28 @@ def adjoint_decomposition_residual(cl):
 
     The B-less part satisfies (M(I-GF))^H = -A^H + [F^H G^H (A^H)^g](A^H)^(1-g)
     + (I-GF)^H (A^(-(1-e)) Ao)^H (A^H)^(1-e) with g the Green exponent and e
-    the perturbation exponent.  Requires the positive part -generator_A to
-    have right-half-plane spectrum.  Returns inf when its eigenbasis condition
-    exceeds 1e8, where ``real_power`` refuses the basis: every power comes
-    from that one basis and the identity only multiplies them back together,
-    so the residual would read 0 on any basis.
+    the perturbation exponent.  The powers are ``real_power``s of the positive
+    part -generator_A, so its spectrum must lie in the right half-plane.
+    Returns inf where ``real_power`` refuses its eigenbasis (condition above
+    1e8): every power comes from that one basis and the identity only
+    multiplies them back together, so the residual would read 0 on any basis.
     """
     n = cl.dim
-    a_pos = -cl.generator_A.entries
-    sp = spectrum(Operator(a_pos))
-    if np.min(sp.eigenvalues.real) <= 0.0:
-        raise TranslationRequiredError(
-            "adjoint decomposition needs the generator split's positive part to "
-            "have right-half-plane spectrum")
-    if sp.cond_estimate > _COND_FLAG:
-        return np.inf
+    a_pos = Operator(-cl.generator_A.entries)
     gamma = cl.green.gamma
     eps = 0.5   # a first-order perturbation is relatively bounded w.r.t. A^(1/2)
-    a_g = _power_from_spectral(sp, gamma)
-    a_1mg = _power_from_spectral(sp, 1.0 - gamma)
-    a_1me = _power_from_spectral(sp, 1.0 - eps)
-    a_m1me = _power_from_spectral(sp, -(1.0 - eps))
+    try:
+        a_g, a_1mg, a_1me, a_m1me = (real_power(a_pos, t).entries
+                                     for t in (gamma, 1.0 - gamma, 1.0 - eps, -(1.0 - eps)))
+    except IllConditionedBasisError:
+        return np.inf
 
     fmat = cl.feedback_matrix()
     g = cl.green.entries
     i_gf = np.eye(n) - g @ fmat
     ao = cl.perturbation_Ao.entries if cl.perturbation_Ao is not None else np.zeros((n, n))
 
-    term1 = -a_pos.conj().T
+    term1 = -a_pos.entries.conj().T
     term2 = (fmat.conj().T @ g.conj().T @ a_g.conj().T) @ a_1mg.conj().T
     term3 = i_gf.conj().T @ (a_m1me @ ao).conj().T @ a_1me.conj().T
     three_term = term1 + term2 + term3
@@ -535,26 +538,26 @@ def resolvent_perturbation_residual(cl, lams):
     """Largest relative residual of R(lam, A_F) = [I + R(lam,M) M G F]^{-1} R(lam,M)
     over ``lams``, one point or several.
 
-    A_F here is the B-less part drift (I - GF); each lam must lie in the
-    resolvent set of both operators, at least 1e-6 from either spectrum.  Both
-    spectra, A_F and G F are computed once per call.
+    A_F here is the B-less part drift (I - GF), ``cl.feedback_part``; each lam
+    must lie in the resolvent set of both operators, at least 1e-6 from either
+    spectrum.  Both spectra are the operators' cached decompositions.
     """
     n = cl.dim
     drift = cl.drift_A.entries
-    parts = [(name, Operator(mat), la.eigvals(mat))
-             for name, mat in (("drift operator", drift), ("closed loop", cl.feedback_part()))]
+    parts = (("drift operator", cl.drift_A), ("closed loop", cl.feedback_part))
     gf = cl.green.entries @ cl.feedback_matrix()
     residuals = []
     for lam in np.atleast_1d(lams):
         lam = complex(lam)
         resolvents = []
-        for name, op, evs in parts:
+        for name, op in parts:
+            evs = op.spectral.eigenvalues
             gap = np.abs(evs - lam)
             i = int(np.argmin(gap))
             if gap[i] <= 1e-6:
                 raise SingularityError(
                     f"lambda = {lam} within 1e-6 of {name} eigenvalue {evs[i]}")
-            resolvents.append(resolvent(op, lam, eigenvalues=evs).entries)
+            resolvents.append(resolvent(op, lam).entries)
         r_drift, r_af = resolvents
         lhs_factor = np.eye(n) + r_drift @ drift @ gf
         try:

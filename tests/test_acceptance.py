@@ -83,7 +83,7 @@ def test_04_resolvent_perturbation_identity(heat_closed, coupled_closed):
     rng = np.random.default_rng(77)
     for loop in (heat_closed[1], coupled_closed[1]):
         right = max(ops.spectral_abscissa(loop.drift_A),
-                    float(np.max(np.linalg.eigvals(loop.feedback_part()).real)))
+                    float(np.max(np.linalg.eigvals(loop.feedback_part.entries).real)))
         for _ in range(20):
             lam = complex(right + 1.0 + 49.0 * rng.random(),
                           -50.0 + 100.0 * rng.random())
@@ -140,7 +140,7 @@ def test_09_coupled_stabilization_and_reachability(coupled_closed):
     lam_next = sp_open.eigenvalues[2].real
     assert lam_next < alpha < 0.0
     scale = max(np.abs(cl.composed.entries).max(), 1.0)
-    assert np.abs(cl.feedback_part() + cl.interior_B.entries
+    assert np.abs(cl.feedback_part.entries + cl.interior_B.entries
                   - cl.composed.entries).max() <= 1e-12 * scale
     # interior control withheld and fluid block unreachable from the boundary
     cfg0 = coupled.CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)

@@ -1,10 +1,12 @@
 import collections
+import hashlib
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import stabreg
 from stabreg import cli, matio, maxreg
@@ -362,6 +364,33 @@ def test_verify_and_report_scan_once(tmp_path, monkeypatch, template):
         assert run([command, "--config", cfg, "--out", str(out)]) == 0
         assert calls == {"plateau_scan_multi": 1, "imaginary_axis_bound": 1}
         assert (out / "maxreg.csv").read_bytes() == standalone
+
+
+@pytest.mark.parametrize(("template", "state_dim", "matrices"),
+                         [(HEAT_CFG, 32, 3), (COUPLED_CFG, 48, 5)], ids=["heat", "coupled"])
+def test_report_decomposes_each_state_matrix_once(tmp_path, monkeypatch, template,
+                                                  state_dim, matrices):
+    # heat: the drift, the closed loop and -A; coupled adds the open-loop
+    # block and the B-less loop drift (I - GF), which differs from the
+    # closed loop by the interior term
+    cfg = write_config(tmp_path / "c.ini", template.format(out=tmp_path / "out"))
+    digests = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape[0] == state_dim:
+                digests.append(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        counted(scipy.linalg, name)
+    counted(np.linalg, "eigvals")
+    assert run(["report", "--config", cfg]) == 0
+    assert len(digests) == matrices and len(set(digests)) == matrices
 
 
 def test_verify_parallel_byte_identical(tmp_path):

@@ -74,9 +74,9 @@ def test_thermal_map_trig_profile():
 # ---------------------------------------------------------------- composition
 
 def reassembly(cl):
-    """Scaled max |feedback_part() + interior_B - composed| of a coupled loop."""
+    """Scaled max |feedback_part + interior_B - composed| of a coupled loop."""
     scale = max(np.abs(cl.composed.entries).max(), 1.0)
-    return np.abs(cl.feedback_part() + cl.interior_B.entries
+    return np.abs(cl.feedback_part.entries + cl.interior_B.entries
                   - cl.composed.entries).max() / scale
 
 
@@ -93,7 +93,7 @@ def test_compose_split_reassembly():
     f_law, j_law, _ = coupled.synthesize_coupled_feedback(cfg, targets=[-2.0, -3.0])
     cl = coupled.compose_coupled_loop(cfg, f_law, j_law)
     assert reassembly(cl) <= 1e-12
-    manual = cl.feedback_part() + cl.interior_B.entries
+    manual = cl.feedback_part.entries + cl.interior_B.entries
     assert np.array_equal(manual, cl.composed.entries)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,14 +218,16 @@ def test_eigenmodes_match_trajectory_oracle(shift):
 
 def test_eigen_residual_fallback_sweeps_that_mode(monkeypatch):
     a = maxreg.operator_matrix(stable_heat_loop(16).composed)
-    eig, bad = la.eig, 5
+    spectrum, bad = ops.spectrum, 5
 
     def corrupted(m):
-        w, v = eig(m)
+        sp = spectrum(m)
+        v = np.array(sp.right_vectors)
         v[:, bad] += 1e-3       # no longer an eigenvector for w[bad]
-        return w, v
+        return dataclasses.replace(sp, right_vectors=v)
 
-    monkeypatch.setattr(maxreg.la, "eig", corrupted)
+    # the decomposition eigenmodes and mode_forcings read
+    monkeypatch.setattr(ops, "spectrum", corrupted)
     modes = maxreg.eigenmodes(a)
     assert modes.eigenvalues.size == 15 and modes.swept.shape == (16, 1)
     calls = counting_kernel(monkeypatch)
@@ -253,7 +256,8 @@ def test_conjugate_pair_dedup_is_lossless(shift):
     # of every pair held: each dropped column is its partner's forcing
     rng = np.random.default_rng(21)
     a = rng.standard_normal((5, 5)) + shift * np.eye(5)
-    lam, vr = la.eig(a)
+    sp = ops.spectrum(a)
+    lam, vr = sp.eigenvalues, sp.right_vectors
     u, b = maxreg._mode_columns(vr)
     gram = np.stack([np.vecdot(u.T, u.T), np.vecdot(u.T, b.T), np.vecdot(b.T, b.T)], axis=1)
     both = maxreg.EigenModes(lam, gram, np.zeros((5, 0)))
@@ -286,9 +290,22 @@ def test_benchmark_loops_hold_one_mode_per_forcing(model, held):
     assert modes.eigenvalues.size == held and modes.swept.shape == (a.shape[0], 0)
 
 
+def test_mode_forcings_follow_spectrum_order():
+    # column K is Re w_K / ||Re w_K|| for spectrum's K-th right vector, the
+    # order of spectrum.csv (decreasing real part)
+    a = maxreg.operator_matrix(benchmark_loop("coupled").composed)
+    sp = ops.spectrum(a)
+    assert np.all(np.diff(sp.eigenvalues.real) <= 0)
+    u = maxreg.mode_forcings(a, 1.0).values[0]
+    for k in range(a.shape[0]):
+        re = sp.right_vectors[:, k].real
+        assert np.allclose(u[:, k], re / np.linalg.norm(re), rtol=0.0, atol=1e-15)
+
+
 def test_lapack_eigenvectors_have_a_strong_real_part():
-    # geev returns unit eigenvectors with their largest component real, so
-    # sqrt(n) ||Re v|| >= 1 and _mode_columns can always normalize Re v
+    # spectrum's phase rule leaves each unit eigenvector (from geev or heevr)
+    # with its largest component real and positive, so sqrt(n) ||Re v|| >= 1
+    # and _mode_columns can always normalize Re v
     rng = np.random.default_rng(7)
     mats = [maxreg.operator_matrix(benchmark_loop(m).composed) for m in ("heat", "coupled")]
     mats.append(np.array([[-1.0, 10.0], [0.0, -1.0]]))
@@ -296,8 +313,11 @@ def test_lapack_eigenvectors_have_a_strong_real_part():
         mats += [rng.standard_normal((n, n)),
                  rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
                  np.triu(rng.standard_normal((n, n)))]
+    mats += [m + m.conj().T for m in mats[-3:-1]]      # Hermitian: the eigh route
     for a in mats:
-        v = la.eig(a)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)     # the defective block
+            v = ops.spectrum(a).right_vectors
         assert np.all(math.sqrt(a.shape[0]) * np.linalg.norm(v.real, axis=0) >= 1.0)
 
 

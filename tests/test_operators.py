@@ -93,12 +93,12 @@ def test_spectrum_biorthogonality_nonsymmetric():
 
 def test_spectrum_hermitian_test_is_exact(monkeypatch):
     # a symmetric matrix with one off-diagonal entry moved by one ulp is not
-    # Hermitian, so it decomposes with eigh and eigvalsh unavailable
+    # Hermitian, so it decomposes with eigh unavailable; spectral_abscissa
+    # reads the same decomposition
     m = -heat_split(HeatConfig(n=16, c2=9.1))[0].entries
     def refuse(*args, **kwargs):
         raise AssertionError("Hermitian solver called")
     monkeypatch.setattr(la, "eigh", refuse)
-    monkeypatch.setattr(la, "eigvalsh", refuse)
     with pytest.raises(AssertionError, match="Hermitian solver"):
         ops.spectrum(m)
     with pytest.raises(AssertionError, match="Hermitian solver"):
@@ -109,6 +109,21 @@ def test_spectrum_hermitian_test_is_exact(monkeypatch):
     assert not np.array_equal(sp.left_vectors, sp.right_vectors)
     assert np.abs(sp.left_vectors.conj().T @ sp.right_vectors - np.eye(16)).max() <= 1e-8
     assert ops.spectral_abscissa(bumped) == pytest.approx(sp.eigenvalues[0].real, rel=1e-12)
+
+
+def test_spectrum_flags_an_ill_conditioned_hermitian_basis(monkeypatch):
+    # an orthonormal eigh basis has condition 1.0 with no SVD; a basis that
+    # fails the orthonormality check is defective and its condition is measured
+    m = np.diag([1.0, 2.0, 3.0])
+    basis = np.diag([1.0, 1.0, 1e-9])
+    monkeypatch.setattr(la, "eigh", lambda a: (np.array([1.0, 2.0, 3.0]), basis.copy()))
+    op = Operator(m)
+    with pytest.warns(UserWarning, match="biorthogonality residual"):
+        sp = op.spectral
+    assert sp.defective and sp.ill_conditioned
+    assert sp.cond_estimate == pytest.approx(1e9, rel=1e-12)
+    with pytest.raises(IllConditionedBasisError):
+        ops.real_power(op, 0.5)
 
 
 def test_spectrum_defective_warns():
@@ -159,12 +174,13 @@ def test_resolvent_singularity_names_eigenvalue():
 def test_resolvent_residual_property_many_lambdas():
     m = stable_random(8, 13)
     evs = la.eigvals(m)
+    op = Operator(m)        # one decomposition guards all 20 resolvents
     rng = np.random.default_rng(5)
     for _ in range(20):
         lam = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         if np.min(np.abs(evs - lam)) < 0.3:
             continue
-        r = ops.resolvent(m, lam, eigenvalues=evs).entries
+        r = ops.resolvent(op, lam).entries
         assert np.linalg.norm((lam * np.eye(8) - m) @ r - np.eye(8), 2) <= 1e-8
 
 
@@ -252,6 +268,21 @@ def test_fractional_power_semigroup_law(theta):
         assert np.linalg.norm(p1 @ p2 - a, 2) <= 1e-6 * np.linalg.norm(a, 2)
 
 
+def test_real_power_of_real_spd_is_real():
+    # the eigh route on real input: one real orthonormal basis (shared by both
+    # sides) and real eigenvalues, so the power is formed in real arithmetic
+    b = np.random.default_rng(3).standard_normal((12, 12))
+    m = b @ b.T
+    a = (m + m.T) / 2 + 12.0 * np.eye(12)
+    sp = ops.spectrum(a)
+    for theta in (0.3, -0.5, 1.7):
+        got = ops.real_power(a, theta).entries
+        assert got.dtype == np.float64
+        want = (sp.right_vectors * np.power(sp.eigenvalues, theta)) @ sp.left_vectors.conj().T
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert sp.left_vectors is sp.right_vectors and sp.cond_estimate == 1.0
+
+
 def test_fractional_power_requires_translation():
     with pytest.raises(TranslationRequiredError):
         ops.real_power(np.diag([1.0, -0.5]), 0.5)
@@ -261,10 +292,11 @@ def test_fractional_power_requires_translation():
 
 
 def test_fractional_power_refuses_ill_conditioned():
+    op = Operator(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]]))
     with pytest.warns(UserWarning):
-        sp = ops.spectrum(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]]))
+        assert op.spectral.cond_estimate > 1e8
     with pytest.raises(IllConditionedBasisError):
-        ops.real_power(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]]), 0.5, spectral=sp)
+        ops.real_power(op, 0.5)
 
 
 # ---------------------------------------------------------------- closed loop
