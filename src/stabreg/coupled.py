@@ -283,8 +283,11 @@ def adjoint_bound_scan(grids, cfg, targets=None):
         f_law, j_law, _ = synthesize_coupled_feedback(sub, targets=targets)
         cl = compose_coupled_loop(sub, f_law, j_law)
         power = real_power(-cl.generator_A.entries, -(1.0 - sub.gamma)).entries
-        term = cl.drift_A.entries @ cl.green.entries @ cl.feedback_matrix()
-        rows.append((int(n), spectral_norm(power @ term)))
+        # F has 2 rows: F^H = Q R with Q orthonormal, so ||X F|| = ||X R^H||
+        # for the 2n x 2 product X, and no 2n x 2n product is formed
+        r = np.linalg.qr(cl.feedback_matrix().conj().T, mode="r")
+        x = power @ (cl.drift_A.entries @ cl.green.entries)
+        rows.append((int(n), spectral_norm(x @ r.conj().T)))
     return rows
 
 

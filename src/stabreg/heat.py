@@ -10,6 +10,7 @@ boundedness of the advection; the closed loop is assembled exactly as
 (diffusion + translation + advection) (I - D F).
 """
 
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -153,14 +154,21 @@ def dirichlet_lift(elliptic, edge, name):
 
     Column 0 (1) of ``rhs`` carries the stencil weight ``edge`` of a unit
     boundary value at x = 0 (x = 1) in the first (last) row.  A numerically
-    singular operator (resonant translation) or a relative solve residual
-    above 1e-10 raises ResonanceError naming ``name``.
+    singular operator (resonant translation: LAPACK's reciprocal 1-norm
+    condition estimate at most 1e-9) or a relative solve residual above 1e-10
+    raises ResonanceError naming ``name``.
     """
     rhs = np.zeros((elliptic.shape[0], 2))
     rhs[0, 0] = edge
     rhs[-1, 1] = edge
-    sv = la.svdvals(elliptic)
-    if sv[-1] <= 1e-9 * sv[0]:
+    # LAPACK's reciprocal 1-norm condition (gecon) from an LU factorization;
+    # an exactly zero pivot reads 0 here, so its warning is not needed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", la.LinAlgWarning)
+        lu, _ = la.lu_factor(elliptic)
+    gecon = la.get_lapack_funcs("gecon", (lu,))
+    rcond, _ = gecon(lu, np.linalg.norm(elliptic, 1), norm="1")
+    if not rcond > 1e-9:
         raise ResonanceError(f"{name} is numerically singular")
     cols = la.solve(elliptic, rhs)
     resid = np.abs(elliptic @ cols - rhs).max() / np.abs(rhs).max()

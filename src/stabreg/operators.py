@@ -12,8 +12,10 @@ function of its inputs.  ``Operator.spectral`` caches the decomposition on first
 use; threads racing on it compute the same value, so no lock is needed.
 """
 
+import functools
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +34,17 @@ from .errors import (
 )
 
 _COND_FLAG = 1e8
+# frames that warnings raised here skip: this module and the cached_property
+# of functools that ``Operator.spectral`` goes through
+_LIBRARY_FILES = (__file__, functools.__file__)
+
+
+def _warn(message):
+    """``warnings.warn`` at the first caller outside this module and functools."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename in _LIBRARY_FILES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def _frozen_array(a):
@@ -103,7 +116,11 @@ class SpectralData:
 
     ``left_vectors`` is biorthogonally normalized against ``right_vectors``:
     left[:, i]^H @ right[:, j] = delta_ij.  ``unstable_count`` counts
-    eigenvalues with real part >= -1e-9.
+    eigenvalues with real part >= -1e-9.  ``cond_estimate`` is the 1-norm
+    condition of the right basis, read from inverses already formed: 1.0 for
+    an orthonormal ``eigh`` basis, ||right||_1 ||left^H||_1 for a
+    biorthogonal one, ``np.linalg.cond(right, 1)`` for a defective one.  The
+    operator of ``translate_to_positive`` shares its operator's decomposition.
     """
 
     eigenvalues: np.ndarray
@@ -289,9 +306,12 @@ def spectrum(op):
     sides, of condition 1.0 when max |V^H V - I| <= 1e-8 (a bound of
     1 + n 1e-8), else defective with its condition measured.  Otherwise ``eig``
     gives both bases and the left one is biorthogonalized through the Gram
-    matrix.  A warning-carrying flag is raised when the right-eigenvector basis
-    conditioning exceeds 1e8; a defective (numerically non-diagonalizable)
-    matrix is flagged and the left basis is least-squares biorthogonalized.
+    matrix, whose 1-norm condition is read from the inverse that corrects it.
+    A warning-carrying flag is raised when the right-eigenvector basis
+    condition exceeds 1e8; a defective (numerically non-diagonalizable) matrix
+    is flagged and the left basis is least-squares biorthogonalized.  Every
+    measured condition is a 1-norm condition, within a factor n of the 2-norm
+    one.  Warnings name the first caller outside this module.
     """
     m = operator_matrix(op)
     hermitian = np.array_equal(m, m.conj().T)
@@ -317,46 +337,51 @@ def spectrum(op):
             vr[:, j] = vr[:, j] * (abs(piv) / piv)
 
     defective = False
+    n = m.shape[0]
     if hermitian:
         vl = vr
     else:
         vl = vl[:, order]
         gram = vl.conj().T @ vr
         try:
-            gram_cond = np.linalg.cond(gram)
-            if not np.isfinite(gram_cond) or gram_cond > 1e12:
-                raise la.LinAlgError("singular Gram matrix")
             with warnings.catch_warnings():
                 warnings.simplefilter("error", la.LinAlgWarning)
                 lu, piv = la.lu_factor(gram)
-                corr = la.lu_solve((lu, piv), np.eye(gram.shape[0]))
+                corr = la.lu_solve((lu, piv), np.eye(n))
+            # 1-norm condition from the inverse just formed
+            gram_cond = np.linalg.norm(gram, 1) * np.linalg.norm(corr, 1)
+            if not np.isfinite(gram_cond) or gram_cond > 1e12:
+                raise la.LinAlgError("singular Gram matrix")
             vl = vl @ corr.conj().T
             if gram_cond > _COND_FLAG:
-                warnings.warn(
-                    f"biorthogonalization Gram condition {gram_cond:.3e} > 1e8; "
-                    "left basis may be inaccurate", stacklevel=2)
+                _warn(f"biorthogonalization Gram condition {gram_cond:.3e} > 1e8; "
+                      "left basis may be inaccurate")
                 defective = True
         except (la.LinAlgError, la.LinAlgWarning):
             defective = True
-            warnings.warn(
-                "matrix is numerically defective; left basis taken from the adjoint "
-                "eigenproblem with least-squares biorthogonalization", stacklevel=2)
+            _warn("matrix is numerically defective; left basis taken from the adjoint "
+                  "eigenproblem with least-squares biorthogonalization")
             # no pairing of the adjoint eigenvalues is needed: reordering the
             # columns of vl_adj by a permutation P turns pinv(gram)^H into
             # P^T pinv(gram)^H, so the product below does not change
             vl_adj = la.eig(m.conj().T)[1]
             vl = vl_adj @ np.linalg.pinv(vl_adj.conj().T @ vr).conj().T
 
-    biorth_err = np.abs(vl.conj().T @ vr - np.eye(m.shape[0])).max()
+    biorth_err = np.abs(vl.conj().T @ vr - np.eye(n)).max()
     if biorth_err > 1e-8 and not defective:
         defective = True
-        warnings.warn(
-            f"biorthogonality residual {biorth_err:.3e} > 1e-8; "
-            "matrix treated as defective", stacklevel=2)
-    cond_estimate = 1.0 if hermitian and not defective else float(np.linalg.cond(vr))
+        _warn(f"biorthogonality residual {biorth_err:.3e} > 1e-8; matrix treated as defective")
+    if defective:
+        cond_estimate = float(np.linalg.cond(vr, 1))
+    elif hermitian:
+        cond_estimate = 1.0
+    else:
+        # vl^H vr = I + E with max |E| <= 1e-8, so vl^H = (I + E) vr^-1 and
+        # ||vl^H||_1 is ||vr^-1||_1 to within a factor 1 +- n 1e-8
+        cond_estimate = float(np.linalg.norm(vr, 1) * np.linalg.norm(vl.conj().T, 1))
     ill = cond_estimate > _COND_FLAG
     if ill and not defective:
-        warnings.warn(f"eigenvector basis condition {cond_estimate:.3e} > 1e8", stacklevel=2)
+        _warn(f"eigenvector basis condition {cond_estimate:.3e} > 1e8")
 
     vr = _frozen_array(vr)
     return SpectralData(
@@ -441,11 +466,23 @@ def translate_to_positive(op):
     """Translation k I - op with k = max(0, spectral abscissa) + 1.
 
     Returns (k, translated operator); the translated spectrum lies in the
-    right half-plane with at least 1 to spare.
+    right half-plane with at least 1 to spare.  The translated operator
+    carries a decomposition read from ``op``'s, with no second eigensolve:
+    eigenvalues k - lambda and the same bases, both in reversed order (which
+    is again decreasing real part, imaginary part descending), and the same
+    condition and flags.
     """
     m = operator_matrix(op)
-    k = max(0.0, spectral_abscissa(op)) + 1.0
-    return k, Operator(k * np.eye(m.shape[0]) - m, label=f"translated(k={k:g})")
+    sp = decomposition(op)
+    k = max(0.0, float(sp.eigenvalues[0].real)) + 1.0
+    hat = Operator(k * np.eye(m.shape[0]) - m, label=f"translated(k={k:g})")
+    w = _frozen_array(k - sp.eigenvalues[::-1])
+    vr = _frozen_array(sp.right_vectors[:, ::-1])
+    vl = vr if sp.left_vectors is sp.right_vectors else _frozen_array(sp.left_vectors[:, ::-1])
+    # seed the cached property, as its first use would have stored it
+    vars(hat)["spectral"] = replace(sp, eigenvalues=w, right_vectors=vr, left_vectors=vl,
+                                    unstable_count=int(np.sum(w.real >= -1e-9)))
+    return k, hat
 
 
 def compose_closed_loop(drift, green, feedback, interior_B=None, *,

@@ -115,6 +115,16 @@ def test_gamma_scan_zero_exponent_grid_stable():
     assert max(vals) / min(vals) <= 1.05
 
 
+def test_gamma_scan_decomposes_once_per_grid(monkeypatch):
+    # the translated operator reads the drift's decomposition
+    calls = []
+    fresh_spectrum = ops.spectrum
+    monkeypatch.setattr(ops, "spectrum", lambda x: calls.append(x) or fresh_spectrum(x))
+    rows = heat.gamma_bound_scan([16, 32], [0.2, 0.75], HeatConfig(c2=16.0, q=2.0))
+    assert len(rows) == 4
+    assert len(calls) == 2
+
+
 def test_gamma_scan_threshold_crossover():
     cfg = HeatConfig(c2=16.0, q=2.0)
     rows = heat.gamma_bound_scan([16, 32, 64, 128], [0.2, 0.75], cfg)

@@ -145,6 +145,54 @@ def test_spectrum_defective_warns():
         np.testing.assert_allclose(sp.left_vectors, left, rtol=0, atol=1e-12)
 
 
+def test_spectrum_warnings_name_the_caller():
+    # every entry path reports its warnings at this file, not at operators.py
+    # or at the cached property in functools
+    block = np.array([[-1.0, 10.0], [0.0, -1.0]])
+    green = GreenMap(np.array([[1.0], [0.0]]), gamma=0.25)
+    paths = {
+        "spectrum": lambda: ops.spectrum(block),
+        "Operator.spectral": lambda: Operator(block).spectral,
+        "decomposition": lambda: ops.decomposition(
+            ops.compose_closed_loop(Operator(block), green, None)),
+    }
+    for name, path in paths.items():
+        with pytest.warns(UserWarning, match="eigenvector basis condition") as record:
+            path()
+        assert [w.filename for w in record] == [__file__], name
+
+
+@pytest.mark.parametrize("case", ["random", "coupled-n12"])
+def test_nonhermitian_condition_is_the_1norm_condition(case):
+    # the condition is read as ||vr||_1 ||vl^H||_1, with no SVD, and agrees
+    # with the 1-norm condition of the right basis
+    from stabreg.coupled import CoupledConfig
+    m = stable_random(12, 7) if case == "random" else CoupledConfig(n=12).operator.entries
+    sp = ops.spectrum(m)
+    assert not np.array_equal(m, m.conj().T)
+    assert sp.cond_estimate == pytest.approx(np.linalg.cond(sp.right_vectors, 1), rel=1e-8)
+
+
+@pytest.mark.parametrize("advection_b", [0.0, 5.0], ids=["symmetric", "advected"])
+def test_translated_decomposition_matches_a_fresh_one(advection_b, monkeypatch):
+    op = build_heat_operator(HeatConfig(n=32, c2=16.0, advection_b=advection_b))
+    op.spectral               # decomposed before counting starts
+    calls = []
+    fresh_spectrum = ops.spectrum
+    monkeypatch.setattr(ops, "spectrum", lambda x: calls.append(x) or fresh_spectrum(x))
+    k, hat = ops.translate_to_positive(op)
+    derived = hat.spectral
+    assert calls == []        # read from op's decomposition, no second eigensolve
+    fresh = fresh_spectrum(k * np.eye(32) - op.entries)
+    scale = np.abs(fresh.eigenvalues).max()
+    assert np.abs(derived.eigenvalues - fresh.eigenvalues).max() <= 1e-12 * scale
+    assert derived.unstable_count == fresh.unstable_count == 32
+    assert (derived.left_vectors is derived.right_vectors) == (advection_b == 0.0)
+    got = ops.real_power(hat, 0.2).entries
+    want = ops.real_power(Operator(hat.entries), 0.2).entries
+    assert np.linalg.norm(got - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
+
+
 # ---------------------------------------------------------------- resolvent
 
 def test_resolvent_scalar_zero():
