@@ -63,7 +63,6 @@ from .maxreg import (
 )
 from .heat import (
     HeatConfig,
-    VerificationReport,
     build_dirichlet_map,
     build_heat_operator,
     closed_loop_heat,

@@ -9,7 +9,6 @@ failure, 4 rank-check failure.
 """
 
 import argparse
-import collections
 import configparser
 import dataclasses
 import inspect
@@ -97,8 +96,11 @@ def _get_floats(cfgp, section, key, default=None):
 
 
 def _complex_list(raw):
-    """Whitespace-separated ``a+bi`` tokens; an empty value means None."""
-    return [matio.parse_complex(t) for t in raw.split()] or None
+    """Whitespace-separated finite ``a+bi`` tokens; an empty value means None."""
+    values = [matio.parse_complex(t) for t in raw.split()]
+    if not all(np.isfinite(values)):
+        raise ValueError("every value must be finite")
+    return values or None
 
 
 def _read_matrix_file(path, what):
@@ -145,7 +147,7 @@ class AbstractModel:
         feedback = (None if self.feedback_file is None
                     else _read_matrix_file(self.feedback_file, "feedback"))
         loop = compose_closed_loop(operator, green, feedback)
-        return loop, {"feedback_matrix": loop.feedback_matrix()}, "abstract", {}
+        return loop, {"feedback_matrix": loop.feedback_matrix}, "abstract", {}
 
     def verify(self, loop):
         """No rows of its own."""
@@ -167,10 +169,6 @@ def _model_keys(model):
 def _synthesis_keys(model):
     """The [synthesis] keys a model reads: the keyword arguments of its synthesize."""
     return set(inspect.signature(model.synthesize).parameters) - {"self"}
-
-
-# Everything a subcommand needs, built once from the parsed config.
-ModelBundle = collections.namedtuple("ModelBundle", "kind model operator green")
 
 
 def load_config(path):
@@ -219,19 +217,21 @@ def build_model(cfgp):
         values[f.name] = (tuple(_get_floats(cfgp, "model", key)) if f.type is tuple
                           else _get(cfgp, "model", key, cast=_CASTS[f.type]))
     model = _MODELS[kind](**values)
-    return ModelBundle(kind, model, model.operator, model.lifting)
+    # built here, so a bad operator or lifting fails every command alike
+    model.operator, model.lifting
+    return model
 
 
-def build_closed_loop(cfgp, bundle):
+def build_closed_loop(cfgp, model):
     """Synthesize per the [synthesis] keys the model reads and compose.
 
     Returns (loop, matrices, mode, info): the ClosedLoop, the matrices
     ``synthesize`` writes (by file stem), the synthesis mode and its info.
     """
     values = {key: _get(cfgp, "synthesis", key, cast=_SYNTHESIS_CASTS[key])
-              for key in _synthesis_keys(bundle.model)
+              for key in _synthesis_keys(model)
               if cfgp.has_option("synthesis", key)}
-    return bundle.model.synthesize(**values)
+    return model.synthesize(**values)
 
 
 def _manifest(out_dir, args, cfgp):
@@ -288,27 +288,28 @@ def _plateau_reports(cfgp, args, composed):
                                      workers=args.parallel)
 
 
-def cmd_spectrum(args, cfgp, out_dir, bundle):
-    sp = bundle.operator.spectral
+def cmd_spectrum(args, cfgp, out_dir, model):
+    sp = model.operator.spectral
     rows = [(k + 1, lam.real, lam.imag, k < sp.unstable_count)
             for k, lam in enumerate(sp.eigenvalues)]
     matio.write_csv(os.path.join(out_dir, "spectrum.csv"), SPECTRUM_HEADER, rows)
     return 0
 
 
-def cmd_dirichlet_map(args, cfgp, out_dir, bundle):
-    if bundle.green is None:
+def cmd_dirichlet_map(args, cfgp, out_dir, model):
+    green = model.lifting
+    if green is None:
         raise ConfigError("model provides no boundary lifting map")
-    matio.write_matrix(os.path.join(out_dir, "dirichlet_map.txt"), bundle.green.entries)
-    rows = [(j + 1, label, heat.state_norm_q(bundle.green.entries[:, j], bundle.model.h, 2.0))
-            for j, label in enumerate(bundle.green.input_labels)]
+    matio.write_matrix(os.path.join(out_dir, "dirichlet_map.txt"), green.entries)
+    rows = [(j + 1, label, heat.state_norm_q(green.entries[:, j], model.h, 2.0))
+            for j, label in enumerate(green.input_labels)]
     matio.write_csv(os.path.join(out_dir, "dirichlet_map.csv"), DIRICHLET_HEADER, rows)
     return 0
 
 
-def cmd_synthesize(args, cfgp, out_dir, bundle, built=None):
+def cmd_synthesize(args, cfgp, out_dir, model, built=None):
     if built is None:
-        built = build_closed_loop(cfgp, bundle)
+        built = build_closed_loop(cfgp, model)
     _, matrices, mode, info = built
     for stem, matrix in matrices.items():
         matio.write_matrix(os.path.join(out_dir, f"{stem}.txt"), matrix)
@@ -342,8 +343,8 @@ def _forcing_spec(raw, dim):
     return kind, int(index)
 
 
-def cmd_simulate(args, cfgp, out_dir, bundle):
-    composed = build_closed_loop(cfgp, bundle)[0].composed
+def cmd_simulate(args, cfgp, out_dir, model):
+    composed = build_closed_loop(cfgp, model)[0].composed
     a = maxreg.operator_matrix(composed)
     sec = "simulate"
     horizon = _get(cfgp, sec, "T", 10.0, float)
@@ -369,10 +370,10 @@ def cmd_simulate(args, cfgp, out_dir, bundle):
     return 0
 
 
-def cmd_maxreg(args, cfgp, out_dir, bundle):
-    loop, _, mode, _ = build_closed_loop(cfgp, bundle)
+def cmd_maxreg(args, cfgp, out_dir, model):
+    loop, _, mode, _ = build_closed_loop(cfgp, model)
     reports = _plateau_reports(cfgp, args, loop.composed)
-    rows = maxreg.report_rows(bundle.kind, mode, reports)
+    rows = maxreg.report_rows(_get(cfgp, "model", "type"), mode, reports)
     matio.write_csv(os.path.join(out_dir, "maxreg.csv"), maxreg.CSV_HEADER, rows)
     return 0
 
@@ -398,29 +399,29 @@ def _identity_rows(cl, seed):
             for name, value, tol in checks]
 
 
-def cmd_verify(args, cfgp, out_dir, bundle, built=None):
+def cmd_verify(args, cfgp, out_dir, model, built=None):
     if built is None:
-        built = build_closed_loop(cfgp, bundle)
+        built = build_closed_loop(cfgp, model)
     loop, _, mode, _ = built
     scans = _plateau_reports(cfgp, args, loop.composed)
     rows = (_identity_rows(loop, _scan_seed(cfgp, args.seed))
-            + bundle.model.verify(loop) + maxreg.verify_rows(scans))
+            + model.verify(loop) + maxreg.verify_rows(scans))
     passed = all(row[3] == "PASS" for row in rows)
     rows.append(("overall", float(passed), 1.0, "PASS" if passed else "FAIL"))
     matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows)
     matio.write_csv(os.path.join(out_dir, "maxreg.csv"), maxreg.CSV_HEADER,
-                    maxreg.report_rows(bundle.kind, mode, scans))
+                    maxreg.report_rows(_get(cfgp, "model", "type"), mode, scans))
     return 0
 
 
-def cmd_report(args, cfgp, out_dir, bundle):
-    """Every artifact from one model bundle and one closed loop."""
-    cmd_spectrum(args, cfgp, out_dir, bundle)
-    if bundle.green is not None:
-        cmd_dirichlet_map(args, cfgp, out_dir, bundle)
-    built = build_closed_loop(cfgp, bundle)
-    cmd_synthesize(args, cfgp, out_dir, bundle, built)
-    cmd_verify(args, cfgp, out_dir, bundle, built)
+def cmd_report(args, cfgp, out_dir, model):
+    """Every artifact from one model and one closed loop."""
+    cmd_spectrum(args, cfgp, out_dir, model)
+    if model.lifting is not None:
+        cmd_dirichlet_map(args, cfgp, out_dir, model)
+    built = build_closed_loop(cfgp, model)
+    cmd_synthesize(args, cfgp, out_dir, model, built)
+    cmd_verify(args, cfgp, out_dir, model, built)
     summary = [("spectrum", "spectrum.csv"), ("poles", "achieved_poles.csv"),
                ("verify", "verify.csv"), ("maxreg", "maxreg.csv")]
     matio.write_csv(os.path.join(out_dir, "summary.csv"), "artifact,file",

@@ -19,7 +19,7 @@ import scipy.linalg as la
 from . import synthesis
 from .errors import ConfigError, ResonanceError
 from .heat import (
-    VerificationReport,
+    check_row,
     check_window,
     dirichlet_lift,
     first_difference,
@@ -112,12 +112,12 @@ class CoupledConfig:
         f_law, j_law, info = synthesize_coupled_feedback(self, targets=targets,
                                                          use_interior=use_interior)
         loop = compose_coupled_loop(self, f_law, j_law)
-        return (loop, {"feedback_matrix": loop.feedback_matrix(),
+        return (loop, {"feedback_matrix": loop.feedback_matrix,
                        "interior_matrix": j_law.as_matrix}, mode, info)
 
     def verify(self, loop):
         """The model's verification rows: reassembly, margins, abscissa, decay."""
-        return verify_coupled_stabilization(loop, self).summary_rows()
+        return verify_coupled_stabilization(loop, self)
 
 
 def coupled_split(cfg):
@@ -254,11 +254,9 @@ def synthesize_coupled_feedback(cfg, targets=None, use_interior=True):
         targets = default_coupled_targets(sp)
     gain = synthesis.place_poles(rp, targets, input_matrix=b_eff)
     n_b = bprofiles.shape[1]
-    f_law = synthesis.build_feedback(rp, gain[:n_b], "spectral", sp,
-                                     boundary_profiles=bprofiles)
+    f_law = synthesis.build_feedback(rp, gain[:n_b], sp, bprofiles)
     if use_interior:
-        j_law = synthesis.build_feedback(rp, gain[n_b:], "spectral", sp,
-                                         boundary_profiles=u_cols)
+        j_law = synthesis.build_feedback(rp, gain[n_b:], sp, u_cols)
     else:
         j_law = synthesis.FeedbackLaw.zero(n2, n2)
     achieved = la.eigvals(rp.lambda_matrix - b_eff @ gain)
@@ -285,14 +283,14 @@ def adjoint_bound_scan(grids, cfg, targets=None):
         power = real_power(-cl.generator_A.entries, -(1.0 - sub.gamma)).entries
         # F has 2 rows: F^H = Q R with Q orthonormal, so ||X F|| = ||X R^H||
         # for the 2n x 2 product X, and no 2n x 2n product is formed
-        r = np.linalg.qr(cl.feedback_matrix().conj().T, mode="r")
+        r = np.linalg.qr(cl.feedback_matrix.conj().T, mode="r")
         x = power @ (cl.drift_A.entries @ cl.green.entries)
         rows.append((int(n), spectral_norm(x @ r.conj().T)))
     return rows
 
 
 def verify_coupled_stabilization(cl, cfg):
-    """PASS/FAIL bundle for the coupled loop ``cl`` composed on ``cfg``.
+    """The coupled rows of verify.csv for the loop ``cl`` composed on ``cfg``.
 
     Checks: split reassembly |feedback_part + interior_B - composed|
     (<= 1e-12), boundary-route Hautus margins (zero margin with no interior
@@ -300,37 +298,36 @@ def verify_coupled_stabilization(cl, cfg):
     the first untouched open-loop mode and zero, decay-fit rate (on
     t = 0.5, 1, ..., 6) in the same window.
     """
-    checks = {}
     scale = max(np.abs(cl.composed.entries).max(), 1.0)
     resid = float(np.abs(cl.feedback_part.entries + cl.interior_B.entries
                          - cl.composed.entries).max() / scale)
-    checks["reassembly"] = (resid <= 1e-12, resid, 1e-12)
+    rows = [check_row("reassembly", resid <= 1e-12, resid, 1e-12)]
     sp_open = cfg.operator.spectral
     nu = sp_open.unstable_count
     # interior_B is the bounded part plus the interior feedback, if any
     has_interior = bool(np.any(cl.interior_B.entries != coupled_split(cfg)[1].entries))
-    margin_floor = np.inf
     if nu > 0:
         rp = synthesis.reduce(sp_open, cl.drift_A, cl.green)
         margin_floor = float(np.min(rp.hautus_margins))
         if not has_interior:
-            checks["hautus_margins"] = (margin_floor > synthesis.RANK_TOL, margin_floor,
-                                        synthesis.RANK_TOL)
+            rows.append(check_row("hautus_margins", margin_floor > synthesis.RANK_TOL,
+                                  margin_floor, synthesis.RANK_TOL))
         else:
-            checks["hautus_margins"] = (True, margin_floor, 0.0)
+            rows.append(check_row("hautus_margins", True, margin_floor, 0.0))
     alpha = spectral_abscissa(cl.composed)
     if nu > 0 and nu < 2 * cfg.n:
         lam_next = float(sp_open.eigenvalues[nu].real)
-        checks["abscissa_window"] = (lam_next < alpha < 0.0, alpha, lam_next)
+        rows.append(check_row("abscissa_window", lam_next < alpha < 0.0, alpha, lam_next))
     else:
-        checks["abscissa_window"] = (alpha < 0.0, alpha, 0.0)
+        rows.append(check_row("abscissa_window", alpha < 0.0, alpha, 0.0))
     if alpha < 0.0:
         _, delta = decay_estimate(cl.composed, np.linspace(0.5, 6.0, 12))
         if nu > 0:
             lam_next = float(sp_open.eigenvalues[nu].real)
-            checks["decay_rate"] = (0.0 < delta < abs(lam_next) * 1.05, delta, lam_next)
+            rows.append(check_row("decay_rate", 0.0 < delta < abs(lam_next) * 1.05,
+                                  delta, lam_next))
         else:
-            checks["decay_rate"] = (delta > 0.0, delta, 0.0)
+            rows.append(check_row("decay_rate", delta > 0.0, delta, 0.0))
     else:
-        checks["decay_rate"] = (False, np.nan, np.nan)
-    return VerificationReport(checks)
+        rows.append(check_row("decay_rate", False, np.nan, np.nan))
+    return rows

@@ -99,15 +99,13 @@ class HeatConfig:
 
     def synthesize(self, mode="spectral", targets=None):
         """Synthesize and compose: (loop, matrices to write, mode, info)."""
-        if mode not in ("spectral", "localized"):
-            raise ConfigError(f"[synthesis] mode = {mode!r}: expected spectral | localized")
         law, info = synthesize_heat_feedback(self, mode=mode, targets=targets)
         loop = closed_loop_heat(self, law)
-        return loop, {"feedback_matrix": loop.feedback_matrix()}, mode, info
+        return loop, {"feedback_matrix": loop.feedback_matrix}, mode, info
 
     def verify(self, loop):
         """The model's verification rows: spectral abscissa and decay rate."""
-        return verify_stabilization(loop).summary_rows()
+        return verify_stabilization(loop)
 
 
 def laplacian(n):
@@ -203,14 +201,14 @@ def window_mask(cfg):
 
 
 def omega_mask_weights(cfg):
-    """Boolean window mask over the interior nodes and trapezoid weights on it."""
-    mask = window_mask(cfg)
+    """Trapezoid weights of the window over the interior nodes: positive
+    exactly on the window's nodes, zero elsewhere."""
+    idx = np.nonzero(window_mask(cfg))[0]
     w = np.zeros(cfg.n)
-    idx = np.nonzero(mask)[0]
     w[idx] = cfg.h
     w[idx[0]] = cfg.h / 2.0
     w[idx[-1]] = cfg.h / 2.0
-    return mask, w
+    return w
 
 
 def state_norm_q(v, h, q):
@@ -300,24 +298,27 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
     window-masked observation spills onto stable modes, so the law is built at
     the requested targets, the closed-loop abscissa checked by direct
     eigensolve, and the effective targets doubled until the loop is stable
-    (synthesis failure after 7 doublings).  Returns (law, info) with the
+    (synthesis failure after 7 doublings).  ``mode`` is the ``[synthesis]
+    mode`` value, spectral or localized.  Returns (law, info) with the
     spectral data, reduced pair, targets actually used and the achieved
     reduced spectrum.
     """
+    if mode not in ("spectral", "localized"):
+        raise ConfigError(f"[synthesis] mode = {mode!r}: expected spectral | localized")
     op, d = cfg.operator, cfg.lifting
     sp = op.spectral
-    try:
-        mask, wts = omega_mask_weights(cfg)
-    except ConfigError as exc:
-        if mode == "localized":
+    wts = None      # window weights: given exactly when the law is localized
+    if mode == "localized":
+        try:
+            wts = omega_mask_weights(cfg)
+        except ConfigError as exc:
             raise RankCheckFailure(
                 f"observation window is degenerate (zero margin): {exc}") from exc
-        mask, wts = None, None
     if sp.unstable_count == 0:
         law = synthesis.FeedbackLaw.zero(2, cfg.n)
         return law, {"spectral": sp, "reduced": None, "targets": np.array([]),
                      "achieved": np.array([])}
-    rp = synthesis.reduce(sp, op, d, omega_weights=wts if mode == "localized" else None)
+    rp = synthesis.reduce(sp, op, d, omega_weights=wts)
     synthesis.require_rank(rp)
     k = synthesis.choose_K(sp)
     profiles = np.eye(2)[:, :k]
@@ -328,14 +329,9 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
 
     def build(eff_targets):
         gain = synthesis.place_poles(rp, eff_targets, input_matrix=b_eff)
-        law = synthesis.build_feedback(
-            rp, gain, mode, sp,
-            omega_mask=mask if mode == "localized" else None,
-            boundary_profiles=profiles,
-            omega_weights=wts if mode == "localized" else None)
-        return gain, law
+        return gain, synthesis.build_feedback(rp, gain, sp, profiles, wts)
 
-    if mode == "spectral":
+    if wts is None:
         gain, law = build(targets)
         used = targets
     else:
@@ -356,37 +352,22 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
                  "achieved": achieved}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """PASS/FAIL bundle over named sub-checks: {name: (ok, value, threshold)}."""
-
-    checks: dict
-
-    @property
-    def failing(self):
-        return tuple(name for name, (ok, _, _) in self.checks.items() if not ok)
-
-    @property
-    def passed(self):
-        return not self.failing
-
-    def summary_rows(self):
-        return [(name, value, threshold, "PASS" if ok else "FAIL")
-                for name, (ok, value, threshold) in self.checks.items()]
+def check_row(name, ok, value, threshold):
+    """One verify.csv row: (name, value, threshold, PASS | FAIL)."""
+    return (name, value, threshold, "PASS" if ok else "FAIL")
 
 
 def verify_stabilization(cl):
-    """Spectral abscissa and decay-rate checks of the heat loop ``cl``.
+    """Spectral abscissa and decay-rate rows of verify.csv for the heat loop ``cl``.
 
     PASS requires a negative spectral abscissa and a positive decay rate
     fitted on t = 1, 1.5, ..., 10.
     """
-    checks = {}
     alpha = spectral_abscissa(cl.composed)
-    checks["spectral_abscissa"] = (alpha < 0.0, alpha, 0.0)
+    rows = [check_row("spectral_abscissa", alpha < 0.0, alpha, 0.0)]
     if alpha < 0.0:
         _, delta = decay_estimate(cl.composed, np.linspace(1.0, 10.0, 19))
-        checks["decay_rate"] = (delta > 0.0, delta, 0.0)
+        rows.append(check_row("decay_rate", delta > 0.0, delta, 0.0))
     else:
-        checks["decay_rate"] = (False, np.nan, np.nan)
-    return VerificationReport(checks)
+        rows.append(check_row("decay_rate", False, np.nan, np.nan))
+    return rows

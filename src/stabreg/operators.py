@@ -55,7 +55,7 @@ def _frozen_array(a):
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense square operator with a descriptive label."""
+    """Dense square, non-empty operator with a descriptive label."""
 
     entries: np.ndarray
     label: str = ""
@@ -64,6 +64,8 @@ class Operator:
         m = np.atleast_2d(np.asarray(self.entries))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"operator {self.label!r}: entries must be square, got {m.shape}")
+        if m.size == 0:
+            raise DimensionError(f"operator {self.label!r} is empty, got shape {m.shape}")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise UsageError(f"operator {self.label!r}: non-finite entries")
         object.__setattr__(self, "entries", _frozen_array(m))
@@ -140,8 +142,9 @@ class SpectralData:
 class ClosedLoop:
     """Composed feedback operator with its factors retained.
 
-    ``composed = drift_A (I - green @ F) + interior_B`` where F is the
-    realized feedback matrix.  ``generator_A`` holds the semigroup generator
+    ``composed = drift_A (I - green @ feedback_matrix) + interior_B`` with
+    ``feedback_matrix`` the realized feedback F, of shape (inputs, states)
+    and read-only.  ``generator_A`` holds the semigroup generator
     of the unperturbed part (the "-A" whose sign-flip has right-half-plane
     spectrum), ``perturbation_Ao`` the lower-order perturbation, so that
     ``drift_A = generator_A + perturbation_Ao``.
@@ -151,7 +154,7 @@ class ClosedLoop:
     perturbation_Ao: Operator | None
     drift_A: Operator
     green: GreenMap
-    feedback: object | None
+    feedback_matrix: np.ndarray
     interior_B: Operator | None
     composed: Operator
 
@@ -159,28 +162,13 @@ class ClosedLoop:
     def dim(self):
         return self.composed.dim
 
-    def feedback_matrix(self):
-        return feedback_as_matrix(self.feedback, self.green.input_dim, self.dim)
-
     @cached_property
     def feedback_part(self):
         """The B-less part drift_A (I - G F): ``composed`` itself without interior_B."""
         if self.interior_B is None:
             return self.composed
-        gf = self.green.entries @ self.feedback_matrix()
+        gf = self.green.entries @ self.feedback_matrix
         return Operator(self.drift_A.entries @ (np.eye(self.dim) - gf), label="B-less loop")
-
-
-def feedback_as_matrix(feedback, input_dim, state_dim):
-    """Realized feedback matrix of shape (input_dim, state_dim); None means 0."""
-    if feedback is None:
-        return np.zeros((input_dim, state_dim))
-    mat = getattr(feedback, "as_matrix", feedback)
-    mat = np.atleast_2d(np.asarray(mat))
-    if mat.shape != (input_dim, state_dim):
-        raise DimensionError(
-            f"feedback matrix maps state ({state_dim}) to boundary inputs ({input_dim}); got {mat.shape}")
-    return mat
 
 
 def operator_matrix(x):
@@ -492,7 +480,8 @@ def compose_closed_loop(drift, green, feedback, interior_B=None, *,
     ``generator_A``/``perturbation_Ao`` optionally record the split
     ``drift = generator_A + perturbation_Ao`` used by the adjoint
     decomposition check; by default the whole of ``drift`` is treated as the
-    generator part (no perturbation).
+    generator part (no perturbation).  ``feedback`` is a FeedbackLaw, a
+    matrix, or None for F = 0; the loop keeps its realized matrix.
     """
     drift = drift if isinstance(drift, Operator) else Operator(drift)
     if not isinstance(green, GreenMap):
@@ -501,7 +490,13 @@ def compose_closed_loop(drift, green, feedback, interior_B=None, *,
     if green.state_dim != n:
         raise DimensionError(
             f"green map has state dimension {green.state_dim}, operator has {n}")
-    fmat = feedback_as_matrix(feedback, green.input_dim, n)
+    if feedback is None:
+        fmat = np.zeros((green.input_dim, n))
+    else:
+        fmat = np.atleast_2d(np.asarray(getattr(feedback, "as_matrix", feedback)))
+        if fmat.shape != (green.input_dim, n):
+            raise DimensionError(f"feedback matrix maps state ({n}) to boundary inputs "
+                                 f"({green.input_dim}); got {fmat.shape}")
     if interior_B is not None:
         interior_B = interior_B if isinstance(interior_B, Operator) else Operator(interior_B)
         if interior_B.dim != n:
@@ -529,7 +524,7 @@ def compose_closed_loop(drift, green, feedback, interior_B=None, *,
         perturbation_Ao=perturbation_Ao,
         drift_A=drift,
         green=green,
-        feedback=feedback,
+        feedback_matrix=_frozen_array(fmat),
         interior_B=interior_B,
         composed=Operator(composed, label="closed loop"),
     )
@@ -556,7 +551,7 @@ def adjoint_decomposition_residual(cl):
     except IllConditionedBasisError:
         return np.inf
 
-    fmat = cl.feedback_matrix()
+    fmat = cl.feedback_matrix
     g = cl.green.entries
     i_gf = np.eye(n) - g @ fmat
     ao = cl.perturbation_Ao.entries if cl.perturbation_Ao is not None else np.zeros((n, n))
@@ -582,7 +577,7 @@ def resolvent_perturbation_residual(cl, lams):
     n = cl.dim
     drift = cl.drift_A.entries
     parts = (("drift operator", cl.drift_A), ("closed loop", cl.feedback_part))
-    gf = cl.green.entries @ cl.feedback_matrix()
+    gf = cl.green.entries @ cl.feedback_matrix
     residuals = []
     for lam in np.atleast_1d(lams):
         lam = complex(lam)

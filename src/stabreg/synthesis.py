@@ -36,23 +36,19 @@ class FeedbackLaw:
 
     ``boundary_profiles`` holds the output directions g_k as columns (m x K);
     ``observation_rows`` holds the K observation functionals as rows (K x n),
-    so ``as_matrix = boundary_profiles @ observation_rows``.  In localized
-    mode ``observation_vectors`` are the window-supported vectors w_k (rows)
-    with ``omega_weights`` the quadrature weights realizing the windowed inner
-    product.
+    so ``as_matrix = boundary_profiles @ observation_rows``.  A localized law
+    carries ``omega_weights``, the quadrature weights realizing the windowed
+    inner product (the window is where they are positive), and its
+    ``observation_vectors`` w_k (rows), which vanish off the window.
     """
 
-    mode: str
     boundary_profiles: np.ndarray
     observation_rows: np.ndarray
     as_matrix: np.ndarray
     observation_vectors: np.ndarray | None = None
-    omega_mask: np.ndarray | None = None
     omega_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in ("spectral", "localized"):
-            raise UsageError(f"unknown feedback mode {self.mode!r}")
         prof = np.atleast_2d(np.asarray(self.boundary_profiles))
         rows = np.atleast_2d(np.asarray(self.observation_rows))
         mat = np.atleast_2d(np.asarray(self.as_matrix))
@@ -64,10 +60,10 @@ class FeedbackLaw:
         resid = np.abs(prof @ rows - mat).max(initial=0.0)
         if resid > 1e-12 * max(np.abs(mat).max(initial=0.0), 1.0):
             raise SynthesisError(f"rank-K factorization residual {resid:.3e} exceeds 1e-12")
-        if self.mode == "localized":
-            if self.omega_mask is None or self.observation_vectors is None:
-                raise UsageError("localized mode requires omega_mask and observation vectors")
-            outside = ~np.asarray(self.omega_mask, dtype=bool)
+        if self.omega_weights is not None:
+            if self.observation_vectors is None:
+                raise UsageError("a localized law requires its observation vectors")
+            outside = ~(np.asarray(self.omega_weights) > 0)
             w = np.atleast_2d(np.asarray(self.observation_vectors))
             if np.any(w[:, outside] != 0):
                 raise SynthesisError("localized observation vectors must vanish outside the window")
@@ -75,7 +71,6 @@ class FeedbackLaw:
     @staticmethod
     def zero(input_dim, state_dim):
         return FeedbackLaw(
-            mode="spectral",
             boundary_profiles=np.zeros((input_dim, 1)),
             observation_rows=np.zeros((1, state_dim)),
             as_matrix=np.zeros((input_dim, state_dim)),
@@ -287,14 +282,18 @@ def place_poles(rp, targets, input_matrix=None):
     sqrt(eps * cond) under rounding, so repeated targets are checked on the
     similarity instead: ||(Lambda_r - B_r K_r) X - X F|| <= 1e-10 ||Lambda_r||
     ||X|| (Frobenius norms).  Either way cond(X) must not exceed 1e12.
-    Targets must be strictly stable, one per unstable eigenvalue, and closed
-    under conjugation, as must the reduced spectrum and influence rows.
+    Targets must be finite and strictly stable, one per unstable
+    eigenvalue, and closed under conjugation, as must the reduced spectrum
+    and influence rows.
     """
     targets = np.asarray(targets, dtype=complex).ravel()
     targets = targets[np.lexsort((targets.imag, np.abs(targets.imag), targets.real))]
     n = rp.n_unstable
     if targets.size != n:
         raise UsageError(f"need exactly {n} targets, got {targets.size}")
+    if not np.all(np.isfinite(targets)):
+        bad = targets[~np.isfinite(targets)][0]
+        raise UsageError(f"target {bad} is not finite")
     if np.any(targets.real >= 0):
         bad = targets[targets.real >= 0][0]
         raise UsageError(f"target {bad} is not strictly stable")
@@ -336,18 +335,18 @@ def place_poles(rp, targets, input_matrix=None):
     return gain
 
 
-def build_feedback(rp, gain, mode, spectral, omega_mask=None,
-                   boundary_profiles=None, omega_weights=None):
+def build_feedback(rp, gain, spectral, boundary_profiles, omega_weights=None):
     """Assemble a FeedbackLaw from a placed gain.
 
-    Spectral mode: observation functional k is (gain row k) in unstable
-    left-eigenvector coordinates, so the law factors exactly through the
-    unstable projection.  Localized mode: observation vectors are window-
-    masked combinations of adjoint eigenvectors, re-solved against the masked
-    Gramian (condition at most 1e8) so that unstable coordinates are still
-    read exactly; spill onto stable modes is accepted and checked downstream
-    by direct eigensolve.
-    Boundary profiles default to the first K canonical input directions.
+    Without ``omega_weights`` the law is spectral: observation functional k
+    is (gain row k) in unstable left-eigenvector coordinates, so the law
+    factors exactly through the unstable projection.  With them it is
+    localized on the window ``omega_weights > 0``: observation vectors are
+    weighted combinations of adjoint eigenvectors, re-solved against the
+    windowed Gramian (condition at most 1e8) so that unstable coordinates are
+    still read exactly; spill onto stable modes is accepted and checked
+    downstream by direct eigensolve.  ``boundary_profiles`` holds one output
+    direction g_k per gain row, as columns.
     """
     gain = np.atleast_2d(np.asarray(gain, dtype=complex))
     nu = spectral.unstable_count
@@ -359,64 +358,46 @@ def build_feedback(rp, gain, mode, spectral, omega_mask=None,
     if k_channels < k_min and np.any(gain != 0):
         raise UsageError(
             f"{k_channels} channel(s) cannot move an eigenvalue of geometric multiplicity {k_min}")
-    if boundary_profiles is None:
-        raise UsageError("boundary_profiles required (columns g_k, one per channel)")
     profiles = np.atleast_2d(np.asarray(boundary_profiles))
     if profiles.shape[1] != k_channels:
         raise DimensionError("one boundary profile column per gain row required")
 
     wl = spectral.left_vectors[:, :nu]
-    coords = wl.conj().T          # rows: unstable coordinate functionals
-    if mode == "spectral":
-        rows = gain @ coords
-        law_kwargs = {}
-    elif mode == "localized":
-        if omega_mask is None or omega_weights is None:
-            raise UsageError("localized mode needs omega_mask and omega_weights")
-        mask = np.asarray(omega_mask, dtype=bool)
+    wvec = None
+    if omega_weights is None:
+        rows = gain @ wl.conj().T     # unstable coordinate functionals
+    else:
         wts = np.asarray(omega_weights, dtype=float)
-        if mask.shape != (n,) or wts.shape != (n,):
-            raise DimensionError("mask/weights must be state-dim vectors")
-        if not mask.any():
+        if wts.shape != (n,):
+            raise DimensionError("omega_weights must be a state-dim vector")
+        window = wts > 0
+        if not window.any():
             raise SynthesisError("localized window is empty")
-        weff = np.where(mask, wts, 0.0)
-        raw = wl.conj().T * weff[None, :]            # raw windowed functionals
+        raw = wl.conj().T * wts[None, :]             # raw windowed functionals
         gram = raw @ spectral.right_vectors[:, :nu]  # <phi_i, m phi*_j> pattern
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > 1e8:
             raise SynthesisError(
                 f"masked observation Gramian condition {cond:.3e} exceeds "
                 "1e8 (window too small or misplaced)")
-        corrected = la.solve(gram, raw)
-        rows = gain @ corrected
+        rows = gain @ la.solve(gram, raw)
         wvec = np.zeros_like(rows)
-        nz = weff > 0
-        wvec[:, nz] = np.conj(rows[:, nz]) / weff[nz][None, :]
-        law_kwargs = {
-            "observation_vectors": wvec,
-            "omega_mask": mask,
-            "omega_weights": weff,
-        }
-    else:
-        raise UsageError(f"unknown feedback mode {mode!r}")
+        wvec[:, window] = np.conj(rows[:, window]) / wts[window][None, :]
 
     as_matrix = profiles @ rows
-    if (np.isrealobj(profiles) or np.abs(np.asarray(profiles).imag).max(initial=0) == 0):
+    if np.abs(profiles.imag).max(initial=0.0) == 0:
         scale = max(np.abs(as_matrix).max(initial=0.0), 1.0)
         if np.abs(as_matrix.imag).max(initial=0.0) <= 1e-8 * scale:
             as_matrix = as_matrix.real
             rows = rows.real if np.abs(rows.imag).max(initial=0.0) <= 1e-8 * scale else rows
-            for key in ("observation_vectors",):
-                if key in law_kwargs:
-                    v = law_kwargs[key]
-                    if np.abs(v.imag).max(initial=0.0) <= 1e-8 * scale:
-                        law_kwargs[key] = v.real
+            if wvec is not None and np.abs(wvec.imag).max(initial=0.0) <= 1e-8 * scale:
+                wvec = wvec.real
     return FeedbackLaw(
-        mode=mode,
         boundary_profiles=profiles,
         observation_rows=rows,
         as_matrix=as_matrix,
-        **law_kwargs,
+        observation_vectors=wvec,
+        omega_weights=None if omega_weights is None else wts,
     )
 
 

@@ -470,6 +470,9 @@ def _coupled(old, new):
     ("spectrum", _coupled("omega = 0.25 0.45", "omega = 0.2"), [], "[model] omega"),
     ("spectrum", _coupled("omega = 0.25 0.45", "omega = 0.2 0.4 0.6"), [], "[model] omega"),
     ("spectrum", _coupled("omega = 0.25 0.45", "omega ="), [], "[model] omega"),
+    ("synthesize", ("targets = -2", "targets = nan"), [], "[synthesis] targets"),
+    ("synthesize", _coupled("targets = -2 -3", "targets = -2 -inf"), [],
+     "[synthesis] targets"),
 ], ids=["forcing-empty", "mode-not-int", "mode-negative", "mode-too-large",
         "constant-extra-token", "simulate-cells-0", "simulate-cells-negative",
         "maxreg-cells-negative", "maxreg-cells-0", "forcing-count-negative",
@@ -479,7 +482,8 @@ def _coupled(old, new):
         "simulate-T-0", "simulate-T-negative", "simulate-T-nan", "simulate-T-inf",
         "mode-superscript-digit", "mode-arabic-indic-digit",
         "heat-omega-one-value", "heat-omega-three-values", "heat-omega-empty",
-        "coupled-omega-one-value", "coupled-omega-three-values", "coupled-omega-empty"])
+        "coupled-omega-one-value", "coupled-omega-three-values", "coupled-omega-empty",
+        "targets-nan", "targets-neg-inf"])
 def test_bad_input_exit_2(tmp_path, capsys, command, edit, flags, name):
     template, old, new = edit if len(edit) == 3 else (HEAT_CFG, *edit)
     text = template.format(out=tmp_path / "out").replace(old, new)
@@ -491,6 +495,32 @@ def test_bad_input_exit_2(tmp_path, capsys, command, edit, flags, name):
         code = exc.code
     assert code == 2
     assert name in capsys.readouterr().err
+
+
+def test_empty_operator_exit_2(tmp_path, capsys):
+    write_abstract_files(tmp_path)
+    (tmp_path / "op.txt").write_text("0 0\n")
+    cfg = write_config(tmp_path / "c.ini",
+                       ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out"))
+    assert run(["spectrum", "--config", cfg]) == 2
+    assert "'abstract operator' is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_builds_the_lifting(tmp_path, capsys, command):
+    # a bad lifting stops every command with exit 2, also the commands that
+    # never read it: an exponent outside (0, 1), and the first discrete
+    # resonance at n = 16, 4.5e-3 from pi, which the continuum guard lets through
+    write_abstract_files(tmp_path)
+    abstract = ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out").replace(
+        "green_gamma = 0.3", "green_gamma = 1.5")
+    resonant = HEAT_CFG.format(out=tmp_path / "out").replace(
+        "n = 32", "n = 16").replace("c2 = 16.0", "c2 = 9.84154838270477")
+    for text, message in ((abstract, "gamma must lie strictly in (0,1)"),
+                          (resonant, "numerically singular")):
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert run([command, "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_simulate_random_seed_matches_manifest(tmp_path):

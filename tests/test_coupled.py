@@ -103,7 +103,7 @@ def test_interior_support_violation_rejected():
     cfg = CoupledConfig(n=24)
     bad_profiles = np.zeros((48, 1))
     bad_profiles[0] = 1.0    # fluid node outside the window
-    law = syn.FeedbackLaw(mode="spectral", boundary_profiles=bad_profiles,
+    law = syn.FeedbackLaw(boundary_profiles=bad_profiles,
                           observation_rows=np.ones((1, 48)),
                           as_matrix=bad_profiles @ np.ones((1, 48)))
     with pytest.raises(ConfigError):
@@ -163,17 +163,17 @@ def test_verify_pass_with_pair():
     cfg = CoupledConfig(n=32, c2_f=16.0, c2_h=16.0)
     f_law, j_law, _ = coupled.synthesize_coupled_feedback(cfg, targets=[-2.0, -3.0])
     cl = coupled.compose_coupled_loop(cfg, f_law, j_law)
-    rep = coupled.verify_coupled_stabilization(cl, cfg)
-    assert rep.passed, rep.failing
+    rows = coupled.verify_coupled_stabilization(cl, cfg)
+    assert all(status == "PASS" for *_, status in rows), rows
 
 
 def test_verify_fail_no_interior_zero_margin():
     cfg = CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)
     cl = coupled.compose_coupled_loop(cfg, None)
-    rep = coupled.verify_coupled_stabilization(cl, cfg)
-    assert not rep.passed
-    assert "hautus_margins" in rep.failing
-    assert rep.checks["hautus_margins"][1] <= 1e-8
+    rows = {name: (value, status)
+            for name, value, _, status in coupled.verify_coupled_stabilization(cl, cfg)}
+    assert rows["hautus_margins"][1] == "FAIL"
+    assert rows["hautus_margins"][0] <= 1e-8
 
 
 def test_adjoint_bound_scan_grid_stable():
@@ -195,7 +195,7 @@ def test_adjoint_bound_scan_matches_dense_norm():
         f_law, j_law, _ = coupled.synthesize_coupled_feedback(sub, targets=[-2.0, -3.0])
         cl = coupled.compose_coupled_loop(sub, f_law, j_law)
         power = ops.real_power(-cl.generator_A.entries, -(1.0 - sub.gamma)).entries
-        term = cl.drift_A.entries @ cl.green.entries @ cl.feedback_matrix()
+        term = cl.drift_A.entries @ cl.green.entries @ cl.feedback_matrix
         assert value == pytest.approx(np.linalg.norm(power @ term, 2), rel=1e-13)
 
 

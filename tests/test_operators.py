@@ -26,8 +26,9 @@ def stable_random(n, seed, shift=2.0):
 # ---------------------------------------------------------------- types
 
 def test_operator_must_be_square():
-    with pytest.raises(DimensionError):
-        Operator(np.zeros((2, 3)))
+    for entries in (np.zeros((2, 3)), np.zeros((0, 0))):
+        with pytest.raises(DimensionError):
+            Operator(entries)
 
 
 def test_operator_rejects_nonfinite():
@@ -382,7 +383,7 @@ def test_compose_dimension_error_names_feedback():
 def test_compose_records_factors():
     cl = _toy_loop()
     n = cl.dim
-    manual = cl.drift_A.entries @ (np.eye(n) - cl.green.entries @ cl.feedback_matrix())
+    manual = cl.drift_A.entries @ (np.eye(n) - cl.green.entries @ cl.feedback_matrix)
     assert np.abs(manual - cl.composed.entries).max() <= 1e-12 * np.abs(cl.composed.entries).max()
 
 
