@@ -17,7 +17,6 @@ import sys
 from functools import cached_property
 
 import numpy as np
-import scipy
 
 from . import __version__, coupled, heat, matio, maxreg
 from .errors import (
@@ -71,7 +70,7 @@ def _get(cfgp, section, key, default=None, cast=str):
                 raise ValueError(f"expected one of {', '.join(_BOOLS)}")
             return _BOOLS[raw.lower()]
         return cast(raw)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
@@ -93,6 +92,14 @@ def _get_floats(cfgp, section, key, default=None):
         return [float(t) for t in raw]
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
+def _finite_float(raw):
+    """A finite float: a model parameter of inf or nan is a configuration error."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _complex_list(raw):
@@ -157,7 +164,8 @@ class AbstractModel:
 _MODELS = {"heat": heat.HeatConfig, "coupled": coupled.CoupledConfig,
            "abstract": AbstractModel}
 _FIELD_KEYS = {"theta_e_profile": "theta_e"}      # dataclass field -> [model] key
-_CASTS = {int: int, float: float, str: str, object: float}   # object: theta_e, a scalar
+_CASTS = {int: int, float: _finite_float, str: str,
+          object: _finite_float}      # object: theta_e, a scalar
 _SYNTHESIS_CASTS = {"mode": str, "targets": _complex_list, "use_interior": bool}
 
 
@@ -239,7 +247,6 @@ def _manifest(out_dir, args, cfgp):
         f"command: {args.command}",
         f"stabreg: {__version__}",
         f"numpy: {np.__version__}",
-        f"scipy: {scipy.__version__}",
         f"seed: {_scan_seed(cfgp, args.seed)}",
         "config:",
     ]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from . import synthesis
 from .errors import ConfigError, ResonanceError
@@ -29,9 +28,9 @@ from .heat import (
 from .operators import (
     GreenMap,
     Operator,
+    apply_power,
     compose_closed_loop,
     decay_estimate,
-    real_power,
     spectral_abscissa,
     spectral_norm,
 )
@@ -120,6 +119,12 @@ class CoupledConfig:
         return verify_coupled_stabilization(loop, self)
 
 
+def _block_diag(a, b):
+    """The block-diagonal matrix diag(a, b) of two n x n blocks."""
+    zero = np.zeros_like(a)
+    return np.block([[a, zero], [zero, b]])
+
+
 def coupled_split(cfg):
     """(diffusion blocks, bounded part, generator, translations).
 
@@ -132,14 +137,14 @@ def coupled_split(cfg):
     d1 = first_difference(n)
     diff_f = cfg.nu * lap + cfg.c2_f * np.eye(n)
     diff_h = cfg.kappa * lap + cfg.c2_h * np.eye(n)
-    ahat = la.block_diag(diff_f, diff_h)
+    ahat = _block_diag(diff_f, diff_h)
     pi0 = np.zeros((2 * n, 2 * n))
     pi0[:n, :n] = cfg.ye_advect * d1
     pi0[n:, n:] = cfg.ye_advect * d1
     pi0[:n, n:] = cfg.gamma_buoy * np.eye(n)          # -C_gamma with P_q = I
     pi0[n:, :n] = -np.diag(cfg.theta_vector())        # -C_theta_e
-    gen = la.block_diag(cfg.nu * lap, cfg.kappa * lap)
-    trans = la.block_diag(cfg.c2_f * np.eye(n), cfg.c2_h * np.eye(n))
+    gen = _block_diag(cfg.nu * lap, cfg.kappa * lap)
+    trans = _block_diag(cfg.c2_f * np.eye(n), cfg.c2_h * np.eye(n))
     return (Operator(ahat, label="diffusion blocks"),
             Operator(pi0, label="couplings+advection"),
             Operator(gen, label="block diffusion generator"),
@@ -254,12 +259,12 @@ def synthesize_coupled_feedback(cfg, targets=None, use_interior=True):
         targets = default_coupled_targets(sp)
     gain = synthesis.place_poles(rp, targets, input_matrix=b_eff)
     n_b = bprofiles.shape[1]
-    f_law = synthesis.build_feedback(rp, gain[:n_b], sp, bprofiles)
+    f_law = synthesis.build_feedback(gain[:n_b], sp, bprofiles)
     if use_interior:
-        j_law = synthesis.build_feedback(rp, gain[n_b:], sp, u_cols)
+        j_law = synthesis.build_feedback(gain[n_b:], sp, u_cols)
     else:
         j_law = synthesis.FeedbackLaw.zero(n2, n2)
-    achieved = la.eigvals(rp.lambda_matrix - b_eff @ gain)
+    achieved = np.linalg.eigvals(rp.lambda_matrix - b_eff @ gain)
     return f_law, j_law, {"spectral": sp, "reduced": rp,
                           "targets": np.asarray(targets), "achieved": achieved}
 
@@ -280,11 +285,11 @@ def adjoint_bound_scan(grids, cfg, targets=None):
                                        else float(np.mean(cfg.theta_vector()))))
         f_law, j_law, _ = synthesize_coupled_feedback(sub, targets=targets)
         cl = compose_coupled_loop(sub, f_law, j_law)
-        power = real_power(-cl.generator_A.entries, -(1.0 - sub.gamma)).entries
         # F has 2 rows: F^H = Q R with Q orthonormal, so ||X F|| = ||X R^H||
         # for the 2n x 2 product X, and no 2n x 2n product is formed
         r = np.linalg.qr(cl.feedback_matrix.conj().T, mode="r")
-        x = power @ (cl.drift_A.entries @ cl.green.entries)
+        x = apply_power(-cl.generator_A.entries, -(1.0 - sub.gamma),
+                        cl.drift_A.entries @ cl.green.entries)
         rows.append((int(n), spectral_norm(x @ r.conj().T)))
     return rows
 

@@ -10,12 +10,10 @@ boundedness of the advection; the closed loop is assembled exactly as
 (diffusion + translation + advection) (I - D F).
 """
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from . import synthesis
 from .errors import (
@@ -28,6 +26,7 @@ from .errors import (
 from .operators import (
     GreenMap,
     Operator,
+    apply_power,
     compose_closed_loop,
     decay_estimate,
     real_power,
@@ -152,23 +151,20 @@ def dirichlet_lift(elliptic, edge, name):
 
     Column 0 (1) of ``rhs`` carries the stencil weight ``edge`` of a unit
     boundary value at x = 0 (x = 1) in the first (last) row.  A numerically
-    singular operator (resonant translation: LAPACK's reciprocal 1-norm
-    condition estimate at most 1e-9) or a relative solve residual above 1e-10
-    raises ResonanceError naming ``name``.
+    singular operator (resonant translation: exact 1-norm condition
+    ||E||_1 ||E^-1||_1 of at least 1e9, or an exactly singular E) or a
+    relative solve residual above 1e-10 raises ResonanceError naming ``name``.
     """
     rhs = np.zeros((elliptic.shape[0], 2))
     rhs[0, 0] = edge
     rhs[-1, 1] = edge
-    # LAPACK's reciprocal 1-norm condition (gecon) from an LU factorization;
-    # an exactly zero pivot reads 0 here, so its warning is not needed
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        lu, _ = la.lu_factor(elliptic)
-    gecon = la.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, np.linalg.norm(elliptic, 1), norm="1")
-    if not rcond > 1e-9:
+    try:
+        cond = np.linalg.norm(elliptic, 1) * np.linalg.norm(np.linalg.inv(elliptic), 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond < 1e9:
         raise ResonanceError(f"{name} is numerically singular")
-    cols = la.solve(elliptic, rhs)
+    cols = np.linalg.solve(elliptic, rhs)
     resid = np.abs(elliptic @ cols - rhs).max() / np.abs(rhs).max()
     if resid > 1e-10:
         raise ResonanceError(
@@ -252,7 +248,7 @@ def gamma_bound_scan(grids, gamma_list, cfg):
         d = build_dirichlet_map(sub)
         _, hat = translate_to_positive(build_heat_operator(sub))
         for g in gamma_list:
-            powered = d.entries if g == 0.0 else real_power(hat, g).entries @ d.entries
+            powered = d.entries if g == 0.0 else apply_power(hat, g, d.entries)
             rows.append((int(n), float(g), map_norm_q(powered, sub.h, sub.q)))
     return rows
 
@@ -329,7 +325,7 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
 
     def build(eff_targets):
         gain = synthesis.place_poles(rp, eff_targets, input_matrix=b_eff)
-        return gain, synthesis.build_feedback(rp, gain, sp, profiles, wts)
+        return gain, synthesis.build_feedback(gain, sp, profiles, wts)
 
     if wts is None:
         gain, law = build(targets)
@@ -340,14 +336,14 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
             trial = targets * (2.0 ** attempt)
             gain, law = build(trial)
             closed = op.entries @ (np.eye(cfg.n) - d.entries @ law.as_matrix)
-            if np.max(la.eigvals(closed).real) < 0.0:
+            if np.max(np.linalg.eigvals(closed).real) < 0.0:
                 used = trial
                 break
         if used is None:
             raise SynthesisError(
                 "localized synthesis failed to reach abscissa < 0 "
                 f"after 7 target deepenings (window {cfg.omega})")
-    achieved = la.eigvals(rp.lambda_matrix - b_eff @ gain)
+    achieved = np.linalg.eigvals(rp.lambda_matrix - b_eff @ gain)
     return law, {"spectral": sp, "reduced": rp, "targets": used,
                  "achieved": achieved}
 

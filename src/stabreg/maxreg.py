@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from . import _kernels
 from .errors import DimensionError, IdentityViolationError, UsageError
-from .operators import Operator, decomposition, operator_matrix, spectral_abscissa
+from .operators import Operator, decomposition, expm, operator_matrix, spectral_abscissa
 
 CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict"
 
@@ -237,7 +236,7 @@ def _propagator_pair(a, h):
     aug = np.zeros((2 * n, 2 * n), dtype=np.result_type(a.dtype, float))
     aug[:n, :n] = a * h
     aug[:n, n:] = np.eye(n) * h
-    e = la.expm(aug)
+    e = expm(aug)
     return np.ascontiguousarray(e[:n, :n]), np.ascontiguousarray(e[:n, n:])
 
 
@@ -374,7 +373,7 @@ def imaginary_axis_bound(cl):
     sup = 0.0
     for t in np.logspace(-3.0, 3.0, 60):
         for s in (t, -t):
-            sup = max(sup, abs(s) / la.svdvals(1j * s * eye - a)[-1])
+            sup = max(sup, abs(s) / np.linalg.svd(1j * s * eye - a, compute_uv=False)[-1])
     return float(sup)
 
 

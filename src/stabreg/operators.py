@@ -13,13 +13,13 @@ use; threads racing on it compute the same value, so no lock is needed.
 """
 
 import functools
+import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import (
     DimensionError,
@@ -117,12 +117,13 @@ class SpectralData:
     """Eigendecomposition sorted by decreasing real part.
 
     ``left_vectors`` is biorthogonally normalized against ``right_vectors``:
-    left[:, i]^H @ right[:, j] = delta_ij.  ``unstable_count`` counts
-    eigenvalues with real part >= -1e-9.  ``cond_estimate`` is the 1-norm
-    condition of the right basis, read from inverses already formed: 1.0 for
-    an orthonormal ``eigh`` basis, ||right||_1 ||left^H||_1 for a
-    biorthogonal one, ``np.linalg.cond(right, 1)`` for a defective one.  The
-    operator of ``translate_to_positive`` shares its operator's decomposition.
+    left[:, i]^H @ right[:, j] = delta_ij.  ``eigenvalues`` are complex128.
+    ``unstable_count`` counts eigenvalues with real part >= -1e-9.
+    ``cond_estimate`` is the 1-norm condition of the right basis: 1.0 for an
+    orthonormal ``eigh`` basis, ||right||_1 ||left^H||_1 = ||V||_1 ||V^-1||_1
+    for a biorthogonal one, whose left basis is V^-H, ``np.linalg.cond(right,
+    1)`` for a defective one.  The operator of ``translate_to_positive``
+    shares its operator's decomposition.
     """
 
     eigenvalues: np.ndarray
@@ -293,24 +294,23 @@ def spectrum(op):
     decomposed by ``eigh``: eigenvalues stored as complex, one basis for both
     sides, of condition 1.0 when max |V^H V - I| <= 1e-8 (a bound of
     1 + n 1e-8), else defective with its condition measured.  Otherwise ``eig``
-    gives both bases and the left one is biorthogonalized through the Gram
-    matrix, whose 1-norm condition is read from the inverse that corrects it.
-    A warning-carrying flag is raised when the right-eigenvector basis
-    condition exceeds 1e8; a defective (numerically non-diagonalizable) matrix
-    is flagged and the left basis is least-squares biorthogonalized.  Every
-    measured condition is a 1-norm condition, within a factor n of the 2-norm
-    one.  Warnings name the first caller outside this module.
+    gives the right basis V and the left one is V^-H, from one inverse that
+    also gives the exact 1-norm condition ||V||_1 ||V^-1||_1.  A singular V,
+    or one of condition above 1e12, makes the matrix defective (numerically
+    non-diagonalizable): it is flagged and the left basis is taken from the
+    adjoint eigenproblem, least-squares biorthogonalized.  A warning-carrying
+    flag is raised when the basis condition exceeds 1e8, defective or not.
+    Every measured condition is a 1-norm condition, within a factor n of the
+    2-norm one.  Warnings name the first caller outside this module.
     """
     m = operator_matrix(op)
     hermitian = np.array_equal(m, m.conj().T)
     try:
-        if hermitian:
-            w, vr = la.eigh(m)
-            w = w.astype(complex)
-        else:
-            w, vl, vr = la.eig(m, left=True, right=True)
-    except la.LinAlgError as exc:
+        w, vr = np.linalg.eigh(m) if hermitian else np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigen iteration failed: {exc}") from exc
+    # eigenvalues complex also when numpy returns a real spectrum as float64
+    w = w.astype(complex)
     if not np.all(np.isfinite(w)):
         raise EigenDecompositionError("eigen iteration returned non-finite eigenvalues")
     order = np.lexsort((-w.imag, -w.real))
@@ -329,30 +329,20 @@ def spectrum(op):
     if hermitian:
         vl = vr
     else:
-        vl = vl[:, order]
-        gram = vl.conj().T @ vr
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", la.LinAlgWarning)
-                lu, piv = la.lu_factor(gram)
-                corr = la.lu_solve((lu, piv), np.eye(n))
-            # 1-norm condition from the inverse just formed
-            gram_cond = np.linalg.norm(gram, 1) * np.linalg.norm(corr, 1)
-            if not np.isfinite(gram_cond) or gram_cond > 1e12:
-                raise la.LinAlgError("singular Gram matrix")
-            vl = vl @ corr.conj().T
-            if gram_cond > _COND_FLAG:
-                _warn(f"biorthogonalization Gram condition {gram_cond:.3e} > 1e8; "
-                      "left basis may be inaccurate")
-                defective = True
-        except (la.LinAlgError, la.LinAlgWarning):
+            inverse = np.linalg.inv(vr)
+            cond_estimate = float(np.linalg.norm(vr, 1) * np.linalg.norm(inverse, 1))
+            if not cond_estimate <= 1e12:
+                raise np.linalg.LinAlgError("eigenvector basis condition above 1e12")
+            vl = inverse.conj().T
+        except np.linalg.LinAlgError:
             defective = True
             _warn("matrix is numerically defective; left basis taken from the adjoint "
                   "eigenproblem with least-squares biorthogonalization")
             # no pairing of the adjoint eigenvalues is needed: reordering the
             # columns of vl_adj by a permutation P turns pinv(gram)^H into
             # P^T pinv(gram)^H, so the product below does not change
-            vl_adj = la.eig(m.conj().T)[1]
+            vl_adj = np.linalg.eig(m.conj().T)[1]
             vl = vl_adj @ np.linalg.pinv(vl_adj.conj().T @ vr).conj().T
 
     biorth_err = np.abs(vl.conj().T @ vr - np.eye(n)).max()
@@ -363,12 +353,8 @@ def spectrum(op):
         cond_estimate = float(np.linalg.cond(vr, 1))
     elif hermitian:
         cond_estimate = 1.0
-    else:
-        # vl^H vr = I + E with max |E| <= 1e-8, so vl^H = (I + E) vr^-1 and
-        # ||vl^H||_1 is ||vr^-1||_1 to within a factor 1 +- n 1e-8
-        cond_estimate = float(np.linalg.norm(vr, 1) * np.linalg.norm(vl.conj().T, 1))
     ill = cond_estimate > _COND_FLAG
-    if ill and not defective:
+    if ill:
         _warn(f"eigenvector basis condition {cond_estimate:.3e} > 1e8")
 
     vr = _frozen_array(vr)
@@ -400,8 +386,8 @@ def resolvent(op, lam):
     n = m.shape[0]
     shifted = lam * np.eye(n) - m
     try:
-        r = la.solve(shifted, np.eye(n))
-    except la.LinAlgError as exc:
+        r = np.linalg.solve(shifted, np.eye(n))
+    except np.linalg.LinAlgError as exc:
         raise SingularityError(f"resolvent solve singular at lambda = {lam}") from exc
     resid = spectral_norm(shifted @ r - np.eye(n))
     if resid > 1e-8:
@@ -410,8 +396,65 @@ def resolvent(op, lam):
     return Operator(r, label=f"resolvent({lam})")
 
 
+# Pade approximants r_m of exp (Higham 2005, SIAM J. Matrix Anal. Appl.
+# 26:1179, table 2.3): (degree m, largest 1-norm at which r_m meets unit
+# roundoff, coefficients b_0 ... b_m).  Degree 13 serves every larger norm
+# after scaling by a power of 2.
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                               1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                               10559470521600.0, 670442572800.0, 33522128640.0,
+                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def expm(a):
+    """Matrix exponential of a square float or complex array.
+
+    Scaling and squaring with the Pade approximants of Higham (2005): the
+    lowest degree of 3, 5, 7, 9 whose bound the 1-norm meets, else degree 13
+    on a / 2^s, squared s times, with s the least that brings the 1-norm
+    under 5.37.  r_m = (V - U)^{-1} (V + U) with U the odd and V the even
+    part of the numerator.  A non-finite norm gives a NaN result.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, float))
+    norm = np.linalg.norm(a, 1)
+    if not np.isfinite(norm):
+        return np.full_like(a, np.nan)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    for m, theta, b in _PADE[:-1]:
+        if norm <= theta:
+            powers = [eye, a2]          # A^0, A^2, ..., A^(m-1)
+            while len(powers) < (m + 1) // 2:
+                powers.append(powers[-1] @ a2)
+            u = a @ sum(b[2 * k + 1] * pk for k, pk in enumerate(powers))
+            v = sum(b[2 * k] * pk for k, pk in enumerate(powers))
+            return np.linalg.solve(v - u, v + u)
+    _, theta, b = _PADE[-1]
+    s = max(0, math.ceil(math.log2(norm / theta)))
+    a, a2 = a / 2.0**s, a2 / 4.0**s
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def semigroup_apply(op, t):
-    """Matrix exponential e^{op t} (scaling and squaring, Pade degree 13)."""
+    """Matrix exponential e^{op t} (``expm``: scaling and squaring, Pade degree 13)."""
     if not np.isfinite(t):
         raise UsageError("time must be finite")
     if t < 0:
@@ -420,7 +463,7 @@ def semigroup_apply(op, t):
     if t == 0:
         return Operator(np.eye(m.shape[0], dtype=m.dtype), label="identity")
     with np.errstate(over="ignore", invalid="ignore"):
-        e = la.expm(m * t)
+        e = expm(m * t)
     if not np.all(np.isfinite(e.real)) or (np.iscomplexobj(e) and not np.all(np.isfinite(e.imag))):
         raise SaturationError(
             f"matrix exponential overflowed at t = {t} "
@@ -428,14 +471,9 @@ def semigroup_apply(op, t):
     return Operator(e, label=f"exp(t={t})")
 
 
-def real_power(op, theta):
-    """Real power V diag(lambda^theta) V^{-1} by spectral calculus, any real theta.
-
-    Formed in real arithmetic (a float64 result) when the biorthogonal bases
-    and the eigenvalues are real, as for a real symmetric operator.  Raises
-    TranslationRequiredError unless the spectrum lies in the open right
-    half-plane, and IllConditionedBasisError above eigenbasis condition 1e8.
-    """
+def _power_factors(op, theta):
+    """(V, lambda^theta, W^H) of ``op``'s decomposition, under the guards of
+    ``real_power``: real arrays when the bases and the eigenvalues are real."""
     sp = decomposition(op)
     if np.min(sp.eigenvalues.real) <= 0.0:
         raise TranslationRequiredError(
@@ -447,7 +485,27 @@ def real_power(op, theta):
     lam, v, w = sp.eigenvalues, sp.right_vectors, sp.left_vectors.conj().T
     if np.isrealobj(v) and np.isrealobj(w) and not lam.imag.any():
         lam = lam.real
-    return Operator((v * np.power(lam, theta)) @ w, label=f"power({theta})")
+    return v, np.power(lam, theta), w
+
+
+def real_power(op, theta):
+    """Real power V diag(lambda^theta) V^{-1} by spectral calculus, any real theta.
+
+    Formed in real arithmetic (a float64 result) when the biorthogonal bases
+    and the eigenvalues are real, as for a real symmetric operator.  Raises
+    TranslationRequiredError unless the spectrum lies in the open right
+    half-plane, and IllConditionedBasisError above eigenbasis condition 1e8.
+    """
+    v, d, w = _power_factors(op, theta)
+    return Operator((v * d) @ w, label=f"power({theta})")
+
+
+def apply_power(op, theta, x):
+    """``real_power(op, theta) @ x`` as V diag(lambda^theta) (W^H x), with the
+    same guards, never forming the n x n power: for the few columns of a
+    lifting that is two thin products in place of a cubic one."""
+    v, d, w = _power_factors(op, theta)
+    return v @ (d[:, None] * (w @ x))
 
 
 def translate_to_positive(op):
@@ -593,8 +651,8 @@ def resolvent_perturbation_residual(cl, lams):
         r_drift, r_af = resolvents
         lhs_factor = np.eye(n) + r_drift @ drift @ gf
         try:
-            rhs = la.solve(lhs_factor, r_drift)
-        except la.LinAlgError as exc:
+            rhs = np.linalg.solve(lhs_factor, r_drift)
+        except np.linalg.LinAlgError as exc:
             raise SingularityError(
                 f"[I + R(lam,M) M G F] singular at lambda = {lam}") from exc
         residuals.append(float(spectral_norm(rhs - r_af) / max(spectral_norm(r_af), 1e-300)))

@@ -12,7 +12,6 @@ against the masked Gramian; spill onto stable modes verified a posteriori).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import (
     DimensionError,
@@ -143,7 +142,7 @@ def _hautus_margins(lam, b, clusters):
         lam_block = np.diag(lam[idx])
         for i in idx:
             block = np.hstack([lam[i] * np.eye(len(idx)) - lam_block, b[idx]])
-            margins[i] = la.svdvals(block)[-1]
+            margins[i] = np.linalg.svd(block, compute_uv=False)[-1]
     return margins
 
 
@@ -192,7 +191,7 @@ def reduce(spectral, drift, green, omega_weights=None):
         for group in clusters:
             idx = np.array(group)
             block = gram[np.ix_(idx, idx)]
-            vals = la.eigvalsh(0.5 * (block + block.conj().T))
+            vals = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
             obs_margins[idx] = vals[0].real
     return ReducedPair(
         lam=lam.copy(),
@@ -226,7 +225,7 @@ def choose_K(spectral):
     best = 1
     for group in _clusters(lam):
         vecs = spectral.right_vectors[:, list(group)]
-        sv = la.svdvals(vecs)
+        sv = np.linalg.svd(vecs, compute_uv=False)
         rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
         best = max(best, rank)
     return best
@@ -275,9 +274,11 @@ def place_poles(rp, targets, input_matrix=None):
     mapping each conjugate pair to its (Re, Im) coordinates, and the gain
     comes from one Sylvester equation (Bhattacharyya & de Souza 1982):
     Lambda_r X - X F = B_r G, K_r = G X^-1, returned as K = K_r T, so that
-    Lambda_N - B K is similar to F.  F is the real form of diag(targets),
-    with a 1 on the superdiagonal between equal real targets; G is the fixed
-    pattern G[k, j] = (j % m == k).  Distinct targets are checked on the
+    Lambda_N - B K is similar to F.  The equation is solved where Lambda is
+    diagonal, X = T Z with one n x n solve per row of Z, and X must come
+    out real.  F is the real form of diag(targets), with a 1 on the
+    superdiagonal between equal real targets; G is the fixed pattern
+    G[k, j] = (j % m == k).  Distinct targets are checked on the
     achieved eigenvalues (within 1e-6).  A repeated root moves by about
     sqrt(eps * cond) under rounding, so repeated targets are checked on the
     similarity instead: ||(Lambda_r - B_r K_r) X - X F|| <= 1e-10 ||Lambda_r||
@@ -307,35 +308,42 @@ def place_poles(rp, targets, input_matrix=None):
             f"eigenvalue {rp.lam[i]} uncontrollable through the supplied channels")
     lam_mat = rp.lambda_matrix
     t = _real_form(rp.lam)
-    lam_r = _real_part(t @ lam_mat @ la.inv(t), "reduced spectrum")
+    lam_r = _real_part(t @ lam_mat @ np.linalg.inv(t), "reduced spectrum")
     b_r = _real_part(t @ b, "reduced influence")
     t_f = _real_form(targets)
-    f_r = _real_part(t_f @ np.diag(targets) @ la.inv(t_f), "target set")
+    f_r = _real_part(t_f @ np.diag(targets) @ np.linalg.inv(t_f), "target set")
     real_row = np.count_nonzero(t_f, axis=1) == 1
     for j in range(n - 1):
         if real_row[j] and real_row[j + 1] and f_r[j, j] == f_r[j + 1, j + 1]:
             f_r[j, j + 1] = 1.0
     m = b.shape[1]
     g = (np.arange(n)[None, :] % m == np.arange(m)[:, None]).astype(float)
-    x = la.solve_sylvester(lam_r, -f_r, b_r @ g)
+    # Lambda_r = T diag(lam) T^-1, so X = T Z, where row k of Z solves
+    # z_k (lam_k I - F) = (B G)_k: one n x n solve per unstable eigenvalue
+    shifted = rp.lam[:, None, None] * np.eye(n) - f_r.T
+    try:
+        z = np.linalg.solve(shifted, (b @ g)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError("Sylvester equation of the placement is singular") from exc
+    x = _real_part(t @ z, "Sylvester solution")
     cond = np.linalg.cond(x)
     if not np.isfinite(cond) or cond > 1e12:
         raise SynthesisError(f"Sylvester solution condition {cond:.3e} exceeds 1e12")
-    k_r = la.solve(x.T, g.T).T
+    k_r = np.linalg.solve(x.T, g.T).T
     gain = k_r @ t
     if np.unique(targets).size < n:
-        resid = la.norm((lam_r - b_r @ k_r) @ x - x @ f_r)
-        if resid > 1e-10 * la.norm(lam_r) * la.norm(x):
+        resid = np.linalg.norm((lam_r - b_r @ k_r) @ x - x @ f_r)
+        if resid > 1e-10 * np.linalg.norm(lam_r) * np.linalg.norm(x):
             raise SynthesisError(f"similarity residual {resid:.3e} of the placement exceeds "
                                  "1e-10 |Lambda_r| |X|")
     else:
-        err = match_spectra(la.eigvals(lam_mat - b @ gain), targets)
+        err = match_spectra(np.linalg.eigvals(lam_mat - b @ gain), targets)
         if err > 1e-6:
             raise SynthesisError(f"pole placement missed targets by {err:.3e} (> 1e-6)")
     return gain
 
 
-def build_feedback(rp, gain, spectral, boundary_profiles, omega_weights=None):
+def build_feedback(gain, spectral, boundary_profiles, omega_weights=None):
     """Assemble a FeedbackLaw from a placed gain.
 
     Without ``omega_weights`` the law is spectral: observation functional k
@@ -380,7 +388,7 @@ def build_feedback(rp, gain, spectral, boundary_profiles, omega_weights=None):
             raise SynthesisError(
                 f"masked observation Gramian condition {cond:.3e} exceeds "
                 "1e8 (window too small or misplaced)")
-        rows = gain @ la.solve(gram, raw)
+        rows = gain @ np.linalg.solve(gram, raw)
         wvec = np.zeros_like(rows)
         wvec[:, window] = np.conj(rows[:, window]) / wts[window][None, :]
 

@@ -99,7 +99,7 @@ def test_spectrum_hermitian_test_is_exact(monkeypatch):
     m = -heat_split(HeatConfig(n=16, c2=9.1))[0].entries
     def refuse(*args, **kwargs):
         raise AssertionError("Hermitian solver called")
-    monkeypatch.setattr(la, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     with pytest.raises(AssertionError, match="Hermitian solver"):
         ops.spectrum(m)
     with pytest.raises(AssertionError, match="Hermitian solver"):
@@ -117,7 +117,7 @@ def test_spectrum_flags_an_ill_conditioned_hermitian_basis(monkeypatch):
     # fails the orthonormality check is defective and its condition is measured
     m = np.diag([1.0, 2.0, 3.0])
     basis = np.diag([1.0, 1.0, 1e-9])
-    monkeypatch.setattr(la, "eigh", lambda a: (np.array([1.0, 2.0, 3.0]), basis.copy()))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0, 3.0]), basis.copy()))
     op = Operator(m)
     with pytest.warns(UserWarning, match="biorthogonality residual"):
         sp = op.spectral
@@ -160,7 +160,9 @@ def test_spectrum_warnings_name_the_caller():
     for name, path in paths.items():
         with pytest.warns(UserWarning, match="eigenvector basis condition") as record:
             path()
-        assert [w.filename for w in record] == [__file__], name
+        # the exactly defective block reaches the adjoint fallback first
+        assert "numerically defective" in str(record[0].message), name
+        assert [w.filename for w in record] == [__file__] * 2, name
 
 
 @pytest.mark.parametrize("case", ["random", "coupled-n12"])
@@ -270,6 +272,45 @@ def test_semigroup_property_random_times():
         ets = ops.semigroup_apply(m, t + s).entries
         split = ops.semigroup_apply(m, t).entries @ ops.semigroup_apply(m, s).entries
         assert np.linalg.norm(ets - split, 2) <= 1e-8 * np.linalg.norm(ets, 2)
+
+
+def _expm_oracle_cases():
+    """(name, matrix) inputs of the exponential's oracle test."""
+    from stabreg.coupled import CoupledConfig
+    loops = {"heat": HeatConfig(n=32, c2=16.0).synthesize(targets=[-2.0])[0],
+             "coupled": CoupledConfig(n=12).synthesize()[0]}
+    cases = []
+    for name, loop in loops.items():
+        a = loop.composed.entries
+        n = a.shape[0]
+        # the kernel's augmented matrices [[A h, I h], [0, 0]] at the cell
+        # substeps of the benchmark scans (125 cells of 0.08 over 64 substeps,
+        # one cell over 8000) and the times of the decay fits
+        for h in (0.08 / 64, 10.0 / 8000, 40.0 / 8000):
+            aug = np.zeros((2 * n, 2 * n), dtype=np.result_type(a.dtype, float))
+            aug[:n, :n], aug[:n, n:] = a * h, np.eye(n) * h
+            cases.append((f"{name}-aug-h{h:g}", aug))
+        grid = np.linspace(1.0, 10.0, 19) if name == "heat" else np.linspace(0.5, 6.0, 12)
+        cases += [(f"{name}-decay-t{t:g}", t * a) for t in grid]
+    cases += [(f"jordan-s{s:g}", np.array([[-1.0, s], [0.0, -1.0]])) for s in (1.0, 10.0, 100.0)]
+    rng = np.random.default_rng(40)
+    cases.append(("complex-40", (rng.standard_normal((40, 40))
+                                 + 1j * rng.standard_normal((40, 40))) / 8.0))
+    cases.append(("zero", np.zeros((5, 5))))
+    # one 1-norm under each low-degree bound, and one far above 5.37
+    m = stable_random(6, 3)
+    cases += [(f"norm-{x:g}", m * (x / np.linalg.norm(m, 1))) for x in (0.01, 0.2, 0.9, 2.0, 300.0)]
+    return cases
+
+
+def test_expm_matches_scipy():
+    # the oracle is imported here only: the package runs on numpy alone
+    from scipy.linalg import expm as scipy_expm
+    for name, a in _expm_oracle_cases():
+        got, want = ops.expm(a), scipy_expm(a)
+        assert got.dtype == want.dtype, name
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() <= 1e-11 * scale, name
 
 
 def test_generator_consistency_first_order():

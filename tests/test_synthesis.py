@@ -216,7 +216,7 @@ def test_place_poles_complex_pair_from_real_matrix():
     sp = ops.spectrum(m)
     rp = syn.reduce(sp, Operator(m), green)
     gain = syn.place_poles(rp, [-2.0 + 1.0j, -2.0 - 1.0j])
-    law = syn.build_feedback(rp, gain, sp, np.eye(1))
+    law = syn.build_feedback(gain, sp, np.eye(1))
     assert np.isrealobj(law.as_matrix)
     closed = m @ (np.eye(3) - green.entries @ law.as_matrix)
     assert ops.match_spectra(np.linalg.eigvals(closed), [-2 + 1j, -2 - 1j, -4.0]) <= 1e-6
@@ -275,8 +275,7 @@ def test_build_feedback_spectral_exact_abscissa():
 
 def test_build_feedback_zero_gain_is_open_loop():
     _, op, d, sp = heat_setup()
-    rp = syn.reduce(sp, op, d)
-    law = syn.build_feedback(rp, np.zeros((1, 1)), sp, np.eye(2)[:, :1])
+    law = syn.build_feedback(np.zeros((1, 1)), sp, np.eye(2)[:, :1])
     assert np.abs(law.as_matrix).max() == 0.0
     cl = closed_loop_heat(HeatConfig(n=64, c2=16.0), law)
     assert np.array_equal(cl.composed.entries, op.entries)
@@ -299,9 +298,8 @@ def test_localized_observation_support():
 
 def test_localized_reads_unstable_coordinates_exactly():
     cfg, op, d, sp, wts = heat_setup(mask=True)
-    rp = syn.reduce(sp, op, d, omega_weights=wts)
     gain = np.array([[3.7]])
-    law = syn.build_feedback(rp, gain, sp, np.eye(2)[:, :1], wts)
+    law = syn.build_feedback(gain, sp, np.eye(2)[:, :1], wts)
     phi1 = sp.right_vectors[:, 0].real
     obs = law.observation_rows @ phi1
     assert obs[0] == pytest.approx(3.7, rel=1e-10)
@@ -309,13 +307,10 @@ def test_localized_reads_unstable_coordinates_exactly():
 
 def test_localized_small_window_gramian_failure():
     cfg = HeatConfig(n=64, c2=16.0)
-    op = build_heat_operator(cfg)
-    d = build_dirichlet_map(cfg)
-    sp = ops.spectrum(op)
+    sp = ops.spectrum(build_heat_operator(cfg))
     wts = np.zeros(cfg.n)      # an empty window
     with pytest.raises(SynthesisError):
-        syn.build_feedback(syn.reduce(sp, op, d), np.array([[1.0]]), sp,
-                           np.eye(2)[:, :1], wts)
+        syn.build_feedback(np.array([[1.0]]), sp, np.eye(2)[:, :1], wts)
 
 
 def test_feedback_scaling_consistency():
@@ -323,18 +318,16 @@ def test_feedback_scaling_consistency():
     rp = syn.reduce(sp, op, d)
     profiles = np.eye(2)[:, :1]
     gain = syn.place_poles(rp, [-2.0], input_matrix=rp.b_matrix @ profiles)
-    law1 = syn.build_feedback(rp, gain, sp, profiles)
-    law2 = syn.build_feedback(rp, 0.5 * gain, sp, 2.0 * profiles)
+    law1 = syn.build_feedback(gain, sp, profiles)
+    law2 = syn.build_feedback(0.5 * gain, sp, 2.0 * profiles)
     scale = np.abs(law1.as_matrix).max()
     assert np.abs(law1.as_matrix - law2.as_matrix).max() <= 1e-12 * scale
 
 
 def test_feedback_channel_count_guard():
     sp = ops.spectrum(np.diag([2.0, 2.0, -1.0]))   # geometric multiplicity 2
-    rp = syn.ReducedPair(lam=sp.eigenvalues[:2], b_matrix=np.eye(2),
-                         hautus_margins=np.array([1.0, 1.0]), clusters=((0, 1),))
     with pytest.raises(UsageError):
-        syn.build_feedback(rp, np.array([[1.0, 0.5]]), sp, np.eye(1))
+        syn.build_feedback(np.array([[1.0, 0.5]]), sp, np.eye(1))
 
 
 def test_spectral_mode_separation_c7():
@@ -351,7 +344,7 @@ def test_feedback_factorization_invariant():
     _, op, d, sp = heat_setup()
     rp = syn.reduce(sp, op, d)
     gain = syn.place_poles(rp, [-2.0], input_matrix=rp.b_matrix @ np.eye(2)[:, :1])
-    law = syn.build_feedback(rp, gain, sp, np.eye(2)[:, :1])
+    law = syn.build_feedback(gain, sp, np.eye(2)[:, :1])
     resid = np.abs(law.boundary_profiles @ law.observation_rows - law.as_matrix).max()
     assert resid <= 1e-12 * max(np.abs(law.as_matrix).max(), 1.0)
 
