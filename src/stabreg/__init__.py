@@ -51,6 +51,7 @@ from .synthesis import (
     place_poles,
     rank_check,
     reduce,
+    spectral_feedback,
     unstable_projection,
 )
 from .maxreg import (

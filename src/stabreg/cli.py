@@ -410,9 +410,9 @@ def cmd_verify(args, cfgp, out_dir, model, built=None):
     if built is None:
         built = build_closed_loop(cfgp, model)
     loop, _, mode, _ = built
+    identity = _identity_rows(loop, _scan_seed(cfgp, args.seed))     # fails before the scan
     scans = _plateau_reports(cfgp, args, loop.composed)
-    rows = (_identity_rows(loop, _scan_seed(cfgp, args.seed))
-            + model.verify(loop) + maxreg.verify_rows(scans))
+    rows = identity + model.verify(loop) + maxreg.verify_rows(scans)
     passed = all(row[3] == "PASS" for row in rows)
     rows.append(("overall", float(passed), 1.0, "PASS" if passed else "FAIL"))
     matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows)

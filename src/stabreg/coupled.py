@@ -18,6 +18,7 @@ import numpy as np
 from . import synthesis
 from .errors import ConfigError, ResonanceError
 from .heat import (
+    check_finite,
     check_row,
     check_window,
     dirichlet_lift,
@@ -59,6 +60,7 @@ class CoupledConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
+        check_finite(self)
         if self.n < 8:
             raise ConfigError(f"need at least 8 interior nodes per component, got {self.n}")
         if self.nu <= 0 or self.kappa <= 0:
@@ -227,46 +229,18 @@ def default_coupled_targets(spectral):
 
 
 def synthesize_coupled_feedback(cfg, targets=None, use_interior=True):
-    """Boundary + interior law pair stabilizing the coupled block operator.
-
-    The placement works on the unstable projection with the boundary channel
-    entering through the thermal diffusion row and each interior channel
-    through its window bump (influence sign flipped: the interior feedback is
-    additive).  Returns (f_law, j_law, info).
+    """Boundary + interior law pair stabilizing the coupled block operator:
+    ``synthesis.spectral_feedback`` with the boundary channel entering through
+    the thermal diffusion row and each interior channel through its window
+    bump.  ``targets`` default to ``default_coupled_targets``; with
+    ``use_interior`` false the interior law is zero.  Returns (f_law, j_law, info).
     """
-    n2 = 2 * cfg.n
-    ahat = coupled_split(cfg)[0]
-    dmap = cfg.lifting
     sp = cfg.operator.spectral
-    if sp.unstable_count == 0:
-        return (synthesis.FeedbackLaw.zero(2, n2), synthesis.FeedbackLaw.zero(n2, n2),
-                {"spectral": sp, "reduced": None, "targets": np.array([]),
-                 "achieved": np.array([])})
-    k = synthesis.choose_K(sp)
-    bprofiles = np.eye(2)[:, :k]
-    boundary_cols = (ahat.entries @ dmap.entries) @ bprofiles
-    if use_interior:
-        u_cols = interior_control_profiles(cfg, k)
-        influence = np.hstack([boundary_cols, -u_cols])
-    else:
-        u_cols = None
-        influence = boundary_cols
-    rp = synthesis.reduce(sp, ahat, dmap)
-    synthesis.require_rank(rp)
-    wl = sp.left_vectors[:, : sp.unstable_count]
-    b_eff = wl.conj().T @ influence
-    if targets is None:
-        targets = default_coupled_targets(sp)
-    gain = synthesis.place_poles(rp, targets, input_matrix=b_eff)
-    n_b = bprofiles.shape[1]
-    f_law = synthesis.build_feedback(gain[:n_b], sp, bprofiles)
-    if use_interior:
-        j_law = synthesis.build_feedback(gain[n_b:], sp, u_cols)
-    else:
-        j_law = synthesis.FeedbackLaw.zero(n2, n2)
-    achieved = np.linalg.eigvals(rp.lambda_matrix - b_eff @ gain)
-    return f_law, j_law, {"spectral": sp, "reduced": rp,
-                          "targets": np.asarray(targets), "achieved": achieved}
+    interior = (interior_control_profiles(cfg, synthesis.choose_K(sp))
+                if use_interior and sp.unstable_count else None)
+    return synthesis.spectral_feedback(
+        sp, coupled_split(cfg)[0], cfg.lifting,
+        default_coupled_targets(sp) if targets is None else targets, interior=interior)
 
 
 def adjoint_bound_scan(grids, cfg, targets=None):

@@ -10,7 +10,7 @@ boundedness of the advection; the closed loop is assembled exactly as
 (diffusion + translation + advection) (I - D F).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     RankCheckFailure,
     ResonanceError,
-    SynthesisError,
     UsageError,
 )
 from .operators import (
@@ -34,6 +33,13 @@ from .operators import (
     spectral_norm,
     translate_to_positive,
 )
+
+
+def check_finite(cfg):
+    """Every float field of the config dataclass ``cfg`` must be finite."""
+    for f in fields(cfg):
+        if f.type is float and not np.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"{f.name} = {getattr(cfg, f.name)}: must be finite")
 
 
 def check_window(omega):
@@ -62,6 +68,7 @@ class HeatConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
+        check_finite(self)
         if self.n < 8:
             raise ConfigError(f"need at least 8 interior nodes, got {self.n}")
         check_window(self.omega)
@@ -287,22 +294,15 @@ def default_targets(spectral):
 
 
 def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
-    """Full synthesis pipeline for the heat model.
+    """``synthesis.spectral_feedback`` for the heat model: (law, info).
 
-    Spectral mode places the requested poles exactly (the law factors through
-    the unstable projection).  Localized mode cannot promise placement: the
-    window-masked observation spills onto stable modes, so the law is built at
-    the requested targets, the closed-loop abscissa checked by direct
-    eigensolve, and the effective targets doubled until the loop is stable
-    (synthesis failure after 7 doublings).  ``mode`` is the ``[synthesis]
-    mode`` value, spectral or localized.  Returns (law, info) with the
-    spectral data, reduced pair, targets actually used and the achieved
-    reduced spectrum.
+    ``mode`` is the ``[synthesis] mode`` value.  Spectral mode places the
+    ``targets`` (default ``default_targets``) exactly; localized mode observes
+    on the window ``cfg.omega`` and deepens them until the loop is stable.  A
+    window holding no node fails the rank check.
     """
     if mode not in ("spectral", "localized"):
         raise ConfigError(f"[synthesis] mode = {mode!r}: expected spectral | localized")
-    op, d = cfg.operator, cfg.lifting
-    sp = op.spectral
     wts = None      # window weights: given exactly when the law is localized
     if mode == "localized":
         try:
@@ -310,42 +310,11 @@ def synthesize_heat_feedback(cfg, mode="spectral", targets=None):
         except ConfigError as exc:
             raise RankCheckFailure(
                 f"observation window is degenerate (zero margin): {exc}") from exc
-    if sp.unstable_count == 0:
-        law = synthesis.FeedbackLaw.zero(2, cfg.n)
-        return law, {"spectral": sp, "reduced": None, "targets": np.array([]),
-                     "achieved": np.array([])}
-    rp = synthesis.reduce(sp, op, d, omega_weights=wts)
-    synthesis.require_rank(rp)
-    k = synthesis.choose_K(sp)
-    profiles = np.eye(2)[:, :k]
-    if targets is None:
-        targets = default_targets(sp)
-    targets = np.asarray(targets, dtype=complex)
-    b_eff = rp.b_matrix @ profiles
-
-    def build(eff_targets):
-        gain = synthesis.place_poles(rp, eff_targets, input_matrix=b_eff)
-        return gain, synthesis.build_feedback(gain, sp, profiles, wts)
-
-    if wts is None:
-        gain, law = build(targets)
-        used = targets
-    else:
-        used = None
-        for attempt in range(8):
-            trial = targets * (2.0 ** attempt)
-            gain, law = build(trial)
-            closed = op.entries @ (np.eye(cfg.n) - d.entries @ law.as_matrix)
-            if np.max(np.linalg.eigvals(closed).real) < 0.0:
-                used = trial
-                break
-        if used is None:
-            raise SynthesisError(
-                "localized synthesis failed to reach abscissa < 0 "
-                f"after 7 target deepenings (window {cfg.omega})")
-    achieved = np.linalg.eigvals(rp.lambda_matrix - b_eff @ gain)
-    return law, {"spectral": sp, "reduced": rp, "targets": used,
-                 "achieved": achieved}
+    sp = cfg.operator.spectral
+    law, _, info = synthesis.spectral_feedback(
+        sp, cfg.operator, cfg.lifting, default_targets(sp) if targets is None else targets,
+        omega_weights=wts)
+    return law, info
 
 
 def check_row(name, ok, value, threshold):

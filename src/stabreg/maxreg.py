@@ -177,7 +177,8 @@ def _mode_panels(lam, horizon, p_max):
     if lam.real > 0:
         away = horizon - away
     breaks = np.concatenate([[0.0, horizon], width * 2.0 ** -np.arange(1, 21), away])
-    return np.unique(np.clip(breaks, 0.0, horizon))
+    b = np.sort(np.clip(breaks, 0.0, horizon))
+    return b[np.r_[True, b[1:] > b[:-1]]]
 
 
 def _mode_quotients(modes, p_list, horizon):

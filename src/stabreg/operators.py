@@ -535,11 +535,13 @@ def compose_closed_loop(drift, green, feedback, interior_B=None, *,
                         generator_A=None, perturbation_Ao=None):
     """Assemble the closed loop  drift (I - G F) + B  keeping all factors.
 
-    ``generator_A``/``perturbation_Ao`` optionally record the split
-    ``drift = generator_A + perturbation_Ao`` used by the adjoint
-    decomposition check; by default the whole of ``drift`` is treated as the
-    generator part (no perturbation).  ``feedback`` is a FeedbackLaw, a
-    matrix, or None for F = 0; the loop keeps its realized matrix.
+    ``generator_A``/``perturbation_Ao`` record the split ``drift =
+    generator_A + perturbation_Ao`` used by the adjoint decomposition check.
+    By default it is ``drift - kI`` plus ``kI``, with k from
+    ``translate_to_positive``, so the generator's sign-flip has its spectrum
+    in the right half-plane also when the drift is unstable.  ``feedback`` is
+    a FeedbackLaw, a matrix, or None for F = 0; the loop keeps its realized
+    matrix.
     """
     drift = drift if isinstance(drift, Operator) else Operator(drift)
     if not isinstance(green, GreenMap):
@@ -555,19 +557,18 @@ def compose_closed_loop(drift, green, feedback, interior_B=None, *,
         if fmat.shape != (green.input_dim, n):
             raise DimensionError(f"feedback matrix maps state ({n}) to boundary inputs "
                                  f"({green.input_dim}); got {fmat.shape}")
-    if interior_B is not None:
-        interior_B = interior_B if isinstance(interior_B, Operator) else Operator(interior_B)
-        if interior_B.dim != n:
-            raise DimensionError(f"interior term is {interior_B.dim}x{interior_B.dim}, expected {n}x{n}")
+    interior_B, generator_A, perturbation_Ao = (
+        x if x is None or isinstance(x, Operator) else Operator(x)
+        for x in (interior_B, generator_A, perturbation_Ao))
+    if interior_B is not None and interior_B.dim != n:
+        raise DimensionError(f"interior term is {interior_B.dim}x{interior_B.dim}, expected {n}x{n}")
     if generator_A is None:
-        generator_A = drift
         if perturbation_Ao is not None:
             raise UsageError("perturbation_Ao given without generator_A")
+        k, hat = translate_to_positive(drift)
+        generator_A = Operator(-hat.entries, label=f"drift - {k:g} I")
+        perturbation_Ao = Operator(k * np.eye(n), label=f"{k:g} I")
     else:
-        generator_A = generator_A if isinstance(generator_A, Operator) else Operator(generator_A)
-        if perturbation_Ao is not None:
-            perturbation_Ao = (perturbation_Ao if isinstance(perturbation_Ao, Operator)
-                               else Operator(perturbation_Ao))
         split = generator_A.entries + (perturbation_Ao.entries if perturbation_Ao is not None else 0.0)
         err = np.abs(split - drift.entries).max()
         if err > 1e-10 * max(np.abs(drift.entries).max(), 1.0):

@@ -23,6 +23,7 @@ from .operators import (
     GreenMap,
     Operator,
     match_spectra,
+    operator_matrix,
 )
 
 # Tolerance of the eigenvalue-cluster, rank, Hautus-margin and realness tests.
@@ -331,7 +332,7 @@ def place_poles(rp, targets, input_matrix=None):
         raise SynthesisError(f"Sylvester solution condition {cond:.3e} exceeds 1e12")
     k_r = np.linalg.solve(x.T, g.T).T
     gain = k_r @ t
-    if np.unique(targets).size < n:
+    if np.any(targets[1:] == targets[:-1]):     # sorted: repeats are adjacent
         resid = np.linalg.norm((lam_r - b_r @ k_r) @ x - x @ f_r)
         if resid > 1e-10 * np.linalg.norm(lam_r) * np.linalg.norm(x):
             raise SynthesisError(f"similarity residual {resid:.3e} of the placement exceeds "
@@ -417,3 +418,53 @@ def require_rank(rp):
             "controllability rank check failed for eigenvalue indices "
             f"{list(report.failing)}", report=report)
     return report
+
+
+def spectral_feedback(sp, drift, green, targets, interior=None, omega_weights=None):
+    """The synthesis of every model: feedback placing ``targets`` on the
+    unstable modes of ``sp``.
+
+    ``reduce`` pairs ``drift @ green`` with the unstable left basis and the
+    rank check must pass; the boundary channels are the first ``choose_K(sp)``
+    columns of the GreenMap ``green``, and the ``interior`` columns follow,
+    sign flipped, since an interior law enters the loop additively.  Without
+    ``omega_weights`` the placement is exact.  With them the boundary law is
+    localized on the window and spills onto stable modes, so the targets are
+    doubled until drift (I - G F) + J, ``drift`` being the whole operator, is
+    stable (SynthesisError after 7 doublings).  Returns (law, interior_law,
+    info): interior_law is zero without ``interior``, both are zero with
+    nothing unstable, and info holds the spectral data, reduced pair, targets
+    used and achieved reduced spectrum.
+    """
+    n = sp.dim
+    g = green.entries
+    if sp.unstable_count == 0:
+        return (FeedbackLaw.zero(g.shape[1], n), FeedbackLaw.zero(n, n),
+                {"spectral": sp, "reduced": None, "targets": np.array([]),
+                 "achieved": np.array([])})
+    rp = reduce(sp, drift, green, omega_weights=omega_weights)
+    require_rank(rp)
+    profiles = np.eye(g.shape[1])[:, :choose_K(sp)]
+    b_eff = rp.b_matrix @ profiles
+    if interior is not None:
+        wl = sp.left_vectors[:, : sp.unstable_count]
+        b_eff = np.hstack([b_eff, -(wl.conj().T @ interior)])
+    targets = np.asarray(targets, dtype=complex)
+    k = profiles.shape[1]
+    for attempt in range(1 if omega_weights is None else 8):
+        used = targets * 2.0 ** attempt
+        gain = place_poles(rp, used, input_matrix=b_eff)
+        law = build_feedback(gain[:k], sp, profiles, omega_weights)
+        j_law = (FeedbackLaw.zero(n, n) if interior is None
+                 else build_feedback(gain[k:], sp, interior))
+        if omega_weights is None:
+            break
+        closed = operator_matrix(drift) @ (np.eye(n) - g @ law.as_matrix) + j_law.as_matrix
+        if np.max(np.linalg.eigvals(closed).real) < 0.0:
+            break
+    else:
+        raise SynthesisError("localized synthesis failed to reach abscissa < 0 "
+                             "after 7 target deepenings")
+    achieved = np.linalg.eigvals(rp.lambda_matrix - b_eff @ gain)
+    return law, j_law, {"spectral": sp, "reduced": rp, "targets": used,
+                        "achieved": achieved}

@@ -9,6 +9,7 @@ import pytest
 
 import stabreg
 from stabreg import cli, matio, maxreg
+from stabreg.errors import NumericalError
 
 
 def run(args):
@@ -274,6 +275,49 @@ def test_abstract_defective_block_fails_adjoint_row(tmp_path):
     by_name = {r[0]: r for r in rows}
     assert by_name["adjoint_decomposition"][1:] == ["inf", "1e-08", "FAIL"]
     assert rows[-1] == ["overall", "0", "1", "FAIL"]
+
+
+def test_abstract_unstable_operator_report_passes(tmp_path):
+    # diag(1, -2) is unstable; the feedback [3, 0] through green [1; 1] gives
+    # the stable closed loop [[-2, 0], [6, -2]], a Jordan block.  The default
+    # split takes the generator drift - 2I, so the adjoint row verifies
+    write_abstract_files(tmp_path)
+    matio.write_matrix(tmp_path / "op.txt", np.diag([1.0, -2.0]))
+    matio.write_matrix(tmp_path / "g.txt", np.array([[1.0], [1.0]]))
+    matio.write_matrix(tmp_path / "f.txt", np.array([[3.0, 0.0]]))
+    cfg = write_config(tmp_path / "c.ini",
+                       ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out"))
+    with (pytest.warns(UserWarning, match="eigenvector basis condition"),
+          pytest.warns(UserWarning, match="numerically defective")):
+        assert run(["report", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "verify.csv")
+    by_name = {r[0]: r for r in rows}
+    assert float(by_name["adjoint_decomposition"][1]) <= 1e-8
+    assert float(by_name["resolvent_identity_max"][1]) <= 1e-8
+    assert rows[-1] == ["overall", "1", "1", "PASS"]
+
+
+def test_verify_identity_failure_exits_before_the_scan(tmp_path, monkeypatch):
+    def failing(cl, seed):
+        raise NumericalError("identity rows failed")
+    scans = []
+    monkeypatch.setattr(cli, "_identity_rows", failing)
+    monkeypatch.setattr(maxreg, "plateau_scan_multi", lambda *a, **k: scans.append(a))
+    cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
+    assert run(["verify", "--config", cfg]) == 3
+    assert scans == []
+
+
+def test_heat_report_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 13 ms of import; np.unique would load it
+    cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
+    src = os.path.dirname(os.path.dirname(stabreg.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from stabreg import cli; "
+            f"code = cli.main(['report', '--config', {cfg!r}]); "
+            f"print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_verify_writes_scan_rows_for_every_model(tmp_path):

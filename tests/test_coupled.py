@@ -9,6 +9,7 @@ from stabreg import operators as ops
 from stabreg import synthesis as syn
 from stabreg.coupled import CoupledConfig
 from stabreg.errors import ConfigError, RankCheckFailure, ResonanceError
+from stabreg.heat import HeatConfig
 
 
 def test_config_validation():
@@ -20,6 +21,18 @@ def test_config_validation():
         CoupledConfig(theta_e_profile=np.ones(3), n=48)
     with pytest.raises(ResonanceError):
         CoupledConfig(c2_h=(np.pi * 1.0001) ** 2, kappa=1.0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(("config", "field"), [
+    (HeatConfig, "c2"), (HeatConfig, "advection_b"),
+    (CoupledConfig, "c2_h"), (CoupledConfig, "nu"), (CoupledConfig, "ye_advect"),
+])
+def test_non_finite_float_field_names_the_field(config, field, value):
+    # built from the library, not the CLI: inf once overflowed int(round(c / pi))
+    # in the resonance guard, and nan slipped through every range test
+    with pytest.raises(ConfigError, match=f"^{field} = "):
+        config(**{field: value})
 
 
 def test_decoupled_limit_spectrum_union():

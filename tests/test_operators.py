@@ -119,7 +119,8 @@ def test_spectrum_flags_an_ill_conditioned_hermitian_basis(monkeypatch):
     basis = np.diag([1.0, 1.0, 1e-9])
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0, 3.0]), basis.copy()))
     op = Operator(m)
-    with pytest.warns(UserWarning, match="biorthogonality residual"):
+    with (pytest.warns(UserWarning, match="eigenvector basis condition"),
+          pytest.warns(UserWarning, match="biorthogonality residual")):
         sp = op.spectral
     assert sp.defective and sp.ill_conditioned
     assert sp.cond_estimate == pytest.approx(1e9, rel=1e-12)
@@ -140,7 +141,8 @@ def test_spectrum_defective_warns():
          np.diag([0.0, 0.0, 0.0, 1.0])),
     ]
     for m, left in defective:
-        with pytest.warns(UserWarning, match="numerically defective"):
+        with (pytest.warns(UserWarning, match="eigenvector basis condition"),
+              pytest.warns(UserWarning, match="numerically defective")):
             sp = ops.spectrum(m)
         assert sp.defective
         np.testing.assert_allclose(sp.left_vectors, left, rtol=0, atol=1e-12)
@@ -148,7 +150,8 @@ def test_spectrum_defective_warns():
 
 def test_spectrum_warnings_name_the_caller():
     # every entry path reports its warnings at this file, not at operators.py
-    # or at the cached property in functools
+    # or at the cached property in functools; composing without a split
+    # decomposes the drift too, so that path warns for two matrices
     block = np.array([[-1.0, 10.0], [0.0, -1.0]])
     green = GreenMap(np.array([[1.0], [0.0]]), gamma=0.25)
     paths = {
@@ -158,11 +161,13 @@ def test_spectrum_warnings_name_the_caller():
             ops.compose_closed_loop(Operator(block), green, None)),
     }
     for name, path in paths.items():
-        with pytest.warns(UserWarning, match="eigenvector basis condition") as record:
+        with (pytest.warns(UserWarning, match="eigenvector basis condition"),
+              pytest.warns(UserWarning, match="numerically defective") as record):
             path()
         # the exactly defective block reaches the adjoint fallback first
         assert "numerically defective" in str(record[0].message), name
-        assert [w.filename for w in record] == [__file__] * 2, name
+        count = 4 if name == "decomposition" else 2
+        assert [w.filename for w in record] == [__file__] * count, name
 
 
 @pytest.mark.parametrize("case", ["random", "coupled-n12"])
@@ -445,14 +450,30 @@ def test_adjoint_rank_one_feedback():
 
 
 def test_adjoint_defective_block_reads_inf():
-    # every power of [[1, -10], [0, 1]] comes from one eigenbasis of condition
-    # ~1e17 and multiplies back to the same matrix, so the residual read 0.0
+    # every power of the default split's [[2, -10], [0, 2]] comes from one
+    # eigenbasis of condition ~1e17 and multiplies back to the same matrix, so
+    # the residual read 0.0; composing decomposes the defective drift, and warns
     gen = Operator(np.array([[-1.0, 10.0], [0.0, -1.0]]))
     green = GreenMap(np.array([[1.0], [0.0]]), gamma=0.25)
     for feedback in (None, np.array([[0.1, 0.2]])):
-        cl = ops.compose_closed_loop(gen, green, feedback)
         with pytest.warns(UserWarning):
+            cl = ops.compose_closed_loop(gen, green, feedback)
             assert ops.adjoint_decomposition_residual(cl) == np.inf
+
+
+def test_compose_default_split_translates_an_unstable_drift():
+    # no split given: generator drift - kI and perturbation kI, with k =
+    # abscissa + 1, so -generator has its spectrum in the right half-plane
+    drift = Operator(stable_random(6, 3) + 4.0 * np.eye(6))
+    rng = np.random.default_rng(8)
+    green = GreenMap(rng.standard_normal((6, 2)), gamma=0.3)
+    cl = ops.compose_closed_loop(drift, green, rng.standard_normal((2, 6)))
+    k = ops.spectral_abscissa(drift) + 1.0
+    assert k > 1.0
+    np.testing.assert_allclose(cl.perturbation_Ao.entries, k * np.eye(6), rtol=0, atol=0)
+    np.testing.assert_array_equal(cl.generator_A.entries + cl.perturbation_Ao.entries,
+                                  drift.entries)
+    assert ops.adjoint_decomposition_residual(cl) <= 1e-8
 
 
 def test_adjoint_heat_with_advection():

@@ -324,6 +324,41 @@ def test_feedback_scaling_consistency():
     assert np.abs(law1.as_matrix - law2.as_matrix).max() <= 1e-12 * scale
 
 
+def test_spectral_feedback_multiplicity_two_needs_two_columns():
+    # diag(2, 2, -1) needs K = 2 channels: one green column fails the rank
+    # check with its margin table, two place both targets exactly
+    op = Operator(np.diag([2.0, 2.0, -1.0]))
+    sp = ops.spectrum(op)
+    one = GreenMap(np.array([[1.0], [1.0], [0.0]]), gamma=0.25)
+    with pytest.raises(RankCheckFailure) as err:
+        syn.spectral_feedback(sp, op, one, [-1.0, -2.0])
+    assert err.value.report is not None
+    assert err.value.report.failing == (0, 1)
+    assert "FAIL" in err.value.report.table()
+    two = GreenMap(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), gamma=0.25)
+    law, interior_law, info = syn.spectral_feedback(sp, op, two, [-1.0, -2.0])
+    assert law.boundary_profiles.shape == (2, 2)
+    assert np.abs(interior_law.as_matrix).max() == 0.0
+    closed = np.linalg.eigvals(op.entries @ (np.eye(3) - two.entries @ law.as_matrix))
+    assert ops.match_spectra(closed, [-1.0, -2.0, -1.0]) <= 1e-8
+    assert ops.match_spectra(info["achieved"], [-1.0, -2.0]) <= 1e-8
+
+
+def test_spectral_feedback_interior_columns_enter_additively():
+    # two unstable modes, one boundary channel and one interior column: the
+    # interior law is added to the loop, so its column is placed sign flipped
+    op = Operator(np.diag([1.0, 0.5, -2.0]))
+    sp = ops.spectrum(op)
+    green = GreenMap(np.array([[1.0], [1.0], [0.0]]), gamma=0.25)
+    law, j_law, info = syn.spectral_feedback(sp, op, green, [-3.0, -4.0],
+                                             interior=np.array([[1.0], [0.0], [0.0]]))
+    assert np.abs(j_law.as_matrix).max() > 0.0
+    closed = (op.entries @ (np.eye(3) - green.entries @ law.as_matrix)
+              + j_law.as_matrix)
+    assert ops.match_spectra(np.linalg.eigvals(closed), [-3.0, -4.0, -2.0]) <= 1e-8
+    assert ops.match_spectra(info["achieved"], [-3.0, -4.0]) <= 1e-8
+
+
 def test_feedback_channel_count_guard():
     sp = ops.spectrum(np.diag([2.0, 2.0, -1.0]))   # geometric multiplicity 2
     with pytest.raises(UsageError):
