@@ -3,26 +3,41 @@
 The exponential integrator advances ``y_{k+1} = E y_k + P f(cell)`` where
 ``E = exp(A h)`` and ``P = int_0^h exp(A s) ds``; the per-cell forcing is
 constant, so the recurrence is exact at the nodes.  The one step loop,
-``_blocks``, takes up to ``BLOCK`` substeps of a cell per Python iteration:
-with the stacks ``E^i`` and ``P_i = sum_{l<i} E^l P`` (i = 1..BLOCK), the
-states of a block are ``y_{k+i} = E^i y_k + P_i f``, so a whole block of
-(output-mapped) states is one stacked matrix product, and the next block
-starts from ``E^L y_k + P_L f``.  Temporaries are O(BLOCK * n * (n + nb)); no
-trajectory is held beyond what a caller stores.  Operands are promoted to
-their common dtype, so a complex forcing or operator runs the whole loop in
-complex arithmetic.
+``_blocks``, takes up to ``block_length`` substeps of a cell per Python
+iteration: with the stacks ``C E^i`` and ``C P_i``, ``P_i = sum_{l<i} E^l P``
+(i = 1..b), the states of a block are ``y_{k+i} = E^i y_k + P_i f``, so a
+whole block of (output-mapped) states is one stacked matrix product, and the
+next block starts from ``E^L y_k + P_L f``.  The block length b is at most
+``BLOCK`` and keeps the two stacks within ``STACK_BYTES``, so temporaries are
+O(STACK_BYTES + n * (n + b * nb)) whatever n is; no trajectory is held beyond
+what a caller stores.  Operands are promoted to their common dtype, so a
+complex forcing or operator runs the whole loop in complex arithmetic.
 """
 
 import numpy as np
 
 __all__ = ["lti_propagate", "lti_norm_scan"]
 
-# Substeps per block of the step loop.
+# Most substeps per block of the step loop, and the byte budget of the two
+# stacks of a block.  Past 64 substeps the Python overhead of a block is
+# amortized; the budget keeps b = 64 up to n = 90 in float64 and n = 64 in
+# complex128 (C = A), and shortens the blocks beyond: b = 10 at n = 225 and
+# b = 1 from n = 513 on, in float64.
 BLOCK = 64
+STACK_BYTES = 8 << 20
+
+
+def block_length(rows, n, dtype, refine):
+    """Substeps per block: at most BLOCK and ``refine``, and as many as keep
+    the stacks (b, rows, n) of ``C E^i`` and ``C P_i`` within STACK_BYTES
+    (one at least)."""
+    per_step = 2 * rows * n * np.dtype(dtype).itemsize
+    return max(1, min(BLOCK, refine, STACK_BYTES // per_step))
 
 
 def _blocks(C, E, P, f_cells, refine):
-    """The step loop: yields (k, j, Z) per block of at most BLOCK substeps.
+    """The step loop: yields (k, j, Z) per block of at most ``block_length``
+    substeps.
 
     ``f_cells`` has shape (m, n, nb) and ``C`` maps states to outputs.  The
     block covers nodes k+1 .. k+L of cell j, and Z[i] = C y_{k+1+i} has
@@ -30,17 +45,20 @@ def _blocks(C, E, P, f_cells, refine):
     """
     m, n, nb = f_cells.shape
     r = C.shape[0]
-    b = min(BLOCK, refine)
+    b = block_length(r, n, E.dtype, refine)
     lengths = {b, refine % b or b}
     ce = np.empty((b, r, n), dtype=E.dtype)      # C E^i
     cp = np.empty((b, r, n), dtype=E.dtype)      # C P_i
     jumps = {}                                   # L -> (E^L, P_L)
     e_i, p_i = E, P
     for i in range(1, b + 1):
-        ce[i - 1], cp[i - 1] = C @ e_i, C @ p_i
+        np.matmul(C, e_i, out=ce[i - 1])
+        np.matmul(C, p_i, out=cp[i - 1])
         if i in lengths:
             jumps[i] = (e_i, p_i)
-        e_i, p_i = E @ e_i, E @ p_i + P
+        if i < b:
+            e_i, p_i = E @ e_i, E @ p_i
+            p_i += P
     ce, cp = ce.reshape(b * r, n), cp.reshape(b * r, n)
     y = np.zeros((n, nb), dtype=E.dtype)
     buf = np.empty((b * r, nb), dtype=E.dtype)

@@ -152,11 +152,11 @@ class AbstractModel:
         if green is None:
             raise ConfigError("abstract model needs green_file to compose a closed loop")
         feedback = (None if self.feedback_file is None
-                    else _read_matrix_file(self.feedback_file, "feedback"))
+                    else _real_if_real(_read_matrix_file(self.feedback_file, "feedback")))
         loop = compose_closed_loop(operator, green, feedback)
         return loop, {"feedback_matrix": loop.feedback_matrix}, "abstract", {}
 
-    def verify(self, loop):
+    def verify(self, loop, info):
         """No rows of its own."""
         return []
 
@@ -409,10 +409,10 @@ def _identity_rows(cl, seed):
 def cmd_verify(args, cfgp, out_dir, model, built=None):
     if built is None:
         built = build_closed_loop(cfgp, model)
-    loop, _, mode, _ = built
+    loop, _, mode, info = built
     identity = _identity_rows(loop, _scan_seed(cfgp, args.seed))     # fails before the scan
     scans = _plateau_reports(cfgp, args, loop.composed)
-    rows = identity + model.verify(loop) + maxreg.verify_rows(scans)
+    rows = identity + model.verify(loop, info) + maxreg.verify_rows(scans)
     passed = all(row[3] == "PASS" for row in rows)
     rows.append(("overall", float(passed), 1.0, "PASS" if passed else "FAIL"))
     matio.write_csv(os.path.join(out_dir, "verify.csv"), VERIFY_HEADER, rows)

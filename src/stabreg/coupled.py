@@ -116,9 +116,10 @@ class CoupledConfig:
         return (loop, {"feedback_matrix": loop.feedback_matrix,
                        "interior_matrix": j_law.as_matrix}, mode, info)
 
-    def verify(self, loop):
-        """The model's verification rows: reassembly, margins, abscissa, decay."""
-        return verify_coupled_stabilization(loop, self)
+    def verify(self, loop, info):
+        """The model's verification rows: reassembly, margins, abscissa, decay.
+        The margins are those of the synthesis's reduced pair in ``info``."""
+        return verify_coupled_stabilization(loop, self, info["reduced"])
 
 
 def _block_diag(a, b):
@@ -268,14 +269,16 @@ def adjoint_bound_scan(grids, cfg, targets=None):
     return rows
 
 
-def verify_coupled_stabilization(cl, cfg):
+def verify_coupled_stabilization(cl, cfg, reduced=None):
     """The coupled rows of verify.csv for the loop ``cl`` composed on ``cfg``.
 
     Checks: split reassembly |feedback_part + interior_B - composed|
     (<= 1e-12), boundary-route Hautus margins (zero margin with no interior
     feedback is the designed failure), closed-loop abscissa strictly between
     the first untouched open-loop mode and zero, decay-fit rate (on
-    t = 0.5, 1, ..., 6) in the same window.
+    t = 0.5, 1, ..., 6) in the same window.  The margins are those of
+    ``reduced``, the synthesis's ``info["reduced"]`` of the open-loop
+    spectrum, diffusion blocks and lifting; without it that pair is reduced here.
     """
     scale = max(np.abs(cl.composed.entries).max(), 1.0)
     resid = float(np.abs(cl.feedback_part.entries + cl.interior_B.entries
@@ -286,7 +289,7 @@ def verify_coupled_stabilization(cl, cfg):
     # interior_B is the bounded part plus the interior feedback, if any
     has_interior = bool(np.any(cl.interior_B.entries != coupled_split(cfg)[1].entries))
     if nu > 0:
-        rp = synthesis.reduce(sp_open, cl.drift_A, cl.green)
+        rp = reduced if reduced is not None else synthesis.reduce(sp_open, cl.drift_A, cl.green)
         margin_floor = float(np.min(rp.hautus_margins))
         if not has_interior:
             rows.append(check_row("hautus_margins", margin_floor > synthesis.RANK_TOL,

@@ -55,9 +55,10 @@ class HeatConfig:
 
     The members below are the CLI's model protocol, ``operator`` and
     ``lifting`` built once per config; the keyword arguments of ``synthesize``
-    are the ``[synthesis]`` keys the model reads, and ``verify`` returns the
-    model's own verify.csv rows; the CLI adds the identity rows before them
-    and the regularity-scan rows after them, for every model.
+    are the ``[synthesis]`` keys the model reads, and ``verify``, given the
+    loop and the info that ``synthesize`` returned, gives the model's own
+    verify.csv rows; the CLI adds the identity rows before them and the
+    regularity-scan rows after them, for every model.
     """
 
     n: int = 64
@@ -109,7 +110,7 @@ class HeatConfig:
         loop = closed_loop_heat(self, law)
         return loop, {"feedback_matrix": loop.feedback_matrix}, mode, info
 
-    def verify(self, loop):
+    def verify(self, loop, info):
         """The model's verification rows: spectral abscissa and decay rate."""
         return verify_stabilization(loop)
 

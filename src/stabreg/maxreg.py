@@ -40,10 +40,29 @@ PLATEAU_RTOL = 0.05
 # mode evaluated in closed form; the kernel sweeps a mode above it.
 EIG_RTOL = 1e-10
 
-# Gauss-Legendre rule of the closed-form mode integrals, and the
-# decay lengths 1 / |Re lam| after which a mode's transient is below e^-40.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# The 20-point Gauss-Legendre rule of the closed-form mode integrals, by its
+# nonnegative half: the values of numpy.polynomial.legendre.leggauss(20) to
+# the last bit, written out so that no process imports numpy.polynomial.
+_GL_HALF = np.array([
+    (0.07652652113349734, 0.15275338713072628),
+    (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824),
+    (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186),
+    (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471),
+    (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446),
+    (0.993128599185095, 0.017614007139150893),
+])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
+
+# The decay lengths 1 / |Re lam| after which a mode's transient is below
+# e^-40, and the most quadrature nodes evaluated at once (whole modes, at
+# least one): about 100 bytes of temporaries per node.
 _TRANSIENT = 40.0
+_NODE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -181,16 +200,21 @@ def _mode_panels(lam, horizon, p_max):
     return b[np.r_[True, b[1:] > b[:-1]]]
 
 
-def _mode_quotients(modes, p_list, horizon):
-    """Quotients of the EigenModes modes, shape (len(p_list), k), by
-    Gauss-Legendre quadrature on each mode's ``_mode_panels``.
+def _mode_chunks(sizes, budget):
+    """Slices of consecutive modes whose sizes sum to at most ``budget``, or
+    of one mode where that one alone exceeds it."""
+    start, total = 0, 0
+    for k, size in enumerate(sizes):
+        if total and total + size > budget:
+            yield slice(start, k)
+            start, total = k, 0
+        total += size
+    yield slice(start, len(sizes))
 
-    Both norms are scaled by e^{-max(Re lam, 0) T}, so a growing mode does not
-    overflow before the quotient is formed.
-    """
-    lam, gram = modes.eigenvalues, modes.gram
-    shift = np.maximum(lam.real, 0.0) * horizon
-    breaks = [_mode_panels(lam_k, horizon, max(p_list)) for lam_k in lam]
+
+def _mode_norms(lam, gram, shift, breaks, p_list):
+    """sum over (y_t, A y) of the scaled L^p norms of the modes ``lam``, shape
+    (len(p_list), lam.size), by Gauss-Legendre quadrature on their panels."""
     owner = np.repeat(np.arange(lam.size), [len(b) - 1 for b in breaks])
     half = 0.5 * np.concatenate([np.diff(b) for b in breaks])
     t = (np.concatenate([b[:-1] for b in breaks]) + half)[:, None] + half[:, None] * _GL_NODES
@@ -203,8 +227,25 @@ def _mode_quotients(modes, p_list, horizon):
     g = gram[owner][:, None, :]
     squares = [_gram_form(g, z).ravel() for z in (yt, ay)]
     owner = np.repeat(owner, _GL_NODES.size)
-    out = np.array([sum(np.bincount(owner, weight * sq ** (p / 2.0), minlength=lam.size)
-                        ** (1.0 / p) for sq in squares) for p in p_list])
+    return np.array([sum(np.bincount(owner, weight * sq ** (p / 2.0), minlength=lam.size)
+                         ** (1.0 / p) for sq in squares) for p in p_list])
+
+
+def _mode_quotients(modes, p_list, horizon):
+    """Quotients of the EigenModes modes, shape (len(p_list), k), by
+    Gauss-Legendre quadrature on each mode's ``_mode_panels``.
+
+    The nodes are evaluated for whole modes at a time, at most _NODE_CHUNK of
+    them (or one mode), so the temporaries do not grow with the mode count.
+    Both norms are scaled by e^{-max(Re lam, 0) T}, so a growing mode does not
+    overflow before the quotient is formed.
+    """
+    lam, gram = modes.eigenvalues, modes.gram
+    shift = np.maximum(lam.real, 0.0) * horizon
+    breaks = [_mode_panels(lam_k, horizon, max(p_list)) for lam_k in lam]
+    out = np.empty((len(p_list), lam.size))
+    for s in _mode_chunks([(len(b) - 1) * _GL_NODES.size for b in breaks], _NODE_CHUNK):
+        out[:, s] = _mode_norms(lam[s], gram[s], shift[s], breaks[s], p_list)
     norm_f = np.sqrt(gram[:, 0])[None] * horizon ** (1.0 / np.array(p_list))[:, None]
     with np.errstate(over="ignore"):
         return np.exp(shift)[None] * out / norm_f
@@ -273,9 +314,9 @@ def lp_time_norm(node_values, dt, p):
     g = np.atleast_2d(np.asarray(node_values, dtype=float).T).T
     s = g.max(axis=0)
     safe = np.where(s == 0.0, 1.0, s)
-    z = g / safe
+    z = g / safe            # the one full-size temporary
     np.power(z, p, out=z)
-    integral = np.trapezoid(z, dx=dt, axis=0)
+    integral = dt * (z.sum(axis=0) - 0.5 * (z[0] + z[-1]))
     out = safe * integral ** (1.0 / p)
     out = np.where(s == 0.0, 0.0, out)
     return out if np.asarray(node_values).ndim > 1 else float(out[0])

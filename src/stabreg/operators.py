@@ -508,27 +508,36 @@ def apply_power(op, theta, x):
     return v @ (d[:, None] * (w @ x))
 
 
+def _reflected(op, k, label, sp=None):
+    """The operator k I - op (-op for k = 0).
+
+    With ``sp``, the decomposition of ``op``, it carries the decomposition
+    read from it, with no second eigensolve: eigenvalues k - lambda and the
+    same bases, both in reversed order (which is again decreasing real part,
+    imaginary part descending), and the same condition and flags.
+    """
+    m = operator_matrix(op)
+    out = Operator(k * np.eye(m.shape[0]) - m if k else -m, label=label)
+    if sp is not None:
+        w = _frozen_array(k - sp.eigenvalues[::-1])
+        vr = _frozen_array(sp.right_vectors[:, ::-1])
+        vl = vr if sp.left_vectors is sp.right_vectors else _frozen_array(sp.left_vectors[:, ::-1])
+        # seed the cached property, as its first use would have stored it
+        vars(out)["spectral"] = replace(sp, eigenvalues=w, right_vectors=vr, left_vectors=vl,
+                                        unstable_count=int(np.sum(w.real >= -1e-9)))
+    return out
+
+
 def translate_to_positive(op):
     """Translation k I - op with k = max(0, spectral abscissa) + 1.
 
     Returns (k, translated operator); the translated spectrum lies in the
     right half-plane with at least 1 to spare.  The translated operator
-    carries a decomposition read from ``op``'s, with no second eigensolve:
-    eigenvalues k - lambda and the same bases, both in reversed order (which
-    is again decreasing real part, imaginary part descending), and the same
-    condition and flags.
+    carries a decomposition read from ``op``'s (``_reflected``).
     """
-    m = operator_matrix(op)
     sp = decomposition(op)
     k = max(0.0, float(sp.eigenvalues[0].real)) + 1.0
-    hat = Operator(k * np.eye(m.shape[0]) - m, label=f"translated(k={k:g})")
-    w = _frozen_array(k - sp.eigenvalues[::-1])
-    vr = _frozen_array(sp.right_vectors[:, ::-1])
-    vl = vr if sp.left_vectors is sp.right_vectors else _frozen_array(sp.left_vectors[:, ::-1])
-    # seed the cached property, as its first use would have stored it
-    vars(hat)["spectral"] = replace(sp, eigenvalues=w, right_vectors=vr, left_vectors=vl,
-                                    unstable_count=int(np.sum(w.real >= -1e-9)))
-    return k, hat
+    return k, _reflected(op, k, f"translated(k={k:g})", sp)
 
 
 def compose_closed_loop(drift, green, feedback, interior_B=None, *,
@@ -566,7 +575,7 @@ def compose_closed_loop(drift, green, feedback, interior_B=None, *,
         if perturbation_Ao is not None:
             raise UsageError("perturbation_Ao given without generator_A")
         k, hat = translate_to_positive(drift)
-        generator_A = Operator(-hat.entries, label=f"drift - {k:g} I")
+        generator_A = _reflected(hat, 0.0, f"drift - {k:g} I", hat.spectral)
         perturbation_Ao = Operator(k * np.eye(n), label=f"{k:g} I")
     else:
         split = generator_A.entries + (perturbation_Ao.entries if perturbation_Ao is not None else 0.0)
@@ -601,7 +610,9 @@ def adjoint_decomposition_residual(cl):
     multiplies them back together, so the residual would read 0 on any basis.
     """
     n = cl.dim
-    a_pos = Operator(-cl.generator_A.entries)
+    # with the generator's decomposition, where it holds one (the default
+    # split's, read from the drift's), else -A is decomposed on first use
+    a_pos = _reflected(cl.generator_A, 0.0, "", vars(cl.generator_A).get("spectral"))
     gamma = cl.green.gamma
     eps = 0.5   # a first-order perturbation is relatively bounded w.r.t. A^(1/2)
     try:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import stabreg
-from stabreg import cli, matio, maxreg
+from stabreg import cli, matio, maxreg, synthesis
 from stabreg.errors import NumericalError
 
 
@@ -277,16 +277,20 @@ def test_abstract_defective_block_fails_adjoint_row(tmp_path):
     assert rows[-1] == ["overall", "0", "1", "FAIL"]
 
 
-def test_abstract_unstable_operator_report_passes(tmp_path):
-    # diag(1, -2) is unstable; the feedback [3, 0] through green [1; 1] gives
-    # the stable closed loop [[-2, 0], [6, -2]], a Jordan block.  The default
-    # split takes the generator drift - 2I, so the adjoint row verifies
+def unstable_abstract_config(tmp_path):
+    """diag(1, -2), unstable, with the feedback [3, 0] through green [1; 1]:
+    the stable closed loop [[-2, 0], [6, -2]], a Jordan block."""
     write_abstract_files(tmp_path)
     matio.write_matrix(tmp_path / "op.txt", np.diag([1.0, -2.0]))
     matio.write_matrix(tmp_path / "g.txt", np.array([[1.0], [1.0]]))
     matio.write_matrix(tmp_path / "f.txt", np.array([[3.0, 0.0]]))
-    cfg = write_config(tmp_path / "c.ini",
-                       ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out"))
+    return write_config(tmp_path / "c.ini",
+                        ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out"))
+
+
+def test_abstract_unstable_operator_report_passes(tmp_path):
+    # the default split takes the generator drift - 2I, so the adjoint row verifies
+    cfg = unstable_abstract_config(tmp_path)
     with (pytest.warns(UserWarning, match="eigenvector basis condition"),
           pytest.warns(UserWarning, match="numerically defective")):
         assert run(["report", "--config", cfg]) == 0
@@ -295,6 +299,44 @@ def test_abstract_unstable_operator_report_passes(tmp_path):
     assert float(by_name["adjoint_decomposition"][1]) <= 1e-8
     assert float(by_name["resolvent_identity_max"][1]) <= 1e-8
     assert rows[-1] == ["overall", "1", "1", "PASS"]
+
+
+def test_abstract_real_feedback_file_keeps_the_loop_real(tmp_path):
+    # a real feedback file is read as real, as the operator and green files
+    # are, so the loop and its whole scan stay in float64
+    cfgp = cli.load_config(unstable_abstract_config(tmp_path))
+    loop = cli.build_closed_loop(cfgp, cli.build_model(cfgp))[0]
+    assert loop.feedback_matrix.dtype == np.float64
+    assert loop.composed.entries.dtype == np.float64
+
+
+def test_abstract_report_decomposes_each_operator_once(tmp_path, monkeypatch):
+    # eigh of the drift, eig of the closed loop and, the loop being a Jordan
+    # block, eig of its adjoint; the adjoint check's -generator = 2I - drift
+    # takes its decomposition from the drift's
+    calls = collections.Counter()
+    for name in ("eig", "eigh"):
+        def counted(*args, _solver=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = unstable_abstract_config(tmp_path)
+    with (pytest.warns(UserWarning, match="eigenvector basis condition"),
+          pytest.warns(UserWarning, match="numerically defective")):
+        assert run(["report", "--config", cfg]) == 0
+    assert calls == {"eig": 2, "eigh": 1}
+
+
+def test_coupled_report_reduces_once(tmp_path, monkeypatch):
+    # the hautus_margins row reads the synthesis's reduced pair
+    calls = []
+    reduce = synthesis.reduce
+    monkeypatch.setattr(synthesis, "reduce", lambda *a, **k: calls.append(a) or reduce(*a, **k))
+    cfg = write_config(tmp_path / "c.ini", COUPLED_CFG.format(out=tmp_path / "out"))
+    assert run(["report", "--config", cfg]) == 0
+    assert len(calls) == 1
+    _, rows = read_csv(tmp_path / "out" / "verify.csv")
+    assert [r[3] for r in rows if r[0] == "hautus_margins"] == ["PASS"]
 
 
 def test_verify_identity_failure_exits_before_the_scan(tmp_path, monkeypatch):
@@ -318,6 +360,20 @@ def test_heat_report_leaves_numpy_ma_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["0", "False"]
+
+
+def test_cli_leaves_numpy_polynomial_unloaded(tmp_path):
+    # numpy.polynomial costs about 1 MB and 3 ms of import; the Gauss-Legendre
+    # rule of the eigenmode quadrature is written out instead
+    cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
+    src = os.path.dirname(os.path.dirname(stabreg.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from stabreg import cli; "
+            f"loaded = 'numpy.polynomial' in sys.modules; "
+            f"code = cli.main(['report', '--config', {cfg!r}]); "
+            f"print(code, loaded, 'numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["0", "False", "False"]
 
 
 def test_verify_writes_scan_rows_for_every_model(tmp_path):

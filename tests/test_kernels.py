@@ -44,13 +44,16 @@ def _oracle_states(a, f_cells, h, refine):
     return ys
 
 
-B = _kernels.BLOCK
+def _block(dtype, n=6):
+    """Block length of the scan of an n x n ``_data`` loop at unbounded refine."""
+    return _kernels.block_length(n, n, np.dtype(dtype), 10**9)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize(("refine", "m"), [(1, 40), (3, 40), (2 * B + 11, 3), (4 * B + 3, 1)],
+@pytest.mark.parametrize(("blocks", "rest", "m"), [(0, 1, 40), (0, 3, 40), (2, 11, 3), (4, 3, 1)],
                          ids=["1", "3", "refine-past-block", "one-cell-4-blocks"])
-def test_norm_scan_matches_expm_oracle(dtype, refine, m):
+def test_norm_scan_matches_expm_oracle(dtype, blocks, rest, m):
+    refine = blocks * _block(dtype) + rest
     a, e, p, f = _data(dtype, m=m)
     ys = _oracle_states(a, f, 0.05, refine)
     cell = np.maximum(np.arange(ys.shape[0]) - 1, 0) // refine   # left limit
@@ -109,3 +112,34 @@ def test_norm_scan_memory_is_its_outputs():
     outputs = sum(x.nbytes for x in out)
     assert outputs == 3 * (m * refine + 1) * nb * 8
     assert peak <= 1.5 * outputs
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_length_keeps_the_stacks_in_budget(dtype):
+    item = np.dtype(dtype).itemsize
+    assert _block(dtype, n=32) == _kernels.BLOCK
+    for n in (90, 225, 529, 2000):
+        b = _block(dtype, n)
+        assert 1 <= b <= _kernels.BLOCK
+        assert b == 1 or 2 * b * n * n * item <= _kernels.STACK_BYTES
+        assert b == _kernels.BLOCK or 2 * (b + 1) * n * n * item > _kernels.STACK_BYTES
+    assert _kernels.block_length(6, 6, np.dtype(dtype), 5) == 5
+
+
+def test_norm_scan_memory_is_bounded_at_2d_sizes():
+    # n = 225, the 15 x 15 square: the stacks take b = 10 substeps within
+    # STACK_BYTES where 64 would take 52 MB; the rest is O(n^2)
+    m, n, nb, refine = 2, 225, 2, 64
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((n, n)) / n - 2.0 * np.eye(n)
+    e = la.expm(a * 1e-3)
+    p = la.solve(a, e - np.eye(n))
+    f = rng.standard_normal((m, n, nb))
+    tracemalloc.start()
+    try:
+        out = _kernels.lti_norm_scan(a, e, p, f, refine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(x.nbytes for x in out) + 2 * _kernels.STACK_BYTES
+    assert all(np.all(np.isfinite(x)) for x in out)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -229,6 +230,34 @@ def test_eigenmodes_match_trajectory_oracle(shift):
     p_list = [1.5, 2.0, 4.0]
     got = maxreg.maxreg_constants_multi(a, p_list, 5.0, [modes])
     assert np.allclose(got, mode_oracle(a, p_list, 5.0), rtol=1e-10, atol=0.0)
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    assert np.allclose(maxreg._GL_NODES, nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(maxreg._GL_WEIGHTS, weights, rtol=0.0, atol=1e-15)
+
+
+def test_mode_quotients_memory_is_bounded():
+    # the heat loop's 32 modes take about 1400 nodes each; evaluated all at
+    # once they held 4.5 MB of temporaries
+    modes = maxreg.eigenmodes(benchmark_loop("heat").composed)
+    tracemalloc.start()
+    try:
+        maxreg._mode_quotients(modes, [1.5, 2.0, 4.0], 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+@pytest.mark.parametrize("model", ["heat", "coupled"])
+def test_mode_chunks_do_not_move_a_bit(model, monkeypatch):
+    # every mode's nodes are summed in the same order, chunked or not
+    modes = maxreg.eigenmodes(benchmark_loop(model).composed)
+    chunked = maxreg._mode_quotients(modes, [1.5, 2.0, 4.0], 40.0)
+    monkeypatch.setattr(maxreg, "_NODE_CHUNK", 10**9)
+    assert np.array_equal(chunked, maxreg._mode_quotients(modes, [1.5, 2.0, 4.0], 40.0))
 
 
 def test_eigen_residual_fallback_sweeps_that_mode(monkeypatch):
@@ -616,6 +645,14 @@ def test_lp_time_norm_overflow_safe():
 def test_lp_time_norm_trapezoid_exact_constant():
     g = np.full(101, 3.0)
     assert maxreg.lp_time_norm(g, 0.01, 2.0) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_lp_time_norm_is_the_trapezoid_rule():
+    g = np.abs(np.random.default_rng(5).standard_normal((801, 3)))
+    for p in (1.5, 2.0, 4.0):
+        want = np.trapezoid(g ** p, dx=0.01, axis=0) ** (1.0 / p)
+        assert np.allclose(maxreg.lp_time_norm(g, 0.01, p), want, rtol=1e-14, atol=0.0)
+    assert maxreg.lp_time_norm(np.array([2.0]), 0.01, 2.0) == 0.0
 
 
 def test_verdict_rule():

@@ -453,9 +453,10 @@ def test_adjoint_defective_block_reads_inf():
     # every power of the default split's [[2, -10], [0, 2]] comes from one
     # eigenbasis of condition ~1e17 and multiplies back to the same matrix, so
     # the residual read 0.0; composing decomposes the defective drift, and warns
-    gen = Operator(np.array([[-1.0, 10.0], [0.0, -1.0]]))
+    # (a fresh drift each time: the residual reuses the drift's decomposition)
     green = GreenMap(np.array([[1.0], [0.0]]), gamma=0.25)
     for feedback in (None, np.array([[0.1, 0.2]])):
+        gen = Operator(np.array([[-1.0, 10.0], [0.0, -1.0]]))
         with pytest.warns(UserWarning):
             cl = ops.compose_closed_loop(gen, green, feedback)
             assert ops.adjoint_decomposition_residual(cl) == np.inf
