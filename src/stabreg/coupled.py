@@ -122,10 +122,39 @@ class CoupledConfig:
         return verify_coupled_stabilization(loop, self, info["reduced"])
 
 
-def _block_diag(a, b):
-    """The block-diagonal matrix diag(a, b) of two n x n blocks."""
-    zero = np.zeros_like(a)
-    return np.block([[a, zero], [zero, b]])
+def _diffusion_blocks(cfg, shift_f, shift_h):
+    """diag(nu Lap + shift_f I, kappa Lap + shift_h I), written into one
+    2n x 2n array with no n x n identity."""
+    n = cfg.n
+    lap = laplacian(n)
+    out = np.zeros((2 * n, 2 * n))
+    np.multiply(lap, cfg.nu, out=out[:n, :n])
+    np.multiply(lap, cfg.kappa, out=out[n:, n:])
+    i = np.arange(n)
+    out[i, i] += shift_f
+    out[i + n, i + n] += shift_h
+    return out
+
+
+def _put_diagonal(block, values, zero):
+    """Write diag(values) into a square view, every other entry ``zero``:
+    the signed zero that c * eye(n) or -diag(v) leaves there."""
+    block[...] = zero
+    np.fill_diagonal(block, values)
+
+
+def _couplings(cfg):
+    """The bounded part as a 2n x 2n array: the advection ye D1 in both
+    diagonal blocks, +gamma I in the fluid row (-C_gamma with P_q = I) and
+    -diag(theta_e) in the thermal row (-C_theta_e), signed zeros included."""
+    n = cfg.n
+    adv = cfg.ye_advect * first_difference(n)
+    pi0 = np.empty((2 * n, 2 * n))
+    pi0[:n, :n] = adv
+    pi0[n:, n:] = adv
+    _put_diagonal(pi0[:n, n:], cfg.gamma_buoy, cfg.gamma_buoy * 0.0)
+    _put_diagonal(pi0[n:, :n], -cfg.theta_vector(), -0.0)
+    return pi0
 
 
 def coupled_split(cfg):
@@ -136,28 +165,21 @@ def coupled_split(cfg):
     = diffusion, mirroring the abstract generator split.
     """
     n = cfg.n
-    lap = laplacian(n)
-    d1 = first_difference(n)
-    diff_f = cfg.nu * lap + cfg.c2_f * np.eye(n)
-    diff_h = cfg.kappa * lap + cfg.c2_h * np.eye(n)
-    ahat = _block_diag(diff_f, diff_h)
-    pi0 = np.zeros((2 * n, 2 * n))
-    pi0[:n, :n] = cfg.ye_advect * d1
-    pi0[n:, n:] = cfg.ye_advect * d1
-    pi0[:n, n:] = cfg.gamma_buoy * np.eye(n)          # -C_gamma with P_q = I
-    pi0[n:, :n] = -np.diag(cfg.theta_vector())        # -C_theta_e
-    gen = _block_diag(cfg.nu * lap, cfg.kappa * lap)
-    trans = _block_diag(cfg.c2_f * np.eye(n), cfg.c2_h * np.eye(n))
-    return (Operator(ahat, label="diffusion blocks"),
-            Operator(pi0, label="couplings+advection"),
-            Operator(gen, label="block diffusion generator"),
+    trans = np.zeros((2 * n, 2 * n))
+    _put_diagonal(trans[:n, :n], cfg.c2_f, cfg.c2_f * 0.0)
+    _put_diagonal(trans[n:, n:], cfg.c2_h, cfg.c2_h * 0.0)
+    return (Operator(_diffusion_blocks(cfg, cfg.c2_f, cfg.c2_h), label="diffusion blocks"),
+            Operator(_couplings(cfg), label="couplings+advection"),
+            Operator(_diffusion_blocks(cfg, 0.0, 0.0), label="block diffusion generator"),
             Operator(trans, label="block translations"))
 
 
 def build_block_operator(cfg):
-    """Open-loop block operator: diffusion blocks + couplings + advection."""
-    ahat, pi0, _, _ = coupled_split(cfg)
-    return Operator(ahat.entries + pi0.entries, label="coupled block operator")
+    """Open-loop block operator: diffusion blocks + couplings + advection,
+    summed in place into the diffusion blocks."""
+    m = _diffusion_blocks(cfg, cfg.c2_f, cfg.c2_h)
+    m += _couplings(cfg)
+    return Operator(m, label="coupled block operator")
 
 
 def build_thermal_dirichlet_map(cfg):
@@ -240,7 +262,7 @@ def synthesize_coupled_feedback(cfg, targets=None, use_interior=True):
     interior = (interior_control_profiles(cfg, synthesis.choose_K(sp))
                 if use_interior and sp.unstable_count else None)
     return synthesis.spectral_feedback(
-        sp, coupled_split(cfg)[0], cfg.lifting,
+        sp, _diffusion_blocks(cfg, cfg.c2_f, cfg.c2_h), cfg.lifting,
         default_coupled_targets(sp) if targets is None else targets, interior=interior)
 
 
@@ -250,7 +272,9 @@ def adjoint_bound_scan(grids, cfg, targets=None):
     For each n, synthesizes the pair at fixed targets and evaluates
     ||A^{-(1-gamma)} (diffusion D F)||, the discrete constant in the
     (1-gamma)-relative bound of the adjoint feedback term; grid stability
-    certifies the bound.
+    certifies the bound.  A vector ``theta_e_profile`` is replaced by its
+    mean, so that every n has its profile.  The factors are read from the
+    model, as the composed loop would hold them, and no loop is composed.
     """
     rows = []
     for n in grids:
@@ -258,13 +282,14 @@ def adjoint_bound_scan(grids, cfg, targets=None):
                       theta_e_profile=(cfg.theta_e_profile
                                        if np.asarray(cfg.theta_e_profile).ndim == 0
                                        else float(np.mean(cfg.theta_vector()))))
-        f_law, j_law, _ = synthesize_coupled_feedback(sub, targets=targets)
-        cl = compose_coupled_loop(sub, f_law, j_law)
+        # X = (-generator)^{-(1-gamma)} (diffusion blocks @ lifting), formed
+        # before the synthesis so that the generator's decomposition is gone
+        x = apply_power(-_diffusion_blocks(sub, 0.0, 0.0), -(1.0 - sub.gamma),
+                        _diffusion_blocks(sub, sub.c2_f, sub.c2_h) @ sub.lifting.entries)
+        f_mat = synthesize_coupled_feedback(sub, targets=targets)[0].as_matrix
         # F has 2 rows: F^H = Q R with Q orthonormal, so ||X F|| = ||X R^H||
         # for the 2n x 2 product X, and no 2n x 2n product is formed
-        r = np.linalg.qr(cl.feedback_matrix.conj().T, mode="r")
-        x = apply_power(-cl.generator_A.entries, -(1.0 - sub.gamma),
-                        cl.drift_A.entries @ cl.green.entries)
+        r = np.linalg.qr(f_mat.conj().T, mode="r")
         rows.append((int(n), spectral_norm(x @ r.conj().T)))
     return rows
 
@@ -287,7 +312,7 @@ def verify_coupled_stabilization(cl, cfg, reduced=None):
     sp_open = cfg.operator.spectral
     nu = sp_open.unstable_count
     # interior_B is the bounded part plus the interior feedback, if any
-    has_interior = bool(np.any(cl.interior_B.entries != coupled_split(cfg)[1].entries))
+    has_interior = bool(np.any(cl.interior_B.entries != _couplings(cfg)))
     if nu > 0:
         rp = reduced if reduced is not None else synthesis.reduce(sp_open, cl.drift_A, cl.green)
         margin_floor = float(np.min(rp.hautus_margins))

@@ -53,6 +53,15 @@ def _frozen_array(a):
     return out
 
 
+def _read_only(a):
+    """``a`` itself, made read-only together with the array it views, if any,
+    so that no view of it can be made writable again."""
+    if isinstance(a.base, np.ndarray):
+        a.base.setflags(write=False)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense square, non-empty operator with a descriptive label."""
@@ -123,7 +132,8 @@ class SpectralData:
     orthonormal ``eigh`` basis, ||right||_1 ||left^H||_1 = ||V||_1 ||V^-1||_1
     for a biorthogonal one, whose left basis is V^-H, ``np.linalg.cond(right,
     1)`` for a defective one.  The operator of ``translate_to_positive``
-    shares its operator's decomposition.
+    shares its operator's decomposition.  Every array is read-only, and so
+    is the array it views, if any.
     """
 
     eigenvalues: np.ndarray
@@ -325,16 +335,18 @@ def spectrum(op):
             vr[:, j] = vr[:, j] * (abs(piv) / piv)
 
     defective = False
-    n = m.shape[0]
     if hermitian:
         vl = vr
+        gram = vr.conj().T @ vr
     else:
         try:
             inverse = np.linalg.inv(vr)
             cond_estimate = float(np.linalg.norm(vr, 1) * np.linalg.norm(inverse, 1))
             if not cond_estimate <= 1e12:
                 raise np.linalg.LinAlgError("eigenvector basis condition above 1e12")
-            vl = inverse.conj().T
+            # V^-1 V before V^-1 is conjugated in place into the left basis V^-H
+            gram = inverse @ vr
+            vl = np.conjugate(inverse, out=inverse).T
         except np.linalg.LinAlgError:
             defective = True
             _warn("matrix is numerically defective; left basis taken from the adjoint "
@@ -344,8 +356,11 @@ def spectrum(op):
             # P^T pinv(gram)^H, so the product below does not change
             vl_adj = np.linalg.eig(m.conj().T)[1]
             vl = vl_adj @ np.linalg.pinv(vl_adj.conj().T @ vr).conj().T
+            gram = vl.conj().T @ vr
 
-    biorth_err = np.abs(vl.conj().T @ vr - np.eye(n)).max()
+    # max |W^H V - I|, with the identity taken off the diagonal in place
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    biorth_err = np.abs(gram).max()
     if biorth_err > 1e-8 and not defective:
         defective = True
         _warn(f"biorthogonality residual {biorth_err:.3e} > 1e-8; matrix treated as defective")
@@ -357,11 +372,10 @@ def spectrum(op):
     if ill:
         _warn(f"eigenvector basis condition {cond_estimate:.3e} > 1e8")
 
-    vr = _frozen_array(vr)
     return SpectralData(
-        eigenvalues=_frozen_array(w),
-        right_vectors=vr,
-        left_vectors=vr if hermitian else _frozen_array(vl),
+        eigenvalues=_read_only(w),
+        right_vectors=_read_only(vr),
+        left_vectors=_read_only(vl),
         unstable_count=int(np.sum(w.real >= -1e-9)),
         cond_estimate=cond_estimate,
         ill_conditioned=bool(ill),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,20 @@ from stabreg import operators as ops
 from stabreg import synthesis as syn
 from stabreg.coupled import CoupledConfig
 from stabreg.errors import ConfigError, RankCheckFailure, ResonanceError
-from stabreg.heat import HeatConfig
+from stabreg.heat import HeatConfig, first_difference, laplacian
+
+# the adjoint grid of the grid-study benchmark
+ADJOINT_GRID = [16, 32, 64, 128, 256]
+
+
+def traced_peak(call):
+    """(result, peak bytes that numpy and Python allocated during ``call``)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_config_validation():
@@ -33,6 +47,44 @@ def test_non_finite_float_field_names_the_field(config, field, value):
     # in the resonance guard, and nan slipped through every range test
     with pytest.raises(ConfigError, match=f"^{field} = "):
         config(**{field: value})
+
+
+def dense_split(cfg):
+    """The four split blocks as np.block of identities and diagonals."""
+    n = cfg.n
+    lap, d1, eye, zero = laplacian(n), first_difference(n), np.eye(n), np.zeros((n, n))
+    ahat = np.block([[cfg.nu * lap + cfg.c2_f * eye, zero],
+                     [zero, cfg.kappa * lap + cfg.c2_h * eye]])
+    pi0 = np.block([[cfg.ye_advect * d1, cfg.gamma_buoy * eye],
+                    [-np.diag(cfg.theta_vector()), cfg.ye_advect * d1]])
+    gen = np.block([[cfg.nu * lap, zero], [zero, cfg.kappa * lap]])
+    trans = np.block([[cfg.c2_f * eye, zero], [zero, cfg.c2_h * eye]])
+    return ahat, pi0, gen, trans
+
+
+@pytest.mark.parametrize("cfg", [
+    CoupledConfig(n=12),
+    CoupledConfig(n=17, ye_advect=-0.3, gamma_buoy=-0.2, c2_f=-1.0, c2_h=3.0,
+                  theta_e_profile=np.r_[np.zeros(5), -np.ones(6), np.linspace(0.0, 1.0, 6)]),
+], ids=["default", "negative"])
+def test_blocks_built_in_place_keep_every_bit(cfg):
+    # signed zeros included: c * eye leaves c * 0.0 off the diagonal and
+    # -diag(theta) leaves -0.0, and the entries that follow read them
+    dense = dense_split(cfg)
+    for op, want in zip(coupled.coupled_split(cfg), dense):
+        assert op.entries.tobytes() == want.tobytes(), op.label
+    block = coupled.build_block_operator(cfg).entries
+    assert block.tobytes() == (dense[0] + dense[1]).tobytes()
+
+
+def test_block_operator_is_built_once():
+    cfg = CoupledConfig(n=256)
+    op, peak = traced_peak(lambda: coupled.build_block_operator(cfg))
+    # the array itself and the Operator's read-only copy; the four split
+    # blocks and their sum took 9.1 (2n)^2 float64
+    assert peak <= 3 * op.entries.nbytes
+    ahat, pi0, _, _ = coupled.coupled_split(cfg)
+    assert np.array_equal(op.entries, ahat.entries + pi0.entries)
 
 
 def test_decoupled_limit_spectrum_union():
@@ -180,6 +232,24 @@ def test_verify_pass_with_pair():
     assert all(status == "PASS" for *_, status in rows), rows
 
 
+def test_verify_builds_no_split(monkeypatch):
+    # the interior test reads the couplings block alone; with and without an
+    # interior law the rows are those of the loop's own verification
+    cfg = CoupledConfig(n=24)
+    f_law, j_law, info = coupled.synthesize_coupled_feedback(cfg)
+    loops = [coupled.compose_coupled_loop(cfg, f_law, j_law),
+             coupled.compose_coupled_loop(cfg, f_law)]
+    rows = [coupled.verify_coupled_stabilization(cl, cfg, info["reduced"]) for cl in loops]
+    def refuse(cfg):
+        raise AssertionError("coupled_split called")
+    monkeypatch.setattr(coupled, "coupled_split", refuse)
+    for cl, want in zip(loops, rows):
+        assert repr(coupled.verify_coupled_stabilization(cl, cfg, info["reduced"])) == repr(want)
+    # the Hautus row's threshold tells the two branches apart
+    assert [r[1][0] for r in rows] == ["hautus_margins"] * 2
+    assert [r[1][2] for r in rows] == [0.0, syn.RANK_TOL]
+
+
 def test_verify_fail_no_interior_zero_margin():
     cfg = CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)
     cl = coupled.compose_coupled_loop(cfg, None)
@@ -210,6 +280,33 @@ def test_adjoint_bound_scan_matches_dense_norm():
         power = ops.real_power(-cl.generator_A.entries, -(1.0 - sub.gamma)).entries
         term = cl.drift_A.entries @ cl.green.entries @ cl.feedback_matrix
         assert value == pytest.approx(np.linalg.norm(power @ term, 2), rel=1e-13)
+
+
+def test_adjoint_bound_scan_composes_no_loop():
+    # X and F come from the factors; composing the loop took 16.2 (2n)^2
+    # float64 at the peak, reading them takes 11
+    n = 128
+    _, peak = traced_peak(lambda: coupled.adjoint_bound_scan(
+        [n], CoupledConfig(n=16), targets=[-2.0, -3.0]))
+    assert peak <= 12 * 8 * (2 * n) ** 2
+
+
+def test_adjoint_bound_scan_takes_a_profile_by_its_mean():
+    prof = np.linspace(0.2, 0.8, 16)
+    rows = coupled.adjoint_bound_scan([16, 24], CoupledConfig(n=16, theta_e_profile=prof),
+                                      targets=[-2.0, -3.0])
+    mean = CoupledConfig(n=16, theta_e_profile=float(np.mean(prof)))
+    assert rows == coupled.adjoint_bound_scan([16, 24], mean, targets=[-2.0, -3.0])
+
+
+@pytest.mark.parametrize("n", ADJOINT_GRID)
+def test_interior_profiles_stay_in_the_window(n):
+    # the support check that composing the loop made, which the adjoint scan
+    # no longer makes, holds by construction at every n of its grid
+    cfg = CoupledConfig(n=n)
+    outside = ~coupled.fluid_window_mask(cfg)
+    for k in (1, 2, 3):
+        assert not coupled.interior_control_profiles(cfg, k)[outside].any()
 
 
 def test_thermal_dirichlet_resonance_guard():
