@@ -284,7 +284,7 @@ def test_adjoint_bound_scan_matches_dense_norm():
 
 def test_adjoint_bound_scan_composes_no_loop():
     # X and F come from the factors; composing the loop took 16.2 (2n)^2
-    # float64 at the peak, reading them takes 11
+    # float64 at the peak, reading them takes 10
     n = 128
     _, peak = traced_peak(lambda: coupled.adjoint_bound_scan(
         [n], CoupledConfig(n=16), targets=[-2.0, -3.0]))
