@@ -189,7 +189,8 @@ def build_thermal_dirichlet_map(cfg):
     boundary node; exponent gamma = 1/(2q) - eps.
     """
     n = cfg.n
-    elliptic = cfg.kappa * laplacian(n) + cfg.c2_h * np.eye(n)
+    elliptic = cfg.kappa * laplacian(n)
+    elliptic.flat[::n + 1] += cfg.c2_h      # + c2_h I, bit for bit
     cols = dirichlet_lift(elliptic, -cfg.kappa / cfg.h**2,
                           f"thermal elliptic operator (c2_h = {cfg.c2_h:g})")
     emb = np.vstack([np.zeros((n, 2)), cols])

@@ -115,19 +115,33 @@ class HeatConfig:
         return verify_stabilization(loop)
 
 
+def _tridiagonal(n, lower, diagonal, upper, off=0.0):
+    """n x n array with ``diagonal`` on its diagonal, ``lower`` and ``upper``
+    beside it and ``off`` elsewhere, written into one array."""
+    m = np.full((n, n), off)
+    m.flat[::n + 1] = diagonal
+    m.flat[1::n + 1] = upper
+    m.flat[n::n + 1] = lower
+    return m
+
+
 def laplacian(n):
     """Second-order centered FD Laplacian with homogeneous Dirichlet rows."""
     h = 1.0 / (n + 1)
-    m = (np.diag(np.full(n - 1, 1.0), -1)
-         + np.diag(np.full(n, -2.0))
-         + np.diag(np.full(n - 1, 1.0), 1)) / h**2
-    return m
+    return _tridiagonal(n, 1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
 
 
 def first_difference(n):
     """Centered first difference (the advection stencil)."""
     h = 1.0 / (n + 1)
-    return (np.diag(np.full(n - 1, 1.0), 1) - np.diag(np.full(n - 1, 1.0), -1)) / (2.0 * h)
+    return _tridiagonal(n, -1.0 / (2.0 * h), 0.0, 1.0 / (2.0 * h))
+
+
+def _lower_order(cfg):
+    """(lower, diagonal, upper, off) entries of c^2 I + b D1, each the sum
+    c^2 * eye + b * D1 leaves there, signed zeros included."""
+    c2, b, step = cfg.c2, cfg.advection_b, 1.0 / (2.0 * cfg.h)
+    return c2 * 0.0 + b * -step, c2 * 1.0 + b * 0.0, c2 * 0.0 + b * step, c2 * 0.0 + b * 0.0
 
 
 def heat_split(cfg):
@@ -136,16 +150,17 @@ def heat_split(cfg):
     Returns (generator, perturbation): the pure Laplacian (whose sign-flip is
     positive definite) and c^2 I + b D1.  Their sum is the full model operator.
     """
-    gen = Operator(laplacian(cfg.n), label="diffusion")
-    pert = Operator(cfg.c2 * np.eye(cfg.n) + cfg.advection_b * first_difference(cfg.n),
-                    label="translation+advection")
-    return gen, pert
+    return (Operator(laplacian(cfg.n), label="diffusion"),
+            Operator(_tridiagonal(cfg.n, *_lower_order(cfg)), label="translation+advection"))
 
 
 def build_heat_operator(cfg):
-    """Full model operator: Laplacian + c^2 I + advection."""
-    gen, pert = heat_split(cfg)
-    return Operator(gen.entries + pert.entries, label="heat operator")
+    """Full model operator Laplacian + c^2 I + advection, written into one
+    array with the bits of that sum (off the band +0.0 plus a zero is +0.0)."""
+    h = cfg.h
+    lower, diagonal, upper, _ = _lower_order(cfg)
+    return Operator(_tridiagonal(cfg.n, 1.0 / h**2 + lower, -2.0 / h**2 + diagonal,
+                                 1.0 / h**2 + upper), label="heat operator")
 
 
 def fd_eigenvalues(cfg):
@@ -187,7 +202,8 @@ def build_dirichlet_map(cfg):
     at one endpoint; the exponent gamma = 1/(2q) - eps rides along.  A
     resonant translation makes the interior solve (near-)singular and raises.
     """
-    elliptic = laplacian(cfg.n) + cfg.c2 * np.eye(cfg.n)
+    elliptic = laplacian(cfg.n)
+    elliptic.flat[::cfg.n + 1] += cfg.c2      # + c^2 I, bit for bit
     cols = dirichlet_lift(elliptic, -1.0 / cfg.h**2,
                           f"translated elliptic operator (c2 = {cfg.c2:g})")
     return GreenMap(cols, gamma=cfg.gamma, input_labels=("x=0", "x=1"))

@@ -75,7 +75,7 @@ class Operator:
             raise DimensionError(f"operator {self.label!r}: entries must be square, got {m.shape}")
         if m.size == 0:
             raise DimensionError(f"operator {self.label!r} is empty, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise UsageError(f"operator {self.label!r}: non-finite entries")
         object.__setattr__(self, "entries", _frozen_array(m))
 
@@ -101,7 +101,7 @@ class GreenMap:
         m = np.atleast_2d(np.asarray(self.entries))
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise DimensionError(f"green map: bad shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise UsageError("green map: non-finite entries")
         if not (0.0 < self.gamma < 1.0):
             raise UsageError(f"green map exponent gamma must lie strictly in (0,1), got {self.gamma}")
@@ -294,6 +294,46 @@ def match_spectra(a, b):
     return float(np.abs(a - pair_spectra(a, b)).max(initial=0.0))
 
 
+def _packed_left_basis(vr, first, second):
+    """V^-H for the complex eigenbasis V of a real matrix, from one real inverse.
+
+    Column ``second[p]`` of V is the conjugate of column ``first[p]``, pair
+    by pair, and every other column is real.  So V = V_r S, where the packed
+    basis V_r holds Re v_j in column j = first[p] and Im v_j in column
+    k = second[p], and S is [[1, 1], [i, -i]] on each pair, the identity
+    elsewhere.  With R = V_r^-1, V^-1 = S^-1 R has rows (R_j - i R_k)/2 and
+    (R_j + i R_k)/2 on each pair and R_r elsewhere; its conjugate is written
+    row by row and returned transposed.  A singular V_r raises LinAlgError.
+    """
+    n = vr.shape[0]
+    packed = vr.real.copy()
+    packed[:, second] = vr.imag[:, first]
+    r = np.linalg.inv(packed)
+    del packed
+    half = np.ones(n)
+    half[first] = half[second] = 0.5
+    r *= half[:, None]
+    conj_inverse = np.zeros((n, n), dtype=complex)
+    conj_inverse.real = r
+    for j, k in zip(first, second):
+        conj_inverse.real[k] = r[j]
+        conj_inverse.imag[j] = r[k]
+        np.negative(r[k], out=conj_inverse.imag[k])
+    return conj_inverse.T
+
+
+def _biorthogonality_residual(vl, vr):
+    """max |W^H V - I| over the entries, 64 rows of W^H V at a time, so that
+    no n x n product is held."""
+    err = 0.0
+    for s in range(0, vr.shape[1], 64):
+        gram = vl[:, s:s + 64].conj().T @ vr
+        rows = np.arange(gram.shape[0])
+        gram[rows, s + rows] -= 1.0
+        err = max(err, float(np.abs(gram).max()))
+    return err
+
+
 def spectrum(op):
     """Full eigendecomposition with a biorthogonal left basis.
 
@@ -304,14 +344,18 @@ def spectrum(op):
     decomposed by ``eigh``: eigenvalues stored as complex, one basis for both
     sides, of condition 1.0 when max |V^H V - I| <= 1e-8 (a bound of
     1 + n 1e-8), else defective with its condition measured.  Otherwise ``eig``
-    gives the right basis V and the left one is V^-H, from one inverse that
-    also gives the exact 1-norm condition ||V||_1 ||V^-1||_1.  A singular V,
-    or one of condition above 1e12, makes the matrix defective (numerically
+    gives the right basis V and the left one is V^-H, whose 1-norm condition
+    ||V||_1 ||V^-1||_1 is exact.  For a real matrix with complex eigenvectors
+    V^-H comes from the inverse of the real packed basis (``_packed_left_basis``),
+    the conjugate pairs read where ``eig`` returns them adjacent and exactly
+    conjugate; otherwise from the inverse of V.  A singular V, or one of
+    condition above 1e12, makes the matrix defective (numerically
     non-diagonalizable): it is flagged and the left basis is taken from the
     adjoint eigenproblem, least-squares biorthogonalized.  A warning-carrying
     flag is raised when the basis condition exceeds 1e8, defective or not.
     Every measured condition is a 1-norm condition, within a factor n of the
-    2-norm one.  Warnings name the first caller outside this module.
+    2-norm one.  No complex n x n array is formed beyond the two bases and
+    ``eig``'s own output.  Warnings name the first caller outside this module.
     """
     m = operator_matrix(op)
     hermitian = np.array_equal(m, m.conj().T)
@@ -324,29 +368,35 @@ def spectrum(op):
     if not np.all(np.isfinite(w)):
         raise EigenDecompositionError("eigen iteration returned non-finite eigenvalues")
     order = np.lexsort((-w.imag, -w.real))
+    pairs = None
+    if np.isrealobj(m) and np.iscomplexobj(vr):
+        # LAPACK returns each conjugate pair of a real matrix adjacent, the
+        # positive imaginary part first; their sorted positions
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        first = np.flatnonzero(w.imag > 0)
+        pairs = position[first], position[first + 1]
     w, vr = w[order], vr[:, order]
 
     # deterministic phase: make the largest-magnitude component of each right
     # vector real positive (keeps conjugate pairs of real matrices conjugate)
-    for j in range(vr.shape[1]):
-        i = int(np.argmax(np.abs(vr[:, j])))
-        piv = vr[i, j]
-        if piv != 0:
-            vr[:, j] = vr[:, j] * (abs(piv) / piv)
+    pivot = vr[np.argmax(np.abs(vr), axis=0), np.arange(vr.shape[1])]
+    vr *= np.abs(pivot) / np.where(pivot == 0, 1, pivot)
 
     defective = False
     if hermitian:
         vl = vr
-        gram = vr.conj().T @ vr
     else:
         try:
-            inverse = np.linalg.inv(vr)
-            cond_estimate = float(np.linalg.norm(vr, 1) * np.linalg.norm(inverse, 1))
+            if pairs is None:
+                inverse = np.linalg.inv(vr)
+                vl = np.conjugate(inverse, out=inverse).T
+            else:
+                vl = _packed_left_basis(vr, *pairs)
+            # ||V^-1||_1 = ||V^-H||_inf
+            cond_estimate = float(np.linalg.norm(vr, 1) * np.linalg.norm(vl, np.inf))
             if not cond_estimate <= 1e12:
                 raise np.linalg.LinAlgError("eigenvector basis condition above 1e12")
-            # V^-1 V before V^-1 is conjugated in place into the left basis V^-H
-            gram = inverse @ vr
-            vl = np.conjugate(inverse, out=inverse).T
         except np.linalg.LinAlgError:
             defective = True
             _warn("matrix is numerically defective; left basis taken from the adjoint "
@@ -356,11 +406,8 @@ def spectrum(op):
             # P^T pinv(gram)^H, so the product below does not change
             vl_adj = np.linalg.eig(m.conj().T)[1]
             vl = vl_adj @ np.linalg.pinv(vl_adj.conj().T @ vr).conj().T
-            gram = vl.conj().T @ vr
 
-    # max |W^H V - I|, with the identity taken off the diagonal in place
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
-    biorth_err = np.abs(gram).max()
+    biorth_err = _biorthogonality_residual(vl, vr)
     if biorth_err > 1e-8 and not defective:
         defective = True
         _warn(f"biorthogonality residual {biorth_err:.3e} > 1e-8; matrix treated as defective")

@@ -10,6 +10,7 @@ against the masked Gramian; spill onto stable modes verified a posteriori).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,34 +33,26 @@ RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FeedbackLaw:
-    """Rank-K feedback  u = sum_k <obs_k, y> g_k  realized as a dense matrix.
+    """Rank-K feedback  u = sum_k <obs_k, y> g_k, held as its factors.
 
     ``boundary_profiles`` holds the output directions g_k as columns (m x K);
-    ``observation_rows`` holds the K observation functionals as rows (K x n),
-    so ``as_matrix = boundary_profiles @ observation_rows``.  A localized law
-    carries ``omega_weights``, the quadrature weights realizing the windowed
-    inner product (the window is where they are positive), and its
-    ``observation_vectors`` w_k (rows), which vanish off the window.
+    ``observation_rows`` holds the K observation functionals as rows (K x n).
+    A localized law carries ``omega_weights``, the quadrature weights
+    realizing the windowed inner product (the window is where they are
+    positive), and its ``observation_vectors`` w_k (rows), which vanish off
+    the window.  The m x n matrix ``as_matrix`` is formed on first use.
     """
 
     boundary_profiles: np.ndarray
     observation_rows: np.ndarray
-    as_matrix: np.ndarray
     observation_vectors: np.ndarray | None = None
     omega_weights: np.ndarray | None = None
 
     def __post_init__(self):
         prof = np.atleast_2d(np.asarray(self.boundary_profiles))
         rows = np.atleast_2d(np.asarray(self.observation_rows))
-        mat = np.atleast_2d(np.asarray(self.as_matrix))
         if prof.shape[1] != rows.shape[0]:
             raise DimensionError("one observation functional per boundary profile required")
-        if mat.shape != (prof.shape[0], rows.shape[1]):
-            raise DimensionError(
-                f"realized feedback shape {mat.shape} inconsistent with profiles/observations")
-        resid = np.abs(prof @ rows - mat).max(initial=0.0)
-        if resid > 1e-12 * max(np.abs(mat).max(initial=0.0), 1.0):
-            raise SynthesisError(f"rank-K factorization residual {resid:.3e} exceeds 1e-12")
         if self.omega_weights is not None:
             if self.observation_vectors is None:
                 raise UsageError("a localized law requires its observation vectors")
@@ -68,13 +61,24 @@ class FeedbackLaw:
             if np.any(w[:, outside] != 0):
                 raise SynthesisError("localized observation vectors must vanish outside the window")
 
+    @cached_property
+    def as_matrix(self):
+        """The realized feedback ``boundary_profiles @ observation_rows``,
+        read-only: its real part when the profiles are real and its imaginary
+        part is within 1e-8 of max(|entries|, 1)."""
+        prof = np.atleast_2d(np.asarray(self.boundary_profiles))
+        mat = prof @ np.atleast_2d(np.asarray(self.observation_rows))
+        if not np.abs(prof.imag).any():
+            scale = max(np.abs(mat).max(initial=0.0), 1.0)
+            if np.abs(mat.imag).max(initial=0.0) <= 1e-8 * scale:
+                mat = np.ascontiguousarray(mat.real)
+        mat.setflags(write=False)
+        return mat
+
     @staticmethod
     def zero(input_dim, state_dim):
-        return FeedbackLaw(
-            boundary_profiles=np.zeros((input_dim, 1)),
-            observation_rows=np.zeros((1, state_dim)),
-            as_matrix=np.zeros((input_dim, state_dim)),
-        )
+        return FeedbackLaw(boundary_profiles=np.zeros((input_dim, 1)),
+                           observation_rows=np.zeros((1, state_dim)))
 
 
 @dataclass(frozen=True)
@@ -355,7 +359,10 @@ def build_feedback(gain, spectral, boundary_profiles, omega_weights=None):
     windowed Gramian (condition at most 1e8) so that unstable coordinates are
     still read exactly; spill onto stable modes is accepted and checked
     downstream by direct eigensolve.  ``boundary_profiles`` holds one output
-    direction g_k per gain row, as columns.
+    direction g_k per gain row, as columns.  With real profiles, rows whose
+    imaginary part is within 1e-8 of max(|rows|, 1) are cast real, and the
+    observation vectors follow them.  The law keeps its factors: no m x n
+    product is formed here.
     """
     gain = np.atleast_2d(np.asarray(gain, dtype=complex))
     nu = spectral.unstable_count
@@ -372,7 +379,6 @@ def build_feedback(gain, spectral, boundary_profiles, omega_weights=None):
         raise DimensionError("one boundary profile column per gain row required")
 
     wl = spectral.left_vectors[:, :nu]
-    wvec = None
     if omega_weights is None:
         rows = gain @ wl.conj().T     # unstable coordinate functionals
     else:
@@ -390,21 +396,18 @@ def build_feedback(gain, spectral, boundary_profiles, omega_weights=None):
                 f"masked observation Gramian condition {cond:.3e} exceeds "
                 "1e8 (window too small or misplaced)")
         rows = gain @ np.linalg.solve(gram, raw)
+
+    # real profiles keep real rows real: cast within 1e-8 of max(|rows|, 1)
+    if not np.abs(profiles.imag).any():
+        if np.abs(rows.imag).max(initial=0.0) <= 1e-8 * max(np.abs(rows).max(initial=0.0), 1.0):
+            rows = rows.real
+    wvec = None
+    if omega_weights is not None:
         wvec = np.zeros_like(rows)
         wvec[:, window] = np.conj(rows[:, window]) / wts[window][None, :]
-
-    as_matrix = profiles @ rows
-    if np.abs(profiles.imag).max(initial=0.0) == 0:
-        scale = max(np.abs(as_matrix).max(initial=0.0), 1.0)
-        if np.abs(as_matrix.imag).max(initial=0.0) <= 1e-8 * scale:
-            as_matrix = as_matrix.real
-            rows = rows.real if np.abs(rows.imag).max(initial=0.0) <= 1e-8 * scale else rows
-            if wvec is not None and np.abs(wvec.imag).max(initial=0.0) <= 1e-8 * scale:
-                wvec = wvec.real
     return FeedbackLaw(
         boundary_profiles=profiles,
         observation_rows=rows,
-        as_matrix=as_matrix,
         observation_vectors=wvec,
         omega_weights=None if omega_weights is None else wts,
     )

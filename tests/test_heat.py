@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,50 @@ def test_stencil_n3():
     m = heat.laplacian(3)
     assert np.array_equal(m, 16.0 * np.array([[-2.0, 1, 0], [1, -2, 1], [0, 1, -2]]))
     assert cfg.gamma == pytest.approx(0.25 - 0.01)
+
+
+def dense_stencils(n, c2, b):
+    """Laplacian, first difference, c^2 I + b D1 and the heat operator as sums
+    of np.diag arrays and identities."""
+    h = 1.0 / (n + 1)
+    ones = np.full(n - 1, 1.0)
+    lap = (np.diag(ones, -1) + np.diag(np.full(n, -2.0)) + np.diag(ones, 1)) / h**2
+    d1 = (np.diag(ones, 1) - np.diag(ones, -1)) / (2.0 * h)
+    pert = c2 * np.eye(n) + b * d1
+    return lap, d1, pert, lap + pert
+
+
+@pytest.mark.parametrize("c2", [16.0, 0.0, -0.0, -3.0])
+@pytest.mark.parametrize("b", [0.0, -0.0, 5.0, -2.0])
+def test_stencils_keep_every_bit(c2, b):
+    # signed zeros included: b * D1 leaves b * 0.0 off the band and c^2 I
+    # leaves c^2 * 0.0, and a solver can branch on the sign of a zero
+    for n in (8, 9):
+        cfg = HeatConfig(n=n, c2=c2, advection_b=b)
+        lap, d1, pert, full = dense_stencils(n, c2, b)
+        gen, split_pert = heat.heat_split(cfg)
+        assert heat.laplacian(n).tobytes() == lap.tobytes()
+        assert heat.first_difference(n).tobytes() == d1.tobytes()
+        assert gen.entries.tobytes() == lap.tobytes()
+        assert split_pert.entries.tobytes() == pert.tobytes()
+        assert heat.build_heat_operator(cfg).entries.tobytes() == full.tobytes()
+        lift = heat.dirichlet_lift(lap + c2 * np.eye(n), -1.0 / cfg.h**2, "dense")
+        assert heat.build_dirichlet_map(cfg).entries.tobytes() == lift.tobytes()
+
+
+def test_heat_operator_is_written_once():
+    # its one array and the Operator's frozen copy of it: 2 N^2 float64 and
+    # the few hundred bytes of the objects; summing np.diag arrays, a dense
+    # c^2 I and the split's two Operators took 4.13 N^2
+    n = 512
+    cfg = HeatConfig(n=n)
+    tracemalloc.start()
+    try:
+        heat.build_heat_operator(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n + 4096
 
 
 def test_heat_operator_unstable_mode():

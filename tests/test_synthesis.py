@@ -4,6 +4,7 @@ import scipy.linalg as la
 
 from stabreg import operators as ops
 from stabreg import synthesis as syn
+from stabreg.coupled import CoupledConfig, synthesize_coupled_feedback
 from stabreg.errors import RankCheckFailure, SynthesisError, UsageError
 from stabreg.heat import (
     HeatConfig,
@@ -382,6 +383,27 @@ def test_feedback_factorization_invariant():
     law = syn.build_feedback(gain, sp, np.eye(2)[:, :1])
     resid = np.abs(law.boundary_profiles @ law.observation_rows - law.as_matrix).max()
     assert resid <= 1e-12 * max(np.abs(law.as_matrix).max(), 1.0)
+
+
+def test_row_imaginary_part_above_the_cast_of_the_product():
+    # the product's imaginary part 1e-9 passes the real cast against scale 1
+    # while the observation row keeps its 1e-7: the law holds both factors as
+    # they are, and its matrix is the cast product
+    sp = ops.spectrum(np.diag([1.0, -1.0]))
+    law = syn.build_feedback(np.array([[1 + 1e-7j]]), sp, np.array([[0.01], [0.0]]))
+    assert law.observation_rows[0, 0] == 1 + 1e-7j
+    product = law.boundary_profiles @ law.observation_rows
+    assert np.isrealobj(law.as_matrix)
+    assert np.array_equal(law.as_matrix, product.real)
+
+
+def test_law_forms_its_matrix_once_on_first_use():
+    cfg = CoupledConfig(n=12)
+    _, j_law, _ = synthesize_coupled_feedback(cfg)
+    assert "as_matrix" not in vars(j_law)     # no state x state product yet
+    mat = j_law.as_matrix
+    assert mat is j_law.as_matrix and not mat.flags.writeable
+    assert np.array_equal(mat, j_law.boundary_profiles @ j_law.observation_rows)
 
 
 def test_zero_law_shapes():
