@@ -10,8 +10,10 @@ whole block of (output-mapped) states is one stacked matrix product, and the
 next block starts from ``E^L y_k + P_L f``.  The block length b is at most
 ``BLOCK`` and keeps the two stacks within ``STACK_BYTES``, so temporaries are
 O(STACK_BYTES + n * (n + b * nb)) whatever n is; no trajectory is held beyond
-what a caller stores.  Operands are promoted to their common dtype, so a
-complex forcing or operator runs the whole loop in complex arithmetic.
+what a caller stores.  The norm scan keeps the forcing's norms per cell, not
+per node: a piecewise-constant forcing's L^p norm needs no more.  Operands are
+promoted to their common dtype, so a complex forcing or operator runs the
+whole loop in complex arithmetic.
 """
 
 import numpy as np
@@ -19,11 +21,14 @@ import numpy as np
 __all__ = ["lti_propagate", "lti_norm_scan"]
 
 # Most substeps per block of the step loop, and the byte budget of the two
-# stacks of a block.  Past 64 substeps the Python overhead of a block is
-# amortized; the budget keeps b = 64 up to n = 90 in float64 and n = 64 in
-# complex128 (C = A), and shortens the blocks beyond: b = 10 at n = 225 and
-# b = 1 from n = 513 on, in float64.
-BLOCK = 64
+# stacks of a block.  At 32 substeps the Python overhead of a block is
+# amortized: on the benchmark loops' 64-substep cells (2-vCPU box), blocks of
+# 64 swept the heat loop (n = 32) about 10 % slower and the coupled loop
+# (n = 24) about 10 % faster, with stacks twice the size.  The budget keeps
+# b = 32 up to n = 128 in float64 and n = 90 in complex128 (C = A), and
+# shortens the blocks beyond: b = 10 at n = 225 and b = 1 from n = 513 on, in
+# float64.
+BLOCK = 32
 STACK_BYTES = 8 << 20
 
 
@@ -100,24 +105,24 @@ def lti_propagate(E, P, f_cells, refine):
 
 
 def lti_norm_scan(A, E, P, f_cells, refine):
-    """Nodal 2-norms of y_t = Ay + f, Ay and f for a batch of forcings.
+    """Nodal 2-norms of y_t = Ay + f and Ay, and the cell 2-norms of f, for a
+    batch of forcings.
 
     ``f_cells`` has shape (m, n, nb); the forcing value attached to node k > 0
     is the one of the cell ending at that node (left limit), node 0 uses the
-    first cell.  Returns three float arrays (nyt, nay, nf) of shape
-    (m*refine + 1, nb).
+    first cell.  Returns three float arrays (nyt, nay, nf_cells): the nodal
+    norms, of shape (m*refine + 1, nb), and the norms of the m cells, of shape
+    (m, nb).
     """
     A, E, P, f_cells = _common(A, E, P, f_cells)
     m, n, nb = f_cells.shape
     nyt = np.zeros((m * refine + 1, nb))
     nay = np.zeros((m * refine + 1, nb))
-    nf = np.zeros((m * refine + 1, nb))
-    nf_cells = np.linalg.norm(f_cells, axis=1)
-    nf[0] = nyt[0] = nf_cells[0]
-    nf[1:].reshape(m, refine, nb)[:] = nf_cells[:, None, :]
+    nf_cells = _col_norms(f_cells)
+    nyt[0] = nf_cells[0]
     for k, j, ay in _blocks(A, E, P, f_cells, refine):
         rows = slice(k + 1, k + 1 + len(ay))
         nay[rows] = _col_norms(ay)
         ay += f_cells[j]
         nyt[rows] = _col_norms(ay)
-    return nyt, nay, nf
+    return nyt, nay, nf_cells

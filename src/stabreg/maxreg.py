@@ -255,11 +255,16 @@ def build_forcing_grid(op, t_grid, n_random, seed, n_cells_max):
     """Nested random forcing batches over a horizon grid: one batch per
     horizon, or none when ``n_random`` is 0.
 
-    Random forcings share one cell width (longest horizon / n_cells_max) and
-    shorter horizons take prefixes (views of one array), so the scan compares
-    the same underlying signals when the horizon grows.  The eigenmodes are
-    not part of the grid: ``plateau_scan_multi`` adds the EigenModes of the
-    operator it scans.
+    The longest horizon takes ``n_cells_max`` cells and a horizon T takes
+    round(n_cells_max * T / T_max) of them, the prefix of the same cell values
+    (views of one array), so the scan compares the same underlying signals
+    when the horizon grows.  The cells share one width (T_max / n_cells_max)
+    only where those counts are exact, as for 125 / 250 / 500 cells over
+    T = 10 / 20 / 40; otherwise each horizon's width is T over its own count
+    (4 / 33, 8 / 67 and 12 / 100 for T = 4 / 8 / 12 on 100 cells), so a
+    shorter horizon's forcings are the longer one's values on a slightly
+    different time grid.  The eigenmodes are not part of the grid:
+    ``plateau_scan_multi`` adds the EigenModes of the operator it scans.
     """
     t_grid = [float(t) for t in t_grid]
     t_max = max(t_grid)
@@ -322,6 +327,21 @@ def lp_time_norm(node_values, dt, p):
     return out if np.asarray(node_values).ndim > 1 else float(out[0])
 
 
+def _cell_lp_norm(cell_norms, dt, refine, p):
+    """``lp_time_norm`` of a piecewise-constant forcing from its cell norms.
+
+    ``cell_norms`` is (m, nb): the norms of the m cells of nb forcings.  The
+    value is the trapezoid rule on the left-limit nodes, ``refine`` per cell
+    and node 0 carrying the first cell, in closed form:
+    dt * (refine * sum_j |f_j|^p + (|f_0|^p - |f_{m-1}|^p) / 2), scaled by
+    the column maximum as ``lp_time_norm`` scales.  Every column is nonzero
+    (``_validate_family``).  Returns (nb,).
+    """
+    s = cell_norms.max(axis=0)
+    z = (cell_norms / s) ** p
+    return s * (dt * (refine * z.sum(axis=0) + 0.5 * (z[0] - z[-1]))) ** (1.0 / p)
+
+
 def _validate_family(p_list, horizon, forcing_set):
     for p in p_list:
         if not (1.0 < p < np.inf):
@@ -344,7 +364,8 @@ def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
     Largest (||y_t||_p + ||A y||_p)/||f||_p over the forcing family, a list
     of ForcingSignal and EigenModes batches.  Each ForcingSignal batch is one
     kernel sweep with ``ceil(QUAD_NODES / n_cells)`` substeps per cell, and
-    each norm is the trapezoid rule on that sweep's nodes.  No convergence
+    each norm is the trapezoid rule on that sweep's nodes (in closed form for
+    the piecewise-constant forcing, from its cell norms).  No convergence
     test is made: a transient boundary layer at a cell opening can leave the
     estimate short of its limit, without a flag.  EigenModes quotients are
     evaluated in closed form; the modes it could not vouch for are swept as
@@ -367,9 +388,10 @@ def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
         refine = math.ceil(QUAD_NODES / f.n_cells)
         h = f.time_step / refine
         e_h, p_h = _propagator_pair(a, h)
-        nyt, nay, nf = _kernels.lti_norm_scan(a, e_h, p_h, f.values, refine)
+        nyt, nay, nf_cells = _kernels.lti_norm_scan(a, e_h, p_h, f.values, refine)
         for i, p in enumerate(p_list):
-            quot = (lp_time_norm(nyt, h, p) + lp_time_norm(nay, h, p)) / lp_time_norm(nf, h, p)
+            quot = ((lp_time_norm(nyt, h, p) + lp_time_norm(nay, h, p))
+                    / _cell_lp_norm(nf_cells, h, refine, p))
             best[i] = max(best[i], float(quot.max()))
     return best
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stabreg import _kernels
+from stabreg import _kernels, maxreg
 
 
 def _data(dtype, m=40, n=6, nb=5, h=0.05, seed=0):
@@ -59,9 +59,10 @@ def test_norm_scan_matches_expm_oracle(dtype, blocks, rest, m):
     cell = np.maximum(np.arange(ys.shape[0]) - 1, 0) // refine   # left limit
     fn = f[cell]
     ay = np.einsum("ij,kjb->kib", a, ys)
-    expected = [np.linalg.norm(x, axis=1) for x in (ay + fn, ay, fn)]
+    expected = [np.linalg.norm(x, axis=1) for x in (ay + fn, ay, f)]
     got = _kernels.lti_norm_scan(a, e, p, f, refine)
     assert len(got) == 3
+    assert got[2].shape == (m, f.shape[2])      # per cell, not per node
     for x, y in zip(got, expected):
         assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
 
@@ -94,9 +95,18 @@ def test_norm_scan_left_limit_convention():
     e = np.eye(1)
     p = np.eye(1) * 0.5
     f = np.array([[[1.0]], [[3.0]]])   # two cells, values 1 then 3
-    nyt, nay, nf = _kernels.lti_norm_scan(a, e, p, f, 1)
-    assert nf[0] == 1.0 and nf[1] == 1.0 and nf[2] == 3.0
-    assert nyt[1] == 1.0 and nyt[2] == 3.0   # A = 0 so y_t = f
+    nyt, nay, nf_cells = _kernels.lti_norm_scan(a, e, p, f, 1)
+    assert nf_cells.tolist() == [[1.0], [3.0]]
+    assert nyt.tolist() == [[1.0], [1.0], [3.0]]   # A = 0 so y_t = f
+    # ||f||_p from the cell norms is lp_time_norm on the left-limit nodes,
+    # which nyt holds when A = 0
+    m, n, nb, refine, h = 37, 3, 4, 5, 0.01
+    f = np.random.default_rng(8).standard_normal((m, n, nb))
+    nyt, _, nf_cells = _kernels.lti_norm_scan(np.zeros((n, n)), np.eye(n), h * np.eye(n), f, refine)
+    assert np.array_equal(nyt, np.concatenate([nf_cells[:1], np.repeat(nf_cells, refine, axis=0)]))
+    for q in (1.5, 2.0, 4.0):
+        assert np.allclose(maxreg._cell_lp_norm(nf_cells, h, refine, q),
+                           maxreg.lp_time_norm(nyt, h, q), rtol=1e-14, atol=0.0)
 
 
 def test_norm_scan_memory_is_its_outputs():
@@ -110,7 +120,7 @@ def test_norm_scan_memory_is_its_outputs():
     finally:
         tracemalloc.stop()
     outputs = sum(x.nbytes for x in out)
-    assert outputs == 3 * (m * refine + 1) * nb * 8
+    assert outputs == (2 * (m * refine + 1) + m) * nb * 8   # nodal y_t, Ay; cell f
     assert peak <= 1.5 * outputs
 
 
@@ -128,7 +138,7 @@ def test_block_length_keeps_the_stacks_in_budget(dtype):
 
 def test_norm_scan_memory_is_bounded_at_2d_sizes():
     # n = 225, the 15 x 15 square: the stacks take b = 10 substeps within
-    # STACK_BYTES where 64 would take 52 MB; the rest is O(n^2)
+    # STACK_BYTES where a full block of 32 would take 26 MB; the rest is O(n^2)
     m, n, nb, refine = 2, 225, 2, 64
     rng = np.random.default_rng(3)
     a = rng.standard_normal((n, n)) / n - 2.0 * np.eye(n)

@@ -251,6 +251,25 @@ def test_mode_quotients_memory_is_bounded():
     assert peak <= 1.5e6
 
 
+def test_random_batch_horizon_memory_is_bounded():
+    # each horizon of the heat benchmark's random batch (8 forcings on 125,
+    # 250 or 500 cells): the nodal norms of y_t and Ay, the cell norms of f and
+    # the kernel's stacks, at most 1.72 MiB; with a nodal copy of ||f||, an
+    # (m, n, nb) temporary for its cell norms and 64-substep stacks T = 10
+    # peaked at 2.89 MiB
+    a = maxreg.operator_matrix(benchmark_loop("heat").composed)
+    t_grid = [10.0, 20.0, 40.0]
+    sets = maxreg.build_forcing_grid(a, t_grid, 8, 1234, 500)
+    for t, fs in zip(t_grid, sets):
+        tracemalloc.start()
+        try:
+            maxreg.maxreg_constants_multi(a, [1.5, 2.0, 4.0], t, fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+
+
 @pytest.mark.parametrize("model", ["heat", "coupled"])
 def test_mode_chunks_do_not_move_a_bit(model, monkeypatch):
     # every mode's nodes are summed in the same order, chunked or not
@@ -398,6 +417,22 @@ def test_one_kernel_sweep_per_cell_structure(monkeypatch):
             ((cells, 16, 2), math.ceil(maxreg.QUAD_NODES / cells))]
     # shorter horizons take views of the longest horizon's random batch
     assert all(np.shares_memory(fs[0].values, sets[-1][0].values) for fs in sets)
+
+
+@pytest.mark.parametrize(("t_grid", "n_cells", "counts", "widths"), [
+    ([10, 20, 40], 500, [125, 250, 500], [0.08, 0.08, 0.08]),
+    ([4, 8, 12], 100, [33, 67, 100], [4 / 33, 8 / 67, 0.12]),
+], ids=["benchmark", "ci-tiny"])
+def test_forcing_grid_cell_widths(t_grid, n_cells, counts, widths):
+    # one cell width only where the cell counts are exact; the tiny grid's
+    # horizons take 0.1212, 0.1194 and 0.12
+    a = maxreg.operator_matrix(stable_heat_loop(8).composed)
+    sets = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=3, n_cells_max=n_cells)
+    assert [fs[0].n_cells for fs in sets] == counts
+    assert np.allclose([fs[0].time_step for fs in sets], widths, rtol=1e-15, atol=0.0)
+    assert [fs[0].horizon for fs in sets] == pytest.approx(t_grid, rel=1e-15)
+    assert all(np.array_equal(fs[0].values, sets[-1][0].values[:c])
+               for fs, c in zip(sets, counts))
 
 
 def test_forcing_count_zero_scans_the_eigenmodes_alone(monkeypatch):

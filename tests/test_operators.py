@@ -10,6 +10,7 @@ from stabreg import operators as ops
 from stabreg.errors import (
     DimensionError,
     IllConditionedBasisError,
+    NumericalError,
     SingularityError,
     TranslationRequiredError,
     UsageError,
@@ -316,6 +317,36 @@ def test_resolvent_residual_property_many_lambdas():
             continue
         r = ops.resolvent(op, lam).entries
         assert np.linalg.norm((lam * np.eye(8) - m) @ r - np.eye(8), 2) <= 1e-8
+
+
+def test_resolvent_guard_takes_no_svd_when_well_conditioned(monkeypatch):
+    # ||X||_2 <= ||X||_F: a Frobenius residual below the threshold settles it
+    def refuse(m):
+        raise AssertionError("the residual guard took an SVD")
+
+    m = stable_random(8, 13)
+    monkeypatch.setattr(ops, "spectral_norm", refuse)
+    r = ops.resolvent(m, 1.0 + 2.0j).entries
+    assert np.linalg.norm(((1.0 + 2.0j) * np.eye(8) - m) @ r - np.eye(8), 2) <= 1e-10
+
+
+@pytest.mark.parametrize(("eps", "raises"), [(3e-9, False), (2e-8, True)])
+def test_resolvent_guard_on_a_corrupted_solve(eps, raises, monkeypatch):
+    # the solve returns R with (lam I - op) R - I = eps I: Frobenius norm
+    # eps sqrt(8) > 0.5e-8 in both cases, so the SVD decides on eps alone
+    op = Operator(stable_random(8, 13))
+    ops.decomposition(op)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, (1.0 + eps) * b))
+    svds = []
+    norm = ops.spectral_norm
+    monkeypatch.setattr(ops, "spectral_norm", lambda m: svds.append(m) or norm(m))
+    if raises:
+        with pytest.raises(NumericalError, match=r"resolvent residual 2\.000e-08 exceeds 1e-8"):
+            ops.resolvent(op, 1.0 + 2.0j)
+    else:
+        ops.resolvent(op, 1.0 + 2.0j)
+    assert len(svds) == 1
 
 
 # ---------------------------------------------------------------- semigroup
