@@ -1,84 +1,40 @@
 """Hot time-stepping kernels.
 
-The exponential integrator advances ``y_{k+1} = E y_k + P f(cell)`` where
-``E = exp(A h)`` and ``P = int_0^h exp(A s) ds``; the per-cell forcing is
-constant, so the recurrence is exact at the nodes.  The one step loop,
-``_blocks``, takes up to ``block_length`` substeps of a cell per Python
-iteration: with the stacks ``C E^i`` and ``C P_i``, ``P_i = sum_{l<i} E^l P``
-(i = 1..b), the states of a block are ``y_{k+i} = E^i y_k + P_i f``, so a
-whole block of (output-mapped) states is one stacked matrix product, and the
-next block starts from ``E^L y_k + P_L f``.  The block length b is at most
-``BLOCK`` and keeps the two stacks within ``STACK_BYTES``, so temporaries are
-O(STACK_BYTES + n * (n + b * nb)) whatever n is; no trajectory is held beyond
-what a caller stores.  The norm scan keeps the forcing's norms per cell, not
-per node: a piecewise-constant forcing's L^p norm needs no more.  Operands are
-promoted to their common dtype, so a complex forcing or operator runs the
-whole loop in complex arithmetic.
+The exponential integrator advances ``y_{k+1} = E y_k + P f_j`` where
+``E = exp(A h)``, ``P = int_0^h exp(A s) ds`` and ``f_j`` is the forcing of
+the cell; the forcing is constant per cell, so the recurrence is exact at the
+nodes.  ``lti_propagate`` runs it one step at a time.  The norm scan uses the
+solution map of a cell instead: with z = A y_k + f_j, the derivative at node
+k+i of the same cell is ``y' = E^i z``, and ``Ay = y' - f_j``.  So one product
+of the stack E^1 .. E^b with z gives a whole block of b nodes, and the next
+block starts from ``E^L y_k + P_L f_j``, ``P_L = sum_{l<L} E^l P``.  The block
+length b is at most ``BLOCK`` and keeps the stack within ``STACK_BYTES``, so
+temporaries are O(STACK_BYTES + n * (n + b * nb)) whatever n is; no
+trajectory is held beyond what a caller stores.  The norm scan keeps the
+forcing's norms per cell, not per node: a piecewise-constant forcing's L^p
+norm needs no more.  Operands are promoted to their common dtype, so a complex
+forcing or operator runs the whole loop in complex arithmetic.
 """
 
 import numpy as np
 
 __all__ = ["lti_propagate", "lti_norm_scan"]
 
-# Most substeps per block of the step loop, and the byte budget of the two
-# stacks of a block.  At 32 substeps the Python overhead of a block is
-# amortized: on the benchmark loops' 64-substep cells (2-vCPU box), blocks of
-# 64 swept the heat loop (n = 32) about 10 % slower and the coupled loop
-# (n = 24) about 10 % faster, with stacks twice the size.  The budget keeps
-# b = 32 up to n = 128 in float64 and n = 90 in complex128 (C = A), and
-# shortens the blocks beyond: b = 10 at n = 225 and b = 1 from n = 513 on, in
-# float64.
+# Most substeps per block of the norm scan, and the byte budget of its stack.
+# At 32 substeps the Python overhead of a block is amortized: on the benchmark
+# loops' 64-substep cells (2-vCPU box), blocks of 64 swept the heat loop
+# (n = 32) about 10 % slower and the coupled loop (n = 24) about 10 % faster.
+# The budget keeps b = 32 up to n = 181 in float64 and n = 128 in complex128,
+# and shortens the blocks beyond: in float64 b = 20 at n = 225, 3 at n = 513
+# and 1 from n = 725 on.
 BLOCK = 32
 STACK_BYTES = 8 << 20
 
 
-def block_length(rows, n, dtype, refine):
+def block_length(n, dtype, refine):
     """Substeps per block: at most BLOCK and ``refine``, and as many as keep
-    the stacks (b, rows, n) of ``C E^i`` and ``C P_i`` within STACK_BYTES
-    (one at least)."""
-    per_step = 2 * rows * n * np.dtype(dtype).itemsize
-    return max(1, min(BLOCK, refine, STACK_BYTES // per_step))
-
-
-def _blocks(C, E, P, f_cells, refine):
-    """The step loop: yields (k, j, Z) per block of at most ``block_length``
-    substeps.
-
-    ``f_cells`` has shape (m, n, nb) and ``C`` maps states to outputs.  The
-    block covers nodes k+1 .. k+L of cell j, and Z[i] = C y_{k+1+i} has
-    shape (L, C.shape[0], nb).  Z is one buffer, overwritten by the next block.
-    """
-    m, n, nb = f_cells.shape
-    r = C.shape[0]
-    b = block_length(r, n, E.dtype, refine)
-    lengths = {b, refine % b or b}
-    ce = np.empty((b, r, n), dtype=E.dtype)      # C E^i
-    cp = np.empty((b, r, n), dtype=E.dtype)      # C P_i
-    jumps = {}                                   # L -> (E^L, P_L)
-    e_i, p_i = E, P
-    for i in range(1, b + 1):
-        np.matmul(C, e_i, out=ce[i - 1])
-        np.matmul(C, p_i, out=cp[i - 1])
-        if i in lengths:
-            jumps[i] = (e_i, p_i)
-        if i < b:
-            e_i, p_i = E @ e_i, E @ p_i
-            p_i += P
-    ce, cp = ce.reshape(b * r, n), cp.reshape(b * r, n)
-    y = np.zeros((n, nb), dtype=E.dtype)
-    buf = np.empty((b * r, nb), dtype=E.dtype)
-    k = 0
-    for j in range(m):
-        fj = f_cells[j]
-        cpf = (cp @ fj).reshape(b, r, nb)
-        for start in range(0, refine, b):
-            L = min(b, refine - start)
-            z = np.matmul(ce[:L * r], y, out=buf[:L * r]).reshape(L, r, nb)
-            z += cpf[:L]
-            yield k, j, z
-            e_l, p_l = jumps[L]
-            y = e_l @ y + p_l @ fj
-            k += L
+    the (b, n, n) stack of E^i within STACK_BYTES (one at least)."""
+    return max(1, min(BLOCK, refine, STACK_BYTES // (n * n * np.dtype(dtype).itemsize)))
 
 
 def _col_norms(z):
@@ -98,9 +54,10 @@ def lti_propagate(E, P, f_cells, refine):
     """Trajectory of one forcing: returns Y with shape (m*refine + 1, n)."""
     E, P, f_cells = _common(E, P, f_cells)
     m, n = f_cells.shape
+    pf = f_cells @ P.T                  # P f_j, one row per cell
     Y = np.zeros((m * refine + 1, n), dtype=E.dtype)
-    for k, _, z in _blocks(np.eye(n, dtype=E.dtype), E, P, f_cells[:, :, None], refine):
-        Y[k + 1:k + 1 + len(z)] = z[:, :, 0]
+    for k in range(m * refine):
+        Y[k + 1] = E @ Y[k] + pf[k // refine]
     return Y
 
 
@@ -116,13 +73,38 @@ def lti_norm_scan(A, E, P, f_cells, refine):
     """
     A, E, P, f_cells = _common(A, E, P, f_cells)
     m, n, nb = f_cells.shape
+    b = block_length(n, E.dtype, refine)
+    lengths = {b, refine % b or b}
+    stack = np.empty((b, n, n), dtype=E.dtype)      # E^i, i = 1..b
+    stack[0] = E
+    jumps = {}                                      # L -> P_L
+    p_i = P
+    for i in range(1, b + 1):
+        if i in lengths:
+            jumps[i] = p_i
+        if i < b:
+            np.matmul(E, stack[i - 1], out=stack[i])
+            p_i = E @ p_i
+            p_i += P
+    flat = stack.reshape(b * n, n)
+    buf = np.empty((b * n, nb), dtype=E.dtype)
     nyt = np.zeros((m * refine + 1, nb))
     nay = np.zeros((m * refine + 1, nb))
     nf_cells = _col_norms(f_cells)
     nyt[0] = nf_cells[0]
-    for k, j, ay in _blocks(A, E, P, f_cells, refine):
-        rows = slice(k + 1, k + 1 + len(ay))
-        nay[rows] = _col_norms(ay)
-        ay += f_cells[j]
-        nyt[rows] = _col_norms(ay)
+    y = np.zeros((n, nb), dtype=E.dtype)
+    k = 0
+    for j in range(m):
+        fj = f_cells[j]
+        for start in range(0, refine, b):
+            L = min(b, refine - start)
+            z = A @ y
+            z += fj
+            yt = np.matmul(flat[:L * n], z, out=buf[:L * n]).reshape(L, n, nb)
+            rows = slice(k + 1, k + 1 + L)
+            nyt[rows] = _col_norms(yt)
+            yt -= fj
+            nay[rows] = _col_norms(yt)
+            y = stack[L - 1] @ y + jumps[L] @ fj
+            k += L
     return nyt, nay, nf_cells

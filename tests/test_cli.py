@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import stabreg
 from stabreg import cli, matio, maxreg, synthesis
@@ -201,6 +202,32 @@ def test_simulate_trajectory(tmp_path):
     assert header == "t,norm_y,norm_yt"
     assert len(rows) == 201
     assert float(rows[0][1]) == 0.0
+
+
+def test_simulate_random_forcing_matches_expm_oracle(tmp_path):
+    # 40 random cells, one step each: every node's |y| against the exact
+    # per-cell flow of (y, 1) under [[A, f_j], [0, 0]]
+    text = HEAT_CFG.replace("n = 32", "n = 16").format(out=tmp_path / "out") + (
+        "\n[simulate]\nforcing = random\nT = 2\nn_cells = 40\n")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert run(["simulate", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "trajectory.csv")
+    got = np.array(rows, dtype=float)
+    assert len(rows) == 41
+    assert np.allclose(got[:, 0], np.arange(41) * (2.0 / 40), rtol=1e-12, atol=0.0)
+    cfgp = cli.load_config(cfg)
+    a = maxreg.operator_matrix(cli.build_closed_loop(cfgp, cli.build_model(cfgp))[0].composed)
+    n = a.shape[0]
+    f = maxreg.piecewise_random_forcing(n, 2.0, 40, seed=11)     # [maxreg] seed
+    y = np.zeros(n)
+    norms = [0.0]
+    for fj in f.values[:, :, 0]:
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = a * f.time_step
+        aug[:n, n] = fj * f.time_step
+        y = (la.expm(aug) @ np.append(y, 1.0))[:n]
+        norms.append(np.linalg.norm(y))
+    assert np.allclose(got[:, 1], norms, rtol=1e-10, atol=1e-12)
 
 
 def test_maxreg_csv_contract(tmp_path):

@@ -46,7 +46,7 @@ def _oracle_states(a, f_cells, h, refine):
 
 def _block(dtype, n=6):
     """Block length of the scan of an n x n ``_data`` loop at unbounded refine."""
-    return _kernels.block_length(n, n, np.dtype(dtype), 10**9)
+    return _kernels.block_length(n, np.dtype(dtype), 10**9)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -131,14 +131,16 @@ def test_block_length_keeps_the_stacks_in_budget(dtype):
     for n in (90, 225, 529, 2000):
         b = _block(dtype, n)
         assert 1 <= b <= _kernels.BLOCK
-        assert b == 1 or 2 * b * n * n * item <= _kernels.STACK_BYTES
-        assert b == _kernels.BLOCK or 2 * (b + 1) * n * n * item > _kernels.STACK_BYTES
-    assert _kernels.block_length(6, 6, np.dtype(dtype), 5) == 5
+        assert b == 1 or b * n * n * item <= _kernels.STACK_BYTES
+        assert b == _kernels.BLOCK or (b + 1) * n * n * item > _kernels.STACK_BYTES
+    assert _block(dtype, n=225) == {8: 20, 16: 10}[item]
+    assert _kernels.block_length(6, np.dtype(dtype), 5) == 5
 
 
 def test_norm_scan_memory_is_bounded_at_2d_sizes():
-    # n = 225, the 15 x 15 square: the stacks take b = 10 substeps within
-    # STACK_BYTES where a full block of 32 would take 26 MB; the rest is O(n^2)
+    # n = 225, the 15 x 15 square: the stack takes b = 20 substeps within
+    # STACK_BYTES where a full block of 32 would take 13 MB; the rest is a few
+    # n x n matrices (the P_L of the block jumps and their products)
     m, n, nb, refine = 2, 225, 2, 64
     rng = np.random.default_rng(3)
     a = rng.standard_normal((n, n)) / n - 2.0 * np.eye(n)
@@ -151,5 +153,5 @@ def test_norm_scan_memory_is_bounded_at_2d_sizes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sum(x.nbytes for x in out) + 2 * _kernels.STACK_BYTES
+    assert peak <= sum(x.nbytes for x in out) + _kernels.STACK_BYTES + 6 * n * n * 8
     assert all(np.all(np.isfinite(x)) for x in out)

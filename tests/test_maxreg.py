@@ -563,6 +563,62 @@ def test_benchmark_grid_estimates_golden(model):
     assert np.allclose(got, GOLDEN[model], rtol=1e-10, atol=0.0)
 
 
+def exact_p2_quotients(a, batch):
+    """The p = 2 quotients of a piecewise-constant batch in closed form, one
+    per forcing.
+
+    On a cell of width tau, with z = A y_j + f_j: y'(s) = e^{As} z and
+    Ay(s) = y'(s) - f_j, so the cell contributes z*Wz to the integral of
+    |y'|^2 and z*Wz - 2 Re(f*Pz) + tau |f|^2 to that of |Ay|^2.  Here
+    P = int_0^tau e^{As} ds and W = int_0^tau e^{A*s} e^{As} ds solves
+    A*W + WA = E*E - I (Van Loan's block exponential for W cancels
+    catastrophically on the benchmark loops).
+    """
+    tau = batch.time_step
+    n = a.shape[0]
+    e = la.expm(a * tau)
+    p = la.solve(a, e - np.eye(n))
+    w = la.solve_continuous_lyapunov(a.conj().T, e.conj().T @ e - np.eye(n))
+    scale = np.abs(w).max()
+    assert np.abs(w - w.conj().T).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh((w + w.conj().T) / 2).min() >= -1e-12 * scale
+
+    def dot(u, v):
+        return np.einsum("ib,ib->b", u.conj(), v).real
+
+    y = np.zeros((n, batch.count), dtype=np.result_type(a, float))
+    yt2 = ay2 = f2 = 0.0
+    for f in batch.values:
+        z = a @ y + f
+        zwz, ff = dot(z, w @ z), tau * dot(f, f)
+        yt2 += zwz
+        ay2 += zwz - 2.0 * dot(f, p @ z) + ff
+        f2 += ff
+        y = e @ y + p @ f
+    return (np.sqrt(yt2) + np.sqrt(ay2)) / np.sqrt(f2)
+
+
+# ROADMAP table A's exact p = 2 row: the GOLDEN forcings at T = 10 / 20 / 40
+EXACT_P2 = {"heat": [1.253736, 1.251308, 1.249697],
+            "coupled": [1.409110, 1.404246, 1.398841]}
+
+
+@pytest.mark.parametrize("model", ["heat", "coupled"])
+def test_benchmark_p2_estimates_against_exact_oracle(model):
+    # the uniform trapezoid steps over the layer e^{As}(f_j - f_{j-1}) at each
+    # cell opening and reads every forcing low: by 0.9 % to 2.6 % here
+    a = maxreg.operator_matrix(benchmark_loop(model).composed)
+    t_grid = [10.0, 20.0, 40.0]
+    sets = maxreg.build_forcing_grid(a, t_grid, 8, 1234, 500)
+    for t, (batch,), want in zip(t_grid, sets, EXACT_P2[model]):
+        exact = exact_p2_quotients(a, batch)
+        assert exact.max() == pytest.approx(want, abs=1e-6)
+        swept = [maxreg.maxreg_constants_multi(
+            a, [2.0], t, [ForcingSignal(batch.values[:, :, k:k + 1], batch.time_step)])[0]
+            for k in range(batch.count)]
+        assert np.all((0.965 * exact <= swept) & (swept <= exact))
+
+
 # ---------------------------------------------------------------- plateau scans
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
