@@ -128,12 +128,12 @@ class SpectralData:
     ``left_vectors`` is biorthogonally normalized against ``right_vectors``:
     left[:, i]^H @ right[:, j] = delta_ij.  ``eigenvalues`` are complex128.
     ``unstable_count`` counts eigenvalues with real part >= -1e-9.
-    ``cond_estimate`` is the 1-norm condition of the right basis: 1.0 for an
-    orthonormal ``eigh`` basis, ||right||_1 ||left^H||_1 = ||V||_1 ||V^-1||_1
-    for a biorthogonal one, whose left basis is V^-H, ``np.linalg.cond(right,
-    1)`` for a defective one.  The operator of ``translate_to_positive``
-    shares its operator's decomposition.  Every array is read-only, and so
-    is the array it views, if any.
+    ``cond_estimate`` is the 1-norm condition of the right basis: 1.0 for the
+    orthonormal basis of a Hermitian matrix, ||right||_1 ||left^H||_1 =
+    ||V||_1 ||V^-1||_1 for a biorthogonal one, whose left basis is V^-H,
+    ``np.linalg.cond(right, 1)`` for a defective one.  The operator of
+    ``translate_to_positive`` shares its operator's decomposition.  Every
+    array is read-only, and so is the array it views, if any.
     """
 
     eigenvalues: np.ndarray
@@ -334,18 +334,68 @@ def _biorthogonality_residual(vl, vr):
     return err
 
 
+def _sine_blocks(m):
+    """Bounds (start, stop) of the diagonal blocks of a real symmetric ``m``
+    that is tridiagonal and splits, at its zero off-diagonal entries, into
+    blocks constant along both diagonals; None for any other matrix.
+
+    Tridiagonal means that ``m`` has as many nonzero entries as its three
+    diagonals, counted with no n x n temporary.
+    """
+    d, e = np.diagonal(m), np.diagonal(m, 1)
+    if np.count_nonzero(m) != np.count_nonzero(d) + 2 * np.count_nonzero(e):
+        return None
+    linked = e != 0
+    if ((d[:-1] != d[1:])[linked].any()
+            or (e[:-1] != e[1:])[linked[:-1] & linked[1:]].any()):
+        return None
+    cuts = np.flatnonzero(~linked) + 1
+    return list(zip([0, *cuts], [*cuts, m.shape[0]]))
+
+
+def _sine_eigenpairs(m, bounds):
+    """Eigenvalues and orthonormal eigenvectors of a matrix that
+    ``_sine_blocks`` splits at ``bounds``, block by block in closed form.
+
+    A block of size p with a on its diagonal and b beside it is diagonalized
+    by the discrete sine transform: eigenvalues (a + 2b) - 4b sin^2(k pi /
+    (2(p + 1))) and eigenvectors sqrt(2 / (p + 1)) sin(j k pi / (p + 1)),
+    j, k = 1 ... p, for either sign of b.  The sine's argument is reduced
+    exactly, in integers, as pi ((j k) mod 2(p + 1)) / (p + 1), so each block
+    reads its p^2 entries from a table of 2(p + 1) scaled sines.
+    """
+    n = m.shape[0]
+    w, v = np.empty(n), np.zeros((n, n))
+    for start, stop in bounds:
+        p = stop - start
+        a, b = m[start, start], (m[start, start + 1] if p > 1 else 0.0)
+        k = np.arange(1, p + 1)
+        w[start:stop] = (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (p + 1)))) ** 2
+        table = np.sin(np.arange(2 * (p + 1)) * (np.pi / (p + 1))) * math.sqrt(2.0 / (p + 1))
+        jk = np.outer(k, k)
+        jk %= 2 * (p + 1)
+        # every index is in range; a mode other than "raise" writes to out
+        # with no buffered copy
+        np.take(table, jk, out=v[start:stop, start:stop], mode="wrap")
+    return w, v
+
+
 def spectrum(op):
     """Full eigendecomposition with a biorthogonal left basis.
 
     Eigenvalues are sorted by decreasing real part (imaginary part descending
     as tie-break); each right vector has unit norm, its largest component real
     positive.  Eigenvalues with ``Re >= -1e-9`` are counted unstable.  A
-    Hermitian matrix (equal to its conjugate transpose entry for entry) is
-    decomposed by ``eigh``: eigenvalues stored as complex, one basis for both
-    sides, of condition 1.0 when max |V^H V - I| <= 1e-8 (a bound of
-    1 + n 1e-8), else defective with its condition measured.  Otherwise ``eig``
-    gives the right basis V and the left one is V^-H, whose 1-norm condition
-    ||V||_1 ||V^-1||_1 is exact.  For a real matrix with complex eigenvectors
+    Hermitian matrix (equal to its conjugate transpose entry for entry) has
+    its eigenvalues stored as complex and one basis for both sides, of
+    condition 1.0 when max |V^H V - I| <= 1e-8 (a bound of 1 + n 1e-8), else
+    defective with its condition measured.  A real one that is tridiagonal
+    with blocks constant along both diagonals, as the 3-point Dirichlet
+    Laplacian, its translates and the coupled diffusion blocks are, is
+    decomposed in closed form by the discrete sine transform
+    (``_sine_eigenpairs``); any other Hermitian matrix by ``eigh``.
+    Otherwise ``eig`` gives the right basis V and the left one is V^-H, whose
+    1-norm condition ||V||_1 ||V^-1||_1 is exact.  For a real matrix with complex eigenvectors
     V^-H comes from the inverse of the real packed basis (``_packed_left_basis``),
     the conjugate pairs read where ``eig`` returns them adjacent and exactly
     conjugate; otherwise from the inverse of V.  A singular V, or one of
@@ -359,8 +409,12 @@ def spectrum(op):
     """
     m = operator_matrix(op)
     hermitian = np.array_equal(m, m.conj().T)
+    bounds = _sine_blocks(m) if hermitian and np.isrealobj(m) else None
     try:
-        w, vr = np.linalg.eigh(m) if hermitian else np.linalg.eig(m)
+        if bounds is not None:
+            w, vr = _sine_eigenpairs(m, bounds)
+        else:
+            w, vr = np.linalg.eigh(m) if hermitian else np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigen iteration failed: {exc}") from exc
     # eigenvalues complex also when numpy returns a real spectrum as float64
@@ -577,13 +631,21 @@ def apply_power(op, theta, x):
 def _reflected(op, k, label, sp=None):
     """The operator k I - op (-op for k = 0).
 
+    k I - op is formed as 0 - op with k added on the diagonal, the bits of
+    ``k * np.eye(n) - op`` (signed zeros included) with no n x n identity.
     With ``sp``, the decomposition of ``op``, it carries the decomposition
     read from it, with no second eigensolve: eigenvalues k - lambda and the
     same bases, both in reversed order (which is again decreasing real part,
     imaginary part descending), and the same condition and flags.
     """
     m = operator_matrix(op)
-    out = Operator(k * np.eye(m.shape[0]) - m if k else -m, label=label)
+    if k:
+        shifted = np.subtract(0.0, m)
+        shifted.flat[::m.shape[0] + 1] += k
+    else:
+        shifted = -m
+    out = Operator(shifted, label=label)
+    del shifted         # the Operator holds its own copy; free this one first
     if sp is not None:
         w = _frozen_array(k - sp.eigenvalues[::-1])
         vr = _frozen_array(sp.right_vectors[:, ::-1])

@@ -10,6 +10,7 @@ import scipy.linalg as la
 
 import stabreg
 from stabreg import cli, matio, maxreg, synthesis
+from stabreg import operators as ops
 from stabreg.errors import NumericalError
 
 
@@ -338,20 +339,21 @@ def test_abstract_real_feedback_file_keeps_the_loop_real(tmp_path):
 
 
 def test_abstract_report_decomposes_each_operator_once(tmp_path, monkeypatch):
-    # eigh of the drift, eig of the closed loop and, the loop being a Jordan
-    # block, eig of its adjoint; the adjoint check's -generator = 2I - drift
-    # takes its decomposition from the drift's
+    # the diagonal drift in closed form (and not by eigh), eig of the closed
+    # loop and, the loop being a Jordan block, eig of its adjoint; the
+    # adjoint check's -generator = 2I - drift takes its decomposition from
+    # the drift's
     calls = collections.Counter()
-    for name in ("eig", "eigh"):
-        def counted(*args, _solver=getattr(np.linalg, name), _name=name, **kwargs):
+    for module, name in ((np.linalg, "eig"), (np.linalg, "eigh"), (ops, "_sine_eigenpairs")):
+        def counted(*args, _solver=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _solver(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cfg = unstable_abstract_config(tmp_path)
     with (pytest.warns(UserWarning, match="eigenvector basis condition"),
           pytest.warns(UserWarning, match="numerically defective")):
         assert run(["report", "--config", cfg]) == 0
-    assert calls == {"eig": 2, "eigh": 1}
+    assert calls == {"eig": 2, "_sine_eigenpairs": 1}
 
 
 def test_coupled_report_reduces_once(tmp_path, monkeypatch):
@@ -514,8 +516,34 @@ def test_report_decomposes_each_state_matrix_once(tmp_path, monkeypatch, templat
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         counted(np.linalg, name)
+    # the closed form of the symmetric tridiagonal matrices (the heat drift and
+    # -A, the coupled -A) is a decomposition too
+    counted(ops, "_sine_eigenpairs")
     assert run(["report", "--config", cfg]) == 0
     assert len(digests) == matrices and len(set(digests)) == matrices
+
+
+def test_benchmark_heat_report_makes_no_eigh_call(tmp_path, monkeypatch):
+    # the heat-report benchmark's model and regularity grid: the drift and -A
+    # are symmetric tridiagonal with constant diagonals, so both decompose in
+    # closed form and LAPACK's syevd (whose divide and conquer wakes the BLAS
+    # helper thread from n = 26 up) is never called
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigh(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    text = "\n".join(["[model]", "type = heat", "n = 32", "c2 = 16.0",
+                      "[synthesis]", "targets = -2",
+                      "[maxreg]", "p_grid = 1.5 2 4", "t_grid = 10 20 40",
+                      "forcing_count = 8", "n_cells = 500", "seed = 1234",
+                      "[output]", f"dir = {tmp_path / 'out'}"])
+    assert run(["report", "--config", write_config(tmp_path / "c.ini", text)]) == 0
+    assert calls == []
+    _, rows = read_csv(tmp_path / "out" / "verify.csv")
+    assert rows[-1] == ["overall", "1", "1", "PASS"]
 
 
 def test_verify_parallel_byte_identical(tmp_path):

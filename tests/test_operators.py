@@ -15,7 +15,8 @@ from stabreg.errors import (
     TranslationRequiredError,
     UsageError,
 )
-from stabreg.heat import HeatConfig, build_heat_operator, fd_eigenvalues, heat_split
+from stabreg.coupled import CoupledConfig, coupled_split
+from stabreg.heat import HeatConfig, build_heat_operator, fd_eigenvalues, heat_split, laplacian
 from stabreg.operators import GreenMap, Operator
 
 
@@ -87,6 +88,93 @@ def test_spectrum_heat_unstable_eigenvalue():
     assert abs(ops.spectral_abscissa(drift) - exact[0]) <= 1e-10 * max(1.0, abs(exact[0]))
 
 
+def shifted_laplacian(n, c2=16.0):
+    """The heat operator Laplacian + c2 I at any n, as the liftings write it."""
+    m = laplacian(n)
+    m.flat[::n + 1] += c2
+    return m
+
+
+def toeplitz_tridiagonal(n, d, e):
+    return np.diag(np.full(n, d)) + np.diag(np.full(n - 1, e), 1) + np.diag(np.full(n - 1, e), -1)
+
+
+# symmetric tridiagonal matrices that split into blocks constant along both
+# diagonals, the closed-form (discrete sine transform) route of ``spectrum``
+CLOSED_FORM_CASES = {
+    **{f"heat-{n}": lambda n=n: shifted_laplacian(n) for n in (1, 2, 25, 26, 32, 512)},
+    "generator-512": lambda: -laplacian(512),
+    # nu = kappa and c2_f = c2_h: every eigenvalue is double, one per block
+    "coupled-diffusion": lambda: coupled_split(CoupledConfig(n=24))[0].entries,
+    "coupled-generator": lambda: -coupled_split(CoupledConfig(n=24))[2].entries,
+    "diag-repeated": lambda: np.diag([2.0, 2.0, -1.0]),
+    "two-blocks": lambda: la.block_diag(toeplitz_tridiagonal(5, 3.0, 1.5),
+                                        toeplitz_tridiagonal(7, -1.0, 0.25)),
+    "negative-e": lambda: la.block_diag(toeplitz_tridiagonal(9, 2.0, -0.7), [[4.0]],
+                                        toeplitz_tridiagonal(4, 1.0, 3.0)),
+}
+
+
+def counting(monkeypatch, module, name, calls):
+    solver = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return solver(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_closed_form_spectrum_against_lapack(case, monkeypatch):
+    # LAPACK is the independent oracle: the closed form and fd_eigenvalues
+    # share one formula
+    m = CLOSED_FORM_CASES[case]()
+    n = m.shape[0]
+    oracle = np.linalg.eigvalsh(m)[::-1]
+    calls = []
+    counting(monkeypatch, np.linalg, "eigh", calls)
+    counting(monkeypatch, ops, "_sine_eigenpairs", calls)
+    sp = ops.spectrum(m)
+    assert calls == ["_sine_eigenpairs"]
+    scale = np.linalg.norm(m, 2)
+    lam, v = sp.eigenvalues, sp.right_vectors
+    assert np.all(lam.imag == 0.0) and np.all(np.diff(lam.real) <= 0.0)
+    assert np.abs(lam.real - oracle).max() <= 1e-13 * scale
+    assert v.dtype == np.float64 and sp.left_vectors is v
+    assert np.linalg.norm(m @ v - v * lam.real, 2) <= 1e-13 * scale
+    assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-13
+    assert sp.cond_estimate == 1.0 and not sp.defective and not sp.ill_conditioned
+    # the phase rule: the largest-magnitude entry of each vector, the first
+    # one on a tie, is positive
+    cols = np.arange(n)
+    assert np.all(v[np.argmax(np.abs(v), axis=0), cols] > 0.0)
+
+
+def test_closed_form_declines_other_hermitian_matrices(monkeypatch):
+    base = shifted_laplacian(12)
+    off_band = base.copy()
+    off_band[0, 5] = off_band[5, 0] = 1.0
+    uneven = base.copy()
+    uneven[3, 3] += 1.0
+    bumped = base.copy()
+    bumped[4, 5] = bumped[5, 4] = np.nextafter(base[4, 5], np.inf)
+    hermitian = base.astype(complex)
+    hermitian[2, 3] += 0.5j
+    hermitian[3, 2] -= 0.5j
+    for m in (off_band, uneven, bumped, hermitian):
+        assert np.array_equal(m, m.conj().T)
+        if np.isrealobj(m):
+            assert ops._sine_blocks(m) is None
+        calls = []
+        with monkeypatch.context() as patch:
+            counting(patch, np.linalg, "eigh", calls)
+            counting(patch, ops, "_sine_eigenpairs", calls)
+            sp = ops.spectrum(m)
+        assert calls == ["eigh"]
+        oracle = np.linalg.eigvalsh(m)[::-1]
+        assert np.abs(sp.eigenvalues.real - oracle).max() <= 1e-13 * np.linalg.norm(m, 2)
+
+
 def test_spectrum_biorthogonality_nonsymmetric():
     m = stable_random(12, 7)
     sp = ops.spectrum(m)
@@ -96,12 +184,13 @@ def test_spectrum_biorthogonality_nonsymmetric():
 
 def test_spectrum_hermitian_test_is_exact(monkeypatch):
     # a symmetric matrix with one off-diagonal entry moved by one ulp is not
-    # Hermitian, so it decomposes with eigh unavailable; spectral_abscissa
-    # reads the same decomposition
+    # Hermitian, so it decomposes with both Hermitian routes (eigh and the
+    # closed form) unavailable; spectral_abscissa reads the same decomposition
     m = -heat_split(HeatConfig(n=16, c2=9.1))[0].entries
     def refuse(*args, **kwargs):
         raise AssertionError("Hermitian solver called")
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(ops, "_sine_eigenpairs", refuse)
     with pytest.raises(AssertionError, match="Hermitian solver"):
         ops.spectrum(m)
     with pytest.raises(AssertionError, match="Hermitian solver"):
@@ -116,8 +205,10 @@ def test_spectrum_hermitian_test_is_exact(monkeypatch):
 
 def test_spectrum_flags_an_ill_conditioned_hermitian_basis(monkeypatch):
     # an orthonormal eigh basis has condition 1.0 with no SVD; a basis that
-    # fails the orthonormality check is defective and its condition is measured
-    m = np.diag([1.0, 2.0, 3.0])
+    # fails the orthonormality check is defective and its condition is
+    # measured.  The corner entries keep the matrix off the closed-form route
+    m = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 3.0]])
+    assert ops._sine_blocks(m) is None
     basis = np.diag([1.0, 1.0, 1e-9])
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0, 3.0]), basis.copy()))
     op = Operator(m)
@@ -278,6 +369,38 @@ def test_translated_decomposition_matches_a_fresh_one(advection_b, monkeypatch):
     got = ops.real_power(hat, 0.2).entries
     want = ops.real_power(Operator(hat.entries), 0.2).entries
     assert np.linalg.norm(got - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
+
+
+def test_reflection_keeps_the_bits_of_the_dense_identity_form():
+    # 0 - M with k added on the diagonal is k * eye(n) - M bit for bit, signed
+    # zeros included, in real and complex arithmetic
+    rng = np.random.default_rng(6)
+    zeros = np.where(rng.random((6, 6)) < 0.5, 0.0, -0.0)
+    mixed = zeros + rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.5)
+    mixed[0, 0] = 2.5                   # k - m = 0 at k = 2.5
+    mats = [zeros, mixed, build_heat_operator(HeatConfig(n=16)).entries,
+            CoupledConfig(n=12).operator.entries, mixed + 1j * zeros, -zeros * 1j]
+    for m in mats:
+        for k in (1.0, 2.5, 17.0, 1e-300):
+            want = k * np.eye(m.shape[0]) - m
+            assert ops._reflected(m, k, "").entries.tobytes() == want.tobytes()
+
+
+def test_translation_memory_is_what_it_returns():
+    # with the decomposition cached, the peak is what the translation returns:
+    # its entries and its reversed basis, 2 N^2 float64, and a few N-vectors
+    # (its eigenvalues)
+    n = 512
+    op = build_heat_operator(HeatConfig(n=n, c2=16.0))
+    op.spectral
+    tracemalloc.start()
+    try:
+        _, hat = ops.translate_to_positive(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hat.spectral.right_vectors.shape == (n, n)
+    assert peak <= 2 * 8 * n * n + 4 * 16 * n
 
 
 # ---------------------------------------------------------------- resolvent
