@@ -286,13 +286,12 @@ def _maxreg_params(cfgp, seed_override):
 def _plateau_reports(cfgp, args, composed):
     """The regularity scan of ``composed`` that the [maxreg] settings ask for.
 
-    Builds the forcing family and runs the scan (``--parallel`` threads over
-    the horizons); returns one MaxRegReport per exponent.
+    Builds the forcing family and runs the scan; returns one MaxRegReport per
+    exponent.
     """
     p_grid, t_grid, n_random, n_cells, seed = _maxreg_params(cfgp, args.seed)
     sets = maxreg.build_forcing_grid(composed, t_grid, n_random, seed, n_cells)
-    return maxreg.plateau_scan_multi(composed, p_grid, t_grid, sets,
-                                     workers=args.parallel)
+    return maxreg.plateau_scan_multi(composed, p_grid, t_grid, sets)
 
 
 def cmd_spectrum(args, cfgp, out_dir, model):
@@ -447,14 +446,6 @@ _COMMANDS = {
 }
 
 
-def _positive_int(text):
-    """argparse type of ``--parallel``: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="stabreg",
@@ -463,8 +454,9 @@ def make_parser():
     parser.add_argument("--config", required=True, help="INI config file path")
     parser.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
     parser.add_argument("--seed", type=int, default=None, help="override the scan seed")
-    parser.add_argument("--parallel", type=_positive_int, default=1,
-                        help="worker threads for scans (>= 1)")
+    # the scan runs serially; the flag stays for command lines that pass 1
+    parser.add_argument("--parallel", type=int, choices=(1,), default=1,
+                        help="scan threads: the scan is serial, so 1 only")
     return parser
 
 

@@ -441,7 +441,7 @@ def imaginary_axis_bound(cl):
     return float(sup)
 
 
-def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, workers=1):
+def plateau_scan_multi(cl, p_list, t_grid, forcing_sets):
     """Horizon scans for several exponents sharing one trajectory sweep per T.
 
     Each horizon's family is its forcing set plus the EigenModes of ``cl``,
@@ -449,8 +449,7 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, workers=1):
     MaxRegReport per exponent.  verdict ``plateau``: the last two
     estimates differ by < PLATEAU_RTOL relative; ``growth``: log C increases
     by more than 1 between every pair of consecutive horizons; anything in
-    between is ``indeterminate``.  ``workers`` > 1 fans the horizon sweep over threads
-    (each task reads only immutable inputs).
+    between is ``indeterminate``.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 3 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
@@ -461,17 +460,8 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets, workers=1):
     if not p_list:
         raise UsageError("exponent grid must be nonempty")
     modes = eigenmodes(cl)
-
-    def one(pair):
-        t, fs = pair
-        return maxreg_constants_multi(cl, p_list, t, [*fs, modes])
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = np.array(list(pool.map(one, zip(t_grid, forcing_sets))))
-    else:
-        table = np.array([one(pair) for pair in zip(t_grid, forcing_sets)])
+    table = np.array([maxreg_constants_multi(cl, p_list, t, [*fs, modes])
+                      for t, fs in zip(t_grid, forcing_sets)])
     imag_sup = imaginary_axis_bound(cl)
     return [MaxRegReport(
         p=p,

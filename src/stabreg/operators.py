@@ -9,7 +9,7 @@ resolvent perturbation identity and semigroup decay fits.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.  ``Operator.spectral`` caches the decomposition on first
-use; threads racing on it compute the same value, so no lock is needed.
+use.
 """
 
 import functools

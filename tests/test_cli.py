@@ -71,6 +71,27 @@ dir = {out}
 """
 
 
+# the heat config of CI's console-script step
+TINY_HEAT_CFG = """
+[model]
+type = heat
+n = 16
+c2 = 16.0
+
+[synthesis]
+targets = -2
+
+[maxreg]
+p_grid = 2
+t_grid = 4 8 12
+forcing_count = 2
+n_cells = 100
+
+[output]
+dir = {out}
+"""
+
+
 ABSTRACT_CFG = """
 [model]
 type = abstract
@@ -203,6 +224,20 @@ def test_simulate_trajectory(tmp_path):
     assert header == "t,norm_y,norm_yt"
     assert len(rows) == 201
     assert float(rows[0][1]) == 0.0
+
+
+def test_simulate_default_constant_forcing(tmp_path):
+    # no forcing key: f = 1 on one cell, so y(T) settles at -A_F^{-1} 1
+    text = TINY_HEAT_CFG.format(out=tmp_path / "out") + "\n[simulate]\nT = 20\nn_cells = 50\n"
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert run(["simulate", "--config", cfg]) == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 52
+    assert lines[1] == "0,0,4"      # y(0) = 0 and y'(0) = f, with |1| = sqrt(16)
+    cfgp = cli.load_config(cfg)
+    a = maxreg.operator_matrix(cli.build_closed_loop(cfgp, cli.build_model(cfgp))[0].composed)
+    steady = np.linalg.norm(np.linalg.solve(a, np.ones(a.shape[0])))
+    assert float(lines[-1].split(",")[1]) == pytest.approx(steady, rel=1e-9)
 
 
 def test_simulate_random_forcing_matches_expm_oracle(tmp_path):
@@ -457,6 +492,39 @@ def test_config_seed_in_manifest(tmp_path):
     assert "seed: 11" in (tmp_path / "out" / "manifest.txt").read_text()
 
 
+def test_heat_default_targets_end_to_end(tmp_path):
+    # without [synthesis] targets the one unstable mode goes to -|lambda_2| - 1
+    text = TINY_HEAT_CFG.format(out=tmp_path / "out").replace("targets = -2\n", "")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert run(["report", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "verify.csv")
+    assert rows[-1] == ["overall", "1", "1", "PASS"]
+    _, poles = read_csv(tmp_path / "out" / "achieved_poles.csv")
+    assert len(poles) == 1
+    target = matio.parse_complex(poles[0][2])
+    assert target == pytest.approx(-24.0311, abs=1e-4)
+    assert abs(matio.parse_complex(poles[0][3]) - target) <= 1e-6
+
+
+def test_synthesize_use_interior_values(tmp_path):
+    # the accepted spellings of a bool key: no gives a zero interior law and
+    # the boundary law of use_interior=False, on gives the files of true
+    outs = {}
+    for value in ("no", "on", "true"):
+        outs[value] = out = tmp_path / value
+        text = COUPLED_CFG.format(out=out).replace(
+            "targets = -2 -3", f"targets = -2 -3\nuse_interior = {value}")
+        assert run(["synthesize", "--config", write_config(tmp_path / "c.ini", text)]) == 0
+    assert not np.any(matio.read_matrix(outs["no"] / "interior_matrix.txt"))
+    cfgp = cli.load_config(str(tmp_path / "c.ini"))
+    loop = cli.build_model(cfgp).synthesize(targets=[-2, -3], use_interior=False)[0]
+    matio.write_matrix(tmp_path / "want.txt", loop.feedback_matrix)
+    assert ((outs["no"] / "feedback_matrix.txt").read_bytes()
+            == (tmp_path / "want.txt").read_bytes())
+    for name in ("feedback_matrix.txt", "interior_matrix.txt", "achieved_poles.csv"):
+        assert (outs["on"] / name).read_bytes() == (outs["true"] / name).read_bytes()
+
+
 def test_bad_bool_exit_2(tmp_path, capsys):
     text = COUPLED_CFG.format(out=tmp_path / "out").replace(
         "targets = -2 -3", "targets = -2 -3\nuse_interior = ture")
@@ -546,15 +614,6 @@ def test_benchmark_heat_report_makes_no_eigh_call(tmp_path, monkeypatch):
     assert rows[-1] == ["overall", "1", "1", "PASS"]
 
 
-def test_verify_parallel_byte_identical(tmp_path):
-    cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "p1"))
-    assert run(["verify", "--config", cfg, "--parallel", "1"]) == 0
-    assert run(["verify", "--config", cfg, "--parallel", "2",
-                "--out", str(tmp_path / "p2")]) == 0
-    for name in ("verify.csv", "maxreg.csv"):
-        assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
-
-
 def test_unknown_key_exit_2(tmp_path, capsys):
     write_abstract_files(tmp_path)
     cases = [("t_grid = 4 8 12", "t_grid = 4 8 12\np_gird = 2", "p_gird"),
@@ -602,6 +661,8 @@ def _coupled(old, new):
     ("spectrum", ("seed = 11", "seed = -4"), [], "[maxreg] seed"),
     ("spectrum", ("", ""), ["--seed", "-1"], "--seed"),
     ("spectrum", ("", ""), ["--parallel", "0"], "--parallel"),
+    # the scan is serial: 1 is the flag's one value
+    ("spectrum", ("", ""), ["--parallel", "2"], "--parallel"),
     ("maxreg", ("t_grid = 4 8 12", "t_grid = 4 8 nan"), [], "[maxreg] t_grid"),
     ("maxreg", ("t_grid = 4 8 12", "t_grid = 4 8 inf"), [], "[maxreg] t_grid"),
     ("maxreg", ("t_grid = 4 8 12", "t_grid = 0 8 12"), [], "[maxreg] t_grid"),
@@ -633,7 +694,7 @@ def _coupled(old, new):
 ], ids=["forcing-empty", "mode-not-int", "mode-negative", "mode-too-large",
         "constant-extra-token", "simulate-cells-0", "simulate-cells-negative",
         "maxreg-cells-negative", "maxreg-cells-0", "forcing-count-negative",
-        "config-seed-negative", "flag-seed-negative", "parallel-0",
+        "config-seed-negative", "flag-seed-negative", "parallel-0", "parallel-2",
         "t-grid-nan", "t-grid-inf", "t-grid-zero", "t-grid-two-horizons",
         "t-grid-decreasing", "p-grid-1", "p-grid-nan", "p-grid-empty",
         "simulate-T-0", "simulate-T-negative", "simulate-T-nan", "simulate-T-inf",

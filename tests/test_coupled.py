@@ -249,6 +249,18 @@ def test_verify_builds_no_split(monkeypatch):
     assert [r[1][2] for r in rows] == [0.0, syn.RANK_TOL]
 
 
+def test_verify_nothing_unstable_rows():
+    # c^2 = 0 on both blocks: no unstable mode, so no Hautus row, and the
+    # abscissa and decay rows are judged against 0
+    cfg = CoupledConfig(n=12, c2_f=0.0, c2_h=0.0)
+    assert cfg.operator.spectral.unstable_count == 0
+    cl = coupled.compose_coupled_loop(cfg, None)
+    rows = coupled.verify_coupled_stabilization(cl, cfg)
+    assert [(name, status) for name, *_, status in rows] == [
+        ("reassembly", "PASS"), ("abscissa_window", "PASS"), ("decay_rate", "PASS")]
+    assert [threshold for _, _, threshold, _ in rows[1:]] == [0.0, 0.0]
+
+
 def test_verify_fail_no_interior_zero_margin():
     cfg = CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)
     cl = coupled.compose_coupled_loop(cfg, None)

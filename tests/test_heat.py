@@ -234,6 +234,19 @@ def test_closed_loop_localized_stable():
     assert ops.spectral_abscissa(cl.composed) < 0.0
 
 
+@pytest.mark.parametrize("c2, want", [(16.0, [-24.3593]), (40.0, [-49.2243, -50.2243])],
+                         ids=["one-unstable", "two-unstable"])
+def test_default_targets_against_sine_formula(c2, want):
+    # one unit apart, starting one below the first untouched mode: with nu
+    # unstable modes, -|lambda_{nu+1}| - 1, ..., -|lambda_{nu+1}| - nu
+    cfg = HeatConfig(n=32, c2=c2)
+    lam = np.sort(heat.fd_eigenvalues(cfg))[::-1]
+    nu = int(np.count_nonzero(lam > 0.0))
+    got = heat.default_targets(cfg.operator.spectral)
+    assert np.abs(got - (-abs(lam[nu]) - np.arange(1.0, nu + 1.0))).max() <= 1e-10
+    assert got == pytest.approx(want, abs=1e-4)
+
+
 # ---------------------------------------------------------------- verification
 
 def test_verify_stabilized_passes():

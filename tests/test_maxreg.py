@@ -653,17 +653,6 @@ def test_plateau_scan_validates_grid():
         maxreg.plateau_scan_multi(a, [], t_grid, sets)
 
 
-def test_plateau_scan_workers_match_serial():
-    a = np.diag([-1.0, -3.0])
-    t_grid = [5.0, 10.0, 20.0]
-    sets = maxreg.build_forcing_grid(a, t_grid, n_random=4, seed=2, n_cells_max=400)
-    serial = maxreg.plateau_scan_multi(a, [1.5, 2.0], t_grid, sets)
-    threaded = maxreg.plateau_scan_multi(a, [1.5, 2.0], t_grid, sets, workers=3)
-    for r1, r2 in zip(serial, threaded):
-        assert r1.c_estimates == r2.c_estimates
-        assert r1.verdict == r2.verdict
-
-
 # ---------------------------------------------------------------- imaginary axis
 
 def test_imaginary_axis_scalar():
