@@ -3,17 +3,18 @@
 The exponential integrator advances ``y_{k+1} = E y_k + P f_j`` where
 ``E = exp(A h)``, ``P = int_0^h exp(A s) ds`` and ``f_j`` is the forcing of
 the cell; the forcing is constant per cell, so the recurrence is exact at the
-nodes.  ``lti_propagate`` runs it one step at a time.  The norm scan uses the
-solution map of a cell instead: with z = A y_k + f_j, the derivative at node
-k+i of the same cell is ``y' = E^i z``, and ``Ay = y' - f_j``.  So one product
-of the stack E^1 .. E^b with z gives a whole block of b nodes, and the next
-block starts from ``E^L y_k + P_L f_j``, ``P_L = sum_{l<L} E^l P``.  The block
-length b is at most ``BLOCK`` and keeps the stack within ``STACK_BYTES``, so
-temporaries are O(STACK_BYTES + n * (n + b * nb)) whatever n is; no
-trajectory is held beyond what a caller stores.  The norm scan keeps the
-forcing's norms per cell, not per node: a piecewise-constant forcing's L^p
-norm needs no more.  Operands are promoted to their common dtype, so a complex
-forcing or operator runs the whole loop in complex arithmetic.
+nodes.  ``lti_propagate`` runs it one step at a time.  The norm scan needs the
+derivative alone, since ``Ay = y' - f_j``: inside a cell ``y'`` obeys
+``y'_{k+1} = E y'_k``, it starts at ``y'(0) = f_0`` (y(0) = 0), and at a cell
+opening it jumps by ``f_{j+1} - f_j`` while ``Ay`` stays continuous.  So one
+product of the stack E^1 .. E^b with y' gives a whole block of b nodes, and
+the next block starts from its last node.  The block length b is at most
+``BLOCK`` and keeps the stack within ``STACK_BYTES``, so temporaries are
+O(STACK_BYTES + n * (n + b * nb)) whatever n is; no trajectory is held beyond
+what a caller stores.  The norm scan keeps the forcing's norms per cell, not
+per node: a piecewise-constant forcing's L^p norm needs no more.  Operands are
+promoted to their common dtype, so a complex forcing or operator runs the
+whole loop in complex arithmetic.
 """
 
 import numpy as np
@@ -69,42 +70,36 @@ def lti_norm_scan(A, E, P, f_cells, refine):
     is the one of the cell ending at that node (left limit), node 0 uses the
     first cell.  Returns three float arrays (nyt, nay, nf_cells): the nodal
     norms, of shape (m*refine + 1, nb), and the norms of the m cells, of shape
-    (m, nb).
+    (m, nb).  The sweep reads E alone: A and P are accepted for the callers
+    that bind this signature by position, and may be None.
     """
-    A, E, P, f_cells = _common(A, E, P, f_cells)
+    E, f_cells = _common(E, f_cells)
     m, n, nb = f_cells.shape
     b = block_length(n, E.dtype, refine)
-    lengths = {b, refine % b or b}
     stack = np.empty((b, n, n), dtype=E.dtype)      # E^i, i = 1..b
     stack[0] = E
-    jumps = {}                                      # L -> P_L
-    p_i = P
-    for i in range(1, b + 1):
-        if i in lengths:
-            jumps[i] = p_i
-        if i < b:
-            np.matmul(E, stack[i - 1], out=stack[i])
-            p_i = E @ p_i
-            p_i += P
+    for i in range(1, b):
+        np.matmul(E, stack[i - 1], out=stack[i])
     flat = stack.reshape(b * n, n)
     buf = np.empty((b * n, nb), dtype=E.dtype)
     nyt = np.zeros((m * refine + 1, nb))
     nay = np.zeros((m * refine + 1, nb))
     nf_cells = _col_norms(f_cells)
     nyt[0] = nf_cells[0]
-    y = np.zeros((n, nb), dtype=E.dtype)
+    z = f_cells[0].copy()                           # y'(0) = A 0 + f_0
     k = 0
     for j in range(m):
         fj = f_cells[j]
+        if j:
+            z -= f_cells[j - 1]                     # Ay, continuous across the
+            z += fj                                 # opening, plus f_j
         for start in range(0, refine, b):
             L = min(b, refine - start)
-            z = A @ y
-            z += fj
             yt = np.matmul(flat[:L * n], z, out=buf[:L * n]).reshape(L, n, nb)
             rows = slice(k + 1, k + 1 + L)
             nyt[rows] = _col_norms(yt)
+            z = yt[L - 1].copy()
             yt -= fj
             nay[rows] = _col_norms(yt)
-            y = stack[L - 1] @ y + jumps[L] @ fj
             k += L
     return nyt, nay, nf_cells

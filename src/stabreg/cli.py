@@ -366,12 +366,8 @@ def cmd_simulate(args, cfgp, out_dir, model):
     else:
         f = maxreg.ForcingSignal(maxreg.mode_forcings(a, horizon).values[:, :, index], horizon)
     refine = max(1, int(np.ceil(n_cells / f.n_cells)))
-    t, y = maxreg.solution_map(composed, f, refine=refine)
-    cell = np.minimum((np.arange(len(t)) - 1) // refine, f.n_cells - 1).clip(0)
-    fvals = f.values[cell, :, 0]
-    dy = y @ a.T + fvals
-    rows = [(t[i], float(np.linalg.norm(y[i])), float(np.linalg.norm(dy[i])))
-            for i in range(len(t))]
+    t, y, nyt = maxreg.solution_map(composed, f, refine=refine)
+    rows = [(t[i], float(np.linalg.norm(y[i])), float(nyt[i])) for i in range(len(t))]
     matio.write_csv(os.path.join(out_dir, "trajectory.csv"), TRAJECTORY_HEADER, rows)
     return 0
 

@@ -7,14 +7,15 @@ largest quotient (||y_t||_p + ||A y||_p) / ||f||_p over a finite forcing
 family (a lower bound on the true constant; its trend over growing horizons
 is the verified content).  The family is a list of batches.  A ForcingSignal
 batch holds forcings sharing one cell structure and is swept by one kernel
-call; y_t is evaluated algebraically as A y + f, with the forcing value
-attached to each node taken from the cell ending there (left limit), which
-keeps the trapezoid quadrature clear of the stiff transient spikes at cell
-openings.  An EigenModes batch holds the constant-in-time eigenmode forcings,
-one per distinct forcing, whose quotients are scalar functions of the
-eigenvalue, the horizon and a 2 x 2 Gram matrix, integrated by Gauss-Legendre
-quadrature on graded panels at every p.  The horizon scan adds the eigenmodes
-of the operator it scans to every horizon's family.
+call.  The sweep steps y_t alone with exp(A h) and reads A y as y_t - f,
+with the forcing value attached to each node taken from the cell ending
+there (left limit), which keeps the trapezoid quadrature clear of the stiff
+transient spikes at cell openings.  An EigenModes batch holds the
+constant-in-time eigenmode forcings, one per distinct forcing, whose
+quotients are scalar functions of the eigenvalue, the horizon and a 2 x 2
+Gram matrix, integrated by Gauss-Legendre quadrature on graded panels at
+every p.  The horizon scan adds the eigenmodes of the operator it scans to
+every horizon's family.
 """
 
 import math
@@ -290,11 +291,12 @@ def _propagator_pair(a, h):
 def solution_map(cl, forcing, refine=1):
     """Trajectory of dy/dt = A y + f, y(0) = 0, exactly per forcing cell.
 
-    ``forcing`` holds one forcing.  Returns (t_nodes, Y) with Y[k] the state
-    at node k; ``refine`` subdivides each forcing cell for denser output
-    without changing the (exact) values at cell boundaries.  The integrator is
-    exact for this forcing class at any step, so no step-size condition
-    applies.
+    ``forcing`` holds one forcing.  Returns (t_nodes, Y, nyt) with Y[k] the
+    state at node k and nyt[k] the 2-norm of y_t there, with the left-limit
+    forcing of ``_kernels.lti_norm_scan``, whose recurrence it comes from;
+    ``refine`` subdivides each forcing cell for denser output without
+    changing the (exact) values at cell boundaries.  The integrator is exact
+    for this forcing class at any step, so no step-size condition applies.
     """
     a = operator_matrix(cl)
     if forcing.dim != a.shape[0]:
@@ -307,8 +309,9 @@ def solution_map(cl, forcing, refine=1):
     h = forcing.time_step / refine
     e, p = _propagator_pair(a, h)
     y = _kernels.lti_propagate(e, p, forcing.values[:, :, 0], refine)
+    nyt = _kernels.lti_norm_scan(None, e, None, forcing.values, refine)[0][:, 0]
     t = np.arange(y.shape[0]) * h
-    return t, y
+    return t, y, nyt
 
 
 def lp_time_norm(node_values, dt, p):
@@ -387,8 +390,7 @@ def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
     for f in batches:
         refine = math.ceil(QUAD_NODES / f.n_cells)
         h = f.time_step / refine
-        e_h, p_h = _propagator_pair(a, h)
-        nyt, nay, nf_cells = _kernels.lti_norm_scan(a, e_h, p_h, f.values, refine)
+        nyt, nay, nf_cells = _kernels.lti_norm_scan(a, expm(a * h), None, f.values, refine)
         for i, p in enumerate(p_list):
             quot = ((lp_time_norm(nyt, h, p) + lp_time_norm(nay, h, p))
                     / _cell_lp_norm(nf_cells, h, refine, p))

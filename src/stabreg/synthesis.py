@@ -306,7 +306,7 @@ def place_poles(rp, targets, input_matrix=None):
     b = rp.b_matrix if input_matrix is None else np.atleast_2d(np.asarray(input_matrix))
     if b.shape[0] != n:
         raise DimensionError(f"influence matrix must have {n} rows, got {b.shape}")
-    margins = _hautus_margins(rp.lam, b, _clusters(rp.lam))
+    margins = _hautus_margins(rp.lam, b, rp.clusters)
     if np.any(margins <= 1e-12):
         i = int(np.argmax(margins <= 1e-12))
         raise SynthesisError(

@@ -240,6 +240,24 @@ def test_simulate_default_constant_forcing(tmp_path):
     assert float(lines[-1].split(",")[1]) == pytest.approx(steady, rel=1e-9)
 
 
+def test_simulate_derivative_matches_expm_oracle(tmp_path):
+    # the default target -24.03 and f = 1 on one cell: y_t(t) = e^{t A_F} 1
+    # falls to 2.1e-48 at t = 5, and every norm_yt row reads it to 1e-9
+    # relative (y_t formed as A y + f read rounding noise from t = 0.8 on)
+    text = (TINY_HEAT_CFG.replace("targets = -2\n", "").format(out=tmp_path / "out")
+            + "\n[simulate]\nT = 5\nn_cells = 50\n")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert run(["simulate", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "trajectory.csv")
+    got = np.array(rows, dtype=float)
+    assert len(rows) == 51
+    cfgp = cli.load_config(cfg)
+    a = maxreg.operator_matrix(cli.build_closed_loop(cfgp, cli.build_model(cfgp))[0].composed)
+    exact = [np.linalg.norm(la.expm(t * a) @ np.ones(a.shape[0])) for t in got[:, 0]]
+    assert exact[-1] < 1e-47
+    assert np.allclose(got[:, 2], exact, rtol=1e-9, atol=0.0)
+
+
 def test_simulate_random_forcing_matches_expm_oracle(tmp_path):
     # 40 random cells, one step each: every node's |y| against the exact
     # per-cell flow of (y, 1) under [[A, f_j], [0, 0]]
@@ -691,6 +709,10 @@ def _coupled(old, new):
     # a non-finite model parameter is rejected before it reaches the model
     ("synthesize", ("c2 = 16.0", "c2 = inf"), [], "[model] c2"),
     ("synthesize", _coupled("c2_h = 16.0", "c2_h = inf"), [], "[model] c2_h"),
+    ("spectrum", ("type = heat", "type = bogus"), [], "model type 'bogus'"),
+    ("spectrum", ("type = heat\n", ""), [], "missing [model] type"),
+    ("maxreg", ("p_grid = 2", "p_grid = 2 abc"), [], "[maxreg] p_grid"),
+    ("maxreg", ("t_grid = 4 8 12", "t_grid = 4 8 x"), [], "[maxreg] t_grid"),
 ], ids=["forcing-empty", "mode-not-int", "mode-negative", "mode-too-large",
         "constant-extra-token", "simulate-cells-0", "simulate-cells-negative",
         "maxreg-cells-negative", "maxreg-cells-0", "forcing-count-negative",
@@ -701,7 +723,8 @@ def _coupled(old, new):
         "mode-superscript-digit", "mode-arabic-indic-digit",
         "heat-omega-one-value", "heat-omega-three-values", "heat-omega-empty",
         "coupled-omega-one-value", "coupled-omega-three-values", "coupled-omega-empty",
-        "targets-nan", "targets-neg-inf", "targets-unparsable", "c2-inf", "c2_h-inf"])
+        "targets-nan", "targets-neg-inf", "targets-unparsable", "c2-inf", "c2_h-inf",
+        "type-unknown", "type-missing", "p-grid-not-a-number", "t-grid-not-a-number"])
 def test_bad_input_exit_2(tmp_path, capsys, command, edit, flags, name):
     template, old, new = edit if len(edit) == 3 else (HEAT_CFG, *edit)
     text = template.format(out=tmp_path / "out").replace(old, new)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stabreg import _kernels, maxreg
+from stabreg import _kernels, heat, maxreg
+from stabreg import operators as ops
 
 
 def _data(dtype, m=40, n=6, nb=5, h=0.05, seed=0):
@@ -109,6 +110,23 @@ def test_norm_scan_left_limit_convention():
                            maxreg.lp_time_norm(nyt, h, q), rtol=1e-14, atol=0.0)
 
 
+def test_norm_scan_derivative_decays_to_the_last_digit():
+    # the tiny heat loop (n = 16, c2 = 16, default target, abscissa -23.03)
+    # under the one-cell forcing f = 1: y_t(t) = e^{tA} f, down to 2.1e-48 at
+    # t = 5, where a sweep that re-derives y_t as Ay + f reads rounding noise
+    a = maxreg.operator_matrix(heat.HeatConfig(n=16, c2=16.0).synthesize()[0].composed)
+    refine, h = 50, 0.1
+    f = np.ones((1, 16, 1))
+    nyt, nay, _ = _kernels.lti_norm_scan(a, ops.expm(a * h), None, f, refine)
+    lam, v = np.linalg.eig(a)
+    c = np.linalg.solve(v, f[0])
+    t = np.arange(refine + 1) * h
+    exact = np.linalg.norm((v[None] * np.exp(np.outer(t, lam))[:, None, :]) @ c, axis=1)
+    assert exact[-1, 0] < 1e-47
+    assert np.allclose(nyt, exact, rtol=1e-9, atol=0.0)
+    assert nay[-1, 0] == pytest.approx(4.0, rel=1e-12)     # Ay = y_t - f -> -f, |1| = 4
+
+
 def test_norm_scan_memory_is_its_outputs():
     # the sweep holds block temporaries only, never a trajectory
     m, n, nb, refine = 1, 32, 32, 8000
@@ -139,8 +157,8 @@ def test_block_length_keeps_the_stacks_in_budget(dtype):
 
 def test_norm_scan_memory_is_bounded_at_2d_sizes():
     # n = 225, the 15 x 15 square: the stack takes b = 20 substeps within
-    # STACK_BYTES where a full block of 32 would take 13 MB; the rest is a few
-    # n x n matrices (the P_L of the block jumps and their products)
+    # STACK_BYTES where a full block of 32 would take 13 MB; the sweep reads
+    # E alone, so the rest is its outputs and n x nb working arrays
     m, n, nb, refine = 2, 225, 2, 64
     rng = np.random.default_rng(3)
     a = rng.standard_normal((n, n)) / n - 2.0 * np.eye(n)

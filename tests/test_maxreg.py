@@ -59,14 +59,14 @@ def test_forcing_validation():
 def test_solution_map_zero_forcing():
     a = np.diag([-1.0, -2.0])
     f = ForcingSignal(np.zeros((50, 2)), 0.1)
-    _, y = maxreg.solution_map(a, f)
+    _, y, _ = maxreg.solution_map(a, f)
     assert np.abs(y).max() == 0.0
 
 
 def test_solution_map_scalar_closed_form():
     a = np.array([[-1.7]])
     f = maxreg.constant_forcing(np.ones(1), 5.0)
-    t, y = maxreg.solution_map(a, f, refine=500)
+    t, y, _ = maxreg.solution_map(a, f, refine=500)
     exact = (1 - np.exp(-1.7 * t)) / 1.7
     assert np.abs(y[:, 0] - exact).max() <= 1e-10
 
@@ -77,7 +77,7 @@ def test_solution_map_single_mode_bounded_by_decay_envelope():
     modes = maxreg.mode_forcings(cl, 10.0)
     assert modes.values.shape == (1, cl.dim, cl.dim)
     f = ForcingSignal(modes.values[:, :, 0], 10.0)
-    _, y = maxreg.solution_map(cl, f, refine=400)
+    _, y, _ = maxreg.solution_map(cl, f, refine=400)
     sup = np.linalg.norm(y, axis=1).max()
     bound = max(m_fit, 1.0) / delta * np.linalg.norm(f.values)
     assert sup <= 1.05 * bound
@@ -97,9 +97,9 @@ def test_solution_map_linearity():
     f2 = ForcingSignal(rng.standard_normal((40, 5)), 0.05)
     alpha, beta = 1.3, -0.7
     combo = ForcingSignal(alpha * f1.values + beta * f2.values, 0.05)
-    _, y1 = maxreg.solution_map(a, f1)
-    _, y2 = maxreg.solution_map(a, f2)
-    _, yc = maxreg.solution_map(a, combo)
+    _, y1, _ = maxreg.solution_map(a, f1)
+    _, y2, _ = maxreg.solution_map(a, f2)
+    _, yc, _ = maxreg.solution_map(a, combo)
     assert np.abs(yc - (alpha * y1 + beta * y2)).max() <= 1e-10 * np.abs(yc).max()
 
 
@@ -107,7 +107,7 @@ def test_solution_map_ode_residual():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((4, 4)) - 2 * np.eye(4)
     f = ForcingSignal(rng.standard_normal((100, 4)), 1e-3)
-    _, y = maxreg.solution_map(a, f)
+    _, y, _ = maxreg.solution_map(a, f)
     h = f.time_step
     resid = 0.0
     for j in range(f.n_cells):
@@ -268,6 +268,27 @@ def test_random_batch_horizon_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= 2 << 20
+
+
+def test_random_batch_horizon_memory_is_bounded_at_2d_sizes():
+    # n = 225, the 15 x 15 square, on a synthetic stable loop: 8 forcings on
+    # 50 cells over T = 4.  The sweep reads exp(A h) alone, so the peak is the
+    # kernel's stack, its nodal outputs and a few n x n matrices; with the
+    # augmented 2n x 2n exponential of E and P it was 17.00 MiB
+    n, nb, m, horizon = 225, 8, 50, 4.0
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (q * -np.linspace(1.0, 2000.0, n)) @ q.T
+    fs = [ForcingSignal(rng.standard_normal((m, n, nb)), horizon / m)]
+    nodes = m * math.ceil(maxreg.QUAD_NODES / m) + 1
+    tracemalloc.start()
+    try:
+        best = maxreg.maxreg_constants_multi(a, [1.5, 2.0, 4.0], horizon, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(best)) and np.all(best >= 1.0)
+    assert peak <= _kernels.STACK_BYTES + 2 * nodes * nb * 8 + 6 * n * n * 8
 
 
 @pytest.mark.parametrize("model", ["heat", "coupled"])
@@ -477,7 +498,7 @@ def trajectory_reference(a, p_list, forcing_set):
         cell = np.maximum(np.arange(batch.n_cells * refine + 1) - 1, 0) // refine
         for k in range(batch.count):
             one = ForcingSignal(batch.values[:, :, k], batch.time_step)
-            _, y = maxreg.solution_map(a, one, refine)
+            _, y, _ = maxreg.solution_map(a, one, refine)
             ay = y @ a.T
             f = one.values[cell, :, 0]
             norms = [np.linalg.norm(v, axis=1) for v in (ay + f, ay, f)]
