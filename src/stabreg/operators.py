@@ -353,31 +353,117 @@ def _sine_blocks(m):
     return list(zip([0, *cuts], [*cuts, m.shape[0]]))
 
 
+def _sine_block(a, b, out):
+    """Eigenvalues of the p x p block a I + b T, T = tridiag(1, 0, 1), with
+    its orthonormal eigenvectors written into ``out``, a p x p view.
+
+    The discrete sine transform diagonalizes the block: eigenvalues
+    (a + 2b) - 4b sin^2(k pi / (2(p + 1))) and eigenvectors
+    sqrt(2 / (p + 1)) sin(j k pi / (p + 1)), j, k = 1 ... p, for either sign
+    of b.  The sine's argument is reduced exactly, in integers, as
+    pi ((j k) mod 2(p + 1)) / (p + 1), so the p^2 entries are read from a
+    table of 2(p + 1) scaled sines.
+    """
+    p = out.shape[0]
+    k = np.arange(1, p + 1)
+    table = np.sin(np.arange(2 * (p + 1)) * (np.pi / (p + 1))) * math.sqrt(2.0 / (p + 1))
+    jk = np.outer(k, k)
+    jk %= 2 * (p + 1)
+    # every index is in range; a mode other than "raise" writes to out with
+    # no buffered copy
+    np.take(table, jk, out=out, mode="wrap")
+    return (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (p + 1)))) ** 2
+
+
 def _sine_eigenpairs(m, bounds):
     """Eigenvalues and orthonormal eigenvectors of a matrix that
-    ``_sine_blocks`` splits at ``bounds``, block by block in closed form.
-
-    A block of size p with a on its diagonal and b beside it is diagonalized
-    by the discrete sine transform: eigenvalues (a + 2b) - 4b sin^2(k pi /
-    (2(p + 1))) and eigenvectors sqrt(2 / (p + 1)) sin(j k pi / (p + 1)),
-    j, k = 1 ... p, for either sign of b.  The sine's argument is reduced
-    exactly, in integers, as pi ((j k) mod 2(p + 1)) / (p + 1), so each block
-    reads its p^2 entries from a table of 2(p + 1) scaled sines.
-    """
+    ``_sine_blocks`` splits at ``bounds``, block by block in closed form
+    (``_sine_block``)."""
     n = m.shape[0]
     w, v = np.empty(n), np.zeros((n, n))
     for start, stop in bounds:
-        p = stop - start
-        a, b = m[start, start], (m[start, start + 1] if p > 1 else 0.0)
-        k = np.arange(1, p + 1)
-        w[start:stop] = (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (p + 1)))) ** 2
-        table = np.sin(np.arange(2 * (p + 1)) * (np.pi / (p + 1))) * math.sqrt(2.0 / (p + 1))
-        jk = np.outer(k, k)
-        jk %= 2 * (p + 1)
-        # every index is in range; a mode other than "raise" writes to out
-        # with no buffered copy
-        np.take(table, jk, out=v[start:stop, start:stop], mode="wrap")
+        b = m[start, start + 1] if stop - start > 1 else 0.0
+        w[start:stop] = _sine_block(m[start, start], b, v[start:stop, start:stop])
     return w, v
+
+
+def _sine_grid(m):
+    """(a, b), two k x k arrays, when the real N x N ``m`` is a k x k grid
+    (k >= 2) of equal n x n blocks (n >= 2), block (i, j) exactly
+    a_ij I + b_ij T with T = tridiag(1, 0, 1); None for any other matrix.
+
+    n is read from the first zero of the first superdiagonal, the seam that
+    ends the first diagonal block.  Every block is then tested exactly: it
+    is constant along its three diagonals, its subdiagonal equals its
+    superdiagonal, and it has no nonzero entry off them, which holds when
+    ``m`` has as many nonzero entries as the blocks' three diagonals
+    together, counted with no N x N temporary.
+    """
+    size = m.shape[0]
+    seams = np.flatnonzero(np.diagonal(m, 1) == 0)
+    n = int(seams[0]) + 1 if seams.size else size
+    if n < 2 or n == size or size % n:
+        return None
+    k = size // n
+    s0, s1 = m.strides
+    blocks = np.lib.stride_tricks.as_strided(m, (k, k, n, n), (n * s0, n * s1, s0, s1),
+                                             writeable=False)
+    d, e, f = (np.diagonal(blocks, offset, 2, 3) for offset in (0, 1, -1))
+    if ((f != e).any() or (d != d[..., :1]).any() or (e != e[..., :1]).any()
+            or np.count_nonzero(m) != np.count_nonzero(d) + 2 * np.count_nonzero(e)):
+        return None
+    return d[..., 0], e[..., 0]
+
+
+def _grid_eigenpairs(m, grid):
+    """Unsorted eigenvalues and the factors (S, X, X^-1) of both bases of a
+    matrix that ``_sine_grid`` reads as ``grid`` = (a, b); None when a small
+    basis X_q is singular or of 1-norm condition above 1e12.
+
+    With T s_q = t_q s_q, t_q = 2 cos(q pi / (n + 1)) (``_sine_block``), the
+    grid acts on mode q as K_q = a + t_q b.  One batched ``eig``,
+    K_q X_q = X_q diag(mu_q), and one batched ``inv`` give eigenpair q k + r:
+    mu_q[r] with right vector X_q[:, r] (x) s_q and left X_q^-H[:, r] (x) s_q,
+    so V = (I_k (x) S) X and V^-H = (I_k (x) S) X^-H exactly.
+    """
+    a, b = grid
+    s = np.empty((m.shape[0] // a.shape[0],) * 2)
+    t = _sine_block(0.0, 1.0, s)
+    mu, x = np.linalg.eig(a + t[:, None, None] * b)
+    try:
+        x_inv = np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        return None
+    # eig stores each conjugate pair adjacent, the positive imaginary part
+    # first, with exactly conjugate vectors; the pair's rows of X^-1 are
+    # conjugate too, and are made so exactly
+    q, r = np.nonzero(mu.imag > 0)
+    x_inv[q, r + 1] = x_inv[q, r].conj()
+    cond = np.abs(x).sum(axis=1).max(axis=1) * np.abs(x_inv).sum(axis=1).max(axis=1)
+    if not np.all(cond <= 1e12):
+        return None
+    return mu.ravel(), (s, x, x_inv)
+
+
+def _grid_right_basis(order, s, x, x_inv):
+    """V from ``_grid_eigenpairs``'s factors, its columns in ``order``, with
+    what V^-H takes: the n x N sine columns of the sorted modes and the
+    k x N coefficients X^-H.  Sorted column c is mode q, eigenvector r of
+    K_q, where order[c] = q k + r."""
+    q, r = np.divmod(order, x.shape[1])
+    sines = s[:, q]
+    return _grid_basis(sines, x[q, :, r].T), sines, x_inv[q, r].conj().T
+
+
+def _grid_basis(sines, coefficients):
+    """The N x N basis whose column c is coefficients[:, c] (x) sines[:, c],
+    for k x N ``coefficients`` and n x N ``sines``: block row i is
+    ``sines`` with column c scaled by coefficients[i, c], written in place."""
+    k, size = coefficients.shape
+    out = np.empty((size, size), dtype=coefficients.dtype)
+    for block, row in zip(out.reshape(k, -1, size), coefficients):
+        np.multiply(sines, row, out=block)
+    return out
 
 
 def spectrum(op):
@@ -394,25 +480,41 @@ def spectrum(op):
     Laplacian, its translates and the coupled diffusion blocks are, is
     decomposed in closed form by the discrete sine transform
     (``_sine_eigenpairs``); any other Hermitian matrix by ``eigh``.
-    Otherwise ``eig`` gives the right basis V and the left one is V^-H, whose
-    1-norm condition ||V||_1 ||V^-1||_1 is exact.  For a real matrix with complex eigenvectors
-    V^-H comes from the inverse of the real packed basis (``_packed_left_basis``),
-    the conjugate pairs read where ``eig`` returns them adjacent and exactly
-    conjugate; otherwise from the inverse of V.  A singular V, or one of
-    condition above 1e12, makes the matrix defective (numerically
+    A real non-Hermitian k x k grid of equal blocks a_ij I + b_ij T,
+    T = tridiag(1, 0, 1), as the advection-free coupled block with a scalar
+    profile is (``_sine_grid``), goes by the same transform to one batched
+    ``eig`` and ``inv`` of k x k matrices (``_grid_eigenpairs``).  Its bases
+    are written in sorted order, real when every eigenvalue is, V^-H with
+    the unit factors of V's phase rule; a small basis that is singular or of
+    condition above 1e12 leaves it to ``eig``.  Otherwise ``eig`` gives the
+    right basis V and the left one is V^-H.  For a real matrix with complex
+    eigenvectors V^-H comes from the inverse of the real packed basis
+    (``_packed_left_basis``), the conjugate pairs read where ``eig`` returns
+    them adjacent and exactly conjugate; otherwise from the inverse of V.
+    Either way its 1-norm condition ||V||_1 ||V^-1||_1 is exact.  A singular
+    V, or one of condition above 1e12, makes the matrix defective (numerically
     non-diagonalizable): it is flagged and the left basis is taken from the
     adjoint eigenproblem, least-squares biorthogonalized.  A warning-carrying
     flag is raised when the basis condition exceeds 1e8, defective or not.
     Every measured condition is a 1-norm condition, within a factor n of the
     2-norm one.  No complex n x n array is formed beyond the two bases and
-    ``eig``'s own output.  Warnings name the first caller outside this module.
+    ``eig``'s own output (none at all on the grid route).  Warnings name the
+    first caller outside this module.
     """
     m = operator_matrix(op)
     hermitian = np.array_equal(m, m.conj().T)
-    bounds = _sine_blocks(m) if hermitian and np.isrealobj(m) else None
+    real = np.isrealobj(m)
+    bounds = _sine_blocks(m) if hermitian and real else None
+    grid = _sine_grid(m) if real and not hermitian else None
+    sines = None
     try:
+        # the grid's eigenvalues and factors, or None where a small basis is
+        # singular or ill-conditioned and eig takes the matrix
+        grid = _grid_eigenpairs(m, grid) if grid is not None else None
         if bounds is not None:
             w, vr = _sine_eigenpairs(m, bounds)
+        elif grid is not None:
+            w, grid = grid
         else:
             w, vr = np.linalg.eigh(m) if hermitian else np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -423,26 +525,37 @@ def spectrum(op):
         raise EigenDecompositionError("eigen iteration returned non-finite eigenvalues")
     order = np.lexsort((-w.imag, -w.real))
     pairs = None
-    if np.isrealobj(m) and np.iscomplexobj(vr):
-        # LAPACK returns each conjugate pair of a real matrix adjacent, the
-        # positive imaginary part first; their sorted positions
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        first = np.flatnonzero(w.imag > 0)
-        pairs = position[first], position[first + 1]
-    w, vr = w[order], vr[:, order]
+    if grid is not None:
+        vr, sines, left = _grid_right_basis(order, *grid)
+        del grid        # S, n x n, would otherwise stay beside both bases
+    else:
+        if real and np.iscomplexobj(vr):
+            # LAPACK returns each conjugate pair of a real matrix adjacent,
+            # the positive imaginary part first; their sorted positions
+            position = np.empty_like(order)
+            position[order] = np.arange(order.size)
+            first = np.flatnonzero(w.imag > 0)
+            pairs = position[first], position[first + 1]
+        vr = vr[:, order]
+    w = w[order]
 
     # deterministic phase: make the largest-magnitude component of each right
     # vector real positive (keeps conjugate pairs of real matrices conjugate)
     pivot = vr[np.argmax(np.abs(vr), axis=0), np.arange(vr.shape[1])]
-    vr *= np.abs(pivot) / np.where(pivot == 0, 1, pivot)
+    phase = np.abs(pivot) / np.where(pivot == 0, 1, pivot)
+    vr *= phase
 
     defective = False
     if hermitian:
         vl = vr
     else:
         try:
-            if pairs is None:
+            if sines is not None:
+                # V^-H, its columns scaled by the unit factors of V's phase
+                # rule; the sines go before the condition's N x N temporary
+                vl = _grid_basis(sines, left * phase)
+                del sines, left
+            elif pairs is None:
                 inverse = np.linalg.inv(vr)
                 vl = np.conjugate(inverse, out=inverse).T
             else:

@@ -602,9 +602,11 @@ def test_report_decomposes_each_state_matrix_once(tmp_path, monkeypatch, templat
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         counted(np.linalg, name)
-    # the closed form of the symmetric tridiagonal matrices (the heat drift and
-    # -A, the coupled -A) is a decomposition too
+    # the closed forms are decompositions too: of the symmetric tridiagonal
+    # matrices (the heat drift and -A, the coupled -A) and of the grid of
+    # sine-diagonalizable blocks (the coupled open-loop block)
     counted(ops, "_sine_eigenpairs")
+    counted(ops, "_grid_eigenpairs")
     assert run(["report", "--config", cfg]) == 0
     assert len(digests) == matrices and len(set(digests)) == matrices
 

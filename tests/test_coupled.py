@@ -261,6 +261,22 @@ def test_verify_nothing_unstable_rows():
     assert [threshold for _, _, threshold, _ in rows[1:]] == [0.0, 0.0]
 
 
+def test_verify_all_unstable_open_loop_rows():
+    # c^2 = 350 on both blocks: all 16 open-loop modes are unstable, so there
+    # is no first untouched mode; a hand-composed interior term -400 I
+    # stabilizes the loop, and both windows are judged against 0
+    cfg = CoupledConfig(n=8, c2_f=350.0, c2_h=350.0)
+    assert cfg.operator.spectral.unstable_count == 2 * cfg.n
+    diffusion, couplings, _, _ = coupled.coupled_split(cfg)
+    cl = ops.compose_closed_loop(diffusion, cfg.lifting, None,
+                                 interior_B=couplings.entries - 400.0 * np.eye(2 * cfg.n))
+    rows = coupled.verify_coupled_stabilization(cl, cfg)
+    assert [(name, status) for name, *_, status in rows] == [
+        ("reassembly", "PASS"), ("hautus_margins", "PASS"),
+        ("abscissa_window", "PASS"), ("decay_rate", "PASS")]
+    assert [threshold for _, _, threshold, _ in rows[2:]] == [0.0, 0.0]
+
+
 def test_verify_fail_no_interior_zero_margin():
     cfg = CoupledConfig(n=32, gamma_buoy=0.0, c2_f=16.0, c2_h=12.0)
     cl = coupled.compose_coupled_loop(cfg, None)

@@ -175,6 +175,142 @@ def test_closed_form_declines_other_hermitian_matrices(monkeypatch):
         assert np.abs(sp.eigenvalues.real - oracle).max() <= 1e-13 * np.linalg.norm(m, 2)
 
 
+def sine_grid(a, b, n):
+    # the k x k grid of n x n blocks a_ij I + b_ij tridiag(1, 0, 1)
+    return np.kron(a, np.eye(n)) + np.kron(b, toeplitz_tridiagonal(n, 0.0, 1.0))
+
+
+# real non-symmetric k x k grids of blocks a I + b tridiag(1, 0, 1): the
+# coupled open-loop block (k = 2) and a synthetic k = 3 grid, each with its k
+GRID_CASES = {
+    **{f"coupled-{n}": (lambda n=n: CoupledConfig(n=n).operator.entries, 2)
+       for n in (8, 12, 16, 256)},
+    # nu != kappa and c2_f != c2_h: every eigenvalue is real
+    "coupled-real": (lambda: CoupledConfig(n=16, nu=1.0, kappa=2.0, c2_f=16.0,
+                                           c2_h=10.0).operator.entries, 2),
+    "synthetic-k3": (lambda: sine_grid(*np.random.default_rng(3).standard_normal((2, 3, 3)), 10),
+                     3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_spectrum_against_lapack(case, monkeypatch):
+    # LAPACK's eig of the whole matrix is the oracle; the route itself makes
+    # one batched eig of k x k matrices and no full-size one
+    build, k = GRID_CASES[case]
+    m = build()
+    n = m.shape[0]
+    oracle_w, oracle_v = np.linalg.eig(m)
+    sizes, calls = [], []
+    eig = np.linalg.eig
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eig(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    counting(monkeypatch, ops, "_grid_eigenpairs", calls)
+    sp = ops.spectrum(m)
+    assert calls == ["_grid_eigenpairs"] and sizes == [k]
+    scale = np.linalg.norm(m, 2)
+    lam, v, w = sp.eigenvalues, sp.right_vectors, sp.left_vectors
+    # every eigenvalue is next to one of LAPACK's, and the other way round
+    gap = np.abs(lam[:, None] - oracle_w[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * scale
+    assert np.all(np.diff(lam.real) <= 0.0)
+    assert v.dtype == w.dtype == oracle_v.dtype
+    assert (v.dtype == np.float64) == (case == "coupled-real")
+    assert np.linalg.norm(m @ v - v * lam, 2) <= 1e-13 * scale
+    assert np.abs(w.conj().T @ v - np.eye(n)).max() <= 1e-12
+    np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-14)
+    assert sp.cond_estimate == pytest.approx(np.linalg.cond(v, 1), rel=1e-8)
+    assert not sp.defective and not sp.ill_conditioned
+    # conjugate eigenvalues carry exactly conjugate vectors on both sides
+    for j in np.flatnonzero(lam.imag > 0):
+        (partner,) = np.flatnonzero(lam == lam[j].conj())
+        assert np.array_equal(v[:, partner], v[:, j].conj())
+        assert np.array_equal(w[:, partner], w[:, j].conj())
+    cols = np.arange(n)
+    pivot = v[np.argmax(np.abs(v), axis=0), cols]
+    assert np.all(pivot.imag == 0.0) and np.all(pivot.real > 0.0)
+
+
+def test_grid_reads_the_block_size_from_the_seams():
+    # blocks of 5 in a 3 x 3 grid; the blocks b = 0 keep their seam
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((2, 3, 3))
+    b[:, 1] = 0.0
+    m = sine_grid(a, b, 5)
+    grid_a, grid_b = ops._sine_grid(m)
+    assert np.array_equal(grid_a, a) and np.array_equal(grid_b, b)
+    # a zero on the first block's superdiagonal is read as a seam at 1
+    assert ops._sine_grid(sine_grid(a, np.zeros((3, 3)), 5)) is None
+
+
+def grid_declines():
+    bumped = CoupledConfig(n=12).operator.entries.copy()
+    bumped[0, 1] = np.nextafter(bumped[0, 1], np.inf)
+    return {
+        "profile": CoupledConfig(n=12, theta_e_profile=np.linspace(0.2, 0.8, 12)).operator.entries,
+        "advection": CoupledConfig(n=12, ye_advect=0.5).operator.entries,
+        "ulp": bumped,
+        # gamma_buoy = 0, nu = kappa, c2_f = c2_h: every K_q is a Jordan block
+        "jordan": CoupledConfig(n=12, gamma_buoy=0.0).operator.entries,
+    }
+
+
+@pytest.mark.parametrize("case", ["profile", "advection", "ulp", "jordan"])
+def test_grid_route_declines(case, monkeypatch):
+    # the structural test refuses the first three; the Jordan case passes it,
+    # and its singular small bases send it to eig; either way the spectrum is
+    # the eig route's, flags and warnings included
+    m = grid_declines()[case]
+    grid = ops._sine_grid(m)
+    assert (grid is None) == (case != "jordan")
+    if grid is not None:
+        assert ops._grid_eigenpairs(m, grid) is None
+
+    def decompose():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sp = ops.spectrum(m)
+        return sp, [str(c.message) for c in caught]
+    sp, caught = decompose()
+    monkeypatch.setattr(ops, "_sine_grid", lambda m: None)
+    eig_sp, eig_caught = decompose()
+    assert caught == eig_caught and sp.defective == eig_sp.defective
+    for field in ("eigenvalues", "right_vectors", "left_vectors"):
+        assert np.array_equal(getattr(sp, field), getattr(eig_sp, field))
+
+
+def test_grid_spectrum_memory_is_its_bases(monkeypatch):
+    # the two complex bases, one real N x N temporary of the phase rule and
+    # the 1-norm condition, and O(N) beside them: no more than eig's route
+    m = CoupledConfig(n=256).operator.entries
+    n = m.shape[0]
+    small = CoupledConfig(n=8).operator.entries
+
+    def peak():
+        ops.spectrum(small)     # first-call allocations of numpy, untraced
+        tracemalloc.start()
+        try:
+            sp = ops.spectrum(m)
+            return tracemalloc.get_traced_memory()[1], sp
+        finally:
+            tracemalloc.stop()
+    routed, sp = peak()
+    monkeypatch.setattr(ops, "_sine_grid", lambda m: None)
+    eig_route, eig_sp = peak()
+    assert routed <= (2 * 16 + 8) * n * n + 128 * n
+    assert routed <= eig_route
+
+    # and its two unstable eigenpairs are no less accurate than eig's
+    def residuals(s):
+        lam, v, w = s.eigenvalues[:2], s.right_vectors[:, :2], s.left_vectors[:, :2]
+        return np.abs(m @ v - v * lam).max(), np.abs(m.T @ w - w * lam.conj()).max()
+    assert sp.unstable_count == eig_sp.unstable_count == 2
+    assert all(r <= e for r, e in zip(residuals(sp), residuals(eig_sp)))
+
+
 def test_spectrum_biorthogonality_nonsymmetric():
     m = stable_random(12, 7)
     sp = ops.spectrum(m)
