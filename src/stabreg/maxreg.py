@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, IdentityViolationError, UsageError
-from .operators import Operator, decomposition, expm, operator_matrix, spectral_abscissa
+from .errors import DimensionError, IdentityViolationError, NumericalError, UsageError
+from .operators import Operator, decomposition, expm, operator_matrix
 
 CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict"
 
@@ -424,23 +424,51 @@ def _verdict(c_estimates):
     return "indeterminate"
 
 
-def imaginary_axis_bound(cl):
-    """sup over +/- t of ||t R(it, A)|| = |t| / sigma_min(it I - A), the
-    uniform-boundedness surrogate.
+def _frequency_sup(a, c, d):
+    """(sup, w*): the supremum over real w of ||C (iw I - A)^-1 + D||_2 and a w
+    attaining it; w* = inf for the limit ||D||_2, (inf, nan) unless A is stable.
 
-    Sampled at 60 log-spaced t in [1e-3, 1e3], both signs: 120 points, one
-    singular-value computation each and no inverse formed.  ``inf`` when an
-    eigenvalue lies on or right of the imaginary axis.
+    ``a`` is an Operator, ClosedLoop or array, its poles read from its
+    ``decomposition``.  Boyd, Balakrishnan and Kabamba (1989): g is a singular
+    value at iw exactly when iw is an eigenvalue of the Hamiltonian ``h``.  The
+    gain starts at the best of ||D||_2, w = 0, the signed Im of the 8
+    least-damped poles and 13 log-spaced w in [1e-2, 1e4]; each step tests
+    g = gain (1 + 2e-9) and takes the best gain at the midpoints of the
+    imaginary eigenvalues (Bruinsma and Steinbuch 1990) until none is left, so
+    the supremum holds to 2e-9 relative.  NumericalError after 50 steps.
     """
-    if spectral_abscissa(cl) >= 0:
-        return np.inf
+    poles = decomposition(a).eigenvalues
+    if poles[0].real >= 0:
+        return np.inf, np.nan
+    a = operator_matrix(a)
+    eye, ch, dh = np.eye(a.shape[0]), c.conj().T, d.conj().T
+
+    def gain(w):
+        z = np.linalg.solve((1j * w * eye - a).T, c.T).T + d
+        return float(np.linalg.svd(z, compute_uv=False)[0]), float(w)
+
+    start = np.concatenate([[0.0], poles[:8].imag, np.logspace(-2.0, 4.0, 13)])
+    best = max([(float(np.linalg.norm(d, 2)), np.inf)] + [gain(w) for w in start])
+    for _ in range(50):
+        g = best[0] * (1.0 + 2e-9)
+        r_inv = np.linalg.inv(dh @ d - g * g * np.eye(d.shape[1]))
+        s_c = np.linalg.solve(d @ dh - g * g * np.eye(d.shape[0]), c)
+        h = np.block([[a - r_inv @ dh @ c, -g * r_inv],
+                      [g * ch @ s_c, -a.conj().T + ch @ d @ r_inv]])
+        mu = np.linalg.eigvals(h)
+        w = np.sort(mu.imag[np.abs(mu.real) < 1e-8 * max(1.0, np.abs(mu).max())])
+        if not w.size:
+            return best
+        best = max([best] + [gain(m) for m in (w[1:] + w[:-1]) / 2.0])
+    raise NumericalError(f"frequency supremum: no convergence in 50 steps (gain {best[0]:.12g})")
+
+
+def imaginary_axis_bound(cl):
+    """sup over real w of ||iw R(iw, A)|| = ||A (iw I - A)^-1 + I|| by
+    ``_frequency_sup``: by Plancherel the L^2(0, inf) norm of f -> y' of the
+    zero-start loop; ``inf`` when an eigenvalue has Re >= 0."""
     a = operator_matrix(cl)
-    eye = np.eye(a.shape[0])
-    sup = 0.0
-    for t in np.logspace(-3.0, 3.0, 60):
-        for s in (t, -t):
-            sup = max(sup, abs(s) / np.linalg.svd(1j * s * eye - a, compute_uv=False)[-1])
-    return float(sup)
+    return _frequency_sup(cl, a, np.eye(a.shape[0]))[0]
 
 
 def plateau_scan_multi(cl, p_list, t_grid, forcing_sets):
