@@ -4,8 +4,11 @@ The solution map is the variation-of-constants convolution driven by
 piecewise-constant-in-time forcings, integrated exactly per cell with the
 augmented-matrix exponential.  The regularity constant estimate is the
 largest quotient (||y_t||_p + ||A y||_p) / ||f||_p over a finite forcing
-family (a lower bound on the true constant; its trend over growing horizons
-is the verified content).  The family is a list of batches.  A ForcingSignal
+family, a lower end of the true constant.  At p = 2 the scan also gives the
+upper end: by Plancherel, C_upper = sqrt(2) sup_w ||[iwR; AR]|| with
+R = (iw - A)^-1 bounds the constant at every horizon, and the peak forcing
+Re(v e^{i w* t}) at its maximizing frequency w* comes within about 1 % of it
+on the benchmark loops.  The family is a list of batches.  A ForcingSignal
 batch holds forcings sharing one cell structure and is swept by one kernel
 call.  The sweep steps y_t alone with exp(A h) and reads A y as y_t - f,
 with the forcing value attached to each node taken from the cell ending
@@ -15,7 +18,8 @@ constant-in-time eigenmode forcings, one per distinct forcing, whose
 quotients are scalar functions of the eigenvalue, the horizon and a 2 x 2
 Gram matrix, integrated by Gauss-Legendre quadrature on graded panels at
 every p.  The horizon scan adds the eigenmodes of the operator it scans to
-every horizon's family.
+every horizon's family, and the peak forcing, swept once over the longest
+horizon and read by each horizon on its prefix.
 """
 
 import math
@@ -27,7 +31,7 @@ from . import _kernels
 from .errors import DimensionError, IdentityViolationError, NumericalError, UsageError
 from .operators import Operator, decomposition, expm, operator_matrix
 
-CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict"
+CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict,C_upper"
 
 # Quadrature density of the regularity estimates: each forcing cell takes
 # ceil(QUAD_NODES / n_cells) substeps, so a forcing gets at least QUAD_NODES
@@ -36,6 +40,13 @@ QUAD_NODES = 8000
 
 # Largest last relative move of a horizon scan that still reads as a plateau.
 PLATEAU_RTOL = 0.05
+
+# Largest relative excess of a p = 2 estimate over C_upper that its verify
+# row forgives: the trapezoid quadrature's error, not a breach of the bound.
+UPPER_RTOL = 5e-3
+
+# Relative accuracy to which ``_frequency_sup`` certifies a supremum.
+_SUP_RTOL = 2e-9
 
 # Largest eigen-residual ||A v - lam v|| / ||A||_F (v a unit eigenvector) of a
 # mode evaluated in closed form; the kernel sweeps a mode above it.
@@ -388,25 +399,44 @@ def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
         if f.swept.shape[1]:
             batches.append(ForcingSignal(f.swept[None], horizon))
     for f in batches:
-        refine = math.ceil(QUAD_NODES / f.n_cells)
-        h = f.time_step / refine
-        nyt, nay, nf_cells = _kernels.lti_norm_scan(a, expm(a * h), None, f.values, refine)
-        for i, p in enumerate(p_list):
-            quot = ((lp_time_norm(nyt, h, p) + lp_time_norm(nay, h, p))
-                    / _cell_lp_norm(nf_cells, h, refine, p))
-            best[i] = max(best[i], float(quot.max()))
+        best = np.maximum(best, _quotients(*_sweep(a, f), p_list, f.n_cells))
     return best
+
+
+def _sweep(a, f):
+    """(sweep, h, refine): one kernel sweep of the batch ``f`` with
+    ``refine = ceil(QUAD_NODES / n_cells)`` substeps of width h per cell."""
+    refine = math.ceil(QUAD_NODES / f.n_cells)
+    h = f.time_step / refine
+    return _kernels.lti_norm_scan(a, expm(a * h), None, f.values, refine), h, refine
+
+
+def _quotients(sweep, h, refine, p_list, k):
+    """The largest quotient per exponent of a swept batch, read on its first
+    ``k`` cells: the trapezoid rule on their nodes (``lp_time_norm``), the
+    forcing's norm in closed form (``_cell_lp_norm``)."""
+    nyt, nay, nf_cells = sweep
+    nodes = k * refine + 1
+    return np.array([float(((lp_time_norm(nyt[:nodes], h, p) + lp_time_norm(nay[:nodes], h, p))
+                            / _cell_lp_norm(nf_cells[:k], h, refine, p)).max())
+                     for p in p_list])
 
 
 @dataclass(frozen=True)
 class MaxRegReport:
-    """Horizon scan of the regularity-constant estimate."""
+    """Horizon scan of the regularity-constant estimate.
+
+    ``c_upper`` is the Plancherel bound sqrt(2) sup_w ||[iwR; AR]|| on the
+    p = 2 constant at every horizon (``inf`` for an unstable loop) on the
+    p = 2 report, and nan on the others.
+    """
 
     p: float
     t_grid: tuple
     c_estimates: tuple
     imag_axis_sup: float
     verdict: str
+    c_upper: float
 
 
 def _verdict(c_estimates):
@@ -424,6 +454,11 @@ def _verdict(c_estimates):
     return "indeterminate"
 
 
+def _response(a, c, d, w):
+    """C (iw I - A)^-1 + D for the array ``a``."""
+    return np.linalg.solve((1j * w * np.eye(a.shape[0]) - a).T, c.T).T + d
+
+
 def _frequency_sup(a, c, d):
     """(sup, w*): the supremum over real w of ||C (iw I - A)^-1 + D||_2 and a w
     attaining it; w* = inf for the limit ||D||_2, (inf, nan) unless A is stable.
@@ -433,33 +468,35 @@ def _frequency_sup(a, c, d):
     value at iw exactly when iw is an eigenvalue of the Hamiltonian ``h``.  The
     gain starts at the best of ||D||_2, w = 0, the signed Im of the 8
     least-damped poles and 13 log-spaced w in [1e-2, 1e4]; each step tests
-    g = gain (1 + 2e-9) and takes the best gain at the midpoints of the
-    imaginary eigenvalues (Bruinsma and Steinbuch 1990) until none is left, so
-    the supremum holds to 2e-9 relative.  NumericalError after 50 steps.
+    g = gain (1 + _SUP_RTOL) and takes the best gain at the midpoints of the
+    imaginary eigenvalues (Bruinsma and Steinbuch 1990) until none is left or
+    none rises above g (the crossings of a flat gain, such as the constant 1
+    of a normal loop's [iwR; AR], are rounding inside that band), so the
+    supremum holds to _SUP_RTOL relative.  NumericalError after 50 steps.
     """
     poles = decomposition(a).eigenvalues
     if poles[0].real >= 0:
         return np.inf, np.nan
     a = operator_matrix(a)
-    eye, ch, dh = np.eye(a.shape[0]), c.conj().T, d.conj().T
+    ch, dh = c.conj().T, d.conj().T
 
     def gain(w):
-        z = np.linalg.solve((1j * w * eye - a).T, c.T).T + d
-        return float(np.linalg.svd(z, compute_uv=False)[0]), float(w)
+        return float(np.linalg.svd(_response(a, c, d, w), compute_uv=False)[0]), float(w)
 
     start = np.concatenate([[0.0], poles[:8].imag, np.logspace(-2.0, 4.0, 13)])
     best = max([(float(np.linalg.norm(d, 2)), np.inf)] + [gain(w) for w in start])
     for _ in range(50):
-        g = best[0] * (1.0 + 2e-9)
+        g = best[0] * (1.0 + _SUP_RTOL)
         r_inv = np.linalg.inv(dh @ d - g * g * np.eye(d.shape[1]))
         s_c = np.linalg.solve(d @ dh - g * g * np.eye(d.shape[0]), c)
         h = np.block([[a - r_inv @ dh @ c, -g * r_inv],
                       [g * ch @ s_c, -a.conj().T + ch @ d @ r_inv]])
         mu = np.linalg.eigvals(h)
         w = np.sort(mu.imag[np.abs(mu.real) < 1e-8 * max(1.0, np.abs(mu).max())])
-        if not w.size:
+        mids = [gain(m) for m in (w[1:] + w[:-1]) / 2.0]
+        if not mids or max(mids)[0] <= g:
             return best
-        best = max([best] + [gain(m) for m in (w[1:] + w[:-1]) / 2.0])
+        best = max([best] + mids)
     raise NumericalError(f"frequency supremum: no convergence in 50 steps (gain {best[0]:.12g})")
 
 
@@ -471,15 +508,49 @@ def imaginary_axis_bound(cl):
     return _frequency_sup(cl, a, np.eye(a.shape[0]))[0]
 
 
+def _top_vector(g, sup):
+    """A unit right singular vector of ``g`` for its largest singular value
+    ``sup``, by power iteration on g* g until ||g v|| is within 1e-12 of
+    ``sup`` (at most 500 steps): matrix-vector products only, where an SVD
+    with vectors or the product g* g would wake the BLAS threads."""
+    gh = g.conj().T
+    v = gh[:, np.argmax(np.linalg.norm(g, axis=1))]        # g* e_k, the largest row
+    v = v / np.linalg.norm(v)
+    for _ in range(500):
+        u = g @ v
+        if np.linalg.norm(u) >= sup * (1.0 - 1e-12):
+            break
+        v = gh @ u
+        v /= np.linalg.norm(v)
+    return v
+
+
+def _peak_forcing(a, omega, v, horizon):
+    """The forcing Re(v e^{i omega t}) on [0, horizon] (v e^{i omega t} itself
+    for a complex ``a``), sampled at the midpoints of cells of at most 1/16
+    of its period."""
+    m = math.ceil(16.0 * horizon * abs(omega) / (2.0 * math.pi))
+    tau = horizon / m
+    values = np.exp(1j * omega * tau * (np.arange(m) + 0.5))[:, None] * v
+    return ForcingSignal(values if np.iscomplexobj(a) else values.real, tau)
+
+
 def plateau_scan_multi(cl, p_list, t_grid, forcing_sets):
     """Horizon scans for several exponents sharing one trajectory sweep per T.
 
     Each horizon's family is its forcing set plus the EigenModes of ``cl``,
-    taken from its one decomposition for the whole scan.  Returns one
-    MaxRegReport per exponent.  verdict ``plateau``: the last two
-    estimates differ by < PLATEAU_RTOL relative; ``growth``: log C increases
-    by more than 1 between every pair of consecutive horizons; anything in
-    between is ``indeterminate``.
+    taken from its one decomposition for the whole scan, plus the peak
+    forcing Re(v e^{i w* t}): ``_frequency_sup`` with (C, D) = ([A; A], [I; 0])
+    gives w* and sup ||G|| of G = [iwR; AR] (C_upper = sqrt(2) sup ||G||), and v
+    is a top right singular vector of G(i w*).  That batch is swept once on
+    [0, T_max], and horizon T reads its first floor(T / tau) cells: extended
+    by zero, that prefix is a forcing on [0, T] with the same norm and no
+    smaller response, so its quotient is a lower end at T too.  A gain within
+    _SUP_RTOL of 1, as every normal loop's, has no interior peak and takes no
+    peak batch.  Returns one MaxRegReport per exponent.  verdict ``plateau``:
+    the last two estimates differ by < PLATEAU_RTOL relative; ``growth``:
+    log C increases by more than 1 between every pair of consecutive
+    horizons; anything in between is ``indeterminate``.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 3 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
@@ -493,12 +564,24 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets):
     table = np.array([maxreg_constants_multi(cl, p_list, t, [*fs, modes])
                       for t, fs in zip(t_grid, forcing_sets)])
     imag_sup = imaginary_axis_bound(cl)
+    a = operator_matrix(cl)
+    c, d = np.vstack([a, a]), np.eye(2 * a.shape[0], a.shape[0])
+    sup, omega = _frequency_sup(cl, c, d)
+    if 1.0 + _SUP_RTOL < sup < np.inf:      # w* an interior peak
+        peak = _peak_forcing(a, omega, _top_vector(_response(a, c, d, omega), sup), t_grid[-1])
+        swept = _sweep(a, peak)
+        for row, t in zip(table, t_grid):
+            # T_max reads every cell: m T / T_max may round below m there
+            k = peak.n_cells if t == t_grid[-1] else math.floor(peak.n_cells * t / t_grid[-1])
+            if k:
+                row[:] = np.maximum(row, _quotients(*swept, p_list, k))
     return [MaxRegReport(
         p=p,
         t_grid=tuple(t_grid),
         c_estimates=tuple(float(c) for c in table[:, i]),
         imag_axis_sup=imag_sup,
         verdict=_verdict(table[:, i]),
+        c_upper=math.sqrt(2.0) * sup if p == 2.0 else np.nan,
     ) for i, p in enumerate(p_list)]
 
 
@@ -540,16 +623,25 @@ def report_rows(model, mode, reports):
     rows = []
     for rep in reports:
         for t, c in zip(rep.t_grid, rep.c_estimates):
-            rows.append((model, mode, rep.p, t, c, rep.imag_axis_sup, rep.verdict))
+            rows.append((model, mode, rep.p, t, c, rep.imag_axis_sup, rep.verdict,
+                         rep.c_upper))
     return rows
 
 
 def verify_rows(reports):
     """verify.csv rows (check, value, threshold, status) of a regularity scan:
-    ``imag_axis_sup``, finite unless the loop is unstable, then per report a
-    ``plateau_p=<p>`` row on the longest horizon that passes on ``plateau``."""
+    ``imag_axis_sup``, finite unless the loop is unstable; if p = 2 is
+    scanned, ``C_upper_p=2`` with the largest p = 2 estimate as its threshold,
+    which passes when C_upper is finite and no estimate exceeds it by more
+    than UPPER_RTOL; then per report a ``plateau_p=<p>`` row on the longest
+    horizon that passes on ``plateau``."""
     sup = reports[0].imag_axis_sup
     rows = [("imag_axis_sup", sup, np.inf, "PASS" if np.isfinite(sup) else "FAIL")]
+    for rep in reports:
+        if rep.p == 2.0:
+            top = max(rep.c_estimates)
+            ok = np.isfinite(rep.c_upper) and top <= rep.c_upper * (1.0 + UPPER_RTOL)
+            rows.append(("C_upper_p=2", rep.c_upper, top, "PASS" if ok else "FAIL"))
     for rep in reports:
         rows.append((f"plateau_p={rep.p:g}", rep.c_estimates[-1], PLATEAU_RTOL,
                      "PASS" if rep.verdict == "plateau" else "FAIL"))

@@ -288,9 +288,12 @@ def test_maxreg_csv_contract(tmp_path):
     cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
     assert run(["maxreg", "--config", cfg]) == 0
     header, rows = read_csv(tmp_path / "out" / "maxreg.csv")
-    assert header == "model,mode,p,T,C_estimate,imag_sup,verdict"
+    assert header == "model,mode,p,T,C_estimate,imag_sup,verdict,C_upper"
     assert len(rows) == 3     # one p, three horizons
     assert all(r[6] == "plateau" for r in rows)
+    # p = 2: the Plancherel bound, one value for every horizon, above each estimate
+    assert len({r[7] for r in rows}) == 1
+    assert all(float(r[4]) <= float(r[7]) for r in rows)
 
 
 def test_maxreg_forcing_count_zero(tmp_path):
@@ -469,6 +472,7 @@ def test_verify_writes_scan_rows_for_every_model(tmp_path):
     _, rows = read_csv(tmp_path / "abstract" / "verify.csv")
     by_name = {r[0]: r for r in rows}
     assert by_name["imag_axis_sup"][1:] == ["inf", "inf", "FAIL"]
+    assert by_name["C_upper_p=2"][1] == "inf" and by_name["C_upper_p=2"][3] == "FAIL"
     assert by_name["plateau_p=2"][3] == "FAIL"
     assert rows[-1] == ["overall", "0", "1", "FAIL"]
     # coupled: its own rows end with decay_rate, then the scan's rows follow
@@ -479,7 +483,8 @@ def test_verify_writes_scan_rows_for_every_model(tmp_path):
     i = names.index("imag_axis_sup")
     assert rows[i][3] == "PASS"
     assert names[i - 1] == "decay_rate"
-    assert names[i + 1:] == ["plateau_p=2", "overall"]
+    assert names[i + 1:] == ["C_upper_p=2", "plateau_p=2", "overall"]
+    assert rows[i + 1][3] == "PASS"
 
 
 def test_coupled_verify_and_report(tmp_path):

@@ -407,6 +407,12 @@ def test_lapack_eigenvectors_have_a_strong_real_part():
 
 # ---------------------------------------------------------------- quadrature
 
+def stacked(a):
+    """(C, D) = ([A; A], [I; 0]): C (iw - A)^-1 + D = [iwR; AR]."""
+    n = len(a)
+    return np.vstack([a, a]), np.eye(2 * n, n)
+
+
 def counting_kernel(monkeypatch):
     """Record the ``f_cells`` and ``refine`` of every kernel sweep."""
     calls = []
@@ -457,15 +463,25 @@ def test_forcing_grid_cell_widths(t_grid, n_cells, counts, widths):
 
 
 def test_forcing_count_zero_scans_the_eigenmodes_alone(monkeypatch):
+    # the eigenmodes in closed form, and one kernel sweep for the whole scan:
+    # the peak forcing, nb = 1 on 1/16-period cells over the longest horizon;
+    # a normal loop's stacked gain is flat (sup = 1), so it takes none
     calls = counting_kernel(monkeypatch)
-    a = maxreg.operator_matrix(stable_heat_loop(16).composed)
     t_grid = [5.0, 10.0, 20.0]
-    sets = maxreg.build_forcing_grid(a, t_grid, n_random=0, seed=3, n_cells_max=200)
-    assert sets == [[], [], []]
-    reports = maxreg.plateau_scan_multi(a, [1.5, 2.0, 4.0], t_grid, sets)
-    assert calls == []
-    for rep in reports:
-        assert all(np.isfinite(rep.c_estimates)) and min(rep.c_estimates) >= 1.0
+    for a in (maxreg.operator_matrix(stable_heat_loop(16).composed), np.diag([-1.0, -2.0, -3.0])):
+        calls.clear()
+        sets = maxreg.build_forcing_grid(a, t_grid, n_random=0, seed=3, n_cells_max=200)
+        assert sets == [[], [], []]
+        reports = maxreg.plateau_scan_multi(a, [1.5, 2.0, 4.0], t_grid, sets)
+        sup, omega = maxreg._frequency_sup(a, *stacked(a))
+        if sup <= 1.0 + 2e-9:
+            assert len(a) == 3 and calls == []
+        else:
+            m = math.ceil(16.0 * 20.0 * abs(omega) / (2.0 * math.pi))
+            assert [(f.shape, refine) for f, refine in calls] == [
+                ((m, len(a), 1), math.ceil(maxreg.QUAD_NODES / m))]
+        for rep in reports:
+            assert all(np.isfinite(rep.c_estimates)) and min(rep.c_estimates) >= 1.0
 
 
 def mode_oracle(a, p_list, horizon):
@@ -548,29 +564,38 @@ def p2_ceiling(a):
 ], ids=["scalar", "diagonal", "block-s1", "block-s10"])
 def test_p2_estimates_below_plancherel_ceiling(a, ceiling):
     # normal negative spectrum: ||G(iw)|| = 1 for every w; the 2x2 block peaks
-    # at w = 1.  Estimates may exceed the ceiling by quadrature error only
-    # (stated tolerance 0.5%).  The block's eigenbasis is numerically
-    # singular, and says so.
-    assert p2_ceiling(a) == pytest.approx(ceiling, rel=1e-5)
+    # at w = 1, a point of the dense grid, which the scan's C_upper meets.
+    # Estimates may exceed the ceiling by quadrature error only (stated
+    # tolerance 0.5%).  The block's eigenbasis is numerically singular, and
+    # says so.
+    ceiling_grid = p2_ceiling(a)
+    assert ceiling_grid == pytest.approx(ceiling, rel=1e-5)
     t_grid = [5.0, 10.0, 20.0]
     with basis_warning(bool(np.triu(a, 1).any())):
         sets = maxreg.build_forcing_grid(a, t_grid, n_random=4, seed=1, n_cells_max=200)
-        for t, fs in zip(t_grid, sets):
-            c = maxreg.maxreg_constants_multi(a, [2.0], t, [*fs, maxreg.eigenmodes(a)])[0]
-            assert c <= ceiling * (1 + 5e-3)
+        rep = maxreg.plateau_scan_multi(a, [2.0], t_grid, sets)[0]
+    assert rep.c_upper == pytest.approx(ceiling_grid, rel=1e-12)
+    assert max(rep.c_estimates) <= ceiling_grid * (1 + 5e-3)
+    assert rep.verdict == "plateau"
+    # the peak forcing brings the non-normal blocks within 5 % of the bound
+    # by T = 20 (the random forcings and eigenmodes alone read 2.94 on s = 10)
+    if np.triu(a, 1).any():
+        assert rep.c_estimates[-1] >= 0.95 * ceiling_grid
 
+
+# ROADMAP table B: C_upper = sqrt(2) sup_w ||[iwR; AR]|| of the benchmark loops
+C_UPPER = {"heat": 2.32989841754, "coupled": 3.12905056433}
 
 # C_estimate on the benchmark's [maxreg] grid (8 forcings, 500 cells, seed
-# 1234, p = 1.5 / 2 / 4 by rows, T = 10 / 20 / 40 by columns).  Heat p = 4,
-# T = 10 is an eigenmode's closed-form value; the 8000-substep sweep of that
-# mode read 1.3072453140218327.
+# 1234, p = 1.5 / 2 / 4 by rows, T = 10 / 20 / 40 by columns).  The peak
+# forcing's prefixes set every value, so they hold at any seed.
 GOLDEN = {
-    "heat": [[1.2260024531951885, 1.2177596224695102, 1.2126036089599592],
-             [1.2420418024490387, 1.2349607038453072, 1.2280378862392702],
-             [1.3072446174207724, 1.2941456079279274, 1.2839291902751675]],
-    "coupled": [[1.3731849384103814, 1.358806626623183, 1.3429660007175184],
-                [1.3953404875888302, 1.3810904663279104, 1.3630413222729605],
-                [1.4797920278536814, 1.4607604286764833, 1.4335593652779404]],
+    "heat": [[2.31254603291681, 2.3168002853892937, 2.3181212562917954],
+             [2.30823171815326, 2.312651416759905, 2.3143048054533133],
+             [2.3019938091259644, 2.306010088438692, 2.307675803975814]],
+    "coupled": [[3.1044499554441076, 3.1089924110262794, 3.111311976256947],
+                [3.0818617382434645, 3.086270927903303, 3.088416623647999],
+                [3.03545442292124, 3.039122100925456, 3.040861149664627]],
 }
 
 
@@ -582,6 +607,14 @@ def test_benchmark_grid_estimates_golden(model):
     reports = maxreg.plateau_scan_multi(loop.composed, [1.5, 2.0, 4.0], t_grid, sets)
     got = [rep.c_estimates for rep in reports]
     assert np.allclose(got, GOLDEN[model], rtol=1e-10, atol=0.0)
+    # the prefixes of one sweep nest, so every row rises with T; at T = 40
+    # p = 2 sits within 1.5 % under C_upper (table B's value)
+    assert np.all(np.diff(got, axis=1) > 0.0)
+    c_upper = reports[1].c_upper
+    assert c_upper == pytest.approx(C_UPPER[model], rel=2e-9)
+    assert 0.985 * c_upper <= got[1][-1] <= c_upper
+    assert [rep.verdict for rep in reports] == ["plateau"] * 3
+    assert np.isnan(reports[0].c_upper) and np.isnan(reports[2].c_upper)
 
 
 def exact_p2_quotients(a, batch):
@@ -683,21 +716,28 @@ def test_imaginary_axis_unstable_is_inf():
     assert maxreg.imaginary_axis_bound(np.array([[0.0, 1.0], [-1.0, 0.0]])) == np.inf
 
 
-@pytest.mark.parametrize(("a", "exact"), [
-    *(pytest.param([[-1.0, s], [0.0, -1.0]], math.sqrt(s * s + 4.0) / 2.0, id=f"{s}")
-      for s in (0.0, 1.0, 10.0, 100.0)),
-    pytest.param([[-1.0]], 1.0, id="scalar"),
-    pytest.param(np.diag([-1.0, -10.0]), 1.0, id="diag"),
+@pytest.mark.parametrize(("a", "exact", "c_upper"), [
+    *(pytest.param([[-1.0, s], [0.0, -1.0]], math.sqrt(s * s + 4.0) / 2.0, c, id=f"{s}")
+      for s, c in ((0.0, math.sqrt(2.0)), (1.0, 1.9021130326), (10.0, 10.1484085026),
+                   (100.0, 100.0149983753))),
+    pytest.param([[-1.0]], 1.0, math.sqrt(2.0), id="scalar"),
+    pytest.param(np.diag([-1.0, -10.0]), 1.0, math.sqrt(2.0), id="diag"),
 ])
-def test_imaginary_axis_jordan_oracle(a, exact):
-    # A = [[-1, s], [0, -1]]: sup_w ||iw R(iw, A)|| = sqrt(s^2 + 4) / 2 exactly;
-    # for s != 0 the eigenbasis is numerically singular, and says so.  A
-    # normal loop reaches its supremum 1 only as |w| -> inf: the start gain
-    # ||D|| = 1 itself, which the level-set test certifies
+def test_imaginary_axis_jordan_oracle(a, exact, c_upper, monkeypatch):
+    # A = [[-1, s], [0, -1]]: sup_w ||iw R(iw, A)|| = sqrt(s^2 + 4) / 2 exactly,
+    # and C_upper = sqrt(2) sup_w ||[iwR; AR]|| is sqrt((5 + sqrt 5) / 2) at
+    # s = 1; for s != 0 the eigenbasis is numerically singular, and says so.
+    # A normal loop reaches both suprema only as |w| -> inf: the start gain
+    # ||D|| = 1 itself, which the level-set test certifies, and its flat
+    # stacked gain builds no peak forcing, so its scan sweeps nothing
     a = np.array(a)
+    calls = counting_kernel(monkeypatch)
     with basis_warning(a.shape == (2, 2) and a[0, 1] != 0.0):
         sup = maxreg.imaginary_axis_bound(a)
+        rep = maxreg.plateau_scan_multi(a, [2.0], [1.0, 2.0, 4.0], [[], [], []])[0]
     assert abs(sup - exact) <= 2e-9 * exact
+    assert abs(rep.c_upper - c_upper) <= 2e-9 * c_upper
+    assert len(calls) == (0 if exact == 1.0 else 1)
 
 
 def test_imaginary_axis_finite_iff_stable():
@@ -738,16 +778,60 @@ def frequency_oracle(a, c, d):
     return max(vals[k], -res.fun, np.linalg.norm(d, 2))
 
 
+def check_frequency_sup(a, c, d):
+    sup, omega = maxreg._frequency_sup(a, c, d)
+    exact = frequency_oracle(a, c, d)
+    assert abs(sup - exact) <= 5e-9 * exact
+    # the gain at the returned frequency is the supremum itself
+    gain = np.linalg.norm(c @ np.linalg.inv(1j * omega * np.eye(len(a)) - a) + d, 2)
+    assert gain == pytest.approx(sup, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", FREQUENCY_LOOPS)
 def test_frequency_sup_against_oracle(name):
     a = frequency_loop(name)
-    eye = np.eye(len(a))
-    sup, omega = maxreg._frequency_sup(a, a, eye)
-    exact = frequency_oracle(a, a, eye)
-    assert abs(sup - exact) <= 5e-9 * exact
-    # the gain at the returned frequency is the supremum itself
-    gain = np.linalg.norm(a @ np.linalg.inv(1j * omega * eye - a) + eye, 2)
-    assert gain == pytest.approx(sup, rel=1e-12)
+    check_frequency_sup(a, a, np.eye(len(a)))
+
+
+@pytest.mark.parametrize("name", FREQUENCY_LOOPS)
+def test_stacked_frequency_sup_against_oracle(name):
+    # (C, D) = ([A; A], [I; 0]), the system of C_upper
+    a = frequency_loop(name)
+    check_frequency_sup(a, *stacked(a))
+
+
+@pytest.mark.parametrize("a", [np.diag([-1.0, -2.0]), np.diag([-1.0, -2.0, -3.0]),
+                               np.array([[-1.0]])], ids=["diag2", "diag3", "scalar"])
+def test_frequency_sup_flat_stacked_gain(a):
+    # a normal stable loop: ||[iwR; AR]|| = 1 at every w, so the level-set
+    # test finds crossings of rounding size alone; no midpoint rises above
+    # the tested level, so the solve stops at 1 within its 50 steps
+    sup = maxreg._frequency_sup(a, *stacked(a))[0]
+    assert abs(sup - 1.0) <= 2e-9
+
+
+@pytest.mark.parametrize("model", ["heat", "coupled"])
+def test_stacked_peak_balances(model):
+    # at the peak of [iwR; AR] the two halves carry equal norms, so
+    # sqrt(2) sup ||G|| is attained as T -> inf.  The level-set test fixes the
+    # gain to 2e-9 but w* only to about its square root, so w* is refined
+    # here (not in the library) before the balance is read
+    from scipy.optimize import minimize_scalar
+
+    a = frequency_loop(model)
+    c, d = stacked(a)
+    sup, omega = maxreg._frequency_sup(a, c, d)
+
+    def gain(w):
+        return np.linalg.svd(maxreg._response(a, c, d, w), compute_uv=False)[0]
+    res = minimize_scalar(lambda w: -gain(w), method="bounded", options={"xatol": 1e-12},
+                          bounds=sorted([omega * (1 - 1e-3), omega * (1 + 1e-3)]))
+    assert -res.fun == pytest.approx(sup, rel=2e-9)
+    v = np.linalg.svd(maxreg._response(a, c, d, res.x))[2][0].conj()
+    r_v = np.linalg.solve(1j * res.x * np.eye(len(a)) - a, v)
+    iw_rv, a_rv = np.linalg.norm(1j * res.x * r_v), np.linalg.norm(a @ r_v)
+    assert abs(iw_rv - a_rv) / a_rv < 1e-6
+    assert math.sqrt(2.0) * sup == pytest.approx(C_UPPER[model], rel=2e-9)
 
 
 @pytest.mark.parametrize("name", [*FREQUENCY_LOOPS, *(f"block{s}" for s in (0, 1, 10, 100))])
@@ -835,11 +919,12 @@ def test_verdict_rule():
 
 
 def test_report_rows_header_contract():
-    assert maxreg.CSV_HEADER == "model,mode,p,T,C_estimate,imag_sup,verdict"
+    assert maxreg.CSV_HEADER == "model,mode,p,T,C_estimate,imag_sup,verdict,C_upper"
     rep = maxreg.MaxRegReport(p=2.0, t_grid=(1.0, 2.0), c_estimates=(1.0, 1.1),
-                              imag_axis_sup=3.0, verdict="plateau")
+                              imag_axis_sup=3.0, verdict="plateau", c_upper=4.0)
     rows = maxreg.report_rows("heat", "spectral", [rep])
     assert len(rows) == 2 and rows[0][0] == "heat"
+    assert rows[1] == ("heat", "spectral", 2.0, 2.0, 1.1, 3.0, "plateau", 4.0)
 
 
 # ---------------------------------------------------------------- verify.csv rows
@@ -860,8 +945,9 @@ def test_verify_rows_read_the_given_scan(model, replaced):
                              n_cells=200)
     rows = maxreg.verify_rows(scans)
     assert rows[0] == ("imag_axis_sup", scans[0].imag_axis_sup, np.inf, "PASS")
-    assert [row[0] for row in rows[1:]] == ["plateau_p=1.5", "plateau_p=2"]
-    for scan, row in zip(scans, rows[1:]):
+    assert rows[1] == ("C_upper_p=2", scans[1].c_upper, max(scans[1].c_estimates), "PASS")
+    assert [row[0] for row in rows[2:]] == ["plateau_p=1.5", "plateau_p=2"]
+    for scan, row in zip(scans, rows[2:]):
         assert row[1:] == (scan.c_estimates[-1], 0.05,
                            "PASS" if scan.verdict == "plateau" else "FAIL")
     # a verdict the row function did not compute decides its row
@@ -869,6 +955,11 @@ def test_verify_rows_read_the_given_scan(model, replaced):
     grown[replaced] = dataclasses.replace(scans[replaced], verdict="growth")
     failing = [row[0] for row in maxreg.verify_rows(grown) if row[3] == "FAIL"]
     assert failing == [f"plateau_p={scans[replaced].p:g}"]
+    # and a p = 2 estimate above the bound by more than UPPER_RTOL fails its row
+    low = dataclasses.replace(scans[1], c_upper=scans[1].c_estimates[-1] / 1.006)
+    assert maxreg.verify_rows([scans[0], low])[1][3] == "FAIL"
+    # with no p = 2 in the grid there is no bound row
+    assert [row[0] for row in maxreg.verify_rows(scans[:1])] == ["imag_axis_sup", "plateau_p=1.5"]
 
 
 @pytest.mark.parametrize("model", ["heat", "coupled"])
@@ -881,4 +972,5 @@ def test_verify_rows_fail_on_unstable_loop(model):
     scans = regularity_scans(loop, (2.0,), (5.0, 10.0, 20.0), n_random=4)
     rows = maxreg.verify_rows(scans)
     assert rows[0] == ("imag_axis_sup", np.inf, np.inf, "FAIL")
-    assert rows[1][0] == "plateau_p=2" and rows[1][3] == "FAIL"
+    assert rows[1][:2] == ("C_upper_p=2", np.inf) and rows[1][3] == "FAIL"
+    assert rows[2][0] == "plateau_p=2" and rows[2][3] == "FAIL"
