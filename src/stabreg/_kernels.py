@@ -4,46 +4,37 @@ The exponential integrator advances ``y_{k+1} = E y_k + P f_j`` where
 ``E = exp(A h)``, ``P = int_0^h exp(A s) ds`` and ``f_j`` is the forcing of
 the cell; the forcing is constant per cell, so the recurrence is exact at the
 nodes.  ``lti_propagate`` runs it one step at a time.  The norm scan needs the
-derivative alone, since ``Ay = y' - f_j``: inside a cell ``y'`` obeys
-``y'_{k+1} = E y'_k``, it starts at ``y'(0) = f_0`` (y(0) = 0), and at a cell
-opening it jumps by ``f_{j+1} - f_j`` while ``Ay`` stays continuous.  So one
-product of the stack E^1 .. E^b with y' gives a whole block of b nodes, and
-the next block starts from its last node.  The block length b is at most
-``BLOCK`` and keeps the stack within ``STACK_BYTES``, so temporaries are
-O(STACK_BYTES + n * (n + b * nb)) whatever n is; no trajectory is held beyond
-what a caller stores.  The norm scan keeps the forcing's norms per cell, not
-per node: a piecewise-constant forcing's L^p norm needs no more.  Operands are
+derivative alone, since ``Ay = y' - f_j``: on cell j, ``y'(t_j + s) =
+e^{As} z_j`` with ``z_j = y'(t_j^+)``, which starts at ``z_0 = f_0``
+(y(0) = 0) and steps as ``z_{j+1} = E_tau z_j + (f_{j+1} - f_j)``, since Ay
+stays continuous across a cell opening; inside a cell split into equal
+sub-cells it steps as ``E_tau z_j`` alone.  Given the stack of e^{A s} at a
+cell's nodes s, one product gives y' at every node of a tile of cells, and
+the tile is reduced at once to per-cell sums of |y'|^p and |Ay|^p.  A tile's
+product stays within ``TILE_BYTES`` (one cell and one forcing at least), and
+the caller hands the stack over in chunks (``STACK_BYTES`` is the budget
+``maxreg`` gives them), so the sweep's temporaries are O(TILE_BYTES + n * nb)
+besides the chunk and its per-cell sums, whatever the batch.  Operands are
 promoted to their common dtype, so a complex forcing or operator runs the
 whole loop in complex arithmetic.
 """
 
 import numpy as np
 
-__all__ = ["lti_propagate", "lti_norm_scan"]
+__all__ = ["lti_propagate", "lti_norm_scan", "sq_norms"]
 
-# Most substeps per block of the norm scan, and the byte budget of its stack.
-# At 32 substeps the Python overhead of a block is amortized: on the benchmark
-# loops' 64-substep cells (2-vCPU box), blocks of 64 swept the heat loop
-# (n = 32) about 10 % slower and the coupled loop (n = 24) about 10 % faster.
-# The budget keeps b = 32 up to n = 181 in float64 and n = 128 in complex128,
-# and shortens the blocks beyond: in float64 b = 20 at n = 225, 3 at n = 513
-# and 1 from n = 725 on.
-BLOCK = 32
+# Byte budget of one tile's product, (cells * forcings) x (nodes * n), and
+# the most tiles a chunk is cut into: a bigger sweep takes bigger tiles.
+TILE_BYTES = 224 << 10
+MAX_TILES = 512
+
+# Byte budget of one chunk of the node stack, (n, nodes, n).
 STACK_BYTES = 8 << 20
 
 
-def block_length(n, dtype, refine):
-    """Substeps per block: at most BLOCK and ``refine``, and as many as keep
-    the (b, n, n) stack of E^i within STACK_BYTES (one at least)."""
-    return max(1, min(BLOCK, refine, STACK_BYTES // (n * n * np.dtype(dtype).itemsize)))
-
-
-def _col_norms(z):
-    """2-norms along axis 1 of an (L, r, nb) block, as (L, nb) floats."""
-    if np.iscomplexobj(z):
-        return np.sqrt(np.einsum("lrb,lrb->lb", z.real, z.real)
-                       + np.einsum("lrb,lrb->lb", z.imag, z.imag))
-    return np.sqrt(np.einsum("lrb,lrb->lb", z, z))
+def sq_norms(z):
+    """Squared 2-norms along the last axis, as floats."""
+    return np.vecdot(z, z).real if np.iscomplexobj(z) else np.vecdot(z, z)
 
 
 def _common(*arrays):
@@ -62,44 +53,74 @@ def lti_propagate(E, P, f_cells, refine):
     return Y
 
 
-def lti_norm_scan(A, E, P, f_cells, refine):
-    """Nodal 2-norms of y_t = Ay + f and Ay, and the cell 2-norms of f, for a
-    batch of forcings.
+def lti_norm_scan(panels, e_cell, exponents, f_cells, split=1):
+    """Per-cell L^p sums of y' and Ay over the quadrature nodes of every cell.
 
-    ``f_cells`` has shape (m, n, nb); the forcing value attached to node k > 0
-    is the one of the cell ending at that node (left limit), node 0 uses the
-    first cell.  Returns three float arrays (nyt, nay, nf_cells): the nodal
-    norms, of shape (m*refine + 1, nb), and the norms of the m cells, of shape
-    (m, nb).  The sweep reads E alone: A and P are accepted for the callers
-    that bind this signature by position, and may be None.
+    ``panels`` yields a cell's nodes in chunks (stack, weights): ``stack`` is
+    (n, q, n) with stack[:, i, :] the transpose of e^{A s_i} at the chunk's q
+    node offsets s_i, so that one product of a tile's z_j, as rows, with its
+    (n, q n) view gives y' at every node, each node's entries contiguous;
+    ``weights`` are their q quadrature weights.  ``f_cells`` is (m, n, nb), nb
+    forcings on m cells, each swept as ``split`` equal sub-cells, and
+    ``e_cell`` is e^{A tau} for the sub-cell width tau.  Returns (scale, sums)
+    with one row per sub-cell: scale[c, :, b] holds the largest |y'| and |Ay|
+    of forcing b at the nodes of sub-cell c, and sums[c, :, i, b] the weighted
+    sums of (|y'| / scale)^p and (|Ay| / scale)^p at p = exponents[i], so that
+    no power overflows.  Each chunk is swept from z_0 on, and the chunks'
+    sums are merged by their scales.
     """
-    E, f_cells = _common(E, f_cells)
-    m, n, nb = f_cells.shape
-    b = block_length(n, E.dtype, refine)
-    stack = np.empty((b, n, n), dtype=E.dtype)      # E^i, i = 1..b
-    stack[0] = E
-    for i in range(1, b):
-        np.matmul(E, stack[i - 1], out=stack[i])
-    flat = stack.reshape(b * n, n)
-    buf = np.empty((b * n, nb), dtype=E.dtype)
-    nyt = np.zeros((m * refine + 1, nb))
-    nay = np.zeros((m * refine + 1, nb))
-    nf_cells = _col_norms(f_cells)
-    nyt[0] = nf_cells[0]
-    z = f_cells[0].copy()                           # y'(0) = A 0 + f_0
-    k = 0
-    for j in range(m):
-        fj = f_cells[j]
-        if j:
-            z -= f_cells[j - 1]                     # Ay, continuous across the
-            z += fj                                 # opening, plus f_j
-        for start in range(0, refine, b):
-            L = min(b, refine - start)
-            yt = np.matmul(flat[:L * n], z, out=buf[:L * n]).reshape(L, n, nb)
-            rows = slice(k + 1, k + 1 + L)
-            nyt[rows] = _col_norms(yt)
-            z = yt[L - 1].copy()
-            yt -= fj
-            nay[rows] = _col_norms(yt)
-            k += L
-    return nyt, nay, nf_cells
+    exps = np.asarray(exponents, dtype=float)[:, None]
+    scale = sums = None
+    for stack, weights in panels:
+        top, part = _chunk_sums(*_common(stack, e_cell, f_cells), weights, split, exps)
+        if scale is None:
+            scale, sums = top, part
+            continue
+        both = np.maximum(scale, top)
+        safe = np.where(both > 0.0, both, 1.0)[:, :, None]
+        sums *= (scale[:, :, None] / safe) ** exps
+        sums += part * (top[:, :, None] / safe) ** exps
+        scale = both
+    return scale, sums
+
+
+def _chunk_sums(stack, e_cell, f_cells, weights, split, exps):
+    """``lti_norm_scan`` on the nodes of one chunk, one tile at a time."""
+    n, q, _ = stack.shape
+    m, _, nb = f_cells.shape
+    cells = m * split
+    column = q * n * stack.itemsize                     # one cell, one forcing
+    budget = max(TILE_BYTES, cells * nb * column // MAX_TILES)
+    width = max(1, min(nb, budget // column))
+    tile = max(1, min(cells, budget // (column * width)))
+    flat = stack.reshape(n, q * n)
+    zs = np.empty((tile * width, n), dtype=stack.dtype)          # the z_j as rows
+    out = np.empty((tile * width, q * n), dtype=stack.dtype)
+    scale, sums = np.empty((cells, 2, nb)), np.empty((cells, 2, exps.size, nb))
+    for c0 in range(0, nb, width):
+        cols = slice(c0, min(nb, c0 + width))
+        f = f_cells[:, :, cols]
+        w = f.shape[2]
+        jump = np.empty((n, w), dtype=stack.dtype)
+        z = f[0].copy()
+        for start in range(0, cells, tile):
+            k = min(tile, cells - start)
+            for c in range(start, start + k):
+                zs[(c - start) * w:(c - start + 1) * w] = z.T
+                if c + 1 < cells:
+                    z = e_cell @ z
+                    if (c + 1) % split == 0:       # the next cell opens
+                        j = (c + 1) // split
+                        z += np.subtract(f[j], f[j - 1], out=jump)
+            y = np.matmul(zs[:k * w], flat, out=out[:k * w]).reshape(k, w, q, n)
+            g = np.empty((2, k, w, q))
+            g[0] = sq_norms(y)
+            y -= f[np.arange(start, start + k) // split].transpose(0, 2, 1)[:, :, None, :]
+            g[1] = sq_norms(y)
+            top = g.max(axis=3)
+            g /= np.where(top > 0.0, top, 1.0)[..., None]
+            rows = slice(start, start + k)
+            scale[rows, :, cols] = np.sqrt(top).transpose(1, 0, 2)
+            for i, p in enumerate(exps[:, 0]):
+                sums[rows, :, i, cols] = (g ** (p / 2.0) @ weights).transpose(1, 0, 2)
+    return scale, sums

@@ -35,7 +35,7 @@ from .operators import (
     spectral_abscissa,
     spectral_norm,
 )
-from .synthesis import unstable_projection
+from .synthesis import spectral_feedback, unstable_projection
 
 SPECTRUM_HEADER = "k,re_lambda,im_lambda,unstable"
 POLES_HEADER = "k,mode,target,achieved"
@@ -124,8 +124,9 @@ def _real_if_real(m):
 class AbstractModel:
     """``type = abstract``: operator, lifting and feedback read from matrix files.
 
-    Follows the model protocol of ``heat.HeatConfig``.  It reads no
-    ``[synthesis]`` key, has no verify.csv rows of its own, and its grid step is 1.0.
+    Follows the model protocol of ``heat.HeatConfig``.  It reads the
+    ``[synthesis] targets`` key alone, has no verify.csv rows of its own, and
+    its grid step is 1.0.
     """
 
     operator_file: str
@@ -146,15 +147,26 @@ class AbstractModel:
         return GreenMap(_real_if_real(_read_matrix_file(self.green_file, "green-map")),
                         gamma=self.green_gamma)
 
-    def synthesize(self):
-        """Compose with the feedback file (zero without one); nothing is synthesized."""
+    def synthesize(self, targets=None):
+        """Compose the closed loop: with ``targets``, the feedback of
+        ``synthesis.spectral_feedback`` on the operator and green map (mode
+        ``spectral``); else the feedback file's (zero without one), and nothing
+        is synthesized.  Giving both is a configuration error."""
         operator, green = self.operator, self.lifting
         if green is None:
             raise ConfigError("abstract model needs green_file to compose a closed loop")
-        feedback = (None if self.feedback_file is None
-                    else _real_if_real(_read_matrix_file(self.feedback_file, "feedback")))
+        if targets is not None and self.feedback_file is not None:
+            raise ConfigError("[synthesis] targets and [model] feedback_file both set a "
+                              "feedback: give one of them")
+        mode, info = "abstract", {}
+        if targets is not None:
+            mode = "spectral"
+            feedback, _, info = spectral_feedback(operator.spectral, operator, green, targets)
+        else:
+            feedback = (None if self.feedback_file is None
+                        else _real_if_real(_read_matrix_file(self.feedback_file, "feedback")))
         loop = compose_closed_loop(operator, green, feedback)
-        return loop, {"feedback_matrix": loop.feedback_matrix}, "abstract", {}
+        return loop, {"feedback_matrix": loop.feedback_matrix}, mode, info
 
     def verify(self, loop, info):
         """No rows of its own."""

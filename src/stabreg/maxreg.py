@@ -1,25 +1,26 @@
 """Maximal L^p-regularity diagnostics for closed-loop operators.
 
-The solution map is the variation-of-constants convolution driven by
-piecewise-constant-in-time forcings, integrated exactly per cell with the
-augmented-matrix exponential.  The regularity constant estimate is the
-largest quotient (||y_t||_p + ||A y||_p) / ||f||_p over a finite forcing
-family, a lower end of the true constant.  At p = 2 the scan also gives the
-upper end: by Plancherel, C_upper = sqrt(2) sup_w ||[iwR; AR]|| with
-R = (iw - A)^-1 bounds the constant at every horizon, and the peak forcing
-Re(v e^{i w* t}) at its maximizing frequency w* comes within about 1 % of it
-on the benchmark loops.  The family is a list of batches.  A ForcingSignal
-batch holds forcings sharing one cell structure and is swept by one kernel
-call.  The sweep steps y_t alone with exp(A h) and reads A y as y_t - f,
-with the forcing value attached to each node taken from the cell ending
-there (left limit), which keeps the trapezoid quadrature clear of the stiff
-transient spikes at cell openings.  An EigenModes batch holds the
-constant-in-time eigenmode forcings, one per distinct forcing, whose
-quotients are scalar functions of the eigenvalue, the horizon and a 2 x 2
-Gram matrix, integrated by Gauss-Legendre quadrature on graded panels at
-every p.  The horizon scan adds the eigenmodes of the operator it scans to
-every horizon's family, and the peak forcing, swept once over the longest
-horizon and read by each horizon on its prefix.
+The regularity constant estimate is the largest quotient
+(||y_t||_p + ||A y||_p) / ||f||_p of y' = Ay + f, y(0) = 0, over a finite
+family of piecewise-constant-in-time forcings, a lower end of the true
+constant.  At p = 2 the scan also gives the upper end: by Plancherel,
+C_upper = sqrt(2) sup_w ||[iwR; AR]|| with R = (iw - A)^-1 bounds the
+constant at every horizon, and the peak forcing Re(v e^{i w* t}) at its
+maximizing frequency w* comes within 0.6 % of it on the benchmark loops.
+
+The family is a list of ForcingSignal batches, forcings sharing one cell
+structure, each swept by one kernel call.  Every norm is one quadrature rule:
+on a cell [t_j, t_j + tau], y' = e^{As} z_j and A y = y' - f_j, so each cell
+takes Gauss-Legendre panels that double in width away from its opening, the
+first one narrow enough for the fastest transient e^{As}(f_j - f_{j-1}).  The
+forcing's own norm is exact, (tau sum_j |f_j|^p)^{1/p}.  The horizon scan
+adds to every horizon's family the eigenmode forcings of the operator it
+scans, constant in time (one cell of width T), and the peak forcing, swept
+once over the longest horizon and read by each horizon on its prefix; the
+random batch is read the same way where each horizon's cells are a prefix of
+the longest one's.  ``solution_map`` integrates one forcing's trajectory
+exactly per cell, with the augmented-matrix exponential for the state and
+the same sweep for y'.
 """
 
 import math
@@ -33,48 +34,27 @@ from .operators import Operator, decomposition, expm, operator_matrix
 
 CSV_HEADER = "model,mode,p,T,C_estimate,imag_sup,verdict,C_upper"
 
-# Quadrature density of the regularity estimates: each forcing cell takes
-# ceil(QUAD_NODES / n_cells) substeps, so a forcing gets at least QUAD_NODES
-# trapezoid intervals (exactly that many whenever n_cells divides QUAD_NODES).
-QUAD_NODES = 8000
-
 # Largest last relative move of a horizon scan that still reads as a plateau.
 PLATEAU_RTOL = 0.05
 
 # Largest relative excess of a p = 2 estimate over C_upper that its verify
-# row forgives: the trapezoid quadrature's error, not a breach of the bound.
-UPPER_RTOL = 5e-3
+# row forgives: rounding of the quadrature and of the bound, not a breach.
+UPPER_RTOL = 1e-6
 
 # Relative accuracy to which ``_frequency_sup`` certifies a supremum.
 _SUP_RTOL = 2e-9
 
-# Largest eigen-residual ||A v - lam v|| / ||A||_F (v a unit eigenvector) of a
-# mode evaluated in closed form; the kernel sweeps a mode above it.
-EIG_RTOL = 1e-10
+# The 6-point Gauss-Legendre rule on [-1, 1] of every quadrature panel:
+# numpy.polynomial.legendre.leggauss(6), written out so that no process
+# imports numpy.polynomial.
+_GL_X = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                  0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+_GL_W = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                  0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
 
-# The 20-point Gauss-Legendre rule of the closed-form mode integrals, by its
-# nonnegative half: the values of numpy.polynomial.legendre.leggauss(20) to
-# the last bit, written out so that no process imports numpy.polynomial.
-_GL_HALF = np.array([
-    (0.07652652113349734, 0.15275338713072628),
-    (0.22778585114164507, 0.14917298647260424),
-    (0.37370608871541955, 0.1420961093183824),
-    (0.5108670019508271, 0.1316886384491769),
-    (0.636053680726515, 0.1181945319615186),
-    (0.7463319064601508, 0.1019301198172407),
-    (0.8391169718222188, 0.08327674157670471),
-    (0.912234428251326, 0.06267204833410879),
-    (0.9639719272779138, 0.040601429800386446),
-    (0.993128599185095, 0.017614007139150893),
-])
-_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
-_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
-
-# The decay lengths 1 / |Re lam| after which a mode's transient is below
-# e^-40, and the most quadrature nodes evaluated at once (whole modes, at
-# least one): about 100 bytes of temporaries per node.
-_TRANSIENT = 40.0
-_NODE_CHUNK = 4096
+# Width of a cell's first panel times ||A||_1: the fastest transient decays
+# by at most e^-0.05 across it.
+_PANEL_SPAN = 0.05
 
 
 @dataclass(frozen=True)
@@ -90,8 +70,8 @@ class ForcingSignal:
     time_step: float
 
     def __post_init__(self):
-        # C order: the kernel's per-block products and sums run slower on a
-        # transposed (dim, count) cell slice.
+        # C order: the kernel's per-cell steps run slower on a transposed
+        # (dim, count) cell slice.
         v = np.atleast_2d(np.ascontiguousarray(self.values))
         if v.ndim == 2:
             v = v[:, :, None]
@@ -133,134 +113,24 @@ def constant_forcing(vector, horizon):
     return ForcingSignal(v[None, :], horizon)
 
 
-def _mode_columns(vr):
-    """(u, b) for the eigenvector columns of ``vr``: the forcing u = Re w and
-    b = Im w, where w = v / ||Re v||.  ``spectrum`` returns each v with unit
-    norm and its largest component real and positive, so ||Re v|| >= 1 / sqrt(n)."""
-    # Contiguous columns: each norm is one BLAS dot, as np.linalg.norm takes it.
-    u = np.array(vr.real, order="F")
-    b = np.array(vr.imag, order="F")
-    norm = np.sqrt(np.vecdot(u.T, u.T))
-    return u / norm, b / norm
-
-
 def mode_forcings(op, horizon):
-    """One constant-in-time forcing per eigenmode (real part, normalized), as
-    one batch of shape (1, dim, dim): column k is eigenmode k, in spectrum order."""
-    vr = decomposition(op).right_vectors
-    return ForcingSignal(_mode_columns(vr)[0][None], horizon)
+    """One constant-in-time forcing per eigenmode, as one batch of shape
+    (1, dim, dim): column k is Re v / ||Re v|| for the k-th right eigenvector
+    v, in spectrum order.  ``spectrum`` returns each v with unit norm and its
+    largest component real and positive, so ||Re v|| >= 1 / sqrt(n)."""
+    # Contiguous columns: each norm is one BLAS dot, as np.linalg.norm takes it.
+    u = np.array(decomposition(op).right_vectors.real, order="F")
+    return ForcingSignal((u / np.sqrt(np.vecdot(u.T, u.T)))[None], horizon)
 
 
-@dataclass(frozen=True)
-class EigenModes:
-    """The eigenmode forcings of an operator (``mode_forcings``), as a batch
-    evaluated in closed form.
-
-    Mode k is the constant forcing u = Re w with A w = lam w, so that
-    y_t = Re(e^{lam t} w) and A y = Re(expm1(lam t) w) (for a real operator,
-    conj(w) is an eigenvector for conj(lam), with the same forcing, so only the
-    mode with Im lam >= 0 of a pair is held).  ``eigenvalues`` holds lam for
-    each such mode and ``gram`` the rows (|Re w|^2, <Re w, Im w>, |Im w|^2).
-    ``swept`` is the (dim, j) array of the forcings whose eigen-residual
-    exceeds EIG_RTOL; the kernel sweeps them as one one-cell batch.
-    """
-
-    eigenvalues: np.ndarray
-    gram: np.ndarray
-    swept: np.ndarray
-
-
-def eigenmodes(op):
-    """The EigenModes of ``op`` from its decomposition, one per distinct forcing."""
-    a = operator_matrix(op)
-    sp = decomposition(op)
-    lam, vr = sp.eigenvalues, sp.right_vectors
-    if not np.iscomplexobj(a):      # Re conj(v) = Re v: one forcing per pair
-        lam, vr = lam[lam.imag >= 0], vr[:, lam.imag >= 0]
-    u, b = _mode_columns(vr)
-    resid = np.linalg.norm(a @ vr - vr * lam, axis=0)
-    if np.iscomplexobj(a):      # Re w also needs conj(A) v = lam v
-        resid = np.maximum(resid, np.linalg.norm(a.conj() @ vr - vr * lam, axis=0))
-    ok = resid <= EIG_RTOL * np.linalg.norm(a)
-    gram = np.stack([np.vecdot(u.T, u.T), np.vecdot(u.T, b.T), np.vecdot(b.T, b.T)], axis=1)
-    return EigenModes(lam[ok], gram[ok], u[:, ~ok])
-
-
-def _gram_form(gram, z):
-    """|Re(z w)|^2 from the Gram rows of w, for z broadcast against them."""
-    x, y = z.real, z.imag
-    return np.maximum(gram[..., 0] * x * x - 2.0 * gram[..., 1] * x * y
-                      + gram[..., 2] * y * y, 0.0)
-
-
-def _mode_panels(lam, horizon, p_max):
-    """Gauss-Legendre panel breakpoints on [0, T] for one mode: graded toward
-    t = 0, panels of width at most 4 / (p |Re lam|) and pi / |Im lam| over the
-    transient (next to t = 0 for a decaying mode, t = T for a growing one),
-    then doubling widths."""
-    rate, freq = abs(lam.real), abs(lam.imag)
-    width = min(horizon, 4.0 / (p_max * rate) if rate else np.inf,
-                np.pi / freq if freq else np.inf)
-    span = min(horizon, _TRANSIENT / rate) if rate else horizon
-    uniform = np.arange(0.0, span, width)
-    doubling = span * 2.0 ** np.arange(1, max(1, math.ceil(math.log2(horizon / span)) + 1))
-    away = np.concatenate([uniform, doubling[doubling < horizon]])
-    if lam.real > 0:
-        away = horizon - away
-    breaks = np.concatenate([[0.0, horizon], width * 2.0 ** -np.arange(1, 21), away])
-    b = np.sort(np.clip(breaks, 0.0, horizon))
-    return b[np.r_[True, b[1:] > b[:-1]]]
-
-
-def _mode_chunks(sizes, budget):
-    """Slices of consecutive modes whose sizes sum to at most ``budget``, or
-    of one mode where that one alone exceeds it."""
-    start, total = 0, 0
-    for k, size in enumerate(sizes):
-        if total and total + size > budget:
-            yield slice(start, k)
-            start, total = k, 0
-        total += size
-    yield slice(start, len(sizes))
-
-
-def _mode_norms(lam, gram, shift, breaks, p_list):
-    """sum over (y_t, A y) of the scaled L^p norms of the modes ``lam``, shape
-    (len(p_list), lam.size), by Gauss-Legendre quadrature on their panels."""
-    owner = np.repeat(np.arange(lam.size), [len(b) - 1 for b in breaks])
-    half = 0.5 * np.concatenate([np.diff(b) for b in breaks])
-    t = (np.concatenate([b[:-1] for b in breaks]) + half)[:, None] + half[:, None] * _GL_NODES
-    weight = (half[:, None] * _GL_WEIGHTS).ravel()
-    lt = lam[owner, None] * t
-    scale = np.exp(-shift[owner, None])
-    yt = np.exp(lt - shift[owner, None])
-    near = np.abs(lt) < 1.0
-    ay = np.where(near, scale * np.expm1(np.where(near, lt, 0.0)), yt - scale)
-    g = gram[owner][:, None, :]
-    squares = [_gram_form(g, z).ravel() for z in (yt, ay)]
-    owner = np.repeat(owner, _GL_NODES.size)
-    return np.array([sum(np.bincount(owner, weight * sq ** (p / 2.0), minlength=lam.size)
-                         ** (1.0 / p) for sq in squares) for p in p_list])
-
-
-def _mode_quotients(modes, p_list, horizon):
-    """Quotients of the EigenModes modes, shape (len(p_list), k), by
-    Gauss-Legendre quadrature on each mode's ``_mode_panels``.
-
-    The nodes are evaluated for whole modes at a time, at most _NODE_CHUNK of
-    them (or one mode), so the temporaries do not grow with the mode count.
-    Both norms are scaled by e^{-max(Re lam, 0) T}, so a growing mode does not
-    overflow before the quotient is formed.
-    """
-    lam, gram = modes.eigenvalues, modes.gram
-    shift = np.maximum(lam.real, 0.0) * horizon
-    breaks = [_mode_panels(lam_k, horizon, max(p_list)) for lam_k in lam]
-    out = np.empty((len(p_list), lam.size))
-    for s in _mode_chunks([(len(b) - 1) * _GL_NODES.size for b in breaks], _NODE_CHUNK):
-        out[:, s] = _mode_norms(lam[s], gram[s], shift[s], breaks[s], p_list)
-    norm_f = np.sqrt(gram[:, 0])[None] * horizon ** (1.0 / np.array(p_list))[:, None]
-    with np.errstate(over="ignore"):
-        return np.exp(shift)[None] * out / norm_f
+def eigenmodes(op, horizon):
+    """The scan's eigenmode batch: ``mode_forcings`` on one cell of width
+    ``horizon``, with one forcing per conjugate pair of a real operator (the
+    column of Im lam >= 0; Re conj(v) = Re v, so the other repeats it)."""
+    f = mode_forcings(op, horizon)
+    if np.iscomplexobj(operator_matrix(op)):
+        return f
+    return ForcingSignal(f.values[:, :, decomposition(op).eigenvalues.imag >= 0], horizon)
 
 
 def build_forcing_grid(op, t_grid, n_random, seed, n_cells_max):
@@ -272,11 +142,12 @@ def build_forcing_grid(op, t_grid, n_random, seed, n_cells_max):
     (views of one array), so the scan compares the same underlying signals
     when the horizon grows.  The cells share one width (T_max / n_cells_max)
     only where those counts are exact, as for 125 / 250 / 500 cells over
-    T = 10 / 20 / 40; otherwise each horizon's width is T over its own count
-    (4 / 33, 8 / 67 and 12 / 100 for T = 4 / 8 / 12 on 100 cells), so a
-    shorter horizon's forcings are the longer one's values on a slightly
-    different time grid.  The eigenmodes are not part of the grid:
-    ``plateau_scan_multi`` adds the EigenModes of the operator it scans.
+    T = 10 / 20 / 40, and the scan then sweeps the longest batch alone;
+    otherwise each horizon's width is T over its own count (4 / 33, 8 / 67
+    and 12 / 100 for T = 4 / 8 / 12 on 100 cells), so a shorter horizon's
+    forcings are the longer one's values on a slightly different time grid,
+    swept on their own.  The eigenmodes are not part of the grid:
+    ``plateau_scan_multi`` adds the eigenmodes of the operator it scans.
     """
     t_grid = [float(t) for t in t_grid]
     t_max = max(t_grid)
@@ -303,11 +174,13 @@ def solution_map(cl, forcing, refine=1):
     """Trajectory of dy/dt = A y + f, y(0) = 0, exactly per forcing cell.
 
     ``forcing`` holds one forcing.  Returns (t_nodes, Y, nyt) with Y[k] the
-    state at node k and nyt[k] the 2-norm of y_t there, with the left-limit
-    forcing of ``_kernels.lti_norm_scan``, whose recurrence it comes from;
-    ``refine`` subdivides each forcing cell for denser output without
-    changing the (exact) values at cell boundaries.  The integrator is exact
-    for this forcing class at any step, so no step-size condition applies.
+    state at node k and nyt[k] the 2-norm of y_t there, with the forcing of
+    the cell ending at node k > 0 (its left limit) and f_0 at node 0: the
+    kernel sweep of the forcing's cells split into ``refine`` equal sub-cells
+    of one node each, at their ends.  ``refine`` subdivides each forcing cell
+    for denser output without changing the (exact) values at cell
+    boundaries.  The integrator is exact for this forcing class at any step,
+    so no step-size condition applies.
     """
     a = operator_matrix(cl)
     if forcing.dim != a.shape[0]:
@@ -320,40 +193,11 @@ def solution_map(cl, forcing, refine=1):
     h = forcing.time_step / refine
     e, p = _propagator_pair(a, h)
     y = _kernels.lti_propagate(e, p, forcing.values[:, :, 0], refine)
-    nyt = _kernels.lti_norm_scan(None, e, None, forcing.values, refine)[0][:, 0]
+    scale = _kernels.lti_norm_scan(iter([(e.T[:, None], np.ones(1))]), e, [2.0],
+                                   forcing.values, refine)[0]
     t = np.arange(y.shape[0]) * h
-    return t, y, nyt
-
-
-def lp_time_norm(node_values, dt, p):
-    """L^p time norm by trapezoid on |.|^p of nodal values (overflow-safe).
-
-    ``node_values`` is (n_nodes,) or (n_nodes, nb); returns scalar or (nb,).
-    """
-    g = np.atleast_2d(np.asarray(node_values, dtype=float).T).T
-    s = g.max(axis=0)
-    safe = np.where(s == 0.0, 1.0, s)
-    z = g / safe            # the one full-size temporary
-    np.power(z, p, out=z)
-    integral = dt * (z.sum(axis=0) - 0.5 * (z[0] + z[-1]))
-    out = safe * integral ** (1.0 / p)
-    out = np.where(s == 0.0, 0.0, out)
-    return out if np.asarray(node_values).ndim > 1 else float(out[0])
-
-
-def _cell_lp_norm(cell_norms, dt, refine, p):
-    """``lp_time_norm`` of a piecewise-constant forcing from its cell norms.
-
-    ``cell_norms`` is (m, nb): the norms of the m cells of nb forcings.  The
-    value is the trapezoid rule on the left-limit nodes, ``refine`` per cell
-    and node 0 carrying the first cell, in closed form:
-    dt * (refine * sum_j |f_j|^p + (|f_0|^p - |f_{m-1}|^p) / 2), scaled by
-    the column maximum as ``lp_time_norm`` scales.  Every column is nonzero
-    (``_validate_family``).  Returns (nb,).
-    """
-    s = cell_norms.max(axis=0)
-    z = (cell_norms / s) ** p
-    return s * (dt * (refine * z.sum(axis=0) + 0.5 * (z[0] - z[-1]))) ** (1.0 / p)
+    return t, y, np.concatenate([np.sqrt(_kernels.sq_norms(forcing.values[0, :, 0]))[None],
+                                 scale[:, 0, 0]])
 
 
 def _validate_family(p_list, horizon, forcing_set):
@@ -363,8 +207,6 @@ def _validate_family(p_list, horizon, forcing_set):
     if not forcing_set:
         raise UsageError("forcing set must be nonempty")
     for f in forcing_set:
-        if isinstance(f, EigenModes):
-            continue
         if abs(f.horizon - horizon) > 1e-9 * max(horizon, 1.0):
             raise UsageError(
                 f"forcing horizon {f.horizon:g} does not match requested T = {horizon:g}")
@@ -372,54 +214,97 @@ def _validate_family(p_list, horizon, forcing_set):
             raise UsageError("zero-norm forcing in the estimation family")
 
 
+def _cell_cap(op, p_max):
+    """Widest cell that ``_sweep`` takes whole: pi / (2 r), with r the larger
+    of max |Im lam| and p_max max(Re lam, 0) / 4 over the spectrum of ``op``
+    (inf when both are 0), so that the last panel, [tau / 2, tau], spans at
+    most an eighth of a rotation and a growth of |y'|^p by e^pi."""
+    lam = decomposition(op).eigenvalues
+    rate = max(float(np.abs(lam.imag).max()), p_max * max(float(lam.real.max()), 0.0) / 4.0)
+    return math.pi / (2.0 * rate) if rate > 0.0 else math.inf
+
+
+def _node_panels(a, tau):
+    """e^{As} at the nodes s of a cell [0, tau], with their weights, in chunks
+    (stack, weights) for ``_kernels.lti_norm_scan``, each stack within
+    ``_kernels.STACK_BYTES`` (one panel at least).
+
+    The panels are [0, tau 2^-K], then widths doubling up to [tau / 2, tau],
+    with K = max(0, ceil(log2(tau ||A||_1 / _PANEL_SPAN))), each with the
+    nodes _GL_X.  Node i of a doubling panel is twice node i of the one
+    before, so its exponential is that one's square: the first two panels
+    take one ``expm`` per node, the rest a batched squaring each.  The chunks
+    share one buffer, so each is valid until the next one is drawn.
+    """
+    span = tau * np.linalg.norm(a, 1) / _PANEL_SPAN
+    k = math.ceil(math.log2(span)) if span > 1.0 else 0
+    width, q, n = tau * 2.0 ** -k, _GL_X.size, a.shape[0]
+    dtype = np.result_type(a.dtype, float)
+    per = max(1, _kernels.STACK_BYTES // (q * n * n * dtype.itemsize))    # panels a chunk
+    buf = np.empty((n, min(per, k + 1) * q, n), dtype=dtype)
+    panel = [buf[:, i * q:(i + 1) * q].transpose(1, 0, 2) for i in range(buf.shape[1] // q)]
+    weights = []
+    for j in range(k + 1):
+        if j < 2:
+            for i, s in enumerate(0.5 * width * (1.0 + 2.0 * j + _GL_X)):
+                panel[j % per][i] = expm(a * s).T
+        else:
+            prev = panel[(j - 1) % per]
+            np.matmul(prev, prev, out=panel[j % per])
+        weights.append(0.5 * width * 2.0 ** max(j - 1, 0) * _GL_W)
+        if len(weights) == per or j == k:
+            yield buf[:, :len(weights) * q], np.concatenate(weights)
+            weights = []
+
+
+def _sweep(a, f, p_list, cap):
+    """One kernel sweep of the batch ``f``, reduced per cell inside the sweep:
+    (time_step, split, scale, sums, nf).
+
+    A cell wider than ``cap`` is swept as ``split`` equal sub-cells; scale and
+    sums are ``_kernels.lti_norm_scan``'s, one row per sub-cell, and nf the
+    (n_cells, count) norms of the forcing's cells.
+    """
+    split = max(1, math.ceil(f.time_step / cap))
+    tau = f.time_step / split
+    scale, sums = _kernels.lti_norm_scan(_node_panels(a, tau), expm(a * tau), p_list,
+                                         f.values, split)
+    return f.time_step, split, scale, sums, np.sqrt(_kernels.sq_norms(f.values.transpose(0, 2, 1)))
+
+
+def lp_time_norm(scale, weight, p):
+    """(sum_c weight_c scale_c^p)^(1/p) along the first axis: the L^p norm in
+    time of a function whose p-th power integrates to weight_c scale_c^p over
+    cell c, with the scales divided by their largest one so that no power
+    overflows.  A piecewise-constant forcing takes its cell norms as scales and
+    the cell width as weight, so its norm is exact."""
+    top = scale.max(axis=0)
+    safe = np.where(top > 0.0, top, 1.0)
+    return safe * (weight * (scale / safe) ** p).sum(axis=0) ** (1.0 / p)
+
+
+def _quotients(sweep, p_list, k):
+    """The largest quotient per exponent of a swept batch, read on its first
+    ``k`` cells."""
+    step, split, scale, sums, nf = sweep
+    out = []
+    for i, p in enumerate(p_list):
+        norms = lp_time_norm(scale[:k * split], sums[:k * split, :, i], p)
+        out.append(float(((norms[0] + norms[1]) / lp_time_norm(nf[:k], step, p)).max()))
+    return np.array(out)
+
+
 def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
     """C_{p,T} estimates for several exponents, one kernel sweep per batch.
 
     Largest (||y_t||_p + ||A y||_p)/||f||_p over the forcing family, a list
-    of ForcingSignal and EigenModes batches.  Each ForcingSignal batch is one
-    kernel sweep with ``ceil(QUAD_NODES / n_cells)`` substeps per cell, and
-    each norm is the trapezoid rule on that sweep's nodes (in closed form for
-    the piecewise-constant forcing, from its cell norms).  No convergence
-    test is made: a transient boundary layer at a cell opening can leave the
-    estimate short of its limit, without a flag.  EigenModes quotients are
-    evaluated in closed form; the modes it could not vouch for are swept as
-    one more (one-cell) batch.
+    of ForcingSignal batches, by the graded Gauss-Legendre rule of ``_sweep``.
     """
     p_list = [float(p) for p in p_list]
     _validate_family(p_list, horizon, forcing_set)
-    a = operator_matrix(cl)
-    best = np.zeros(len(p_list))
-    batches = []
-    for f in forcing_set:
-        if not isinstance(f, EigenModes):
-            batches.append(f)
-            continue
-        if f.eigenvalues.size:
-            best = np.maximum(best, _mode_quotients(f, p_list, horizon).max(axis=1))
-        if f.swept.shape[1]:
-            batches.append(ForcingSignal(f.swept[None], horizon))
-    for f in batches:
-        best = np.maximum(best, _quotients(*_sweep(a, f), p_list, f.n_cells))
-    return best
-
-
-def _sweep(a, f):
-    """(sweep, h, refine): one kernel sweep of the batch ``f`` with
-    ``refine = ceil(QUAD_NODES / n_cells)`` substeps of width h per cell."""
-    refine = math.ceil(QUAD_NODES / f.n_cells)
-    h = f.time_step / refine
-    return _kernels.lti_norm_scan(a, expm(a * h), None, f.values, refine), h, refine
-
-
-def _quotients(sweep, h, refine, p_list, k):
-    """The largest quotient per exponent of a swept batch, read on its first
-    ``k`` cells: the trapezoid rule on their nodes (``lp_time_norm``), the
-    forcing's norm in closed form (``_cell_lp_norm``)."""
-    nyt, nay, nf_cells = sweep
-    nodes = k * refine + 1
-    return np.array([float(((lp_time_norm(nyt[:nodes], h, p) + lp_time_norm(nay[:nodes], h, p))
-                            / _cell_lp_norm(nf_cells[:k], h, refine, p)).max())
-                     for p in p_list])
+    a, cap = operator_matrix(cl), _cell_cap(cl, max(p_list))
+    return np.max([_quotients(_sweep(a, f, p_list, cap), p_list, f.n_cells)
+                   for f in forcing_set], axis=0)
 
 
 @dataclass(frozen=True)
@@ -536,21 +421,25 @@ def _peak_forcing(a, omega, v, horizon):
 
 
 def plateau_scan_multi(cl, p_list, t_grid, forcing_sets):
-    """Horizon scans for several exponents sharing one trajectory sweep per T.
+    """Horizon scans for several exponents, each batch swept once.
 
-    Each horizon's family is its forcing set plus the EigenModes of ``cl``,
-    taken from its one decomposition for the whole scan, plus the peak
-    forcing Re(v e^{i w* t}): ``_frequency_sup`` with (C, D) = ([A; A], [I; 0])
+    Each horizon's family is its forcing set plus the ``eigenmodes`` of
+    ``cl``, taken from its one decomposition for the whole scan, swept by
+    ``maxreg_constants_multi`` at that horizon, plus the peak forcing
+    Re(v e^{i w* t}): ``_frequency_sup`` with (C, D) = ([A; A], [I; 0])
     gives w* and sup ||G|| of G = [iwR; AR] (C_upper = sqrt(2) sup ||G||), and v
     is a top right singular vector of G(i w*).  That batch is swept once on
     [0, T_max], and horizon T reads its first floor(T / tau) cells: extended
     by zero, that prefix is a forcing on [0, T] with the same norm and no
-    smaller response, so its quotient is a lower end at T too.  A gain within
-    _SUP_RTOL of 1, as every normal loop's, has no interior peak and takes no
-    peak batch.  Returns one MaxRegReport per exponent.  verdict ``plateau``:
-    the last two estimates differ by < PLATEAU_RTOL relative; ``growth``:
-    log C increases by more than 1 between every pair of consecutive
-    horizons; anything in between is ``indeterminate``.
+    smaller response, so its quotient is a lower end at T too.  A batch whose
+    values are the first cells of one at the longest horizon, in its memory
+    and at its cell width (``build_forcing_grid``'s views), is read from that
+    one's sweep.  A gain within _SUP_RTOL of 1, as every normal loop's, has no
+    interior peak and takes no peak batch.  Returns one MaxRegReport per
+    exponent.  verdict ``plateau``: the last two estimates differ by
+    < PLATEAU_RTOL relative; ``growth``: log C increases by more than 1
+    between every pair of consecutive horizons; anything in between is
+    ``indeterminate``.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 3 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
@@ -560,21 +449,37 @@ def plateau_scan_multi(cl, p_list, t_grid, forcing_sets):
     p_list = [float(p) for p in p_list]
     if not p_list:
         raise UsageError("exponent grid must be nonempty")
-    modes = eigenmodes(cl)
-    table = np.array([maxreg_constants_multi(cl, p_list, t, [*fs, modes])
-                      for t, fs in zip(t_grid, forcing_sets)])
+    a, cap = operator_matrix(cl), _cell_cap(cl, max(p_list))
+    families = [[*fs, eigenmodes(cl, t)] for t, fs in zip(t_grid, forcing_sets)]
+    for t, family in zip(t_grid, families):
+        _validate_family(p_list, t, family)
+
+    def opens(f, g):                # f's values: g's first cells, in g's memory
+        return (f.time_step == g.time_step and f.n_cells <= g.n_cells
+                and f.values.strides == g.values.strides
+                and f.values.ctypes.data == g.values.ctypes.data)
+
+    shared = forcing_sets[-1]
+    table = np.array([maxreg_constants_multi(
+        cl, p_list, t, [f for f in family if not any(opens(f, g) for g in shared)])
+        for t, family in zip(t_grid, families)])
+
+    def read(batch, points):        # one sweep, read at each (horizon, cells)
+        sweep = _sweep(a, batch, p_list, cap)
+        for i, k in points:
+            if k:
+                table[i] = np.maximum(table[i], _quotients(sweep, p_list, k))
+
+    for g in shared:
+        read(g, [(i, f.n_cells) for i, fs in enumerate(forcing_sets) for f in fs if opens(f, g)])
     imag_sup = imaginary_axis_bound(cl)
-    a = operator_matrix(cl)
     c, d = np.vstack([a, a]), np.eye(2 * a.shape[0], a.shape[0])
     sup, omega = _frequency_sup(cl, c, d)
     if 1.0 + _SUP_RTOL < sup < np.inf:      # w* an interior peak
         peak = _peak_forcing(a, omega, _top_vector(_response(a, c, d, omega), sup), t_grid[-1])
-        swept = _sweep(a, peak)
-        for row, t in zip(table, t_grid):
-            # T_max reads every cell: m T / T_max may round below m there
-            k = peak.n_cells if t == t_grid[-1] else math.floor(peak.n_cells * t / t_grid[-1])
-            if k:
-                row[:] = np.maximum(row, _quotients(*swept, p_list, k))
+        # T_max reads every cell: m T / T_max may round below m there
+        read(peak, [(i, peak.n_cells if t == t_grid[-1] else math.floor(peak.n_cells * t / t_grid[-1]))
+                    for i, t in enumerate(t_grid)])
     return [MaxRegReport(
         p=p,
         t_grid=tuple(t_grid),
@@ -592,8 +497,10 @@ def dual_exponent(p):
 
 
 def conjugated_forcings(forcing_sets):
-    return [[ForcingSignal(np.conj(f.values), f.time_step) for f in fs]
-            for fs in forcing_sets]
+    """The batches conjugated; a real batch is its own conjugate, kept as it
+    is, so its horizons still share one sweep."""
+    return [[ForcingSignal(np.conj(f.values), f.time_step) if np.iscomplexobj(f.values) else f
+             for f in fs] for fs in forcing_sets]
 
 
 def duality_check(cl, p, t_grid, forcing_sets):
@@ -603,8 +510,8 @@ def duality_check(cl, p, t_grid, forcing_sets):
     conjugate transpose at the dual exponent with conjugated forcings, demands
     matching verdicts and returns |log C - log C*| at the longest horizon.
     Each scan adds the eigenmodes of the operator it scans, so the adjoint's
-    come from the adjoint's own eigenpairs, in closed form; they are not the
-    conjugated eigenvectors of the closed loop.
+    come from the adjoint's own eigenpairs; they are not the conjugated
+    eigenvectors of the closed loop.
     """
     rep = plateau_scan_multi(cl, [p], t_grid, forcing_sets)[0]
     a = operator_matrix(cl)

@@ -412,6 +412,50 @@ def test_abstract_report_decomposes_each_operator_once(tmp_path, monkeypatch):
     assert calls == {"eig": 2, "_sine_eigenpairs": 1}
 
 
+def targets_abstract_config(tmp_path, operator, green, targets):
+    """ABSTRACT_CFG on ``operator`` and ``green``, with ``[synthesis] targets``
+    in place of its feedback file."""
+    write_abstract_files(tmp_path)
+    matio.write_matrix(tmp_path / "op.txt", operator)
+    matio.write_matrix(tmp_path / "g.txt", green)
+    text = ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out")
+    text = text.replace(f"feedback_file = {tmp_path}/f.txt\n", "")
+    assert "feedback_file" not in text
+    return write_config(tmp_path / "c.ini", text + f"\n[synthesis]\ntargets = {targets}\n")
+
+
+def test_abstract_targets_fail_the_rank_check(tmp_path, capsys):
+    # diag(2, 2, -1): the double unstable eigenvalue needs two channels, and
+    # one green column reaches one direction of its eigenspace alone
+    cfg = targets_abstract_config(tmp_path, np.diag([2.0, 2.0, -1.0]),
+                                  np.array([[1.0], [1.0], [0.0]]), "-1 -2")
+    assert run(["synthesize", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "rank check failed" in err and "hautus_margin" in err and "FAIL" in err
+
+
+def test_abstract_targets_stabilize_an_unstable_operator(tmp_path):
+    # diag(1, -2) with green [1; 1] and the target -3: spectral_feedback moves
+    # the unstable 1 to -3 and leaves -2, and the report passes
+    cfg = targets_abstract_config(tmp_path, np.diag([1.0, -2.0]), np.array([[1.0], [1.0]]), "-3")
+    assert run(["report", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "verify.csv")
+    assert rows[-1] == ["overall", "1", "1", "PASS"]
+    _, poles = read_csv(tmp_path / "out" / "achieved_poles.csv")
+    assert poles == [["1", "spectral", "-3+0i", "-3+0i"]]
+    cfgp = cli.load_config(cfg)
+    loop = cli.build_closed_loop(cfgp, cli.build_model(cfgp))[0]
+    assert ops.match_spectra(np.linalg.eigvals(loop.composed.entries), [-3.0, -2.0]) <= 1e-10
+
+
+def test_abstract_targets_and_feedback_file_exclude_each_other(tmp_path, capsys):
+    write_abstract_files(tmp_path)
+    text = ABSTRACT_CFG.format(dir=tmp_path, out=tmp_path / "out") + "\n[synthesis]\ntargets = -3\n"
+    assert run(["synthesize", "--config", write_config(tmp_path / "c.ini", text)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "feedback_file" in err
+
+
 def test_coupled_report_reduces_once(tmp_path, monkeypatch):
     # the hautus_margins row reads the synthesis's reduced pair
     calls = []
@@ -647,8 +691,8 @@ def test_unknown_key_exit_2(tmp_path, capsys):
              # each model reads only its own [synthesis] keys
              ("targets = -2", "targets = -2\nuse_interior = true", "use_interior")]
     cases = [(HEAT_CFG, "spectrum") + case for case in cases] + [
-        (ABSTRACT_CFG, "spectrum", "[maxreg]", "[synthesis]\ntargets = -2\n\n[maxreg]",
-         "targets"),
+        (ABSTRACT_CFG, "spectrum", "[maxreg]", "[synthesis]\nmode = spectral\n\n[maxreg]",
+         "mode"),
         (COUPLED_CFG, "synthesize", "targets = -2 -3", "targets = -2 -3\nmode = localized",
          "mode"),
         # a stable heat model (c2 = 4) skips synthesis but still reads the mode

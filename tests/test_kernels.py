@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -45,27 +46,78 @@ def _oracle_states(a, f_cells, h, refine):
     return ys
 
 
-def _block(dtype, n=6):
-    """Block length of the scan of an n x n ``_data`` loop at unbounded refine."""
-    return _kernels.block_length(n, np.dtype(dtype), 10**9)
+def _stack(a, offsets):
+    """The kernel's (n, q, n) stack: the transposes of e^{A s} at ``offsets``."""
+    return np.ascontiguousarray(np.stack([la.expm(a * s).T for s in offsets], axis=1))
+
+
+def _oracle_nodes(a, f_cells, tau, offsets):
+    """y' and Ay at t_j + s for every cell j and offset s, shape
+    (2, m, nb, q, n): the states from the augmented exponentials of
+    ``_oracle_states``, then y' = Ay + f_j."""
+    ys = _oracle_states(a, f_cells, tau, 1)
+    m, n, nb = f_cells.shape
+    out = np.zeros((2, m, nb, len(offsets), n), dtype=complex)
+    for j in range(m):
+        for b in range(nb):
+            for i, s in enumerate(offsets):
+                aug = np.zeros((n + 1, n + 1), dtype=complex)
+                aug[:n, :n] = a * s
+                aug[:n, n] = f_cells[j, :, b] * s
+                ay = a @ (la.expm(aug) @ np.append(ys[j, :, b], 1.0))[:n]
+                out[:, j, b, i] = ay + f_cells[j, :, b], ay
+    return out
+
+
+def _one_chunk(stack, weights=None):
+    """A stack handed to the kernel whole, with unit weights by default."""
+    return iter([(stack, np.ones(stack.shape[1]) if weights is None else weights)])
+
+
+def _reduced(nodes, weights, exps):
+    """The kernel's (scale, sums) from node norms of shape (2, m, nb, q)."""
+    top = nodes.max(axis=3)
+    sums = np.stack([((nodes / top[..., None]) ** p) @ weights for p in exps], axis=2)
+    return top.transpose(1, 0, 2), sums.transpose(1, 0, 2, 3)
+
+
+EXPS = [1.5, 2.0, 4.0]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize(("blocks", "rest", "m"), [(0, 1, 40), (0, 3, 40), (2, 11, 3), (4, 3, 1)],
-                         ids=["1", "3", "refine-past-block", "one-cell-4-blocks"])
-def test_norm_scan_matches_expm_oracle(dtype, blocks, rest, m):
-    refine = blocks * _block(dtype) + rest
-    a, e, p, f = _data(dtype, m=m)
-    ys = _oracle_states(a, f, 0.05, refine)
-    cell = np.maximum(np.arange(ys.shape[0]) - 1, 0) // refine   # left limit
-    fn = f[cell]
-    ay = np.einsum("ij,kjb->kib", a, ys)
-    expected = [np.linalg.norm(x, axis=1) for x in (ay + fn, ay, f)]
-    got = _kernels.lti_norm_scan(a, e, p, f, refine)
-    assert len(got) == 3
-    assert got[2].shape == (m, f.shape[2])      # per cell, not per node
-    for x, y in zip(got, expected):
-        assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize(("q", "m", "nb", "columns", "cells"), [
+    (1, 40, 5, 5, 40), (3, 40, 5, 5, 40), (11, 3, 5, 5, 2), (4, 1, 8, 2, 1)],
+    ids=["1", "3", "refine-past-block", "one-cell-4-blocks"])
+def test_norm_scan_matches_expm_oracle(dtype, q, m, nb, columns, cells, monkeypatch):
+    # q node offsets in (0, tau], the last one at tau, handed over in chunks
+    # of two nodes, which the kernel merges by their scales; the budget set
+    # so that a tile of a two-node chunk holds ``cells`` cells of ``columns``
+    # forcings: the last tile of refine-past-block is partial, and
+    # one-cell-4-blocks sweeps its one cell in four column blocks
+    tau = 0.05
+    rng = np.random.default_rng(1)
+    a, _, _, f = _data(dtype, m=m, nb=nb)
+    offsets = tau * np.append(np.sort(rng.uniform(0.0, 1.0, q - 1)), 1.0)
+    weights = rng.uniform(0.5, 1.5, q)
+    stack = _stack(a, offsets)
+    monkeypatch.setattr(_kernels, "TILE_BYTES", 2 * a.shape[0] * stack.itemsize * columns * cells)
+    chunks = ((stack[:, i:i + 2], weights[i:i + 2]) for i in range(0, q, 2))
+    scale, sums = _kernels.lti_norm_scan(chunks, la.expm(a * tau), EXPS, f)
+    want = _reduced(np.linalg.norm(_oracle_nodes(a, f, tau, offsets), axis=-1), weights, EXPS)
+    assert np.allclose(scale, want[0], rtol=1e-12, atol=1e-12)
+    assert np.allclose(sums, want[1], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_norm_scan_split_sweeps_the_repeated_cells(dtype):
+    # a cell swept as 3 equal sub-cells is the cell repeated three times: no
+    # jump is added inside a cell, where the repeated cells add zero jumps
+    a, _, _, f = _data(dtype, m=7, nb=3)
+    stack = _stack(a, [0.01, 0.02])
+    e = la.expm(a * 0.02)
+    split = _kernels.lti_norm_scan(_one_chunk(stack), e, EXPS, f, 3)
+    repeated = _kernels.lti_norm_scan(_one_chunk(stack), e, EXPS, np.repeat(f, 3, axis=0))
+    assert all(np.array_equal(x, y) for x, y in zip(split, repeated))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -91,85 +143,97 @@ def test_propagate_matches_expm_reference():
 
 
 def test_norm_scan_left_limit_convention():
-    # node k > 0 carries the forcing of the cell that ends there
-    a = np.zeros((1, 1))
-    e = np.eye(1)
-    p = np.eye(1) * 0.5
-    f = np.array([[[1.0]], [[3.0]]])   # two cells, values 1 then 3
-    nyt, nay, nf_cells = _kernels.lti_norm_scan(a, e, p, f, 1)
-    assert nf_cells.tolist() == [[1.0], [3.0]]
-    assert nyt.tolist() == [[1.0], [1.0], [3.0]]   # A = 0 so y_t = f
-    # ||f||_p from the cell norms is lp_time_norm on the left-limit nodes,
-    # which nyt holds when A = 0
-    m, n, nb, refine, h = 37, 3, 4, 5, 0.01
+    # A = 0, so y' = f_j on cell j and Ay = 0: every node of a cell reads that
+    # cell's value (up to the rounding of the jumps f_{j+1} - f_j that carry
+    # y' across openings); solution_map's node k > 0 carries the cell ending
+    # there, and its sub-cells of one cell add no jumps, so exactly
+    n, nb, m = 3, 4, 37
     f = np.random.default_rng(8).standard_normal((m, n, nb))
-    nyt, _, nf_cells = _kernels.lti_norm_scan(np.zeros((n, n)), np.eye(n), h * np.eye(n), f, refine)
-    assert np.array_equal(nyt, np.concatenate([nf_cells[:1], np.repeat(nf_cells, refine, axis=0)]))
-    for q in (1.5, 2.0, 4.0):
-        assert np.allclose(maxreg._cell_lp_norm(nf_cells, h, refine, q),
-                           maxreg.lp_time_norm(nyt, h, q), rtol=1e-14, atol=0.0)
+    stack = np.broadcast_to(np.eye(n)[:, None], (n, 5, n))
+    scale, sums = _kernels.lti_norm_scan(_one_chunk(stack, np.full(5, 0.2)), np.eye(n), [2.0], f)
+    assert np.allclose(scale[:, 0], np.linalg.norm(f, axis=1), rtol=1e-13, atol=1e-13)
+    assert np.allclose(sums[:, 0, 0], 1.0, rtol=1e-13, atol=0.0)
+    assert scale[:, 1].max() <= 1e-14
+    one = maxreg.ForcingSignal(np.array([[1.0], [3.0]]), 1.0)       # two cells, 1 then 3
+    for refine in (1, 3):
+        nyt = maxreg.solution_map(np.zeros((1, 1)), one, refine)[2]
+        assert nyt.tolist() == [1.0] * (refine + 1) + [3.0] * refine
 
 
 def test_norm_scan_derivative_decays_to_the_last_digit():
     # the tiny heat loop (n = 16, c2 = 16, default target, abscissa -23.03)
     # under the one-cell forcing f = 1: y_t(t) = e^{tA} f, down to 2.1e-48 at
-    # t = 5, where a sweep that re-derives y_t as Ay + f reads rounding noise
+    # t = 5, where a sweep that re-derives y_t as Ay + f reads rounding noise;
+    # one node per sweep, so that its scale is |y_t| there
     a = maxreg.operator_matrix(heat.HeatConfig(n=16, c2=16.0).synthesize()[0].composed)
-    refine, h = 50, 0.1
+    t = np.arange(1, 51) * 0.1
     f = np.ones((1, 16, 1))
-    nyt, nay, _ = _kernels.lti_norm_scan(a, ops.expm(a * h), None, f, refine)
+    e = ops.expm(a * 5.0)
+    g = np.array([_kernels.lti_norm_scan(_one_chunk(_stack(a, [s])), e, [2.0], f)[0][0, :, 0]
+                  for s in t])
     lam, v = np.linalg.eig(a)
     c = np.linalg.solve(v, f[0])
-    t = np.arange(refine + 1) * h
-    exact = np.linalg.norm((v[None] * np.exp(np.outer(t, lam))[:, None, :]) @ c, axis=1)
-    assert exact[-1, 0] < 1e-47
-    assert np.allclose(nyt, exact, rtol=1e-9, atol=0.0)
-    assert nay[-1, 0] == pytest.approx(4.0, rel=1e-12)     # Ay = y_t - f -> -f, |1| = 4
+    exact = np.linalg.norm((v[None] * np.exp(np.outer(t, lam))[:, None, :]) @ c, axis=1)[:, 0]
+    assert exact[-1] < 1e-47
+    assert np.allclose(g[:, 0], exact, rtol=1e-9, atol=0.0)
+    assert g[-1, 1] == pytest.approx(4.0, rel=1e-12)     # Ay = y_t - f -> -f, |1| = 4
 
 
 def test_norm_scan_memory_is_its_outputs():
-    # the sweep holds block temporaries only, never a trajectory
-    m, n, nb, refine = 1, 32, 32, 8000
-    a, e, p, f = _data(float, m=m, n=n, nb=nb, h=1e-3)
+    # the sweep holds one tile's product and its norms, never a trajectory:
+    # one cell of 32 forcings at 200 nodes, swept in column blocks
+    n, nb, q = 32, 32, 200
+    a, _, _, f = _data(float, m=1, n=n, nb=nb)
+    stack = _stack(a, np.linspace(1e-3, 1.0, q))
+    e = la.expm(a)
+    width = _kernels.TILE_BYTES // (q * n * 8)
     tracemalloc.start()
     try:
-        out = _kernels.lti_norm_scan(a, e, p, f, refine)
+        scale, sums = _kernels.lti_norm_scan(_one_chunk(stack), e, EXPS, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = sum(x.nbytes for x in out)
-    assert outputs == (2 * (m * refine + 1) + m) * nb * 8   # nodal y_t, Ay; cell f
-    assert peak <= 1.5 * outputs
+    assert scale.shape == (1, 2, nb) and sums.shape == (1, 2, 3, nb)
+    assert peak <= _kernels.TILE_BYTES + 4 * (2 * width * q * 8) + 4 * n * nb * 8
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_block_length_keeps_the_stacks_in_budget(dtype):
+def test_tiles_keep_the_products_in_budget(dtype, monkeypatch):
+    # each tile's product (k cells of w forcings at q nodes) within
+    # TILE_BYTES, or one cell of one forcing; every cell and forcing once.
+    # Each tile takes the norms of its product twice, y' then Ay
     item = np.dtype(dtype).itemsize
-    assert _block(dtype, n=32) == _kernels.BLOCK
-    for n in (90, 225, 529, 2000):
-        b = _block(dtype, n)
-        assert 1 <= b <= _kernels.BLOCK
-        assert b == 1 or b * n * n * item <= _kernels.STACK_BYTES
-        assert b == _kernels.BLOCK or (b + 1) * n * n * item > _kernels.STACK_BYTES
-    assert _block(dtype, n=225) == {8: 20, 16: 10}[item]
-    assert _kernels.block_length(6, np.dtype(dtype), 5) == 5
+    shapes, norms = [], _kernels.sq_norms
+    monkeypatch.setattr(_kernels, "sq_norms", lambda z: shapes.append(z.shape) or norms(z))
+    for n, q, nb, m in ((32, 84, 8, 3), (32, 84, 1, 30), (24, 72, 13, 2), (225, 78, 8, 2),
+                        (529, 90, 2, 2)):
+        shapes.clear()
+        stack = np.zeros((n, q, n), dtype=dtype)
+        _kernels.lti_norm_scan(_one_chunk(stack), np.eye(n), [2.0], np.ones((m, n, nb)))
+        tiles = shapes[::2]
+        assert all(k * w * q * n * item <= _kernels.TILE_BYTES or k == w == 1
+                   for k, w, _, _ in tiles)
+        assert sum(k * w for k, w, _, _ in tiles) == m * nb
 
 
 def test_norm_scan_memory_is_bounded_at_2d_sizes():
-    # n = 225, the 15 x 15 square: the stack takes b = 20 substeps within
-    # STACK_BYTES where a full block of 32 would take 13 MB; the sweep reads
-    # E alone, so the rest is its outputs and n x nb working arrays
-    m, n, nb, refine = 2, 225, 2, 64
+    # n = 225, the 15 x 15 square, on a stiff synthetic loop (spectrum down to
+    # -2000): a cell of width 0.064 takes 90 nodes, a 36 MB stack that the
+    # kernel draws from maxreg's chunks within STACK_BYTES, built inside the
+    # traced region; the rest is one tile, a few n x n matrices (expm's
+    # temporaries and e^{A tau}) and the per-cell sums
+    m, n, nb, tau = 2, 225, 2, 0.064
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((n, n)) / n - 2.0 * np.eye(n)
-    e = la.expm(a * 1e-3)
-    p = la.solve(a, e - np.eye(n))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (q * -np.linspace(1.0, 2000.0, n)) @ q.T
+    e = la.expm(a * tau)
     f = rng.standard_normal((m, n, nb))
     tracemalloc.start()
     try:
-        out = _kernels.lti_norm_scan(a, e, p, f, refine)
+        scale, sums = _kernels.lti_norm_scan(maxreg._node_panels(a, tau), e, EXPS, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sum(x.nbytes for x in out) + _kernels.STACK_BYTES + 6 * n * n * 8
-    assert all(np.all(np.isfinite(x)) for x in out)
+    assert sum(s.shape[1] for s, _ in maxreg._node_panels(a, tau)) == 90
+    assert peak <= _kernels.STACK_BYTES + _kernels.TILE_BYTES + 8 * n * n * 8
+    assert np.all(np.isfinite(scale)) and np.all(np.isfinite(sums))
