@@ -260,6 +260,7 @@ def _manifest(out_dir, args, cfgp):
         f"stabreg: {__version__}",
         f"numpy: {np.__version__}",
         f"seed: {_scan_seed(cfgp, args.seed)}",
+        f"generator: {maxreg.GENERATOR}",
         "config:",
     ]
     for section in cfgp.sections():
@@ -270,12 +271,15 @@ def _manifest(out_dir, args, cfgp):
 
 
 def _scan_seed(cfgp, seed_override):
-    """Seed of the regularity scans and random forcings: --seed, else [maxreg] seed, else 0."""
+    """Seed of the random forcings and identity points: --seed, else [maxreg]
+    seed, else 0; the generator's seeds are the integers in [0, 2**64)."""
     if seed_override is None:
-        return _get_int(cfgp, "maxreg", "seed", 0, 0)
-    if seed_override < 0:
-        raise ConfigError(f"--seed = {seed_override}: must be >= 0")
-    return seed_override
+        name, seed = "[maxreg] seed", _get(cfgp, "maxreg", "seed", 0, int)
+    else:
+        name, seed = "--seed", seed_override
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} = {seed}: must lie in [0, 2**64)")
+    return seed
 
 
 def _maxreg_params(cfgp, seed_override):
@@ -395,14 +399,13 @@ def cmd_maxreg(args, cfgp, out_dir, model):
 def _identity_rows(cl, seed):
     """Structural identity residuals for a composed ClosedLoop.
 
-    The resolvent identity is checked at 20 seeded points right of both
-    spectra, the drift's and the B-less loop's.
+    The resolvent identity is checked at 20 points right of both spectra,
+    the drift's and the B-less loop's, placed by uniforms of the seed.
     """
-    rng = np.random.default_rng(seed)
     drift = cl.drift_A.entries
     right = max(spectral_abscissa(cl.drift_A), spectral_abscissa(cl.feedback_part))
-    points = [complex(right + 1.0 + 49.0 * rng.random(), -50.0 + 100.0 * rng.random())
-              for _ in range(20)]
+    points = [complex(right + 1.0 + 49.0 * u, -50.0 + 100.0 * v)
+              for u, v in maxreg.random_uniform(seed, (20, 2))]
     pn = unstable_projection(cl.drift_A.spectral).entries
     comm = spectral_norm(pn @ drift - drift @ pn) / max(spectral_norm(drift), 1e-300)
     checks = [("resolvent_identity_max", resolvent_perturbation_residual(cl, points), 1e-8),

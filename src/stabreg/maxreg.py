@@ -102,10 +102,62 @@ class ForcingSignal:
         return self.n_cells * self.time_step
 
 
+# The stream of every random draw, named in each run's manifest; importing
+# numpy's own generators would cost each process about 6 MB and 8 ms.
+GENERATOR = "splitmix64+box-muller"
+
+
+def splitmix64(seed, count, scratch=None):
+    """The first ``count`` SplitMix64 words of ``seed`` (Steele, Lea and Flood,
+    OOPSLA 2014): word k = 1, 2, ... is Vigna's finalizer of
+    seed + k * 0x9E3779B97F4A7C15 mod 2^64.  ``scratch``, ``count`` uint64
+    entries, takes the shifts when given."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise UsageError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    t = np.empty_like(z) if scratch is None else scratch
+    for shift, mix in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, shift, out=t)
+        z *= np.uint64(mix)
+    z ^= np.right_shift(z, 31, out=t)
+    return z
+
+
+def random_uniform(seed, shape):
+    """Uniforms on [0, 1) of ``shape``: the top 53 bits of each word of
+    ``seed``, times 2^-53, written over the shifts' scratch."""
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    words = splitmix64(seed, flat.size, flat.view(np.uint64))
+    words >>= np.uint64(11)
+    np.multiply(words, 2.0**-53, out=flat)
+    return out
+
+
+def random_normal(seed, shape):
+    """Standard normals of ``shape`` by Box-Muller, in place on the uniforms
+    of ``seed``: u_2k and u_2k+1 give sqrt(-2 ln(1 - u_2k)) times
+    (cos, sin)(2 pi u_2k+1), finite for every u in [0, 1), so a shorter draw
+    is a prefix of a longer one."""
+    count = math.prod(shape)
+    u = random_uniform(seed, count + count % 2)
+    r, theta = u[0::2], u[1::2]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * math.pi
+    c = np.cos(theta) * r
+    np.sin(theta, out=theta)
+    theta *= r
+    r[:] = c
+    return u[:count].reshape(shape)
+
+
 def piecewise_random_forcing(dim, horizon, n_cells, seed=0):
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((n_cells, dim))
-    return ForcingSignal(vals, horizon / n_cells)
+    return ForcingSignal(random_normal(seed, (n_cells, dim)), horizon / n_cells)
 
 
 def constant_forcing(vector, horizon):
@@ -151,8 +203,7 @@ def build_forcing_grid(op, t_grid, n_random, seed, n_cells_max):
     """
     t_grid = [float(t) for t in t_grid]
     t_max = max(t_grid)
-    base = np.random.default_rng(seed).standard_normal(
-        (n_cells_max, operator_matrix(op).shape[0], n_random))
+    base = random_normal(seed, (n_cells_max, operator_matrix(op).shape[0], n_random))
     sets = []
     for t in t_grid:
         cells = max(1, int(round(n_cells_max * t / t_max)))

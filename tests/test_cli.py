@@ -559,6 +559,16 @@ def test_config_seed_in_manifest(tmp_path):
     assert "seed: 11" in (tmp_path / "out" / "manifest.txt").read_text()
 
 
+def test_manifest_names_generator(tmp_path):
+    # the line after the seed names the stream that drew the seeded outputs;
+    # the largest seed is accepted
+    cfg = write_config(tmp_path / "c.ini", HEAT_CFG.format(out=tmp_path / "out"))
+    assert run(["spectrum", "--config", cfg, "--seed", str(2**64 - 1)]) == 0
+    lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    k = lines.index(f"seed: {2**64 - 1}")
+    assert lines[k + 1] == "generator: splitmix64+box-muller"
+
+
 def test_heat_default_targets_end_to_end(tmp_path):
     # without [synthesis] targets the one unstable mode goes to -|lambda_2| - 1
     text = TINY_HEAT_CFG.format(out=tmp_path / "out").replace("targets = -2\n", "")
@@ -729,6 +739,9 @@ def _coupled(old, new):
     ("maxreg", ("forcing_count = 6", "forcing_count = -1"), [], "[maxreg] forcing_count"),
     ("spectrum", ("seed = 11", "seed = -4"), [], "[maxreg] seed"),
     ("spectrum", ("", ""), ["--seed", "-1"], "--seed"),
+    # the generator's seeds are the integers in [0, 2**64)
+    ("spectrum", ("seed = 11", "seed = 18446744073709551616"), [], "[maxreg] seed"),
+    ("spectrum", ("", ""), ["--seed", "18446744073709551616"], "--seed"),
     ("spectrum", ("", ""), ["--parallel", "0"], "--parallel"),
     # the scan is serial: 1 is the flag's one value
     ("spectrum", ("", ""), ["--parallel", "2"], "--parallel"),
@@ -767,7 +780,8 @@ def _coupled(old, new):
 ], ids=["forcing-empty", "mode-not-int", "mode-negative", "mode-too-large",
         "constant-extra-token", "simulate-cells-0", "simulate-cells-negative",
         "maxreg-cells-negative", "maxreg-cells-0", "forcing-count-negative",
-        "config-seed-negative", "flag-seed-negative", "parallel-0", "parallel-2",
+        "config-seed-negative", "flag-seed-negative", "config-seed-2-64", "flag-seed-2-64",
+        "parallel-0", "parallel-2",
         "t-grid-nan", "t-grid-inf", "t-grid-zero", "t-grid-two-horizons",
         "t-grid-decreasing", "p-grid-1", "p-grid-nan", "p-grid-empty",
         "simulate-T-0", "simulate-T-negative", "simulate-T-nan", "simulate-T-inf",
@@ -841,6 +855,23 @@ def test_import_leaves_scipy_signal_out(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_runtime_runs_without_numpy_random(tmp_path):
+    # a process in which importing numpy.random fails runs the tiny heat
+    # report and a random-forcing simulation: every draw is the package's own
+    text = TINY_HEAT_CFG.format(out=tmp_path / "out") + (
+        "\n[simulate]\nforcing = random\nT = 5\nn_cells = 50\n")
+    cfg = write_config(tmp_path / "c.ini", text)
+    src = os.path.dirname(os.path.dirname(stabreg.__file__))
+    for command in ("report", "simulate"):
+        code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['numpy.random'] = None; "
+                f"from stabreg import cli; sys.exit(cli.main([{command!r}, '--config', {cfg!r}]))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+    verify = (tmp_path / "out" / "verify.csv").read_text().splitlines()
+    assert verify[-1] == "overall,1,1,PASS"
+    assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("template", [HEAT_CFG, COUPLED_CFG, ABSTRACT_CFG],

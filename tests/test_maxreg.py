@@ -54,6 +54,79 @@ def test_forcing_validation():
     assert ForcingSignal(np.ones((3, 2, 4), order="F"), 0.1).values.flags.c_contiguous
 
 
+# ---------------------------------------------------------------- random stream
+
+def splitmix64_oracle(seed, count):
+    """SplitMix64 in plain Python integers, after Vigna's splitmix64.c."""
+    mask, x, out = 2**64 - 1, seed, []
+    for _ in range(count):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_splitmix64_words_match_oracle():
+    # Vigna's published vector for seed 1234567 opens with these five words
+    assert splitmix64_oracle(1234567, 5) == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+    for seed in (1234567, 0, 2**64 - 1):
+        words = maxreg.splitmix64(seed, 1000)
+        assert words.dtype == np.uint64
+        assert words.tolist() == splitmix64_oracle(seed, 1000)
+
+
+def test_seed_outside_range_is_usage_error():
+    for seed in (-1, 2**64, 2**70):
+        for draw in (lambda: maxreg.random_normal(seed, (3,)),
+                     lambda: maxreg.random_uniform(seed, (3,)),
+                     lambda: maxreg.piecewise_random_forcing(2, 1.0, 4, seed=seed),
+                     lambda: maxreg.build_forcing_grid(np.diag([-1.0, -2.0]), [1, 2, 3],
+                                                       2, seed, 6)):
+            with pytest.raises(UsageError, match="seed"):
+                draw()
+
+
+def test_extreme_words_map_to_finite_draws(monkeypatch):
+    low, high = 0, 2**64 - 1
+    # the extreme words, then every pairing of them as (radius, angle)
+    words = [low, high, low, low, low, high, high, low, high, high]
+    monkeypatch.setattr(maxreg, "splitmix64",
+                        lambda seed, count, scratch: np.array([words.pop(0) for _ in range(count)],
+                                                              dtype=np.uint64))
+    assert maxreg.random_uniform(0, (2,)).tolist() == [0.0, 1.0 - 2.0**-53]
+    z = maxreg.random_normal(0, (8,))
+    assert np.all(np.isfinite(z))
+    # 1 - u = 2^-53 is the smallest radius argument: sqrt(106 ln 2)
+    assert np.abs(z).max() == pytest.approx(math.sqrt(106 * math.log(2)), rel=1e-12)
+
+
+def test_normal_draws_moments_and_tails():
+    # 2^17 draws: the mean's standard error is 0.0028, the variance's 0.0039
+    # and the two-sided 3-sigma share's (0.0027) 0.00014
+    z = maxreg.random_normal(1234, (2**17,))
+    assert abs(z.mean()) < 0.01
+    assert abs(z.var() - 1.0) < 0.02
+    assert 0.0022 <= np.mean(np.abs(z) > 3.0) <= 0.0032
+    u = maxreg.random_uniform(1234, (2**17,))
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert abs(u.mean() - 0.5) < 0.005
+
+
+def test_draws_repeat_per_seed_and_differ_between_seeds():
+    shape = (50, 4, 3)
+    for draw in (maxreg.random_normal, maxreg.random_uniform):
+        first = draw(7, shape)
+        assert first.shape == shape and first.flags.c_contiguous
+        assert first.tobytes() == draw(7, shape).tobytes()
+        for other in (6, 8):
+            assert np.all(first != draw(other, shape))
+    # an odd count draws the prefix of the next even one
+    assert maxreg.random_normal(7, (5,)).tobytes() == maxreg.random_normal(7, (6,))[:5].tobytes()
+
+
 # ---------------------------------------------------------------- solution map
 
 def test_solution_map_zero_forcing():
@@ -694,9 +767,11 @@ def exact_p2_quotients(a, batch):
     return (np.sqrt(yt2) + np.sqrt(ay2)) / np.sqrt(f2)
 
 
-# ROADMAP table A's exact p = 2 row: the GOLDEN forcings at T = 10 / 20 / 40
-EXACT_P2 = {"heat": [1.253736, 1.251308, 1.249697],
-            "coupled": [1.409110, 1.404246, 1.398841]}
+# The Lyapunov oracle's largest p = 2 quotient of the GOLDEN random batch
+# (seed 1234, SplitMix64 stream) at T = 10 / 20 / 40; ROADMAP table A's exact
+# p = 2 row holds numpy's PCG64 batch of the same seed
+EXACT_P2 = {"heat": [1.259343, 1.257935, 1.256799],
+            "coupled": [1.401922, 1.397469, 1.400782]}
 
 
 @pytest.mark.parametrize("model", ["heat", "coupled"])
