@@ -14,13 +14,13 @@ on a cell [t_j, t_j + tau], y' = e^{As} z_j and A y = y' - f_j, so each cell
 takes Gauss-Legendre panels that double in width away from its opening, the
 first one narrow enough for the fastest transient e^{As}(f_j - f_{j-1}).  The
 forcing's own norm is exact, (tau sum_j |f_j|^p)^{1/p}.  The horizon scan
-adds to every horizon's family the eigenmode forcings of the operator it
-scans, constant in time (one cell of width T), and the peak forcing, swept
-once over the longest horizon and read by each horizon on its prefix; the
-random batch is read the same way where each horizon's cells are a prefix of
-the longest one's.  ``solution_map`` integrates one forcing's trajectory
-exactly per cell, with the augmented-matrix exponential for the state and
-the same sweep for y'.
+sweeps every batch once on [0, T_max], and horizon T reads its cells inside
+[0, T]: by causality that prefix is a forcing on [0, T] whose response there
+is the sweep's own, so every horizon reads the same signals.  To that it
+adds the eigenmode forcings of the operator it scans, constant in time (one
+cell of width T, one batch per horizon).  ``solution_map``
+integrates one forcing's trajectory exactly per cell, with the
+augmented-matrix exponential for the state and the same sweep for y'.
 """
 
 import math
@@ -186,29 +186,14 @@ def eigenmodes(op, horizon):
 
 
 def build_forcing_grid(op, t_grid, n_random, seed, n_cells_max):
-    """Nested random forcing batches over a horizon grid: one batch per
-    horizon, or none when ``n_random`` is 0.
-
-    The longest horizon takes ``n_cells_max`` cells and a horizon T takes
-    round(n_cells_max * T / T_max) of them, the prefix of the same cell values
-    (views of one array), so the scan compares the same underlying signals
-    when the horizon grows.  The cells share one width (T_max / n_cells_max)
-    only where those counts are exact, as for 125 / 250 / 500 cells over
-    T = 10 / 20 / 40, and the scan then sweeps the longest batch alone;
-    otherwise each horizon's width is T over its own count (4 / 33, 8 / 67
-    and 12 / 100 for T = 4 / 8 / 12 on 100 cells), so a shorter horizon's
-    forcings are the longer one's values on a slightly different time grid,
-    swept on their own.  The eigenmodes are not part of the grid:
-    ``plateau_scan_multi`` adds the eigenmodes of the operator it scans.
-    """
-    t_grid = [float(t) for t in t_grid]
-    t_max = max(t_grid)
-    base = random_normal(seed, (n_cells_max, operator_matrix(op).shape[0], n_random))
-    sets = []
-    for t in t_grid:
-        cells = max(1, int(round(n_cells_max * t / t_max)))
-        sets.append([ForcingSignal(base[:cells], t / cells)] if n_random else [])
-    return sets
+    """The scan's random batch: ``n_random`` forcings on ``n_cells_max`` cells
+    over [0, T_max], T_max the longest horizon of ``t_grid``, as a list of one
+    batch, or none when ``n_random`` is 0.  ``plateau_scan_multi`` reads each
+    horizon on a prefix of its cells and adds the eigenmodes of the operator
+    it scans."""
+    t_max = max(float(t) for t in t_grid)
+    values = random_normal(seed, (n_cells_max, operator_matrix(op).shape[0], n_random))
+    return [ForcingSignal(values, t_max / n_cells_max)] if n_random else []
 
 
 def _propagator_pair(a, h):
@@ -255,8 +240,6 @@ def _validate_family(p_list, horizon, forcing_set):
     for p in p_list:
         if not (1.0 < p < np.inf):
             raise UsageError(f"exponent p must lie in (1, inf), got {p}")
-    if not forcing_set:
-        raise UsageError("forcing set must be nonempty")
     for f in forcing_set:
         if abs(f.horizon - horizon) > 1e-9 * max(horizon, 1.0):
             raise UsageError(
@@ -336,12 +319,13 @@ def lp_time_norm(scale, weight, p):
 
 def _quotients(sweep, p_list, k):
     """The largest quotient per exponent of a swept batch, read on its first
-    ``k`` cells."""
+    ``k`` cells; a forcing that is zero on them reads 0."""
     step, split, scale, sums, nf = sweep
     out = []
     for i, p in enumerate(p_list):
         norms = lp_time_norm(scale[:k * split], sums[:k * split, :, i], p)
-        out.append(float(((norms[0] + norms[1]) / lp_time_norm(nf[:k], step, p)).max()))
+        num, den = norms[0] + norms[1], lp_time_norm(nf[:k], step, p)
+        out.append(float(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0).max()))
     return np.array(out)
 
 
@@ -353,6 +337,8 @@ def maxreg_constants_multi(cl, p_list, horizon, forcing_set):
     """
     p_list = [float(p) for p in p_list]
     _validate_family(p_list, horizon, forcing_set)
+    if not forcing_set:
+        raise UsageError("forcing set must be nonempty")
     a, cap = operator_matrix(cl), _cell_cap(cl, max(p_list))
     return np.max([_quotients(_sweep(a, f, p_list, cap), p_list, f.n_cells)
                    for f in forcing_set], axis=0)
@@ -471,66 +457,52 @@ def _peak_forcing(a, omega, v, horizon):
     return ForcingSignal(values if np.iscomplexobj(a) else values.real, tau)
 
 
-def plateau_scan_multi(cl, p_list, t_grid, forcing_sets):
+def plateau_scan_multi(cl, p_list, t_grid, forcings):
     """Horizon scans for several exponents, each batch swept once.
 
-    Each horizon's family is its forcing set plus the ``eigenmodes`` of
-    ``cl``, taken from its one decomposition for the whole scan, swept by
-    ``maxreg_constants_multi`` at that horizon, plus the peak forcing
-    Re(v e^{i w* t}): ``_frequency_sup`` with (C, D) = ([A; A], [I; 0])
-    gives w* and sup ||G|| of G = [iwR; AR] (C_upper = sqrt(2) sup ||G||), and v
-    is a top right singular vector of G(i w*).  That batch is swept once on
-    [0, T_max], and horizon T reads its first floor(T / tau) cells: extended
-    by zero, that prefix is a forcing on [0, T] with the same norm and no
-    smaller response, so its quotient is a lower end at T too.  A batch whose
-    values are the first cells of one at the longest horizon, in its memory
-    and at its cell width (``build_forcing_grid``'s views), is read from that
-    one's sweep.  A gain within _SUP_RTOL of 1, as every normal loop's, has no
-    interior peak and takes no peak batch.  Returns one MaxRegReport per
-    exponent.  verdict ``plateau``: the last two estimates differ by
-    < PLATEAU_RTOL relative; ``growth``: log C increases by more than 1
-    between every pair of consecutive horizons; anything in between is
+    ``forcings`` is a list of batches on [0, T_max], T_max the longest
+    horizon; so is the peak forcing Re(v e^{i w* t}): ``_frequency_sup`` with
+    (C, D) = ([A; A], [I; 0]) gives w* and sup ||G|| of G = [iwR; AR]
+    (C_upper = sqrt(2) sup ||G||), and v is a top right singular vector of
+    G(i w*).  A gain within _SUP_RTOL of 1, as every normal loop's, has no
+    interior peak and takes no peak batch.  Each batch is swept once, and
+    horizon T reads its first floor(m T / T_max) of m cells: extended by zero,
+    that prefix is a forcing on [0, T] with the same norm and no smaller
+    response, so its quotient is a lower end at T too.  Each horizon adds the
+    ``eigenmodes`` of ``cl``, taken from its one decomposition for the whole
+    scan, swept by ``maxreg_constants_multi`` at that horizon.  Returns one
+    MaxRegReport per exponent.  verdict ``plateau``: the last two estimates
+    differ by < PLATEAU_RTOL relative; ``growth``: log C increases by more
+    than 1 between every pair of consecutive horizons; anything in between is
     ``indeterminate``.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 3 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise UsageError("horizon grid must be increasing with at least 3 entries")
-    if len(forcing_sets) != len(t_grid):
-        raise UsageError("one forcing set per horizon required")
     p_list = [float(p) for p in p_list]
     if not p_list:
         raise UsageError("exponent grid must be nonempty")
+    _validate_family(p_list, t_grid[-1], forcings)
     a, cap = operator_matrix(cl), _cell_cap(cl, max(p_list))
-    families = [[*fs, eigenmodes(cl, t)] for t, fs in zip(t_grid, forcing_sets)]
-    for t, family in zip(t_grid, families):
-        _validate_family(p_list, t, family)
+    table = np.array([maxreg_constants_multi(cl, p_list, t, [eigenmodes(cl, t)])
+                      for t in t_grid])
 
-    def opens(f, g):                # f's values: g's first cells, in g's memory
-        return (f.time_step == g.time_step and f.n_cells <= g.n_cells
-                and f.values.strides == g.values.strides
-                and f.values.ctypes.data == g.values.ctypes.data)
-
-    shared = forcing_sets[-1]
-    table = np.array([maxreg_constants_multi(
-        cl, p_list, t, [f for f in family if not any(opens(f, g) for g in shared)])
-        for t, family in zip(t_grid, families)])
-
-    def read(batch, points):        # one sweep, read at each (horizon, cells)
+    def read(batch):                # one sweep, read on each horizon's prefix
         sweep = _sweep(a, batch, p_list, cap)
-        for i, k in points:
+        for i, t in enumerate(t_grid):
+            # 1 + 1e-12 keeps a whole m T / T_max whole where it rounds
+            # below: 3 cells over T = 0.3 / 0.6 / 0.9 read 1 / 2 / 3
+            k = math.floor(batch.n_cells * t / t_grid[-1] * (1.0 + 1e-12))
             if k:
                 table[i] = np.maximum(table[i], _quotients(sweep, p_list, k))
 
-    for g in shared:
-        read(g, [(i, f.n_cells) for i, fs in enumerate(forcing_sets) for f in fs if opens(f, g)])
+    for f in forcings:
+        read(f)
     imag_sup = imaginary_axis_bound(cl)
     c, d = np.vstack([a, a]), np.eye(2 * a.shape[0], a.shape[0])
     sup, omega = _frequency_sup(cl, c, d)
     if 1.0 + _SUP_RTOL < sup < np.inf:      # w* an interior peak
-        peak = _peak_forcing(a, omega, _top_vector(_response(a, c, d, omega), sup), t_grid[-1])
-        # T_max reads every cell: m T / T_max may round below m there
-        read(peak, [(i, peak.n_cells if t == t_grid[-1] else math.floor(peak.n_cells * t / t_grid[-1]))
-                    for i, t in enumerate(t_grid)])
+        read(_peak_forcing(a, omega, _top_vector(_response(a, c, d, omega), sup), t_grid[-1]))
     return [MaxRegReport(
         p=p,
         t_grid=tuple(t_grid),
@@ -547,14 +519,13 @@ def dual_exponent(p):
     return p / (p - 1.0)
 
 
-def conjugated_forcings(forcing_sets):
-    """The batches conjugated; a real batch is its own conjugate, kept as it
-    is, so its horizons still share one sweep."""
-    return [[ForcingSignal(np.conj(f.values), f.time_step) if np.iscomplexobj(f.values) else f
-             for f in fs] for fs in forcing_sets]
+def conjugated_forcings(forcings):
+    """The batches conjugated; a real batch is its own conjugate, kept as it is."""
+    return [ForcingSignal(np.conj(f.values), f.time_step) if np.iscomplexobj(f.values) else f
+            for f in forcings]
 
 
-def duality_check(cl, p, t_grid, forcing_sets):
+def duality_check(cl, p, t_grid, forcings):
     """Regularity gap between the operator at p and its adjoint at p'.
 
     Runs the horizon scan for the closed loop at exponent p and for its
@@ -564,11 +535,11 @@ def duality_check(cl, p, t_grid, forcing_sets):
     come from the adjoint's own eigenpairs; they are not the conjugated
     eigenvectors of the closed loop.
     """
-    rep = plateau_scan_multi(cl, [p], t_grid, forcing_sets)[0]
+    rep = plateau_scan_multi(cl, [p], t_grid, forcings)[0]
     a = operator_matrix(cl)
     adj = Operator(a.conj().T, label="adjoint")
     rep_adj = plateau_scan_multi(adj, [dual_exponent(p)], t_grid,
-                                 conjugated_forcings(forcing_sets))[0]
+                                 conjugated_forcings(forcings))[0]
     if rep.verdict != rep_adj.verdict:
         raise IdentityViolationError(
             f"duality verdict mismatch: {rep.verdict} (p={p}) vs "

@@ -84,7 +84,9 @@ def test_seed_outside_range_is_usage_error():
                      lambda: maxreg.random_uniform(seed, (3,)),
                      lambda: maxreg.piecewise_random_forcing(2, 1.0, 4, seed=seed),
                      lambda: maxreg.build_forcing_grid(np.diag([-1.0, -2.0]), [1, 2, 3],
-                                                       2, seed, 6)):
+                                                       2, seed, 6),
+                     lambda: maxreg.build_forcing_grid(np.diag([-1.0, -2.0]), [1, 2, 3],
+                                                       0, seed, 6)):
             with pytest.raises(UsageError, match="seed"):
                 draw()
 
@@ -334,20 +336,18 @@ def test_mode_quotients_memory_is_bounded():
 
 
 def test_random_batch_horizon_memory_is_bounded():
-    # each horizon of the heat benchmark's random batch (8 forcings on 125,
-    # 250 or 500 cells): the stack of exponentials at a cell's 84 nodes, one
-    # tile and the per-cell sums, at most 1.17 MiB
+    # the heat benchmark's random batch (8 forcings on 500 cells over T = 40),
+    # swept once for every horizon: the stack of exponentials at a cell's 84
+    # nodes, one tile and the per-cell sums, at most 1.17 MiB
     a = maxreg.operator_matrix(benchmark_loop("heat").composed)
-    t_grid = [10.0, 20.0, 40.0]
-    sets = maxreg.build_forcing_grid(a, t_grid, 8, 1234, 500)
-    for t, fs in zip(t_grid, sets):
-        tracemalloc.start()
-        try:
-            maxreg.maxreg_constants_multi(a, [1.5, 2.0, 4.0], t, fs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 << 20
+    sets = maxreg.build_forcing_grid(a, [10.0, 20.0, 40.0], 8, 1234, 500)
+    tracemalloc.start()
+    try:
+        maxreg.maxreg_constants_multi(a, [1.5, 2.0, 4.0], 40.0, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_random_batch_horizon_memory_is_bounded_at_2d_sizes():
@@ -528,43 +528,50 @@ def node_count(a, tau):
 def test_one_kernel_sweep_per_cell_structure(monkeypatch):
     calls = counting_kernel(monkeypatch)
     a = maxreg.operator_matrix(stable_heat_loop(16).composed)
-    t_grid = [5.0, 10.0, 20.0]
-    sets = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=3, n_cells_max=200)
-    for t, fs in zip(t_grid, sets):
-        calls.clear()
-        modes = maxreg.eigenmodes(a, t)
-        maxreg.maxreg_constants_multi(a, [1.5, 2.0], t, [*fs, modes])
-        # the random forcings share one cell structure and take one sweep, the
-        # eigenmodes (a real spectrum: one cell of width t, never split)
-        # another, each cell on the graded rule of its width
-        cells = round(200 * t / t_grid[-1])
-        assert [f.values.shape for f in fs] == [(cells, 16, 2)]
-        assert [(f.shape, q) for f, q in calls] == [
-            ((cells, 16, 2), node_count(a, t / cells)), ((1, 16, 16), node_count(a, t))]
-    # shorter horizons take views of the longest horizon's random batch
-    assert all(np.shares_memory(fs[0].values, sets[-1][0].values) for fs in sets)
+    sets = maxreg.build_forcing_grid(a, [5.0, 10.0, 20.0], n_random=2, seed=3, n_cells_max=200)
+    modes = maxreg.eigenmodes(a, 20.0)
+    maxreg.maxreg_constants_multi(a, [1.5, 2.0], 20.0, [*sets, modes])
+    # the random forcings share one cell structure and take one sweep, the
+    # eigenmodes (a real spectrum: one cell of width 20, never split)
+    # another, each cell on the graded rule of its width
+    assert [f.values.shape for f in sets] == [(200, 16, 2)]
+    assert [(f.shape, q) for f, q in calls] == [
+        ((200, 16, 2), node_count(a, 0.1)), ((1, 16, 16), node_count(a, 20.0))]
 
 
-@pytest.mark.parametrize(("t_grid", "n_cells", "counts", "widths"), [
-    ([10, 20, 40], 500, [125, 250, 500], [0.08, 0.08, 0.08]),
-    ([4, 8, 12], 100, [33, 67, 100], [4 / 33, 8 / 67, 0.12]),
-], ids=["benchmark", "ci-tiny"])
-def test_forcing_grid_cell_widths(t_grid, n_cells, counts, widths, monkeypatch):
-    # one cell width only where the cell counts are exact; the tiny grid's
-    # horizons take 0.1212, 0.1194 and 0.12.  So the scan sweeps the
-    # benchmark's random batch once and reads it at 125 / 250 / 500 cells,
-    # and the tiny grid's once per horizon
+def reading_prefixes(monkeypatch):
+    """Record the forcing count and the cells read of every ``_quotients``."""
+    reads = []
+    quotients = maxreg._quotients
+
+    def recorded(sweep, p_list, k):
+        reads.append((sweep[4].shape[1], k))
+        return quotients(sweep, p_list, k)
+
+    monkeypatch.setattr(maxreg, "_quotients", recorded)
+    return reads
+
+
+@pytest.mark.parametrize(("t_grid", "n_cells", "width", "counts"), [
+    ([10, 20, 40], 500, 0.08, [125, 250, 500]),
+    ([4, 8, 12], 100, 0.12, [33, 66, 100]),
+    ([0.3, 0.6, 0.9], 3, 0.3, [1, 2, 3]),
+], ids=["benchmark", "ci-tiny", "rounds-below"])
+def test_forcing_grid_cell_widths(t_grid, n_cells, width, counts, monkeypatch):
+    # one batch of n_cells cells over the longest horizon, swept once; a
+    # horizon T reads its first floor(n_cells T / T_max) cells, whole counts
+    # whole also where n_cells T / T_max rounds just below them (0.3 * 3 / 0.9)
     a = maxreg.operator_matrix(stable_heat_loop(8).composed)
     sets = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=3, n_cells_max=n_cells)
-    assert [fs[0].n_cells for fs in sets] == counts
-    assert np.allclose([fs[0].time_step for fs in sets], widths, rtol=1e-15, atol=0.0)
-    assert [fs[0].horizon for fs in sets] == pytest.approx(t_grid, rel=1e-15)
-    assert all(np.array_equal(fs[0].values, sets[-1][0].values[:c])
-               for fs, c in zip(sets, counts))
+    (batch,) = sets
+    assert batch.values.shape == (n_cells, 8, 2)
+    assert batch.time_step == pytest.approx(width, rel=1e-15)
+    assert batch.horizon == pytest.approx(t_grid[-1], rel=1e-15)
     calls = counting_kernel(monkeypatch)
+    reads = reading_prefixes(monkeypatch)
     maxreg.plateau_scan_multi(a, [2.0], t_grid, sets)
-    random = [f.shape for f, _ in calls if f.shape[2] == 2]
-    assert random == ([(500, 8, 2)] if t_grid[-1] == 40 else [(c, 8, 2) for c in counts])
+    assert [f.shape for f, _ in calls if f.shape[2] == 2] == [(n_cells, 8, 2)]
+    assert [k for count, k in reads if count == 2] == counts
 
 
 def test_forcing_count_zero_scans_the_eigenmodes_alone(monkeypatch):
@@ -577,7 +584,7 @@ def test_forcing_count_zero_scans_the_eigenmodes_alone(monkeypatch):
     for a in (maxreg.operator_matrix(stable_heat_loop(16).composed), np.diag([-1.0, -2.0, -3.0])):
         calls.clear()
         sets = maxreg.build_forcing_grid(a, t_grid, n_random=0, seed=3, n_cells_max=200)
-        assert sets == [[], [], []]
+        assert sets == []
         reports = maxreg.plateau_scan_multi(a, [1.5, 2.0, 4.0], t_grid, sets)
         sup, omega = maxreg._frequency_sup(a, *stacked(a))
         shapes = [f.shape for f, _ in calls]
@@ -589,6 +596,63 @@ def test_forcing_count_zero_scans_the_eigenmodes_alone(monkeypatch):
             assert shapes == modes + [(m, len(a), 1)]
         for rep in reports:
             assert all(np.isfinite(rep.c_estimates)) and min(rep.c_estimates) >= 1.0
+
+
+def test_prefix_reads_match_explicit_prefix_batches():
+    # CI's tiny grid: 100 cells of width 0.12 over T = 4 / 8 / 12, read at
+    # 33 / 66 / 100 cells.  A normal loop takes no peak batch, and here its
+    # random forcings win every row, so each row is the estimate of the
+    # explicit prefix batch on [0, k tau], to rounding
+    a = np.diag([-1.0, -4.0, -9.0])
+    t_grid, p_list = [4.0, 8.0, 12.0], [1.5, 2.0, 4.0]
+    sets = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=7, n_cells_max=100)
+    reports = maxreg.plateau_scan_multi(a, p_list, t_grid, sets)
+    (batch,) = sets
+    for i, (t, k) in enumerate(zip(t_grid, [33, 66, 100])):
+        prefix = ForcingSignal(batch.values[:k], batch.time_step)
+        want = maxreg.maxreg_constants_multi(a, p_list, k * batch.time_step, [prefix])
+        modes = maxreg.maxreg_constants_multi(a, p_list, t, [maxreg.eigenmodes(a, t)])
+        assert np.all(want > modes)
+        assert np.allclose([rep.c_estimates[i] for rep in reports], want, rtol=1e-14, atol=0.0)
+
+
+def test_plateau_scan_rejects_a_batch_off_the_longest_horizon():
+    a = np.array([[-1.0]])
+    for horizon in (10.0, 20.0, 80.0):
+        batch = ForcingSignal(np.ones((5, 1)), horizon / 5)
+        with pytest.raises(UsageError, match="does not match requested T = 40"):
+            maxreg.plateau_scan_multi(a, [2.0], [10.0, 20.0, 40.0], [batch])
+
+
+def test_horizon_shorter_than_a_cell_reads_modes_and_peak(monkeypatch):
+    # 2 random cells of width 4 over T = 1 / 2 / 8: the shorter horizons read
+    # k = 0 of them, so their rows are the forcing-free scan's, the
+    # eigenmodes' and the peak forcing's prefixes, each >= 1
+    a = maxreg.operator_matrix(stable_heat_loop(8).composed)
+    assert maxreg._frequency_sup(a, *stacked(a))[0] > 1.0 + 2e-9      # a peak batch
+    t_grid, p_list = [1.0, 2.0, 8.0], [1.5, 2.0, 4.0]
+    alone = [rep.c_estimates for rep in maxreg.plateau_scan_multi(a, p_list, t_grid, [])]
+    reads = reading_prefixes(monkeypatch)
+    sets = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=3, n_cells_max=2)
+    rows = [rep.c_estimates for rep in maxreg.plateau_scan_multi(a, p_list, t_grid, sets)]
+    assert [k for count, k in reads if count == 2] == [2]
+    assert np.array_equal(np.array(rows)[:, :2], np.array(alone)[:, :2])
+    assert np.all(np.array(rows) >= 1.0) and np.all(np.array(rows) >= np.array(alone))
+
+
+def test_forcing_zero_on_a_prefix_reads_no_quotient_there():
+    # a forcing zero on its first half: the horizons inside that half read
+    # the eigenmodes alone, with no 0 / 0
+    a = np.diag([-1.0, -4.0, -9.0])
+    values = maxreg.random_normal(5, (10, 3, 1))
+    values[:5] = 0.0
+    t_grid = [2.0, 4.0, 8.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = maxreg.plateau_scan_multi(a, [2.0], t_grid, [ForcingSignal(values, 0.8)])[0]
+    alone = maxreg.plateau_scan_multi(a, [2.0], t_grid, [])[0]
+    assert rep.c_estimates[:2] == alone.c_estimates[:2]
+    assert rep.c_estimates[2] > alone.c_estimates[2]
 
 
 def mode_oracle(a, p_list, horizon):
@@ -647,7 +711,7 @@ def test_estimates_match_trajectory_quadrature(n_cells_max, horizon):
     a = maxreg.operator_matrix(stable_heat_loop(16).composed)
     t_grid = [horizon / 4, horizon / 2, horizon]
     fs = maxreg.build_forcing_grid(a, t_grid, n_random=2, seed=1234,
-                                   n_cells_max=n_cells_max)[-1]
+                                   n_cells_max=n_cells_max)
     p_list = [1.5, 2.0, 4.0]
     modes = maxreg.eigenmodes(a, horizon)
     got = maxreg.maxreg_constants_multi(a, p_list, horizon, [*fs, modes])
@@ -690,7 +754,8 @@ def test_p2_estimates_below_plancherel_ceiling(a, ceiling):
     assert max(rep.c_estimates) <= ceiling_grid * (1 + 1e-6)
     assert rep.verdict == "plateau"
     # the peak forcing brings the non-normal blocks within 5 % of the bound
-    # by T = 20 (the random forcings and eigenmodes alone read 2.94 on s = 10)
+    # by T = 20 (the random forcings and eigenmodes alone read 3.23 / 2.88 /
+    # 2.68 on s = 10 at T = 5 / 10 / 20)
     if np.triu(a, 1).any():
         assert rep.c_estimates[-1] >= 0.95 * ceiling_grid
 
@@ -788,7 +853,9 @@ def test_benchmark_p2_estimates_against_exact_oracle(model):
     sup, omega = maxreg._frequency_sup(a, c, d)
     peak = maxreg._peak_forcing(a, omega, maxreg._top_vector(maxreg._response(a, c, d, omega), sup),
                                 t_grid[-1])
-    for t, (batch,), want, row in zip(t_grid, sets, EXACT_P2[model], rows):
+    (random,) = sets
+    for t, want, row in zip(t_grid, EXACT_P2[model], rows):
+        batch = ForcingSignal(random.values[:round(500 * t / 40)], random.time_step)
         exact = exact_p2_quotients(a, batch)
         assert exact.max() == pytest.approx(want, abs=1e-6)
         swept = [maxreg.maxreg_constants_multi(
@@ -804,11 +871,11 @@ def test_benchmark_p2_estimates_against_exact_oracle(model):
 
 
 def doubling_case(case):
-    """(operator, exponents, t_grid, forcing sets) of a node-doubling case."""
+    """(operator, exponents, t_grid, forcings) of a node-doubling case."""
     t_grid = [10.0, 20.0, 40.0]
-    if case == "oscillator":      # one cell of width T, rotating 20 rad per unit time
+    if case == "oscillator":      # one cell of width 40, rotating 20 rad per unit time
         a = np.array([[-0.05, 20.0], [-20.0, -0.05]])
-        return a, [1.5, 2.0, 4.0], t_grid, [[ForcingSignal(np.array([1.0, 0.3]), t)] for t in t_grid]
+        return a, [1.5, 2.0, 4.0], t_grid, [ForcingSignal(np.array([1.0, 0.3]), 40.0)]
     if case == "open-heat":       # unstable, lam = 6.16: |y'| reaches e^{246}
         a = heat.build_heat_operator(HeatConfig(n=32, c2=16.0))
         return a, [4.0], t_grid, maxreg.build_forcing_grid(a, t_grid, 8, 1234, 500)
@@ -855,8 +922,7 @@ def test_stack_chunks_move_no_estimate(case, monkeypatch):
 def test_long_cells_split_at_a_quarter_rotation(monkeypatch):
     # the oscillator's one cell of width 40 is swept as 510 sub-cells of at
     # most pi / 40: taken whole, 6 against 12 nodes per panel read 5e-2 apart
-    a, p_list, _, sets = doubling_case("oscillator")
-    f = sets[-1][0]
+    a, p_list, _, (f,) = doubling_case("oscillator")
     calls = counting_kernel(monkeypatch)
     maxreg.maxreg_constants_multi(a, p_list, 40.0, [f])
     assert calls[0][0].shape == (510, 2, 1)
@@ -891,9 +957,9 @@ def test_growth_unstable_scalar(p):
 def test_plateau_scan_validates_grid():
     a = np.array([[-1.0]])
     with pytest.raises(UsageError):
-        maxreg.plateau_scan_multi(a, [2.0], [10.0, 5.0, 20.0], [[], [], []])
+        maxreg.plateau_scan_multi(a, [2.0], [10.0, 5.0, 20.0], [])
     with pytest.raises(UsageError):
-        maxreg.plateau_scan_multi(a, [2.0], [5.0, 10.0], [[], []])
+        maxreg.plateau_scan_multi(a, [2.0], [5.0, 10.0], [])
     t_grid = [5.0, 10.0, 20.0]
     sets = maxreg.build_forcing_grid(a, t_grid, n_random=1, seed=0, n_cells_max=10)
     with pytest.raises(UsageError):
@@ -927,7 +993,7 @@ def test_imaginary_axis_jordan_oracle(a, exact, c_upper, monkeypatch):
     calls = counting_kernel(monkeypatch)
     with basis_warning(a.shape == (2, 2) and a[0, 1] != 0.0):
         sup = maxreg.imaginary_axis_bound(a)
-        rep = maxreg.plateau_scan_multi(a, [2.0], [1.0, 2.0, 4.0], [[], [], []])[0]
+        rep = maxreg.plateau_scan_multi(a, [2.0], [1.0, 2.0, 4.0], [])[0]
     assert abs(sup - exact) <= 2e-9 * exact
     assert abs(rep.c_upper - c_upper) <= 2e-9 * c_upper
     # the one-cell eigenmode batch of each horizon, and the peak batch
