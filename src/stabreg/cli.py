@@ -82,16 +82,9 @@ def _get_int(cfgp, section, key, default, minimum):
     return value
 
 
-def _get_floats(cfgp, section, key, default=None):
-    if not cfgp.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
-        return list(default)
-    raw = cfgp.get(section, key).split()
-    try:
-        return [float(t) for t in raw]
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+def _floats(raw):
+    """Whitespace-separated floats."""
+    return [float(t) for t in raw.split()]
 
 
 def _finite_float(raw):
@@ -176,7 +169,7 @@ class AbstractModel:
 _MODELS = {"heat": heat.HeatConfig, "coupled": coupled.CoupledConfig,
            "abstract": AbstractModel}
 _FIELD_KEYS = {"theta_e_profile": "theta_e"}      # dataclass field -> [model] key
-_CASTS = {int: int, float: _finite_float, str: str,
+_CASTS = {int: int, float: _finite_float, str: str, tuple: lambda raw: tuple(_floats(raw)),
           object: _finite_float}      # object: theta_e, a scalar
 _SYNTHESIS_CASTS = {"mode": str, "targets": _complex_list, "use_interior": bool}
 
@@ -234,8 +227,7 @@ def build_model(cfgp):
     for key, f in _model_keys(_MODELS[kind]).items():
         if not cfgp.has_option("model", key) and f.default is not dataclasses.MISSING:
             continue        # keeps the dataclass default
-        values[f.name] = (tuple(_get_floats(cfgp, "model", key)) if f.type is tuple
-                          else _get(cfgp, "model", key, cast=_CASTS[f.type]))
+        values[f.name] = _get(cfgp, "model", key, cast=_CASTS[f.type])
     model = _MODELS[kind](**values)
     # built here, so a bad operator or lifting fails every command alike
     model.operator, model.lifting
@@ -285,11 +277,11 @@ def _scan_seed(cfgp, seed_override):
 def _maxreg_params(cfgp, seed_override):
     """The [maxreg] settings of the regularity scan, with their defaults."""
     sec = "maxreg"
-    p_grid = _get_floats(cfgp, sec, "p_grid", (1.5, 2.0, 4.0))
+    p_grid = _get(cfgp, sec, "p_grid", [1.5, 2.0, 4.0], _floats)
     if not (p_grid and all(1.0 < p < np.inf for p in p_grid)):
         raise ConfigError(f"[maxreg] p_grid = {cfgp.get(sec, 'p_grid')!r}: need one "
                           "or more exponents, each in (1, inf)")
-    t_grid = _get_floats(cfgp, sec, "t_grid", (10.0, 20.0, 40.0))
+    t_grid = _get(cfgp, sec, "t_grid", [10.0, 20.0, 40.0], _floats)
     if not (len(t_grid) >= 3 and 0.0 < t_grid[0] and t_grid[-1] < np.inf
             and all(a < b for a, b in zip(t_grid, t_grid[1:]))):
         raise ConfigError(f"[maxreg] t_grid = {cfgp.get(sec, 't_grid')!r}: need 3 "

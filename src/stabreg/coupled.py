@@ -21,16 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from . import synthesis
-from .errors import ConfigError, ResonanceError
-from .heat import (
-    check_finite,
-    check_row,
-    check_window,
-    dirichlet_lift,
-    first_difference,
-    laplacian,
-    window_mask,
-)
+from .errors import ConfigError
+from .heat import GridModel, check_row, first_difference, laplacian, window_mask
 from .operators import (
     GreenMap,
     Operator,
@@ -43,7 +35,7 @@ from .operators import (
 
 
 @dataclass(frozen=True)
-class CoupledConfig:
+class CoupledConfig(GridModel):
     """Grid, diffusivities, couplings and destabilizing translations.
 
     ``theta_e_profile`` is the nodal equilibrium-gradient surrogate (a scalar
@@ -65,39 +57,15 @@ class CoupledConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        check_finite(self)
-        if self.n < 8:
-            raise ConfigError(f"need at least 8 interior nodes per component, got {self.n}")
+        self._check()
         if self.nu <= 0 or self.kappa <= 0:
             raise ConfigError("diffusivities must be positive")
-        check_window(self.omega)
-        if not (1.0 < self.q < np.inf):
-            raise ConfigError(f"q must lie in (1, inf), got {self.q}")
-        if not (0.0 < self.epsilon < 1.0 / (2.0 * self.q)):
-            raise ConfigError(f"epsilon must lie in (0, 1/(2q))")
         prof = np.asarray(self.theta_e_profile, dtype=float)
         if prof.ndim not in (0, 1) or (prof.ndim == 1 and prof.shape != (self.n,)):
             raise ConfigError("theta_e_profile must be a scalar or an n-vector")
         if not np.all(np.isfinite(prof)):
             raise ConfigError("theta_e_profile must be finite")
-        ratio = self.c2_h / self.kappa
-        if ratio > 0:
-            c = np.sqrt(ratio)
-            k = int(round(c / np.pi))
-            if k >= 1 and abs(c - k * np.pi) < 1e-3:
-                raise ResonanceError(
-                    f"sqrt(c2_h/kappa) = {c:g} within 1e-3 of {k}*pi: thermal map resonates")
-
-    @property
-    def h(self):
-        return 1.0 / (self.n + 1)
-
-    @property
-    def gamma(self):
-        return 1.0 / (2.0 * self.q) - self.epsilon
-
-    def nodes(self):
-        return np.linspace(self.h, 1.0 - self.h, self.n)
+        self._check_resonance(self.c2_h / self.kappa, "sqrt(c2_h/kappa)")
 
     def theta_vector(self):
         prof = np.asarray(self.theta_e_profile, dtype=float)
@@ -193,12 +161,9 @@ def build_thermal_dirichlet_map(cfg):
     Columns solve (kappa Lap + c2_h) psi = 0 with unit value at one thermal
     boundary node; exponent gamma = 1/(2q) - eps.
     """
-    n = cfg.n
-    elliptic = cfg.kappa * laplacian(n)
-    elliptic.flat[::n + 1] += cfg.c2_h      # + c2_h I, bit for bit
-    cols = dirichlet_lift(elliptic, -cfg.kappa / cfg.h**2,
-                          f"thermal elliptic operator (c2_h = {cfg.c2_h:g})")
-    emb = np.vstack([np.zeros((n, 2)), cols])
+    cols = cfg.lift_columns(cfg.kappa, cfg.c2_h,
+                            f"thermal elliptic operator (c2_h = {cfg.c2_h:g})")
+    emb = np.vstack([np.zeros((cfg.n, 2)), cols])
     return GreenMap(emb, gamma=cfg.gamma, input_labels=("thermal x=0", "thermal x=1"))
 
 

@@ -35,22 +35,63 @@ from .operators import (
 )
 
 
-def check_finite(cfg):
-    """Every float field of the config dataclass ``cfg`` must be finite."""
-    for f in fields(cfg):
-        if f.type is float and not np.isfinite(getattr(cfg, f.name)):
-            raise ConfigError(f"{f.name} = {getattr(cfg, f.name)}: must be finite")
+class GridModel:
+    """The hypotheses that the heat and coupled models share: n >= 8 interior
+    nodes of a uniform grid on (0,1), a control window ``omega`` strictly
+    inside (0,1), 1 < q < inf, 0 < eps < 1/(2q), a Dirichlet lifting with
+    exponent gamma = 1/(2q) - eps and a translation that does not resonate.
+    It declares no dataclass field, so the models' fields are their [model] keys.
+    """
 
+    def _check(self):
+        """Every float field finite, then the grid, window, q and eps rules."""
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} = {getattr(self, f.name)}: must be finite")
+        if self.n < 8:
+            raise ConfigError(f"need at least 8 interior nodes, got {self.n}")
+        if not (len(self.omega) == 2 and 0.0 < self.omega[0] < self.omega[1] < 1.0):
+            raise ConfigError(f"[model] omega = {tuple(self.omega)}: need two values a < b "
+                              "with (a, b) a strict subinterval of (0,1)")
+        if not (1.0 < self.q < np.inf):
+            raise ConfigError(f"q must lie in (1, inf), got {self.q}")
+        if not (0.0 < self.epsilon < 1.0 / (2.0 * self.q)):
+            raise ConfigError(
+                f"epsilon must lie in (0, 1/(2q)) = (0, {1.0 / (2.0 * self.q):g})")
 
-def check_window(omega):
-    """The control window ``[model] omega`` must be two values 0 < a < b < 1."""
-    if not (len(omega) == 2 and 0.0 < omega[0] < omega[1] < 1.0):
-        raise ConfigError(f"[model] omega = {tuple(omega)}: need two values a < b with "
-                          "(a, b) a strict subinterval of (0,1)")
+    @staticmethod
+    def _check_resonance(x, name):
+        """The continuum test: c = sqrt(x) within 1e-3 of k pi, k >= 1, raises
+        ResonanceError naming the translation ``name``."""
+        if x > 0:
+            c = np.sqrt(x)
+            k = int(round(c / np.pi))
+            if k >= 1 and abs(c - k * np.pi) < 1e-3:
+                raise ResonanceError(
+                    f"{name} = {c:g} within 1e-3 of {k}*pi: Dirichlet map would resonate")
+
+    @property
+    def h(self):
+        return 1.0 / (self.n + 1)
+
+    @property
+    def gamma(self):
+        return 1.0 / (2.0 * self.q) - self.epsilon
+
+    def nodes(self):
+        return np.linspace(self.h, 1.0 - self.h, self.n)
+
+    def lift_columns(self, kappa, c2, name):
+        """``dirichlet_lift`` through kappa Lap + c2 I, written into one array
+        (kappa multiplied in place), with the edge weight -kappa / h^2."""
+        elliptic = laplacian(self.n)
+        elliptic *= kappa
+        elliptic.flat[::self.n + 1] += c2
+        return dirichlet_lift(elliptic, -kappa / self.h**2, name)
 
 
 @dataclass(frozen=True)
-class HeatConfig:
+class HeatConfig(GridModel):
     """Discretization and model parameters for the heat example.
 
     The members below are the CLI's model protocol, ``operator`` and
@@ -69,32 +110,8 @@ class HeatConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        check_finite(self)
-        if self.n < 8:
-            raise ConfigError(f"need at least 8 interior nodes, got {self.n}")
-        check_window(self.omega)
-        if not (1.0 < self.q < np.inf):
-            raise ConfigError(f"q must lie in (1, inf), got {self.q}")
-        if not (0.0 < self.epsilon < 1.0 / (2.0 * self.q)):
-            raise ConfigError(
-                f"epsilon must lie in (0, 1/(2q)) = (0, {1.0 / (2.0 * self.q):g})")
-        if self.c2 > 0:
-            c = np.sqrt(self.c2)
-            k = int(round(c / np.pi))
-            if k >= 1 and abs(c - k * np.pi) < 1e-3:
-                raise ResonanceError(
-                    f"c = {c:g} within 1e-3 of {k}*pi: Dirichlet map would resonate")
-
-    @property
-    def h(self):
-        return 1.0 / (self.n + 1)
-
-    @property
-    def gamma(self):
-        return 1.0 / (2.0 * self.q) - self.epsilon
-
-    def nodes(self):
-        return np.linspace(self.h, 1.0 - self.h, self.n)
+        self._check()
+        self._check_resonance(self.c2, "c")
 
     @cached_property
     def operator(self):
@@ -202,10 +219,7 @@ def build_dirichlet_map(cfg):
     at one endpoint; the exponent gamma = 1/(2q) - eps rides along.  A
     resonant translation makes the interior solve (near-)singular and raises.
     """
-    elliptic = laplacian(cfg.n)
-    elliptic.flat[::cfg.n + 1] += cfg.c2      # + c^2 I, bit for bit
-    cols = dirichlet_lift(elliptic, -1.0 / cfg.h**2,
-                          f"translated elliptic operator (c2 = {cfg.c2:g})")
+    cols = cfg.lift_columns(1.0, cfg.c2, f"translated elliptic operator (c2 = {cfg.c2:g})")
     return GreenMap(cols, gamma=cfg.gamma, input_labels=("x=0", "x=1"))
 
 

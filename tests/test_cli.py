@@ -693,6 +693,16 @@ def test_benchmark_heat_report_makes_no_eigh_call(tmp_path, monkeypatch):
     assert rows[-1] == ["overall", "1", "1", "PASS"]
 
 
+def test_model_keys_are_each_model_fields():
+    # the grid-model base of heat and coupled declares no field of its own
+    assert {kind: set(cli._model_keys(model)) for kind, model in cli._MODELS.items()} == {
+        "heat": {"n", "c2", "advection_b", "omega", "q", "epsilon"},
+        "coupled": {"n", "nu", "kappa", "gamma_buoy", "theta_e", "ye_advect", "c2_f",
+                    "c2_h", "omega", "q", "epsilon"},
+        "abstract": {"operator_file", "green_file", "green_gamma", "feedback_file"},
+    }
+
+
 def test_unknown_key_exit_2(tmp_path, capsys):
     write_abstract_files(tmp_path)
     cases = [("t_grid = 4 8 12", "t_grid = 4 8 12\np_gird = 2", "p_gird"),

@@ -49,6 +49,23 @@ def test_non_finite_float_field_names_the_field(config, field, value):
         config(**{field: value})
 
 
+@pytest.mark.parametrize(("config", "resonant"), [
+    (HeatConfig, {"c2": (np.pi * 1.0001) ** 2}),
+    (CoupledConfig, {"c2_h": 4.0 * (np.pi * 1.0001) ** 2, "kappa": 4.0}),
+], ids=["heat", "coupled"])
+def test_config_validation_shared_rules(config, resonant):
+    # the grid-model rules both configs share: n >= 8, a window strictly
+    # inside (0,1), 1 < q < inf, 0 < eps < 1/(2q) (0.25 is the open bound at
+    # q = 2), and the continuum resonance test on sqrt(c2) or sqrt(c2_h/kappa)
+    for bad in ({"n": 7}, {"omega": (0.5, 0.4)}, {"q": 1.0}, {"epsilon": 0.25}):
+        with pytest.raises(ConfigError) as info:
+            config(**bad)
+        assert info.type is ConfigError
+    with pytest.raises(ResonanceError):
+        config(**resonant)
+    config(n=8, epsilon=0.2499)
+
+
 def dense_split(cfg):
     """The four split blocks as np.block of identities and diagonals."""
     n = cfg.n
