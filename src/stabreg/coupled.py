@@ -9,10 +9,10 @@ The 2n x 2n block operator couples them through a scalar buoyancy injection
 part acting through (I - D F) plus a bounded collection (advections,
 couplings, interior feedback), both retained for reassembly checks.
 
-With no advection and a scalar equilibrium profile every block of the open
-loop is a I + b tridiag(1, 0, 1), so ``operators.spectrum`` decomposes it in
-closed form: the discrete sine transform leaves one 2 x 2 eigenproblem per
-sine mode.  An advection or a varying profile sends it to LAPACK's ``eig``.
+The diffusion blocks, their generator and, with no advection and a scalar
+profile, the open loop are 2 x 2 grids of blocks a I + b tridiag(1, 0, 1), so
+``operators.spectrum`` decomposes each in closed form, one 2 x 2 eigenproblem
+per sine mode; an advection or a varying profile sends the open loop to eig.
 """
 
 from dataclasses import dataclass, replace

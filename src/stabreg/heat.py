@@ -62,7 +62,10 @@ class GridModel:
     @staticmethod
     def _check_resonance(x, name):
         """The continuum test: c = sqrt(x) within 1e-3 of k pi, k >= 1, raises
-        ResonanceError naming the translation ``name``."""
+        ResonanceError naming the translation ``name``; a non-finite x, as an
+        overflowed ratio, raises ConfigError."""
+        if not np.isfinite(x):
+            raise ConfigError(f"{name} = sqrt({x:g}) is not finite")
         if x > 0:
             c = np.sqrt(x)
             k = int(round(c / np.pi))

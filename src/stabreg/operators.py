@@ -334,75 +334,34 @@ def _biorthogonality_residual(vl, vr):
     return err
 
 
-def _sine_blocks(m):
-    """Bounds (start, stop) of the diagonal blocks of a real symmetric ``m``
-    that is tridiagonal and splits, at its zero off-diagonal entries, into
-    blocks constant along both diagonals; None for any other matrix.
-
-    Tridiagonal means that ``m`` has as many nonzero entries as its three
-    diagonals, counted with no n x n temporary.
-    """
-    d, e = np.diagonal(m), np.diagonal(m, 1)
-    if np.count_nonzero(m) != np.count_nonzero(d) + 2 * np.count_nonzero(e):
-        return None
-    linked = e != 0
-    if ((d[:-1] != d[1:])[linked].any()
-            or (e[:-1] != e[1:])[linked[:-1] & linked[1:]].any()):
-        return None
-    cuts = np.flatnonzero(~linked) + 1
-    return list(zip([0, *cuts], [*cuts, m.shape[0]]))
-
-
-def _sine_block(a, b, out):
-    """Eigenvalues of the p x p block a I + b T, T = tridiag(1, 0, 1), with
-    its orthonormal eigenvectors written into ``out``, a p x p view.
-
-    The discrete sine transform diagonalizes the block: eigenvalues
-    (a + 2b) - 4b sin^2(k pi / (2(p + 1))) and eigenvectors
-    sqrt(2 / (p + 1)) sin(j k pi / (p + 1)), j, k = 1 ... p, for either sign
-    of b.  The sine's argument is reduced exactly, in integers, as
-    pi ((j k) mod 2(p + 1)) / (p + 1), so the p^2 entries are read from a
-    table of 2(p + 1) scaled sines.
-    """
-    p = out.shape[0]
-    k = np.arange(1, p + 1)
-    table = np.sin(np.arange(2 * (p + 1)) * (np.pi / (p + 1))) * math.sqrt(2.0 / (p + 1))
-    jk = np.outer(k, k)
-    jk %= 2 * (p + 1)
-    # every index is in range; a mode other than "raise" writes to out with
-    # no buffered copy
-    np.take(table, jk, out=out, mode="wrap")
-    return (a + 2.0 * b) - 4.0 * b * np.sin(k * (np.pi / (2 * (p + 1)))) ** 2
-
-
-def _sine_eigenpairs(m, bounds):
-    """Eigenvalues and orthonormal eigenvectors of a matrix that
-    ``_sine_blocks`` splits at ``bounds``, block by block in closed form
-    (``_sine_block``)."""
-    n = m.shape[0]
-    w, v = np.empty(n), np.zeros((n, n))
-    for start, stop in bounds:
-        b = m[start, start + 1] if stop - start > 1 else 0.0
-        w[start:stop] = _sine_block(m[start, start], b, v[start:stop, start:stop])
-    return w, v
+def _sine_columns(n, modes):
+    """The orthonormal eigenvectors sqrt(2 / (n + 1)) sin(j q pi / (n + 1)),
+    j = 1 ... n, of the n x n T = tridiag(1, 0, 1), for the 0-based ``modes``
+    q - 1, as F-ordered n x len(modes) columns.  The sine's argument is
+    reduced exactly, in integers, as pi ((j q) mod 2(n + 1)) / (n + 1), so
+    the entries are read from a table of 2(n + 1) scaled sines."""
+    table = np.sin(np.arange(2 * (n + 1)) * (np.pi / (n + 1))) * math.sqrt(2.0 / (n + 1))
+    qj = np.outer(modes + 1, np.arange(1, n + 1))
+    qj %= 2 * (n + 1)
+    return table[qj].T
 
 
 def _sine_grid(m):
     """(a, b), two k x k arrays, when the real N x N ``m`` is a k x k grid
-    (k >= 2) of equal n x n blocks (n >= 2), block (i, j) exactly
+    (k >= 1) of equal n x n blocks (n >= 2), block (i, j) exactly
     a_ij I + b_ij T with T = tridiag(1, 0, 1); None for any other matrix.
 
     n is read from the first zero of the first superdiagonal, the seam that
-    ends the first diagonal block.  Every block is then tested exactly: it
-    is constant along its three diagonals, its subdiagonal equals its
-    superdiagonal, and it has no nonzero entry off them, which holds when
-    ``m`` has as many nonzero entries as the blocks' three diagonals
-    together, counted with no N x N temporary.
+    ends the first diagonal block (n = N when there is none).  Every block
+    is then tested exactly: it is constant along its three diagonals, its
+    subdiagonal equals its superdiagonal, and it has no nonzero entry off
+    them, which holds when ``m`` has as many nonzero entries as the blocks'
+    three diagonals together, counted with no N x N temporary.
     """
     size = m.shape[0]
     seams = np.flatnonzero(np.diagonal(m, 1) == 0)
     n = int(seams[0]) + 1 if seams.size else size
-    if n < 2 or n == size or size % n:
+    if n < 2 or size % n:
         return None
     k = size // n
     s0, s1 = m.strides
@@ -415,21 +374,32 @@ def _sine_grid(m):
     return d[..., 0], e[..., 0]
 
 
-def _grid_eigenpairs(m, grid):
-    """Unsorted eigenvalues and the factors (S, X, X^-1) of both bases of a
-    matrix that ``_sine_grid`` reads as ``grid`` = (a, b); None when a small
-    basis X_q is singular or of 1-norm condition above 1e12.
+def _grid_eigenpairs(m, grid, hermitian):
+    """Unsorted eigenvalues and the small bases (X, X^-1) of a matrix that
+    ``_sine_grid`` reads as ``grid`` = (a, b), X^-1 None when ``m`` is
+    Hermitian; None when a small basis X_q is singular or of 1-norm
+    condition above 1e12, or, for a Hermitian ``m``, complex or not
+    orthonormal to 1e-12.
 
-    With T s_q = t_q s_q, t_q = 2 cos(q pi / (n + 1)) (``_sine_block``), the
-    grid acts on mode q as K_q = a + t_q b.  One batched ``eig``,
-    K_q X_q = X_q diag(mu_q), and one batched ``inv`` give eigenpair q k + r:
-    mu_q[r] with right vector X_q[:, r] (x) s_q and left X_q^-H[:, r] (x) s_q,
-    so V = (I_k (x) S) X and V^-H = (I_k (x) S) X^-H exactly.
+    T s_q = t_q s_q with the sine vectors s_q (``_sine_columns``) and
+    t_q = 2 - 4 sin^2(q pi / (2(n + 1))), so the grid acts on mode q as
+    K_q = (a + 2b) - 4 sin^2(q pi / (2(n + 1))) b, for either sign of b.
+    One batched ``eig``, K_q X_q = X_q diag(mu_q), and one batched ``inv``
+    give eigenpair q k + r: mu_q[r] with right vector X_q[:, r] (x) s_q and
+    left X_q^-H[:, r] (x) s_q, so V = (I_k (x) S) X and V^-H = (I_k (x) S)
+    X^-H exactly.  A Hermitian grid has symmetric K_q; their orthonormal
+    X_q make V orthonormal, its own left basis.
     """
     a, b = grid
-    s = np.empty((m.shape[0] // a.shape[0],) * 2)
-    t = _sine_block(0.0, 1.0, s)
-    mu, x = np.linalg.eig(a + t[:, None, None] * b)
+    n = m.shape[0] // a.shape[0]
+    sin2 = np.sin(np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))) ** 2
+    mu, x = np.linalg.eig((a + 2.0 * b) - 4.0 * b * sin2[:, None, None])
+    if hermitian:
+        # eig's X_q of a symmetric K_q is orthonormal unless two of its
+        # eigenvalues are close
+        gram = np.swapaxes(x, 1, 2) @ x - np.eye(a.shape[0])
+        orthonormal = np.isrealobj(x) and np.abs(gram).max() <= 1e-12
+        return (mu.ravel(), (x, None)) if orthonormal else None
     try:
         x_inv = np.linalg.inv(x)
     except np.linalg.LinAlgError:
@@ -442,27 +412,31 @@ def _grid_eigenpairs(m, grid):
     cond = np.abs(x).sum(axis=1).max(axis=1) * np.abs(x_inv).sum(axis=1).max(axis=1)
     if not np.all(cond <= 1e12):
         return None
-    return mu.ravel(), (s, x, x_inv)
+    return mu.ravel(), (x, x_inv)
 
 
-def _grid_right_basis(order, s, x, x_inv):
+def _grid_right_basis(order, x, x_inv):
     """V from ``_grid_eigenpairs``'s factors, its columns in ``order``, with
     what V^-H takes: the n x N sine columns of the sorted modes and the
-    k x N coefficients X^-H.  Sorted column c is mode q, eigenvector r of
-    K_q, where order[c] = q k + r."""
-    q, r = np.divmod(order, x.shape[1])
-    sines = s[:, q]
-    return _grid_basis(sines, x[q, :, r].T), sines, x_inv[q, r].conj().T
+    k x N coefficients X^-H (both None when ``x_inv`` is).  Sorted column c
+    is mode q, eigenvector r of K_q, where order[c] = q k + r."""
+    k = x.shape[1]
+    q, r = np.divmod(order, k)
+    sines = _sine_columns(order.size // k, q)
+    vr = _grid_basis(sines, x[q, :, r].T)
+    return (vr, None, None) if x_inv is None else (vr, sines, x_inv[q, r].conj().T)
 
 
 def _grid_basis(sines, coefficients):
     """The N x N basis whose column c is coefficients[:, c] (x) sines[:, c],
     for k x N ``coefficients`` and n x N ``sines``: block row i is
-    ``sines`` with column c scaled by coefficients[i, c], written in place."""
-    k, size = coefficients.shape
-    out = np.empty((size, size), dtype=coefficients.dtype)
-    for block, row in zip(out.reshape(k, -1, size), coefficients):
-        np.multiply(sines, row, out=block)
+    ``sines`` with column c scaled by coefficients[i, c], written in place.
+    It is F-ordered, as ``eig``'s bases are, so that the phase rule's
+    column-wise ``argmax`` makes no transposed copy."""
+    n, size = sines.shape
+    out = np.empty((size, size), dtype=coefficients.dtype, order="F")
+    for i, row in enumerate(coefficients):
+        np.multiply(sines, row, out=out[i * n:(i + 1) * n])
     return out
 
 
@@ -475,22 +449,23 @@ def spectrum(op):
     Hermitian matrix (equal to its conjugate transpose entry for entry) has
     its eigenvalues stored as complex and one basis for both sides, of
     condition 1.0 when max |V^H V - I| <= 1e-8 (a bound of 1 + n 1e-8), else
-    defective with its condition measured.  A real one that is tridiagonal
-    with blocks constant along both diagonals, as the 3-point Dirichlet
-    Laplacian, its translates and the coupled diffusion blocks are, is
-    decomposed in closed form by the discrete sine transform
-    (``_sine_eigenpairs``); any other Hermitian matrix by ``eigh``.
-    A real non-Hermitian k x k grid of equal blocks a_ij I + b_ij T,
-    T = tridiag(1, 0, 1), as the advection-free coupled block with a scalar
-    profile is (``_sine_grid``), goes by the same transform to one batched
-    ``eig`` and ``inv`` of k x k matrices (``_grid_eigenpairs``).  Its bases
-    are written in sorted order, real when every eigenvalue is, V^-H with
-    the unit factors of V's phase rule; a small basis that is singular or of
-    condition above 1e12 leaves it to ``eig``.  Otherwise ``eig`` gives the
-    right basis V and the left one is V^-H.  For a real matrix with complex
-    eigenvectors V^-H comes from the inverse of the real packed basis
-    (``_packed_left_basis``), the conjugate pairs read where ``eig`` returns
-    them adjacent and exactly conjugate; otherwise from the inverse of V.
+    defective with its condition measured.  A real k x k grid (k >= 1) of
+    equal blocks a_ij I + b_ij T, T = tridiag(1, 0, 1) (``_sine_grid``),
+    Hermitian or not, is decomposed in closed form: the discrete sine
+    transform leaves one batched ``eig`` of k x k matrices and, when the grid
+    is not Hermitian, one batched ``inv`` (``_grid_eigenpairs``).  The
+    3-point Dirichlet Laplacian and its translates are such grids (k = 1),
+    and so are the coupled diffusion blocks and the advection-free coupled
+    block with a scalar profile (k = 2).  The bases are written in sorted
+    order, real when every eigenvalue is, V^-H with the unit factors of V's
+    phase rule; a small basis that is singular, of condition above 1e12 or,
+    on a Hermitian grid, not orthonormal leaves the matrix to ``eigh`` or
+    ``eig``.  Any other Hermitian matrix goes to ``eigh``; any other matrix
+    to ``eig``, which gives the right basis V, the left one being V^-H.  For
+    a real matrix with complex eigenvectors V^-H comes from the inverse of
+    the real packed basis (``_packed_left_basis``), the conjugate pairs read
+    where ``eig`` returns them adjacent and exactly conjugate; otherwise from
+    the inverse of V.
     Either way its 1-norm condition ||V||_1 ||V^-1||_1 is exact.  A singular
     V, or one of condition above 1e12, makes the matrix defective (numerically
     non-diagonalizable): it is flagged and the left basis is taken from the
@@ -504,16 +479,12 @@ def spectrum(op):
     m = operator_matrix(op)
     hermitian = np.array_equal(m, m.conj().T)
     real = np.isrealobj(m)
-    bounds = _sine_blocks(m) if hermitian and real else None
-    grid = _sine_grid(m) if real and not hermitian else None
-    sines = None
+    grid = _sine_grid(m) if real else None
     try:
-        # the grid's eigenvalues and factors, or None where a small basis is
-        # singular or ill-conditioned and eig takes the matrix
-        grid = _grid_eigenpairs(m, grid) if grid is not None else None
-        if bounds is not None:
-            w, vr = _sine_eigenpairs(m, bounds)
-        elif grid is not None:
+        # the grid's eigenvalues and factors, or None where a small basis
+        # fails its check and eigh or eig takes the matrix
+        grid = _grid_eigenpairs(m, grid, hermitian) if grid is not None else None
+        if grid is not None:
             w, grid = grid
         else:
             w, vr = np.linalg.eigh(m) if hermitian else np.linalg.eig(m)
@@ -524,10 +495,10 @@ def spectrum(op):
     if not np.all(np.isfinite(w)):
         raise EigenDecompositionError("eigen iteration returned non-finite eigenvalues")
     order = np.lexsort((-w.imag, -w.real))
-    pairs = None
+    pairs = sines = None
     if grid is not None:
         vr, sines, left = _grid_right_basis(order, *grid)
-        del grid        # S, n x n, would otherwise stay beside both bases
+        del grid        # the small bases go before the phase rule's temporary
     else:
         if real and np.iscomplexobj(vr):
             # LAPACK returns each conjugate pair of a real matrix adjacent,

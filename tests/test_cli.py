@@ -395,12 +395,12 @@ def test_abstract_real_feedback_file_keeps_the_loop_real(tmp_path):
 
 
 def test_abstract_report_decomposes_each_operator_once(tmp_path, monkeypatch):
-    # the diagonal drift in closed form (and not by eigh), eig of the closed
-    # loop and, the loop being a Jordan block, eig of its adjoint; the
-    # adjoint check's -generator = 2I - drift takes its decomposition from
-    # the drift's
+    # the diagonal drift by eigh (its 1 x 1 blocks are no sine grid), eig of
+    # the closed loop and, the loop being a Jordan block, eig of its adjoint;
+    # the adjoint check's -generator = 2I - drift takes its decomposition
+    # from the drift's
     calls = collections.Counter()
-    for module, name in ((np.linalg, "eig"), (np.linalg, "eigh"), (ops, "_sine_eigenpairs")):
+    for module, name in ((np.linalg, "eig"), (np.linalg, "eigh"), (ops, "_grid_eigenpairs")):
         def counted(*args, _solver=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _solver(*args, **kwargs)
@@ -409,7 +409,7 @@ def test_abstract_report_decomposes_each_operator_once(tmp_path, monkeypatch):
     with (pytest.warns(UserWarning, match="eigenvector basis condition"),
           pytest.warns(UserWarning, match="numerically defective")):
         assert run(["report", "--config", cfg]) == 0
-    assert calls == {"eig": 2, "_sine_eigenpairs": 1}
+    assert calls == {"eig": 2, "eigh": 1}
 
 
 def targets_abstract_config(tmp_path, operator, green, targets):
@@ -654,17 +654,18 @@ def test_report_decomposes_each_state_matrix_once(tmp_path, monkeypatch, templat
 
         def wrapper(a, *args, **kwargs):
             a = np.asarray(a)
-            if a.shape[0] == state_dim:
+            # the state matrix itself, not the stack of small matrices of a
+            # grid's batched eig
+            if a.shape == (state_dim, state_dim):
                 digests.append(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
             return original(a, *args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         counted(np.linalg, name)
-    # the closed forms are decompositions too: of the symmetric tridiagonal
-    # matrices (the heat drift and -A, the coupled -A) and of the grid of
-    # sine-diagonalizable blocks (the coupled open-loop block)
-    counted(ops, "_sine_eigenpairs")
+    # the closed form is a decomposition too: of the grids of
+    # sine-diagonalizable blocks (the heat drift and -A, the coupled -A and
+    # open-loop block)
     counted(ops, "_grid_eigenpairs")
     assert run(["report", "--config", cfg]) == 0
     assert len(digests) == matrices and len(set(digests)) == matrices
@@ -783,6 +784,8 @@ def _coupled(old, new):
     # a non-finite model parameter is rejected before it reaches the model
     ("synthesize", ("c2 = 16.0", "c2 = inf"), [], "[model] c2"),
     ("synthesize", _coupled("c2_h = 16.0", "c2_h = inf"), [], "[model] c2_h"),
+    # a finite kappa whose ratio c2_h/kappa overflows to inf
+    ("spectrum", _coupled("c2_h = 16.0", "c2_h = 16.0\nkappa = 1e-310"), [], "c2_h/kappa"),
     ("spectrum", ("type = heat", "type = bogus"), [], "model type 'bogus'"),
     ("spectrum", ("type = heat\n", ""), [], "missing [model] type"),
     ("maxreg", ("p_grid = 2", "p_grid = 2 abc"), [], "[maxreg] p_grid"),
@@ -799,6 +802,7 @@ def _coupled(old, new):
         "heat-omega-one-value", "heat-omega-three-values", "heat-omega-empty",
         "coupled-omega-one-value", "coupled-omega-three-values", "coupled-omega-empty",
         "targets-nan", "targets-neg-inf", "targets-unparsable", "c2-inf", "c2_h-inf",
+        "c2_h-over-kappa-overflows",
         "type-unknown", "type-missing", "p-grid-not-a-number", "t-grid-not-a-number"])
 def test_bad_input_exit_2(tmp_path, capsys, command, edit, flags, name):
     template, old, new = edit if len(edit) == 3 else (HEAT_CFG, *edit)

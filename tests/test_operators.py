@@ -72,8 +72,9 @@ def test_spectrum_diag_indefinite():
 
 
 def test_spectrum_heat_unstable_eigenvalue():
-    # the advection-free drift is exactly symmetric, so it takes the eigh path:
-    # closed-form spectrum, its orthonormal basis as the left basis, no warning
+    # the advection-free drift is exactly symmetric, so it takes the Hermitian
+    # path: closed-form spectrum, its orthonormal basis as the left basis, no
+    # warning
     cfg = HeatConfig(n=64, c2=16.0)
     drift = build_heat_operator(cfg)
     with warnings.catch_warnings():
@@ -99,8 +100,10 @@ def toeplitz_tridiagonal(n, d, e):
     return np.diag(np.full(n, d)) + np.diag(np.full(n - 1, e), 1) + np.diag(np.full(n - 1, e), -1)
 
 
-# symmetric tridiagonal matrices that split into blocks constant along both
-# diagonals, the closed-form (discrete sine transform) route of ``spectrum``
+# real symmetric tridiagonal matrices that split into blocks constant along
+# both diagonals.  The k x k grids of equal blocks take the closed-form
+# (discrete sine transform) route of ``spectrum``; the 1 x 1, diagonal and
+# unequal-block ones (EIGH_CASES) go to eigh
 CLOSED_FORM_CASES = {
     **{f"heat-{n}": lambda n=n: shifted_laplacian(n) for n in (1, 2, 25, 26, 32, 512)},
     "generator-512": lambda: -laplacian(512),
@@ -113,6 +116,7 @@ CLOSED_FORM_CASES = {
     "negative-e": lambda: la.block_diag(toeplitz_tridiagonal(9, 2.0, -0.7), [[4.0]],
                                         toeplitz_tridiagonal(4, 1.0, 3.0)),
 }
+EIGH_CASES = {"heat-1", "diag-repeated", "two-blocks", "negative-e"}
 
 
 def counting(monkeypatch, module, name, calls):
@@ -124,18 +128,34 @@ def counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+def eig_sizes(monkeypatch):
+    """The last dimension of every array that np.linalg.eig is called on."""
+    sizes, eig = [], np.linalg.eig
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eig(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
 def test_closed_form_spectrum_against_lapack(case, monkeypatch):
     # LAPACK is the independent oracle: the closed form and fd_eigenvalues
-    # share one formula
+    # share one formula.  A grid makes one batched eig of its k x k
+    # matrices (k <= 2 here) and no full-size eig or eigh
     m = CLOSED_FORM_CASES[case]()
     n = m.shape[0]
     oracle = np.linalg.eigvalsh(m)[::-1]
     calls = []
     counting(monkeypatch, np.linalg, "eigh", calls)
-    counting(monkeypatch, ops, "_sine_eigenpairs", calls)
+    counting(monkeypatch, ops, "_grid_eigenpairs", calls)
+    sizes = eig_sizes(monkeypatch)
     sp = ops.spectrum(m)
-    assert calls == ["_sine_eigenpairs"]
+    if case in EIGH_CASES:
+        assert ops._sine_grid(m) is None and calls == ["eigh"] and sizes == []
+    else:
+        assert calls == ["_grid_eigenpairs"] and len(sizes) == 1 and sizes[0] <= 2
     scale = np.linalg.norm(m, 2)
     lam, v = sp.eigenvalues, sp.right_vectors
     assert np.all(lam.imag == 0.0) and np.all(np.diff(lam.real) <= 0.0)
@@ -164,11 +184,11 @@ def test_closed_form_declines_other_hermitian_matrices(monkeypatch):
     for m in (off_band, uneven, bumped, hermitian):
         assert np.array_equal(m, m.conj().T)
         if np.isrealobj(m):
-            assert ops._sine_blocks(m) is None
+            assert ops._sine_grid(m) is None
         calls = []
         with monkeypatch.context() as patch:
             counting(patch, np.linalg, "eigh", calls)
-            counting(patch, ops, "_sine_eigenpairs", calls)
+            counting(patch, ops, "_grid_eigenpairs", calls)
             sp = ops.spectrum(m)
         assert calls == ["eigh"]
         oracle = np.linalg.eigvalsh(m)[::-1]
@@ -201,13 +221,8 @@ def test_grid_spectrum_against_lapack(case, monkeypatch):
     m = build()
     n = m.shape[0]
     oracle_w, oracle_v = np.linalg.eig(m)
-    sizes, calls = [], []
-    eig = np.linalg.eig
-
-    def counted(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-1])
-        return eig(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eig", counted)
+    calls = []
+    sizes = eig_sizes(monkeypatch)
     counting(monkeypatch, ops, "_grid_eigenpairs", calls)
     sp = ops.spectrum(m)
     assert calls == ["_grid_eigenpairs"] and sizes == [k]
@@ -255,19 +270,23 @@ def grid_declines():
         "ulp": bumped,
         # gamma_buoy = 0, nu = kappa, c2_f = c2_h: every K_q is a Jordan block
         "jordan": CoupledConfig(n=12, gamma_buoy=0.0).operator.entries,
+        # symmetric, every K_q = a + t_q I with the double eigenvalue of a
+        "repeated": sine_grid(np.ones((3, 3)) + np.eye(3), np.eye(3), 6),
     }
 
 
-@pytest.mark.parametrize("case", ["profile", "advection", "ulp", "jordan"])
+@pytest.mark.parametrize("case", ["profile", "advection", "ulp", "jordan", "repeated"])
 def test_grid_route_declines(case, monkeypatch):
-    # the structural test refuses the first three; the Jordan case passes it,
-    # and its singular small bases send it to eig; either way the spectrum is
-    # the eig route's, flags and warnings included
+    # the structural test refuses the first three.  The Jordan case passes
+    # it, and its singular small bases send it to eig; the symmetric grid
+    # passes it, and eig's non-orthonormal basis of its double eigenvalue
+    # sends it to eigh.  Either way the spectrum is that route's, flags and
+    # warnings included
     m = grid_declines()[case]
     grid = ops._sine_grid(m)
-    assert (grid is None) == (case != "jordan")
+    assert (grid is None) == (case not in ("jordan", "repeated"))
     if grid is not None:
-        assert ops._grid_eigenpairs(m, grid) is None
+        assert ops._grid_eigenpairs(m, grid, case == "repeated") is None
 
     def decompose():
         with warnings.catch_warnings(record=True) as caught:
@@ -311,6 +330,57 @@ def test_grid_spectrum_memory_is_its_bases(monkeypatch):
     assert all(r <= e for r, e in zip(residuals(sp), residuals(eig_sp)))
 
 
+def square_laplacian(m, c2):
+    """The five-point Laplacian plus c2 I on the m x m interior nodes of the
+    unit square, h = 1/(m + 1): an m x m symmetric grid of m x m blocks."""
+    lap, eye = laplacian(m), np.eye(m)
+    out = np.kron(lap, eye) + np.kron(eye, lap)
+    out.flat[::m * m + 1] += c2
+    return out
+
+
+def test_square_laplacian_takes_the_grid_route(monkeypatch):
+    # the 2-D operator of the square model at m = 15: one batched eig of its
+    # 15 small 15 x 15 matrices, no full-size eig or eigh; LAPACK's eigvalsh
+    # and the Kronecker sum of the 1-D sine eigenvalues are the oracles
+    m, c2 = 15, 60.0
+    h = 1.0 / (m + 1)
+    a = square_laplacian(m, c2)
+    oracle = np.linalg.eigvalsh(a)[::-1]
+    calls = []
+    counting(monkeypatch, np.linalg, "eigh", calls)
+    counting(monkeypatch, ops, "_grid_eigenpairs", calls)
+    sizes = eig_sizes(monkeypatch)
+    sp = ops.spectrum(a)
+    assert calls == ["_grid_eigenpairs"] and sizes == [m]
+    lam, v = sp.eigenvalues, sp.right_vectors
+    assert np.all(lam.imag == 0.0)
+    assert np.abs(lam.real - oracle).max() <= 1e-13 * np.linalg.norm(a, 2)
+    s2 = np.sin(np.arange(1, m + 1) * np.pi * h / 2) ** 2
+    exact = np.sort(c2 - (4 / h**2) * (s2[:, None] + s2[None, :]), axis=None)[::-1]
+    assert np.all(np.abs(lam.real - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
+    assert v.dtype == np.float64 and sp.left_vectors is v
+    assert np.abs(v.T @ v - np.eye(m * m)).max() <= 1e-13
+    assert sp.cond_estimate == 1.0 and not sp.defective
+
+
+def test_symmetric_grid_memory_is_its_basis():
+    # the heat translate at n = 512 on the grid route: its one real basis
+    # and the phase rule's real temporary, no more at the peak than the
+    # 2.07 N^2 float64 of the tridiagonal sine route it replaced
+    n = 512
+    m = shifted_laplacian(n)
+    ops.spectrum(shifted_laplacian(8))     # first-call allocations of numpy, untraced
+    tracemalloc.start()
+    try:
+        sp = ops.spectrum(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.right_vectors.dtype == np.float64 and sp.left_vectors is sp.right_vectors
+    assert peak <= 2.07 * 8 * n * n
+
+
 def test_spectrum_biorthogonality_nonsymmetric():
     m = stable_random(12, 7)
     sp = ops.spectrum(m)
@@ -321,12 +391,13 @@ def test_spectrum_biorthogonality_nonsymmetric():
 def test_spectrum_hermitian_test_is_exact(monkeypatch):
     # a symmetric matrix with one off-diagonal entry moved by one ulp is not
     # Hermitian, so it decomposes with both Hermitian routes (eigh and the
-    # closed form) unavailable; spectral_abscissa reads the same decomposition
+    # closed form, which the symmetric matrix takes) unavailable;
+    # spectral_abscissa reads the same decomposition
     m = -heat_split(HeatConfig(n=16, c2=9.1))[0].entries
     def refuse(*args, **kwargs):
         raise AssertionError("Hermitian solver called")
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(ops, "_sine_eigenpairs", refuse)
+    monkeypatch.setattr(ops, "_grid_eigenpairs", refuse)
     with pytest.raises(AssertionError, match="Hermitian solver"):
         ops.spectrum(m)
     with pytest.raises(AssertionError, match="Hermitian solver"):
@@ -344,7 +415,7 @@ def test_spectrum_flags_an_ill_conditioned_hermitian_basis(monkeypatch):
     # fails the orthonormality check is defective and its condition is
     # measured.  The corner entries keep the matrix off the closed-form route
     m = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 3.0]])
-    assert ops._sine_blocks(m) is None
+    assert ops._sine_grid(m) is None
     basis = np.diag([1.0, 1.0, 1e-9])
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0, 3.0]), basis.copy()))
     op = Operator(m)
